@@ -10,8 +10,7 @@ harness with a verification oracle suite.
 """
 
 from .channel import (ChannelParams, GroupCoefficients, coeff_a, coeff_b,
-                      group_coefficients, group_gamma, group_rate,
-                      harvested_energy)
+                      group_coefficients, group_rate, harvested_energy)
 from .config import ScenarioConfig, load_config
 from .errors import (AccuracyError, BracketingError, ConfigError,
                      InfeasiblePlanError, NumericDomainError, PlanError,
@@ -35,10 +34,10 @@ __all__ = [
     "StmDiagnostics", "StmProblem", "SweepSpec", "TimeAllocation",
     "TrialResult", "TtmProblem", "UavWptError", "UnsupportedScaleError",
     "check_feasibility", "coeff_a", "coeff_b", "delivered_information",
-    "generate_field", "generate_trial", "group_coefficients", "group_gamma",
-    "group_rate", "harvested_energy", "load_config", "load_field",
-    "plan_groups", "run_sweep", "run_trial", "run_verification",
-    "save_field", "singleton_plan", "solve_stm", "solve_ttm", "trial_rng",
+    "generate_field", "generate_trial", "group_coefficients", "group_rate",
+    "harvested_energy", "load_config", "load_field", "plan_groups",
+    "run_sweep", "run_trial", "run_verification", "save_field",
+    "singleton_plan", "solve_stm", "solve_ttm", "trial_rng",
     "sum_throughput", "write_sweep_csv", "write_verification_csv",
     "__version__",
 ]

@@ -110,16 +110,6 @@ def uplink_gain(plan: GroupPlan, cfg: ArrayConfig, params: ChannelParams,
     return params.k0 / (L * L + params.A * params.A)
 
 
-def downlink_gain(plan: GroupPlan, cfg: ArrayConfig, params: ChannelParams,
-                  n: int, i: int, uav_xy: Point) -> float:
-    """Power gain from the transmit antenna at uav_xy down to sensor i."""
-    plan.members(n)  # range-check the group index
-    if not (math.isfinite(uav_xy[0]) and math.isfinite(uav_xy[1])):
-        raise NumericDomainError("UAV position must be finite")
-    w = plan.field.position(i)
-    return params.k0 * point_inverse_sq(uav_xy, w, params.A)
-
-
 def coeff_a(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:
     """Hover-phase harvesting coefficient of sensor i for hover point n."""
     w = plan.field.position(i)
@@ -143,17 +133,6 @@ def harvested_energy(params: ChannelParams, coeffs: "GroupCoefficients",
     a_i = coeffs.a_sensor[n - 1][i]
     b_i = coeffs.b_sensor[n - 1][i]
     return params.energy_scale * (a_i * tau_prev + b_i * zeta_n)
-
-
-def group_gamma(plan: GroupPlan, cfg: ArrayConfig, params: ChannelParams,
-                n: int) -> float:
-    """SNR scale of group n: (eta*P_t*k0/sigma2) times the sum of uplink
-    gains over the group's sensors and all receive antennas."""
-    total = 0.0
-    for i in plan.members(n):
-        for k in range(2, cfg.M + 1):
-            total += uplink_gain(plan, cfg, params, n, k, i)
-    return params.energy_scale / params.sigma2 * total
 
 
 def group_rate(coeffs: "GroupCoefficients", n: int, tau_prev: float,

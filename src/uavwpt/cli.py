@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: plan (grouping + feasibility), solve stm|ttm (one
-realization, closed forms only), sweep (Monte-Carlo parameter sweep),
-verify (oracle suite).  Exit codes are stable for scripting: 0 success,
+realization; stm falls back to SQP outside the closed form, as in a
+sweep, and prints the method it used), sweep (Monte-Carlo parameter
+sweep), verify (oracle suite).  Exit codes are stable for scripting: 0 success,
 2 infeasible mission, 3 numeric/domain failure or failed verification,
 4 configuration problem.  Data goes to stdout and CSV files; error
 diagnostics go to stderr.
@@ -137,8 +138,9 @@ def cmd_solve(args) -> int:
     if args.problem == "stm":
         problem = StmProblem(coeffs=coeffs, D=geo.plan.D, T=config.T_s,
                              v_max=config.v_max_mps)
-        alloc, diag = solve_stm(problem, fallback="none")
+        alloc, diag = solve_stm(problem)
         print("problem: stm")
+        print(f"method: {diag.method}")
         print(f"tau: {_fmt_vec(alloc.tau)}")
         print(f"zeta: {_fmt_vec(alloc.zeta)}")
         print(f"objective: {diag.objective:.12g} nats/Hz")

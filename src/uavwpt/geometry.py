@@ -77,11 +77,6 @@ class ArrayConfig:
         return math.sqrt(self.d_max ** 2 - self.altitude ** 2)
 
 
-def l_max(cfg: ArrayConfig) -> float:
-    """Maximum horizontal distance at which power transfer is effective."""
-    return cfg.l_max
-
-
 @dataclass(frozen=True)
 class GroupPlan:
     """Ordered partition of sensors into serving groups with hover points.
@@ -144,12 +139,6 @@ class GroupPlan:
     def row_parity(self, n: int) -> str:
         self._check_group(n)
         return "odd" if self.row_of_group[n - 1] % 2 == 1 else "even"
-
-    def speeds(self, zeta) -> tuple[float, ...]:
-        """Per-leg flight speeds D_n / zeta_n for a known flight schedule."""
-        if len(zeta) != self.N:
-            raise PlanError("need one flight time per leg")
-        return tuple(d / z for d, z in zip(self.D, zeta))
 
     def _check_group(self, n: int):
         if not 1 <= n <= self.N:
@@ -445,17 +434,3 @@ def singleton_plan(field_: SensorField, cfg: ArrayConfig,
         rows=(mean_y,),
         start_point=start_point,
     )
-
-
-def validate_coverage(plan: GroupPlan, cfg: ArrayConfig):
-    """Raise if any sensor sits outside its hover point's coverage radius."""
-    radius = cfg.l_max
-    for n in range(1, plan.N + 1):
-        hx, hy = plan.hover(n)
-        for i in plan.members(n):
-            x, y = plan.field.position(i)
-            d = math.hypot(x - hx, y - hy)
-            if d > radius:
-                raise InfeasiblePlanError(
-                    f"group {n}: sensor {i} lies {d:.3f} m from its hover "
-                    f"point, beyond the {radius:.3f} m coverage radius")

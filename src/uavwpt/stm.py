@@ -7,20 +7,23 @@ system collapses to a backward recursion in q_n = 1/Y_n driven by a
 single scalar dual variable mu_N (the shadow price of the last group's
 flight-time clamp).  Every q_n is an explicit Lambert W expression, so
 for fixed mu_N the whole chain is evaluated directly, and mu_N itself is
-the root of a scalar monotone-decreasing function.  All exponentials are
+the root of a scalar monotone-decreasing function g.  The chain is
+undefined only below a validity edge; g reads +inf there, so a single
+bisection (numerics.bisect_root) finds the root.  All exponentials are
 arranged so large mu_N underflows harmlessly instead of overflowing.
 
 Two boundary structures occur.  When the first leg's flight harvesting
 is at least as productive as hovering at the start (b_1 >= a_1) the
 start hover tau_0 is zero and the first flight time zeta_1 is free.
 Otherwise (a_1 > b_1, the usual shape for hover-over-sensor baselines)
-every leg is flown at top speed and tau_0 is the free variable.  A
-sequential-quadratic-programming fallback covers inputs outside either
-closed form's domain.
+every leg is flown at top speed and tau_0 is the free variable.  Any
+input outside either closed form's domain goes to a
+sequential-quadratic-programming solver; diagnostics.method names the
+path.  One analytic gradient, throughput_gradient, drives both that
+solver and the stationarity check kkt_residuals.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,68 +159,42 @@ def _chain_q(gamma, a, b, mu_n: float):
     return q
 
 
-def _find_valid_lo(eval_chain, base: float):
-    """Smallest mu_N >= base at which the dual chain is defined.
-
-    Probes base, then base + offsets growing geometrically; once a valid
-    probe is found the validity boundary is tightened by bisection so a
-    root just above the boundary is not skipped.
-    """
-    try:
-        eval_chain(base)
-        return base
-    except NumericDomainError as err:
-        last = err
-    scale = max(1.0, abs(base))
-    offset = 1e-9 * scale
-    bad = 0.0
-    while offset <= 1e8 * scale:
-        try:
-            eval_chain(base + offset)
-            break
-        except NumericDomainError as err:
-            last = err
-            bad = offset
-            offset *= 4.0
-    else:
-        raise last
-    # tighten the validity edge between the last bad and first good probe
-    good = offset
-    for _ in range(60):
-        mid = 0.5 * (bad + good)
-        if mid in (bad, good):
-            break
-        try:
-            eval_chain(base + mid)
-            good = mid
-        except NumericDomainError:
-            bad = mid
-    return base + good
-
 def _solve_mu(problem: StmProblem, first_coeff: float, base: float) -> float:
     """Root of g(mu_N) = first_coeff*q_1 - gamma_N b_N q_N - mu_N over
     mu_N >= base, where q is the dual chain.  first_coeff encodes which
     first-phase variable is free (gamma_1 b_1 for the first flight leg,
-    gamma_1 a_1 for the start hover)."""
+    gamma_1 a_1 for the start hover).
+
+    g is +inf below the chain's domain edge, so one bisection from base
+    finds either the root or the edge; converging on the edge without
+    ever seeing g >= -tol means the root lies below it.
+    """
     g_ = problem.coeffs.gamma
     a_ = problem.coeffs.a
     b_ = problem.coeffs.b
     gnbn = g_[-1] * b_[-1]
+    near_root = False
 
     def g(mu):
-        q = _chain_q(g_, a_, b_, mu)
-        return first_coeff * q[0] - gnbn * q[-1] - mu
+        nonlocal near_root
+        try:
+            q = _chain_q(g_, a_, b_, mu)
+        except NumericDomainError:
+            return math.inf
+        value = first_coeff * q[0] - gnbn * q[-1] - mu
+        near_root = near_root or value >= -_MU_ROOT_TOL
+        return value
 
-    lo = _find_valid_lo(lambda mu: _chain_q(g_, a_, b_, mu), base)
-    glo = g(lo)
-    if glo == 0.0:
-        return lo
-    if glo < 0.0:
+    if g(base) < 0.0:
         raise BracketingError(
-            f"dual root lies below the search floor {lo!r}")
+            f"dual root lies below the search floor {base!r}")
     # g(mu) <= first_coeff - mu, so one jump past first_coeff brackets it
-    hi = lo + first_coeff + 1.0
-    return bisect_root(g, lo, hi, tol=_MU_ROOT_TOL)
+    mu = bisect_root(g, base, max(base, 0.0) + first_coeff + 1.0,
+                     tol=_MU_ROOT_TOL)
+    if not near_root:
+        raise BracketingError(
+            f"dual root lies below the search floor {mu!r}")
+    return mu
 
 
 def solve_mu_n(problem: StmProblem) -> float:
@@ -296,19 +273,11 @@ def _budget_closure(problem: StmProblem, f, free_first_hover: bool):
 
 def compute_zeta1(problem: StmProblem, f) -> float:
     """Optimal first flight time zeta_1 = F1/F2, clamped to the speed
-    cap with a warning if the closed form lands below it."""
+    cap if the closed form lands below it."""
     F1, F2 = _budget_closure(problem, f, free_first_hover=False)
     if not F2 > 0.0:
         raise NumericDomainError(f"budget closure denominator F2={F2} <= 0")
-    zeta1 = F1 / F2
-    floor = problem.D[0] / problem.v_max
-    if zeta1 < floor:
-        warnings.warn(
-            f"first flight time {zeta1:.6g} s fell below the speed-cap "
-            f"floor {floor:.6g} s and was clamped", RuntimeWarning,
-            stacklevel=2)
-        return floor
-    return zeta1
+    return max(F1 / F2, problem.D[0] / problem.v_max)
 
 
 def _close_budget(tau0: float, taus, zetas, T: float):
@@ -351,18 +320,12 @@ def _diagnostics(problem, alloc, mu_n, f, F1, F2, method, clamped,
     Y = tuple(1.0 + g_[j] * f[j] for j in range(problem.N))
     if mu is None:
         mu = 0.5 * (mu_n + g_[-1] * b_[-1] / Y[-1])
-    objective = sum_throughput(problem.coeffs, alloc)
-    budget_residual = abs(alloc.total - problem.T)
-    diag = StmDiagnostics(
-        mu_N=mu_n, f=tuple(f), F1=F1, F2=F2, Y=Y,
-        kkt_residual=math.nan, budget_residual=budget_residual,
-        mu=mu, objective=objective, method=method, clamped=clamped)
-    report = kkt_residuals(problem, alloc, diag)
     return StmDiagnostics(
-        mu_N=diag.mu_N, f=diag.f, F1=diag.F1, F2=diag.F2, Y=diag.Y,
-        kkt_residual=report.max_residual,
-        budget_residual=diag.budget_residual, mu=diag.mu,
-        objective=diag.objective, method=diag.method, clamped=diag.clamped)
+        mu_N=mu_n, f=tuple(f), F1=F1, F2=F2, Y=Y,
+        kkt_residual=kkt_residuals(problem, alloc, mu),
+        budget_residual=abs(alloc.total - problem.T), mu=mu,
+        objective=sum_throughput(problem.coeffs, alloc), method=method,
+        clamped=clamped)
 
 
 def _solve_closed_form(problem: StmProblem):
@@ -422,8 +385,10 @@ def solve_stm_numeric(problem: StmProblem):
     Free variables are the N hover times and the first leg's flight
     extension beyond the speed-cap floor, all expressed as fractions of
     the slack budget so the solver sees a unit-scaled simplex; the start
-    hover absorbs the remainder.  Gradients are analytic.  Several
-    deterministic starts are tried and the best feasible point kept.
+    hover absorbs the remainder.  The gradient is throughput_gradient's:
+    throughput is 1-homogeneous, so its partials are the same in slack
+    units.  Several deterministic starts are tried and the best feasible
+    point kept.
     """
     N = problem.N
     B = problem.slack
@@ -434,34 +399,24 @@ def solve_stm_numeric(problem: StmProblem):
     b_ = np.asarray(problem.coeffs.b)
     zeta_floor = np.asarray(problem.D) / problem.v_max
     zf_hat = zeta_floor / B  # flight floors in slack units
+    zf_list = zf_hat.tolist()
 
-    def split(u):
-        # u = (hover fractions, extra-first-leg fraction); tau0 gets the rest
+    # u = (hover fractions, extra-first-leg fraction); tau0 gets the rest
+    def objective(u):
         taus = u[:N]
-        rest = 1.0 - float(np.sum(u))
         energy = np.empty(N)
-        energy[0] = a_[0] * rest + b_[0] * (zf_hat[0] + u[N])
+        energy[0] = (a_[0] * (1.0 - float(np.sum(u)))
+                     + b_[0] * (zf_hat[0] + u[N]))
         if N > 1:
             energy[1:] = a_[1:] * taus[:-1] + b_[1:] * zf_hat[1:]
-        return taus, rest, energy
-
-    def objective(u):
-        taus, _, energy = split(u)
         return -0.5 * float(np.sum(taus * np.log1p(g_ * energy / taus)))
 
     def gradient(u):
-        taus, _, energy = split(u)
-        Y = 1.0 + g_ * energy / taus
-        q = 1.0 / Y
-        grad = np.empty(N + 1)
-        first = 0.5 * g_[0] * a_[0] * q[0]
-        for m in range(N):
-            gm = 0.5 * (np.log(Y[m]) - 1.0 + q[m]) - first
-            if m < N - 1:
-                gm += 0.5 * g_[m + 1] * a_[m + 1] * q[m + 1]
-            grad[m] = gm
-        grad[N] = 0.5 * g_[0] * (b_[0] - a_[0]) * q[0]
-        return -grad
+        x = u.tolist()
+        rest = 1.0 - float(np.sum(u))
+        d = throughput_gradient(problem.coeffs, (rest, *x[:N]),
+                                (zf_list[0] + x[N], *zf_list[1:]))
+        return d[0] - np.asarray(d[1:])
 
     floor = _MIN_HOVER / max(B, 1.0)
     ramp = np.arange(1, N + 1, dtype=float)
@@ -527,24 +482,20 @@ def solve_stm_numeric(problem: StmProblem):
     return alloc, diag
 
 
-def solve_stm(problem: StmProblem, fallback: str = "numeric"):
+def solve_stm(problem: StmProblem):
     """Optimal hover and flight times for a throughput-maximization
     instance.
 
     Tries the closed form appropriate to the instance's boundary
-    structure; with fallback="numeric" (the default) any domain failure
-    is retried with the SQP solver, with fallback="none" it propagates.
-    Returns (TimeAllocation, StmDiagnostics).
+    structure and retries any domain failure with the SQP solver;
+    diagnostics.method names the path taken.  Returns
+    (TimeAllocation, StmDiagnostics).
     """
-    if fallback not in ("numeric", "none"):
-        raise ValueError(f"unknown fallback mode {fallback!r}")
     if problem.slack <= 1e-12:
         return _degenerate_allocation(problem)
     try:
         return _solve_closed_form(problem)
     except NumericDomainError:
-        if fallback == "none":
-            raise
         return solve_stm_numeric(problem)
 
 
@@ -566,57 +517,46 @@ def sum_throughput(coeffs: GroupCoefficients, alloc: TimeAllocation) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class KktReport:
-    """Finite-difference stationarity residuals of the Lagrangian."""
+def throughput_gradient(coeffs: GroupCoefficients, tau, zeta) -> list:
+    """Partial derivatives of sum_throughput, ordered (d/dtau_0 ..
+    d/dtau_N, d/dzeta_1).
 
-    residuals: dict
-    max_residual: float
+    With q_n = 1/Y_n, hover n gains 0.5(ln Y_n - 1 + q_n) from its own
+    rate and 0.5 gamma_{n+1} a_{n+1} q_{n+1} from charging group n+1;
+    tau_0 and zeta_1 only charge group 1.  A group with no hover adds
+    nothing downstream and has an unbounded marginal gain of its own.
+    """
+    g_ = coeffs.gamma
+    a_ = coeffs.a
+    b_ = coeffs.b
+    N = coeffs.N
+    q = [0.0] * N
+    own = [math.inf] * N
+    for n in range(N):
+        if tau[n + 1] > 0.0:
+            Y = 1.0 + g_[n] * (a_[n] * tau[n] + b_[n] * zeta[n]) / tau[n + 1]
+            q[n] = 1.0 / Y
+            own[n] = 0.5 * (math.log(Y) - 1.0 + q[n])
+    d = [0.5 * g_[0] * a_[0] * q[0]]
+    for n in range(N - 1):
+        d.append(own[n] + 0.5 * g_[n + 1] * a_[n + 1] * q[n + 1])
+    d.append(own[-1])
+    d.append(0.5 * g_[0] * b_[0] * q[0])
+    return d
 
 
 def kkt_residuals(problem: StmProblem, alloc: TimeAllocation,
-                  diagnostics: StmDiagnostics) -> KktReport:
-    """Central-difference check that the allocation is a stationary
-    point of the budget Lagrangian.
-
-    Only coordinates away from their bounds are differentiated: hovers
-    above a small floor, and the first flight time when it is not
-    pinned at the speed cap.
-    """
-    mu = diagnostics.mu
-    floor1 = problem.D[0] / problem.v_max
-
-    def lagrangian(tau, zeta):
-        a = TimeAllocation(tau=tau, zeta=zeta)
-        return sum_throughput(problem.coeffs, a) - mu * (a.total - problem.T)
-
-    residuals = {}
-    tau = list(alloc.tau)
-    zeta = list(alloc.zeta)
-    for idx in range(len(tau)):
-        x = tau[idx]
-        if x <= 1e-3:
-            continue
-        h = 1e-4 * max(1.0, abs(x))
-        hi = tau.copy()
-        lo = tau.copy()
-        hi[idx] = x + h
-        lo[idx] = x - h
-        d = (lagrangian(tuple(hi), alloc.zeta)
-             - lagrangian(tuple(lo), alloc.zeta)) / (2.0 * h)
-        residuals[f"tau_{idx}"] = abs(d)
-    if zeta[0] > floor1 * (1.0 + 1e-9) and zeta[0] > 1e-3:
-        x = zeta[0]
-        h = 1e-4 * max(1.0, abs(x))
-        hi = zeta.copy()
-        lo = zeta.copy()
-        hi[0] = x + h
-        lo[0] = x - h
-        d = (lagrangian(alloc.tau, tuple(hi))
-             - lagrangian(alloc.tau, tuple(lo))) / (2.0 * h)
-        residuals["zeta_1"] = abs(d)
-    worst = max(residuals.values(), default=0.0)
-    return KktReport(residuals=residuals, max_residual=worst)
+                  mu: float) -> float:
+    """Largest stationarity residual |dH/dx - mu| of the budget
+    Lagrangian over the coordinates away from their bounds: hovers above
+    a small floor, and the first flight time when it is not pinned at
+    the speed cap."""
+    d = throughput_gradient(problem.coeffs, alloc.tau, alloc.zeta)
+    free = [i for i, x in enumerate(alloc.tau) if x > 1e-3]
+    zeta1 = alloc.zeta[0]
+    if zeta1 > problem.D[0] / problem.v_max * (1.0 + 1e-9) and zeta1 > 1e-3:
+        free.append(problem.N + 1)
+    return max((abs(d[i] - mu) for i in free), default=0.0)
 
 
 def stm_diag_row(problem: StmProblem, diag: StmDiagnostics) -> str:

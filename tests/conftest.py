@@ -1,6 +1,3 @@
-import warnings
-
-import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -11,11 +8,3 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
-
-
-@pytest.fixture
-def quiet_clamp_warnings():
-    """Silence the first-leg clamp warning where tests drive it on purpose."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        yield

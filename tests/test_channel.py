@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from uavwpt.channel import (ChannelParams, GroupCoefficients, coeff_a,
-                            coeff_b, downlink_gain, group_coefficients,
-                            group_gamma, group_rate, harvested_energy,
-                            leg_average_inverse_sq, point_inverse_sq,
-                            uplink_gain)
+                            coeff_b, group_coefficients, group_rate,
+                            harvested_energy, leg_average_inverse_sq,
+                            point_inverse_sq, uplink_gain)
 from uavwpt.errors import ConfigError, NumericDomainError, PlanError
 from uavwpt.geometry import ArrayConfig, GroupPlan, SensorField
 from uavwpt.numerics import integrate_adaptive
@@ -71,27 +70,6 @@ def test_uplink_rejects_transmit_antenna():
     plan = _one_group_plan(sensor=(5.0, 0.1), hover=(5.0, 0.0))
     with pytest.raises(PlanError):
         uplink_gain(plan, CFG, PARAMS, 1, 1, 1)
-
-
-def test_downlink_overhead_value():
-    plan = _one_group_plan(sensor=(5.0, 0.0), hover=(5.0, 0.0))
-    got = downlink_gain(plan, CFG, PARAMS, 1, 1, uav_xy=(5.0, 0.0))
-    assert got == pytest.approx(1e-3 / 100.0)
-
-
-def test_downlink_symmetric_in_offset_sign():
-    plan = _one_group_plan(sensor=(5.0, 0.0), hover=(5.0, 0.0))
-    left = downlink_gain(plan, CFG, PARAMS, 1, 1, uav_xy=(1.0, 0.0))
-    right = downlink_gain(plan, CFG, PARAMS, 1, 1, uav_xy=(9.0, 0.0))
-    assert left == pytest.approx(right, rel=1e-14)
-
-
-def test_downlink_matches_uplink_form_at_hover():
-    from uavwpt.geometry import horizontal_distance
-    plan = _one_group_plan(sensor=(7.3, 1.9), hover=(5.0, 0.0))
-    L = horizontal_distance(plan, CFG, 1, 1, 1)
-    got = downlink_gain(plan, CFG, PARAMS, 1, 1, uav_xy=plan.hover(1))
-    assert got == pytest.approx(1e-3 / (L * L + 100.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------- coefficients
@@ -203,29 +181,33 @@ def test_energy_matches_quadrature_total():
 
 # ---------------------------------------------------------------- SNR and rate
 
+def _gamma(plan, cfg, params):
+    return group_coefficients(plan, cfg, params).gamma[0]
+
+
 def test_group_gamma_single_antenna_value():
     # h = k0/A^2 = 1e-5 for a sensor right under the receive antenna
     cfg2 = ArrayConfig(M=2, delta=0.1, altitude=10.0, d_max=35.0)
     plan = _one_group_plan(sensor=(5.0, 0.1), hover=(5.0, 0.0))
-    got = group_gamma(plan, cfg2, PARAMS, 1)
+    got = _gamma(plan, cfg2, PARAMS)
     # eta * P_t * k0 * h / sigma2 = 0.5 * 2 * 1e-3 * 1e-5 / 1e-10
     assert got == pytest.approx(100.0, rel=1e-12)
 
 
 def test_group_gamma_linear_in_power():
     plan = _one_group_plan(sensor=(6.0, 1.0), hover=(5.0, 0.0))
-    base = group_gamma(plan, CFG, PARAMS, 1)
-    doubled = group_gamma(
+    base = _gamma(plan, CFG, PARAMS)
+    doubled = _gamma(
         plan, CFG,
-        ChannelParams(k0=1e-3, sigma2=1e-10, eta=0.5, P_t=4.0, A=10.0), 1)
+        ChannelParams(k0=1e-3, sigma2=1e-10, eta=0.5, P_t=4.0, A=10.0))
     assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_group_gamma_antenna_additivity():
     cfg2 = ArrayConfig(M=2, delta=0.1, altitude=10.0, d_max=35.0)
     plan = _one_group_plan(sensor=(6.0, 1.0), hover=(5.0, 0.0))
-    g2 = group_gamma(plan, cfg2, PARAMS, 1)
-    g3 = group_gamma(plan, CFG, PARAMS, 1)
+    g2 = _gamma(plan, cfg2, PARAMS)
+    g3 = _gamma(plan, CFG, PARAMS)
     k3_term = (PARAMS.energy_scale / PARAMS.sigma2
                * uplink_gain(plan, CFG, PARAMS, 1, 3, 1))
     assert g3 == pytest.approx(g2 + k3_term, rel=1e-12)

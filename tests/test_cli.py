@@ -98,12 +98,23 @@ def test_solve_seed_override_changes_draw(cfg_path, tmp_path, capsys):
 
 
 def test_solve_low_power_exit_code(cfg_path, tmp_path, capsys):
+    # the last group cannot reach a positive rate on flight harvesting,
+    # so the closed form is out of its domain and SQP solves the instance
     path = tmp_path / "low.ini"
     path.write_text(BASE_INI.replace("pt_db = 4", "pt_db = -25"))
     rc = main(["solve", "stm", "--config", str(path), "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert "group" in err
+    assert rc == 0
+    assert _line(capsys.readouterr().out, "method:") == "method: numeric"
+
+
+def test_solve_stm_falls_back_like_sweep(cfg_path, tmp_path, capsys):
+    # seed 0's dual root lies below the closed form's search floor
+    rc = main(["solve", "stm", "--config", str(cfg_path),
+               "--out", str(tmp_path), "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert _line(out, "method:") == "method: numeric"
+    assert float(_line(out, "objective:").split()[1]) > 0.0
 
 
 # -------------------------------------------------- sweep

@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 from uavwpt.errors import ConfigError, InfeasiblePlanError, PlanError
 from uavwpt.geometry import (ArrayConfig, GroupPlan, SensorField,
                              check_feasibility, generate_field,
-                             horizontal_distance, l_max, load_field,
-                             plan_groups, save_field, singleton_plan,
-                             validate_coverage, write_plan_csv)
+                             horizontal_distance, load_field, plan_groups,
+                             save_field, singleton_plan, write_plan_csv)
 
 CFG = ArrayConfig(M=3, delta=0.1, altitude=10.0, d_max=35.0)
 
@@ -104,7 +103,6 @@ def test_plan_partitions_all_sensors():
     plan = plan_groups(f, cfg, 4, row_ys=[2.5])
     served = sorted(i for n in range(1, 5) for i in plan.members(n))
     assert served == list(range(1, 21))
-    validate_coverage(plan, cfg)
 
 
 def test_serpentine_direction_by_row_parity():
@@ -189,7 +187,7 @@ def test_lmax_equals_altitude_at_sqrt2():
 
 
 def test_lmax_table_value():
-    assert l_max(CFG) == pytest.approx(math.sqrt(1125.0))
+    assert CFG.l_max == pytest.approx(math.sqrt(1125.0))
 
 
 @given(st.floats(min_value=1.0, max_value=100.0),

@@ -6,12 +6,16 @@ from hypothesis import given, strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
 from instance_tools import stm_instance, synthetic_coeffs
-from uavwpt.channel import GroupCoefficients
-from uavwpt.errors import (InfeasiblePlanError, NumericDomainError)
-from uavwpt.stm import (StmProblem, TimeAllocation, compute_f, compute_zeta1,
-                        kkt_residuals, solve_mu_n, solve_stm,
-                        solve_stm_numeric, stm_diag_row, sum_throughput,
-                        STM_DIAG_HEADER)
+from uavwpt.channel import GroupCoefficients, group_coefficients
+from uavwpt.config import ScenarioConfig
+from uavwpt.errors import (BracketingError, InfeasiblePlanError,
+                           NumericDomainError)
+from uavwpt.experiments import (array_config, channel_params,
+                                generate_trial, hf_eh_baseline, trial_rng)
+from uavwpt.stm import (StmProblem, TimeAllocation, _solve_closed_form,
+                        compute_f, compute_zeta1, kkt_residuals, solve_mu_n,
+                        solve_stm, solve_stm_numeric, stm_diag_row,
+                        sum_throughput, throughput_gradient, STM_DIAG_HEADER)
 from uavwpt.verification import stm_grid_oracle
 
 
@@ -30,10 +34,23 @@ def _oracle_chain_q(gamma, a, b, mu_n):
     return q
 
 
-def _oracle_residual(problem, mu_n):
+def _oracle_residual(problem, mu_n, start_hover=False):
     c = problem.coeffs
     q = _oracle_chain_q(c.gamma, c.a, c.b, mu_n)
-    return c.gamma[0] * c.b[0] * q[0] - c.gamma[-1] * c.b[-1] * q[-1] - mu_n
+    first = c.a[0] if start_hover else c.b[0]
+    return c.gamma[0] * first * q[0] - c.gamma[-1] * c.b[-1] * q[-1] - mu_n
+
+
+def _swept_problem(config, trial, baseline=False):
+    """Trial `trial` of master seed 7 as an StmProblem: the grouped plan,
+    or the hover-and-fly baseline's one-sensor groups."""
+    geo = generate_trial(config, trial_rng(7, trial))
+    plan = geo.baseline_plan if baseline else geo.plan
+    scheme = hf_eh_baseline(config) if baseline else config
+    coeffs = group_coefficients(plan, array_config(scheme),
+                                channel_params(scheme))
+    return StmProblem(coeffs=coeffs, D=plan.D, T=config.T_s,
+                      v_max=config.v_max_mps)
 
 
 def _mu_from_point(problem, alloc):
@@ -68,6 +85,37 @@ def test_random_instance_residuals():
         hits += 1
         assert abs(_oracle_residual(problem, mu_n)) <= 1e-10
     assert hits >= 10
+
+
+@pytest.mark.parametrize("N, K, baseline", [(4, 20, False), (9, 45, False),
+                                            (4, 20, True)])
+def test_swept_size_roots_meet_oracle(N, K, baseline):
+    config = ScenarioConfig(K=K, N=N, pt_db=2.0)
+    seen = {}
+    for trial in range(12):
+        problem = _swept_problem(config, trial, baseline)
+        if baseline:
+            assert problem.N == K
+        try:
+            _, diag = _solve_closed_form(problem)
+        except NumericDomainError:
+            continue  # SQP territory
+        start_hover = diag.method == "closed-form-start-hover"
+        seen[diag.method] = seen.get(diag.method, 0) + 1
+        assert abs(_oracle_residual(problem, diag.mu_N, start_hover)) <= 1e-10
+    assert sum(seen.values()) >= 6
+    if baseline:
+        assert seen.get("closed-form-start-hover", 0) >= 3
+
+
+@pytest.mark.parametrize("trial", [9, 43])
+def test_root_below_domain_edge_falls_back(trial):
+    # the chain is undefined at mu_N = 0 and g < 0 at its domain edge
+    problem = _swept_problem(ScenarioConfig(K=45, N=9, pt_db=2.0), trial)
+    with pytest.raises(BracketingError):
+        _solve_closed_form(problem)
+    _, diag = solve_stm(problem)
+    assert diag.method == "numeric"
 
 
 def test_single_group_root_is_zero():
@@ -231,16 +279,39 @@ def test_kkt_small_at_solution_large_when_perturbed():
     tau[2] -= 5.0
     worse = kkt_residuals(problem,
                           TimeAllocation(tau=tuple(tau), zeta=alloc.zeta),
-                          diag)
-    assert worse.max_residual > 10.0 * diag.kkt_residual
+                          diag.mu)
+    assert worse > 10.0 * diag.kkt_residual
 
 
 def test_kkt_small_at_grid_optimum():
     problem = stm_instance(23, N=2)
     _, diag = solve_stm(problem)
     oracle_alloc, _ = stm_grid_oracle(problem, refinements=5)
-    report = kkt_residuals(problem, oracle_alloc, diag)
-    assert report.max_residual <= 1e-3
+    assert kkt_residuals(problem, oracle_alloc, diag.mu) <= 1e-3
+
+
+@pytest.mark.parametrize("N", [1, 3, 9])
+def test_gradient_matches_central_difference(N):
+    rng = np.random.default_rng(50 + N)
+    for _ in range(5):
+        coeffs = synthetic_coeffs(rng, N)
+        x = list(rng.uniform(2.0, 60.0, 2 * N + 1))
+
+        def H(point):
+            alloc = TimeAllocation(tau=tuple(point[:N + 1]),
+                                   zeta=tuple(point[N + 1:]))
+            return sum_throughput(coeffs, alloc)
+
+        d = throughput_gradient(coeffs, x[:N + 1], x[N + 1:])
+        assert len(d) == N + 2
+        for idx in range(N + 2):  # tau_0..tau_N, then zeta_1
+            h = 1e-5 * x[idx]
+            hi = x.copy()
+            lo = x.copy()
+            hi[idx] += h
+            lo[idx] -= h
+            fd = (H(hi) - H(lo)) / (2.0 * h)
+            assert d[idx] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 # -------------------------------------------------- throughput function
@@ -275,17 +346,10 @@ def test_low_snr_fallback_modes():
         h=({(2, 1): 1e-5}, {(2, 2): 1e-5}))
     problem = StmProblem(coeffs=coeffs, D=(25.0, 25.0), T=500.0, v_max=10.0)
     assert coeffs.gamma[-1] * coeffs.b[-1] <= 1.0
-    with pytest.raises(NumericDomainError):
-        solve_stm(problem, fallback="none")
     alloc, diag = solve_stm(problem)
     assert diag.method == "numeric"
     assert diag.objective > 0.0
     assert abs(alloc.total - problem.T) <= 1e-8
-
-
-def test_invalid_fallback_mode():
-    with pytest.raises(ValueError):
-        solve_stm(stm_instance(1, N=2), fallback="magic")
 
 
 def test_zero_slack_degenerates_to_flying():

@@ -228,3 +228,40 @@ def test_all_failed_point_raises(monkeypatch):
     with pytest.raises(NumericDomainError) as exc:
         run_sweep(SMALL, sweep, workers=1)
     assert "all 3 trials failed" in str(exc.value)
+
+
+# -------------------------------------------------- pinned sweep rows
+
+# Data rows of two default-config sweeps, pinned as literal strings so a
+# refactor that moves any printed digit fails here.  The pt_db sweep at
+# seed 1 takes every STM path: 18 grouped closed-form solves, 2 grouped
+# SQP fallbacks and 20 baseline start-hover closed-form solves.
+PINNED_STM_ROWS = [
+    "pt_db,0,10,416.990368492,18.1684203022,199.912069665,"
+    "0.0247872828215,1.08586889822",
+    "pt_db,8,10,966.258278874,26.9248677483,697.657246486,"
+    "0.0939137663975,0.385004289343",
+]
+PINNED_TTM_ROWS = [
+    "I_nats,1,10,33.5714930697,0.825886886011,61.6576472849,"
+    "0.189142680119,-0.455517773577",
+    "I_nats,10,10,330.184988184,8.8509797657,601.230119054,"
+    "0.179539218682,-0.450817619212",
+    "I_nats,30,10,990.554964551,26.5529392971,1803.69035716,"
+    "0.538617656045,-0.450817619212",
+]
+
+
+def test_sweep_rows_pinned(tmp_path):
+    cases = (
+        (SweepSpec(param="pt_db", values=(0.0, 8.0), trials=10,
+                   objective="stm"), PINNED_STM_ROWS),
+        (SweepSpec(param="I_nats", values=(1.0, 10.0, 30.0), trials=10,
+                   objective="ttm"), PINNED_TTM_ROWS),
+    )
+    for sweep, expected in cases:
+        results, failures = run_sweep(ScenarioConfig(), sweep)
+        assert failures == []
+        path = tmp_path / f"sweep_{sweep.param}.csv"
+        write_sweep_csv(path, results)
+        assert path.read_text().splitlines()[1:] == expected

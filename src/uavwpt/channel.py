@@ -12,7 +12,10 @@ and the group uplink rate during its hover is
 
     R_n = 0.5 * ln(1 + gamma_n * (a_n * tau_prev + b_n * zeta_n) / tau_n)
 
-in nats/s/Hz.  Everything here is a pure function of immutable inputs.
+in nats/s/Hz, where a_n and b_n sum the members' a_i and b_i and
+gamma_n sums their uplink gains.  The solvers see a group only through
+these three aggregates; per-sensor values are recomputed from the plan
+on demand.  Everything here is a pure function of immutable inputs.
 """
 
 import math
@@ -123,16 +126,17 @@ def coeff_b(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:
     return leg_average_inverse_sq(p0, p1, w, params.A)
 
 
-def harvested_energy(params: ChannelParams, coeffs: "GroupCoefficients",
-                     n: int, i: int, tau_prev: float, zeta_n: float) -> float:
+def harvested_energy(plan: GroupPlan, params: ChannelParams, n: int, i: int,
+                     tau_prev: float, zeta_n: float) -> float:
     """Energy (joules) sensor i collects before its group's hover n:
     tau_prev seconds of hover at the previous stop plus zeta_n seconds of
     inbound flight."""
     if tau_prev < 0.0 or zeta_n < 0.0:
         raise NumericDomainError("durations must be nonnegative")
-    a_i = coeffs.a_sensor[n - 1][i]
-    b_i = coeffs.b_sensor[n - 1][i]
-    return params.energy_scale * (a_i * tau_prev + b_i * zeta_n)
+    if i not in plan.members(n):
+        raise PlanError(f"sensor {i} is not served by group {n}")
+    return params.energy_scale * (coeff_a(plan, params, n, i) * tau_prev
+                                  + coeff_b(plan, params, n, i) * zeta_n)
 
 
 def group_rate(coeffs: "GroupCoefficients", n: int, tau_prev: float,
@@ -149,26 +153,18 @@ def group_rate(coeffs: "GroupCoefficients", n: int, tau_prev: float,
 
 @dataclass(frozen=True)
 class GroupCoefficients:
-    """Per-group aggregates (a_n, b_n, gamma_n) plus the per-sensor
-    breakdown they were summed from.
-
-    a, b, gamma  length-N tuples; a_n = sum of member a_i, likewise b_n
-    a_sensor     tuple of {sensor_id: a_i} per group
-    b_sensor     tuple of {sensor_id: b_i} per group
-    h            tuple of {(k, sensor_id): uplink gain} per group
-    """
+    """Per-group aggregates, length-N tuples: a_n and b_n sum the
+    members' hover and flight harvesting coefficients, gamma_n is the
+    SNR scale eta P_t k0 / sigma2 times the members' summed uplink
+    gains over receive antennas 2..M."""
 
     a: tuple[float, ...]
     b: tuple[float, ...]
     gamma: tuple[float, ...]
-    a_sensor: tuple[dict, ...]
-    b_sensor: tuple[dict, ...]
-    h: tuple[dict, ...]
 
     def __post_init__(self):
         n = len(self.a)
-        if not (len(self.b) == len(self.gamma) == len(self.a_sensor)
-                == len(self.b_sensor) == len(self.h) == n):
+        if not len(self.b) == len(self.gamma) == n:
             raise PlanError("coefficient sequences disagree in length")
         if n < 1:
             raise PlanError("need at least one group")
@@ -185,14 +181,15 @@ class GroupCoefficients:
 
 def group_coefficients(plan: GroupPlan, cfg: ArrayConfig,
                        params: ChannelParams) -> GroupCoefficients:
-    """Compute every coefficient the solvers need for a plan."""
+    """Compute every coefficient the solvers need for a plan.
+
+    Sums run over members in plan order, and over antennas 2..M inside
+    each member.
+    """
     cap = 1.0 / (params.A * params.A)
     a, b, gamma = [], [], []
-    a_sensor, b_sensor, h = [], [], []
     for n in range(1, plan.N + 1):
-        ai = {}
-        bi = {}
-        hi = {}
+        a_n, b_n, h_n = [], [], []
         for i in plan.members(n):
             av = coeff_a(plan, params, n, i)
             bv = coeff_b(plan, params, n, i)
@@ -202,16 +199,11 @@ def group_coefficients(plan: GroupPlan, cfg: ArrayConfig,
             if not 0.0 < bv <= cap * (1.0 + 1e-12):
                 raise NumericDomainError(
                     f"group {n}: flight coefficient {bv} outside (0, 1/A^2]")
-            ai[i] = av
-            bi[i] = bv
-            for k in range(2, cfg.M + 1):
-                hi[(k, i)] = uplink_gain(plan, cfg, params, n, k, i)
-        a.append(sum(ai.values()))
-        b.append(sum(bi.values()))
-        gamma.append(params.energy_scale / params.sigma2 * sum(hi.values()))
-        a_sensor.append(ai)
-        b_sensor.append(bi)
-        h.append(hi)
-    return GroupCoefficients(
-        a=tuple(a), b=tuple(b), gamma=tuple(gamma),
-        a_sensor=tuple(a_sensor), b_sensor=tuple(b_sensor), h=tuple(h))
+            a_n.append(av)
+            b_n.append(bv)
+            h_n.extend(uplink_gain(plan, cfg, params, n, k, i)
+                       for k in range(2, cfg.M + 1))
+        a.append(sum(a_n))
+        b.append(sum(b_n))
+        gamma.append(params.energy_scale / params.sigma2 * sum(h_n))
+    return GroupCoefficients(a=tuple(a), b=tuple(b), gamma=tuple(gamma))

@@ -14,18 +14,16 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .channel import group_coefficients
 from .config import load_config
 from .errors import (ConfigError, InfeasiblePlanError, NumericDomainError,
                      UavWptError)
 from .experiments import (SweepSpec, apply_sweep_value, array_config,
-                          channel_params, generate_trial, run_sweep,
+                          build_problem, generate_trial, run_sweep,
                           trial_rng, write_sweep_csv)
 from .geometry import (check_feasibility, generate_field, load_field,
                        plan_groups, write_plan_csv)
-from .stm import STM_DIAG_HEADER, StmProblem, solve_stm, stm_diag_row
-from .ttm import (TTM_DIAG_HEADER, TtmProblem, count_clamped_legs,
-                  solve_ttm, ttm_diag_row)
+from .stm import STM_DIAG_HEADER, solve_stm, stm_diag_row
+from .ttm import TTM_DIAG_HEADER, count_clamped_legs, solve_ttm, ttm_diag_row
 from .verification import run_verification, write_verification_csv
 
 _EXIT_OK = 0
@@ -46,8 +44,6 @@ def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="worker processes for trial execution")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,6 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="Monte-Carlo parameter sweep")
     _add_common(sweep)
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="worker processes for trial execution")
     sweep.add_argument("--param", required=True,
                        choices=("pt_db", "N", "v_max", "I_nats"))
     sweep.add_argument("--values", required=True,
@@ -84,6 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the oracle suite")
     _add_common(verify)
+    verify.add_argument("--workers", type=int, default=1,
+                        help="accepted for scripting symmetry with sweep; "
+                             "results do not depend on it")
     verify.set_defaults(func=cmd_verify)
     return p
 
@@ -104,7 +105,6 @@ def _fmt_vec(values) -> str:
 
 def cmd_plan(args) -> int:
     config, out = _load(args)
-    cfg = array_config(config)
     if args.field:
         field = load_field(args.field)
     else:
@@ -113,9 +113,8 @@ def cmd_plan(args) -> int:
         field = generate_field(config.K, ((0.0, ylo), (width, yhi)),
                                config.seed)
     row_ys = [0.5 * sum(config.ytilde_range_m)]
-    plan = plan_groups(field, cfg, config.N, row_ys)
-    feasible, report = check_feasibility(plan, cfg, config.v_max_mps,
-                                         config.T_s)
+    plan = plan_groups(field, array_config(config), config.N, row_ys)
+    feasible, report = check_feasibility(plan, config.v_max_mps, config.T_s)
     path = out / "plan.csv"
     write_plan_csv(plan, path)
     print(f"groups: {plan.N}  sensors: {field.K}")
@@ -133,11 +132,8 @@ def cmd_plan(args) -> int:
 def cmd_solve(args) -> int:
     config, out = _load(args)
     geo = generate_trial(config, trial_rng(config.seed, 0))
-    coeffs = group_coefficients(geo.plan, array_config(config),
-                                channel_params(config))
+    problem = build_problem(config, geo.plan, args.problem)
     if args.problem == "stm":
-        problem = StmProblem(coeffs=coeffs, D=geo.plan.D, T=config.T_s,
-                             v_max=config.v_max_mps)
         alloc, diag = solve_stm(problem)
         print("problem: stm")
         print(f"method: {diag.method}")
@@ -150,10 +146,6 @@ def cmd_solve(args) -> int:
             fh.write(STM_DIAG_HEADER + "\n")
             fh.write(stm_diag_row(problem, diag) + "\n")
     else:
-        demands = tuple(config.I_nats * len(geo.plan.members(n))
-                        for n in range(1, geo.plan.N + 1))
-        problem = TtmProblem(coeffs=coeffs, D=geo.plan.D,
-                             v_max=config.v_max_mps, I=demands)
         alloc, total = solve_ttm(problem)
         print("problem: ttm")
         print(f"tau: {_fmt_vec(alloc.tau)}")

@@ -179,7 +179,6 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
         hover_points=tuple((float(x), ytilde) for x in anchors),
         D=tuple(D),
         row_of_group=(1,) * N,
-        rows=(ytilde,),
         start_point=(0.0, ytilde),
         spacing_violations=violations,
     )
@@ -190,37 +189,41 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
                          baseline_plan=baseline_plan, ytilde=ytilde)
 
 
-def _solve_for(config: ScenarioConfig, plan: GroupPlan, cfg: ArrayConfig,
-               params: ChannelParams, objective: str, credit: bool) -> float:
-    coeffs = group_coefficients(plan, cfg, params)
+def build_problem(config: ScenarioConfig, plan: GroupPlan, objective: str):
+    """The plan's coefficients wrapped as an StmProblem under the
+    config's budget (objective "stm"), or as a TtmProblem demanding
+    I_nats per member sensor (objective "ttm")."""
+    coeffs = group_coefficients(plan, array_config(config),
+                                channel_params(config))
     if objective == "stm":
-        problem = StmProblem(coeffs=coeffs, D=plan.D, T=config.T_s,
-                             v_max=config.v_max_mps)
-        _, diag = solve_stm(problem)
-        return diag.objective
-    demands = tuple(config.I_nats * len(plan.members(n))
-                    for n in range(1, plan.N + 1))
-    problem = TtmProblem(coeffs=coeffs, D=plan.D, v_max=config.v_max_mps,
-                         I=demands)
-    _, total = solve_ttm(problem, credit=credit)
-    return total
+        return StmProblem(coeffs=coeffs, D=plan.D, T=config.T_s,
+                          v_max=config.v_max_mps)
+    if objective == "ttm":
+        demands = tuple(config.I_nats * len(plan.members(n))
+                        for n in range(1, plan.N + 1))
+        return TtmProblem(coeffs=coeffs, D=plan.D, v_max=config.v_max_mps,
+                          I=demands)
+    raise ConfigError(f"unknown objective {objective!r}")
+
+
+def _solve_for(config: ScenarioConfig, plan: GroupPlan, objective: str,
+               credit: bool) -> float:
+    problem = build_problem(config, plan, objective)
+    if objective == "stm":
+        return solve_stm(problem)[1].objective
+    return solve_ttm(problem, credit=credit)[1]
 
 
 def run_trial(config: ScenarioConfig, trial_index: int,
               objective: str = "stm",
               include_baseline: bool = True) -> TrialResult:
     """Solve one realization for the proposed scheme and the baseline."""
-    if objective not in ("stm", "ttm"):
-        raise ConfigError(f"unknown objective {objective!r}")
     geo = generate_trial(config, trial_rng(config.seed, trial_index))
-    params = channel_params(config)
-    ours = _solve_for(config, geo.plan, array_config(config), params,
-                      objective, credit=True)
+    ours = _solve_for(config, geo.plan, objective, credit=True)
     base = None
     if include_baseline:
-        bscen = hf_eh_baseline(config)
-        base = _solve_for(bscen, geo.baseline_plan, array_config(bscen),
-                          params, objective, credit=False)
+        base = _solve_for(hf_eh_baseline(config), geo.baseline_plan,
+                          objective, credit=False)
     return TrialResult(ours=ours, baseline=base)
 
 

@@ -93,7 +93,6 @@ class GroupPlan:
     hover_points: tuple[Point, ...]
     D: tuple[float, ...]
     row_of_group: tuple[int, ...]
-    rows: tuple[float, ...]
     start_point: Point
     spacing_violations: tuple[int, ...] = ()
 
@@ -343,7 +342,6 @@ def plan_groups(field_: SensorField, cfg: ArrayConfig, N: int,
         hover_points=tuple(hovers),
         D=tuple(D),
         row_of_group=tuple(group_rows),
-        rows=rows,
         start_point=start,
         spacing_violations=violations,
     )
@@ -364,45 +362,22 @@ def horizontal_distance(plan: GroupPlan, cfg: ArrayConfig, n: int, k: int,
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Both feasibility left-hand sides against the mission budget.
-
-    travel_time is the binding check (total flight time at top speed
-    must fit in T); antenna_distance_sum reproduces the aggregate
-    antenna-to-sensor distance test against v_max*T for reference, even
-    though it has no travel-time interpretation.
-    """
+    """Total flight time at top speed against the mission budget."""
 
     travel_time: float
     budget: float
-    travel_ok: bool
-    antenna_distance_sum: float
-    distance_cap: float
-    antenna_distance_ok: bool
 
     @property
     def feasible(self) -> bool:
-        return self.travel_ok
+        return self.travel_time <= self.budget
 
 
-def check_feasibility(plan: GroupPlan, cfg: ArrayConfig, v_max: float,
+def check_feasibility(plan: GroupPlan, v_max: float,
                       T: float) -> tuple[bool, FeasibilityReport]:
     """Can the mission fit in T seconds at top speed v_max?"""
     if v_max <= 0.0 or T <= 0.0:
         raise ConfigError("v_max and T must be positive")
-    travel = sum(plan.D) / v_max
-    dist_sum = 0.0
-    for n in range(1, plan.N + 1):
-        for i in plan.members(n):
-            for k in range(2, cfg.M + 1):
-                dist_sum += horizontal_distance(plan, cfg, n, k, i)
-    report = FeasibilityReport(
-        travel_time=travel,
-        budget=T,
-        travel_ok=travel <= T,
-        antenna_distance_sum=dist_sum,
-        distance_cap=v_max * T,
-        antenna_distance_ok=dist_sum <= v_max * T,
-    )
+    report = FeasibilityReport(travel_time=sum(plan.D) / v_max, budget=T)
     return report.feasible, report
 
 
@@ -424,13 +399,11 @@ def singleton_plan(field_: SensorField, cfg: ArrayConfig,
     for h in hovers:
         D.append(math.hypot(h[0] - prev[0], h[1] - prev[1]))
         prev = h
-    mean_y = sum(h[1] for h in hovers) / len(hovers)
     return GroupPlan(
         field=field_,
         groups=tuple((i,) for i in ids),
         hover_points=tuple(hovers),
         D=tuple(D),
         row_of_group=tuple(1 for _ in ids),
-        rows=(mean_y,),
         start_point=start_point,
     )

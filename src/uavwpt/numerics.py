@@ -7,40 +7,17 @@ by the verification oracles.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import AccuracyError, BracketingError, NumericDomainError
 
 # exp(-1), the left edge of the W_0 domain
 _INV_E = math.exp(-1.0)
+# Halley iteration: relative step tolerance and iteration cap
+_W_STEP_TOL = 1e-12
+_W_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Shared numeric tolerances.
-
-    w_tol        absolute step tolerance for Lambert W iterations
-    root_tol     residual tolerance for scalar root finding
-    quad_rel_tol relative tolerance for adaptive quadrature
-    max_iter     iteration cap for the scalar loops
-    """
-
-    w_tol: float = 1e-12
-    root_tol: float = 1e-10
-    quad_rel_tol: float = 1e-9
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if min(self.w_tol, self.root_tol, self.quad_rel_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-DEFAULT_TOL = ToleranceConfig()
-
-
-def lambert_w0(x: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def lambert_w0(x: float) -> float:
     """Principal branch W_0 of the Lambert W function.
 
     Solves w * exp(w) = x for x >= -1/e using Halley's iteration.  The
@@ -77,7 +54,7 @@ def lambert_w0(x: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
         l2 = math.log(l1)
         w = l1 - l2 + l2 / l1
 
-    for _ in range(tol.max_iter):
+    for _ in range(_W_MAX_ITER):
         ew = math.exp(w)
         r = w * ew - x
         if r == 0.0:
@@ -87,7 +64,7 @@ def lambert_w0(x: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
         denom = ew * (w + 1.0) - (w + 2.0) * r / (2.0 * (w + 1.0))
         step = r / denom
         w -= step
-        if abs(step) <= tol.w_tol * (1.0 + abs(w)):
+        if abs(step) <= _W_STEP_TOL * (1.0 + abs(w)):
             return w
     raise AccuracyError(f"lambert_w0: no convergence for argument {x!r}")
 

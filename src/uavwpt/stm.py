@@ -12,15 +12,17 @@ undefined only below a validity edge; g reads +inf there, so a single
 bisection (numerics.bisect_root) finds the root.  All exponentials are
 arranged so large mu_N underflows harmlessly instead of overflowing.
 
-Two boundary structures occur.  When the first leg's flight harvesting
-is at least as productive as hovering at the start (b_1 >= a_1) the
-start hover tau_0 is zero and the first flight time zeta_1 is free.
-Otherwise (a_1 > b_1, the usual shape for hover-over-sensor baselines)
-every leg is flown at top speed and tau_0 is the free variable.  Any
-input outside either closed form's domain goes to a
-sequential-quadratic-programming solver; diagnostics.method names the
-path.  One analytic gradient, throughput_gradient, drives both that
-solver and the stationarity check kkt_residuals.
+Two boundary structures occur, and one routine solves both.  When the
+first leg's flight harvesting is at least as productive as hovering at
+the start (b_1 >= a_1) the start hover tau_0 is zero and the first
+flight time zeta_1 is free.  Otherwise (a_1 > b_1, the usual shape for
+hover-over-sensor baselines) every leg is flown at top speed and tau_0
+is the free variable.  Either way the free variable closes the budget
+linearly once the chain is known.  Any input outside either closed
+form's domain goes to a sequential-quadratic-programming solver;
+diagnostics.method names the path.  One analytic gradient,
+throughput_gradient, drives both that solver and the stationarity check
+kkt_residuals.
 """
 
 import math
@@ -100,35 +102,25 @@ class TimeAllocation:
 
 @dataclass(frozen=True)
 class StmDiagnostics:
-    """Dual and bookkeeping quantities of a solve.
+    """How a solve came out.
 
-    mu is the budget shadow price, mu_N the clamp dual the root finder
-    searched over; f are the energy-per-hover-second coupling ratios and
-    Y the SNR factors 1 + gamma*f.  F1/F2 reproduce the linear budget
-    closure (free variable = F1/F2).  method is "closed-form",
+    mu_N is the clamp dual the root finder searched over, mu the budget
+    shadow price, objective the summed throughput in nats/Hz.
+    kkt_residual and budget_residual measure stationarity and budget
+    closure at the returned times.  method is "closed-form",
     "closed-form-start-hover", "numeric" or "degenerate".
     """
 
     mu_N: float
-    f: tuple[float, ...]
-    F1: float
-    F2: float
-    Y: tuple[float, ...]
-    kkt_residual: float
-    budget_residual: float
     mu: float
     objective: float
+    kkt_residual: float
+    budget_residual: float
     method: str
-    clamped: bool
 
     def __post_init__(self):
         if self.mu_N < 0.0:
             raise NumericDomainError("dual variable must be nonnegative")
-        if not self.F2 > 0.0:
-            raise NumericDomainError("budget closure denominator must be > 0")
-        for v in self.f:
-            if not v > 0.0:
-                raise NumericDomainError("coupling ratios must be positive")
 
 
 def _chain_q(gamma, a, b, mu_n: float):
@@ -197,24 +189,6 @@ def _solve_mu(problem: StmProblem, first_coeff: float, base: float) -> float:
     return mu
 
 
-def solve_mu_n(problem: StmProblem) -> float:
-    """Dual variable of the last flight-time clamp, free-first-leg form.
-
-    Requires gamma_N b_N > 1: the last group must be able to push its
-    SNR factor past 1 on flight harvesting alone, otherwise this
-    boundary structure does not apply.
-    """
-    g_ = problem.coeffs.gamma
-    b_ = problem.coeffs.b
-    if g_[-1] * b_[-1] <= 1.0:
-        raise NumericDomainError(
-            f"gamma_N*b_N = {g_[-1] * b_[-1]:.6g} <= 1: group {problem.N} "
-            "cannot reach a positive rate on flight harvesting alone")
-    if problem.N == 1:
-        return 0.0
-    return _solve_mu(problem, g_[0] * problem.coeffs.b[0], 0.0)
-
-
 def compute_f(problem: StmProblem, mu_n: float):
     """Coupling ratios f_n = E_n / tau_n at the optimum for a given dual.
 
@@ -237,47 +211,31 @@ def compute_f(problem: StmProblem, mu_n: float):
     return f
 
 
-def _suffix_weights(problem: StmProblem, f):
-    """S_m = accumulated budget weight of one second of hover m through
-    the downstream energy chain: S_N = 1, S_m = 1 + (a_{m+1}/f_{m+1})
-    S_{m+1}."""
-    a_ = problem.coeffs.a
-    N = problem.N
-    S = [1.0] * N
-    for m in range(N - 2, -1, -1):
-        S[m] = 1.0 + (a_[m + 1] / f[m + 1]) * S[m + 1]
-    return S
-
-
 def _budget_closure(problem: StmProblem, f, free_first_hover: bool):
     """Linear budget closure: the free first-phase variable equals F1/F2.
 
     With every other flight time pinned at D_n/v_max, total mission time
     is affine in the single free variable (zeta_1, or tau_0 when the
-    start hover is the free one); F1 collects the constants, F2 the free
-    variable's weight.
+    start hover is the free one); F1 collects the constants, F2 >= 1 the
+    free variable's weight.  S_m is the accumulated budget weight of one
+    second of hover m through the downstream energy chain: S_N = 1,
+    S_m = 1 + (a_{m+1}/f_{m+1}) S_{m+1}.
     """
     b_ = problem.coeffs.b
     a_ = problem.coeffs.a
-    S = _suffix_weights(problem, f)
+    N = problem.N
+    S = [1.0] * N
+    for m in range(N - 2, -1, -1):
+        S[m] = 1.0 + (a_[m + 1] / f[m + 1]) * S[m + 1]
     zeta_fixed = [d / problem.v_max for d in problem.D]
     start = 0 if free_first_hover else 1
     spent = math.fsum(
         zeta_fixed[m] * (1.0 + (b_[m] / f[m]) * S[m])
-        for m in range(start, problem.N))
+        for m in range(start, N))
     F1 = problem.T - spent
     lead = a_[0] if free_first_hover else b_[0]
     F2 = 1.0 + (lead / f[0]) * S[0]
     return F1, F2
-
-
-def compute_zeta1(problem: StmProblem, f) -> float:
-    """Optimal first flight time zeta_1 = F1/F2, clamped to the speed
-    cap if the closed form lands below it."""
-    F1, F2 = _budget_closure(problem, f, free_first_hover=False)
-    if not F2 > 0.0:
-        raise NumericDomainError(f"budget closure denominator F2={F2} <= 0")
-    return max(F1 / F2, problem.D[0] / problem.v_max)
 
 
 def _close_budget(tau0: float, taus, zetas, T: float):
@@ -313,58 +271,58 @@ def _forward_times(problem: StmProblem, f, tau_prev: float, zeta1: float):
     return taus, zetas
 
 
-def _diagnostics(problem, alloc, mu_n, f, F1, F2, method, clamped,
-                 mu=None):
-    g_ = problem.coeffs.gamma
-    b_ = problem.coeffs.b
-    Y = tuple(1.0 + g_[j] * f[j] for j in range(problem.N))
-    if mu is None:
-        mu = 0.5 * (mu_n + g_[-1] * b_[-1] / Y[-1])
+def _diagnostics(problem, alloc, mu_n, mu, method):
     return StmDiagnostics(
-        mu_N=mu_n, f=tuple(f), F1=F1, F2=F2, Y=Y,
+        mu_N=mu_n, mu=mu, objective=sum_throughput(problem.coeffs, alloc),
         kkt_residual=kkt_residuals(problem, alloc, mu),
-        budget_residual=abs(alloc.total - problem.T), mu=mu,
-        objective=sum_throughput(problem.coeffs, alloc), method=method,
-        clamped=clamped)
+        budget_residual=abs(alloc.total - problem.T), method=method)
 
 
 def _solve_closed_form(problem: StmProblem):
-    """Dispatch between the two boundary structures of the closed form."""
+    """Closed form for either boundary structure.
+
+    The free first-phase variable is zeta_1 when b_1 >= a_1 (start hover
+    pinned at zero) and tau_0 otherwise (every leg at the speed cap).
+    Raises NumericDomainError when the instance lies outside the chosen
+    structure's domain.
+    """
     a_ = problem.coeffs.a
     b_ = problem.coeffs.b
     g_ = problem.coeffs.gamma
-    if b_[0] >= a_[0]:
-        # free first flight leg, start hover pinned at zero
-        mu_n = solve_mu_n(problem)
-        f = compute_f(problem, mu_n)
-        F1, F2 = _budget_closure(problem, f, free_first_hover=False)
-        zeta1 = compute_zeta1(problem, f)
-        clamped = zeta1 > F1 / F2
-        taus, zetas = _forward_times(problem, f, 0.0, zeta1)
-        tau0, taus = _close_budget(0.0, taus, zetas, problem.T)
-        alloc = TimeAllocation(tau=(tau0, *taus), zeta=tuple(zetas))
-        return alloc, _diagnostics(problem, alloc, mu_n, f, F1, F2,
-                                   "closed-form", clamped)
-
-    # free start hover, every leg at the speed cap
-    mu_n = _solve_mu(problem, g_[0] * a_[0], base=-g_[-1] * b_[-1])
-    if mu_n < 0.0:
-        raise NumericDomainError(
-            f"start-hover closed form needs a nonnegative dual, got {mu_n!r}")
+    gnbn = g_[-1] * b_[-1]
+    free_first_hover = a_[0] > b_[0]
+    if free_first_hover:
+        mu_n = _solve_mu(problem, g_[0] * a_[0], base=-gnbn)
+        if mu_n < 0.0:
+            raise NumericDomainError(
+                "start-hover closed form needs a nonnegative dual, "
+                f"got {mu_n!r}")
+    else:
+        if gnbn <= 1.0:
+            raise NumericDomainError(
+                f"gamma_N*b_N = {gnbn:.6g} <= 1: group {problem.N} "
+                "cannot reach a positive rate on flight harvesting alone")
+        mu_n = 0.0 if problem.N == 1 else _solve_mu(
+            problem, g_[0] * b_[0], 0.0)
     f = compute_f(problem, mu_n)
-    F1, F2 = _budget_closure(problem, f, free_first_hover=True)
-    if not F2 > 0.0:
-        raise NumericDomainError(f"budget closure denominator F2={F2} <= 0")
-    tau0 = F1 / F2
-    if tau0 < 0.0:
-        raise NumericDomainError(
-            f"start hover {tau0:.6g} s came out negative; structure invalid")
-    taus, zetas = _forward_times(problem, f, tau0,
-                                 problem.D[0] / problem.v_max)
+    F1, F2 = _budget_closure(problem, f, free_first_hover)
+    zeta_floor = problem.D[0] / problem.v_max
+    if free_first_hover:
+        tau0, zeta1 = F1 / F2, zeta_floor
+        if tau0 < 0.0:
+            raise NumericDomainError(
+                f"start hover {tau0:.6g} s came out negative; "
+                "structure invalid")
+        method = "closed-form-start-hover"
+    else:
+        # a closure below the speed cap clamps zeta_1 to it
+        tau0, zeta1 = 0.0, max(F1 / F2, zeta_floor)
+        method = "closed-form"
+    taus, zetas = _forward_times(problem, f, tau0, zeta1)
     tau0, taus = _close_budget(tau0, taus, zetas, problem.T)
     alloc = TimeAllocation(tau=(tau0, *taus), zeta=tuple(zetas))
-    return alloc, _diagnostics(problem, alloc, mu_n, f, F1, F2,
-                               "closed-form-start-hover", False)
+    mu = 0.5 * (mu_n + gnbn / (1.0 + g_[-1] * f[-1]))
+    return alloc, _diagnostics(problem, alloc, mu_n, mu, method)
 
 
 def _degenerate_allocation(problem: StmProblem):
@@ -372,10 +330,8 @@ def _degenerate_allocation(problem: StmProblem):
     zetas = tuple(d / problem.v_max for d in problem.D)
     alloc = TimeAllocation(tau=(0.0,) * (problem.N + 1), zeta=zetas)
     diag = StmDiagnostics(
-        mu_N=0.0, f=(math.inf,) * problem.N, F1=0.0, F2=1.0,
-        Y=(math.inf,) * problem.N, kkt_residual=0.0,
-        budget_residual=abs(alloc.total - problem.T), mu=0.0,
-        objective=0.0, method="degenerate", clamped=True)
+        mu_N=0.0, mu=0.0, objective=0.0, kkt_residual=0.0,
+        budget_residual=abs(alloc.total - problem.T), method="degenerate")
     return alloc, diag
 
 
@@ -454,28 +410,19 @@ def solve_stm_numeric(problem: StmProblem):
     tau0, taus = _close_budget(tau0, taus, zetas, problem.T)
     alloc = TimeAllocation(tau=(tau0, *taus), zeta=tuple(zetas))
 
-    # recover the dual picture from the final primal point
-    a_l = problem.coeffs.a
-    b_l = problem.coeffs.b
-    f = []
-    prev = tau0
-    for n in range(N):
-        if taus[n] > 0.0:
-            f.append((a_l[n] * prev + b_l[n] * zetas[n]) / taus[n])
-        else:
-            f.append(math.inf)
-        prev = taus[n]
-    Y_last = 1.0 + float(g_[-1]) * f[-1]
+    # recover the budget price from the last group's SNR factor
+    if taus[-1] > 0.0:
+        f_last = ((problem.coeffs.a[-1] * alloc.tau[-2]
+                   + problem.coeffs.b[-1] * zetas[-1]) / taus[-1])
+    else:
+        f_last = math.inf
+    Y_last = 1.0 + float(g_[-1]) * f_last
     mu_hat = 0.5 * (math.log(Y_last) - 1.0 + 1.0 / Y_last)
     # mu_N is reported clamped at zero; on boundary structures the true
     # budget price is the last-group stationarity value mu_hat, so pass
     # it explicitly to keep the Lagrangian self-check meaningful
     mu_n = max(0.0, 2.0 * mu_hat - float(g_[-1] * b_[-1]) / Y_last)
-    F2 = 1.0 + (float(b_[0]) / f[0]) * _suffix_weights(problem, f)[0]
-    F1 = zetas[0] * F2
-    clamped = zetas[0] <= zeta_floor[0] * (1.0 + 1e-12)
-    diag = _diagnostics(problem, alloc, mu_n, f, F1, F2, "numeric", clamped,
-                        mu=mu_hat)
+    diag = _diagnostics(problem, alloc, mu_n, mu_hat, "numeric")
     if not converged and diag.kkt_residual > 1e-3:
         raise AccuracyError(
             "numeric throughput solve failed: " + "; ".join(messages[:2]))

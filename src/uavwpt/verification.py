@@ -15,7 +15,7 @@ import numpy as np
 from . import channel
 from .config import ScenarioConfig
 from .errors import UnsupportedScaleError
-from .experiments import (array_config, channel_params, generate_trial,
+from .experiments import (build_problem, channel_params, generate_trial,
                           trial_rng)
 from .geometry import GroupPlan
 from .numerics import integrate_adaptive
@@ -262,26 +262,6 @@ def _desk_config(config: ScenarioConfig, N: int) -> ScenarioConfig:
     return replace(config, N=N, K=N * per_group).validate()
 
 
-def _stm_instance(config: ScenarioConfig, instance_seed: int):
-    desk = _desk_config(config, 2)
-    geo = generate_trial(desk, trial_rng(instance_seed, 0))
-    coeffs = channel.group_coefficients(geo.plan, array_config(desk),
-                                        channel_params(desk))
-    return StmProblem(coeffs=coeffs, D=geo.plan.D, T=desk.T_s,
-                      v_max=desk.v_max_mps), geo, desk
-
-
-def _ttm_instance(config: ScenarioConfig, instance_seed: int):
-    desk = _desk_config(config, 2)
-    geo = generate_trial(desk, trial_rng(instance_seed, 0))
-    coeffs = channel.group_coefficients(geo.plan, array_config(desk),
-                                        channel_params(desk))
-    demands = tuple(desk.I_nats * len(geo.plan.members(n))
-                    for n in range(1, geo.plan.N + 1))
-    return TtmProblem(coeffs=coeffs, D=geo.plan.D, v_max=desk.v_max_mps,
-                      I=demands), geo, desk
-
-
 def run_verification(config: ScenarioConfig, seed: int = None,
                      workers: int = 1):
     """Full oracle suite; returns (reports, all_passed).
@@ -316,7 +296,8 @@ def run_verification(config: ScenarioConfig, seed: int = None,
     # throughput solver vs grid oracle
     for j in range(5):
         inst = seed * 7919 + j
-        problem, _, _ = _stm_instance(config, inst)
+        problem = build_problem(
+            desk, generate_trial(desk, trial_rng(inst, 0)).plan, "stm")
         _, oracle_val = stm_grid_oracle(problem)
         _, diag = solve_stm(problem)
         ok = (diag.objective
@@ -330,7 +311,8 @@ def run_verification(config: ScenarioConfig, seed: int = None,
     # time-minimization solver vs grid oracle
     for j in range(5):
         inst = seed * 104729 + j
-        problem, _, _ = _ttm_instance(config, inst)
+        problem = build_problem(
+            desk, generate_trial(desk, trial_rng(inst, 0)).plan, "ttm")
         _, oracle_total = ttm_grid_oracle(problem)
         alloc, total = solve_ttm(problem)
         info = delivered_information(problem.coeffs, alloc)
@@ -342,7 +324,8 @@ def run_verification(config: ScenarioConfig, seed: int = None,
             oracle_value=oracle_total, solver_value=total, passed=ok))
 
     # concavity of the per-group throughput term
-    problem, _, _ = _stm_instance(config, seed * 31 + 7)
+    problem = build_problem(
+        desk, generate_trial(desk, trial_rng(seed * 31 + 7, 0)).plan, "stm")
     conc = concavity_suite(problem.coeffs, trials=100_000, seed=seed)
     reports.append(OracleReport(
         oracle="concavity", instance_seed=seed,

@@ -1,9 +1,8 @@
 """Synthetic solver instances for the unit tests.
 
 These bypass the geometry pipeline and build coefficient bundles
-directly, so solver tests stay focused and fast.  Sensor ids are the
-group indices; the uplink-gain breakdown is a placeholder because only
-the aggregates drive the solvers.
+directly, so solver tests stay focused and fast: the solvers see a group
+only through its aggregates a, b and gamma.
 """
 
 import numpy as np
@@ -33,9 +32,6 @@ def synthetic_coeffs(rng, N, flight_dominant=True, gamma_range=(60.0, 600.0)):
         a=tuple(float(v) for v in a),
         b=tuple(float(v) for v in b),
         gamma=tuple(float(v) for v in gamma),
-        a_sensor=tuple({n + 1: float(a[n])} for n in range(N)),
-        b_sensor=tuple({n + 1: float(b[n])} for n in range(N)),
-        h=tuple({(2, n + 1): 1e-5} for n in range(N)),
     )
 
 

@@ -23,7 +23,7 @@ def _one_group_plan(sensor, hover, start=(-20.0, 0.0)):
     f = SensorField(sensors=(sensor,), region=((lo_x, lo_y), (hi_x, hi_y)))
     D = math.hypot(hover[0] - start[0], hover[1] - start[1])
     return GroupPlan(field=f, groups=((1,),), hover_points=(hover,),
-                     D=(D,), row_of_group=(1,), rows=(hover[1],),
+                     D=(D,), row_of_group=(1,),
                      start_point=start)
 
 
@@ -137,23 +137,31 @@ def test_flight_coefficient_mirror_parity():
 # ---------------------------------------------------------------- energy
 
 def _unit_coeffs(a=0.01, b=0.005, gamma=100.0):
-    return GroupCoefficients(a=(a,), b=(b,), gamma=(gamma,),
-                             a_sensor=({1: a},), b_sensor=({1: b},),
-                             h=({(2, 1): 1e-5},))
+    return GroupCoefficients(a=(a,), b=(b,), gamma=(gamma,))
+
+
+def _overhead_plan():
+    # sensor right under the hover point: a = 1/A^2 = 0.01
+    return _one_group_plan(sensor=(5.0, 0.0), hover=(5.0, 0.0))
 
 
 def test_energy_zero_durations():
-    assert harvested_energy(PARAMS, _unit_coeffs(), 1, 1, 0.0, 0.0) == 0.0
+    assert harvested_energy(_overhead_plan(), PARAMS, 1, 1, 0.0, 0.0) == 0.0
 
 
 def test_energy_substitution():
-    got = harvested_energy(PARAMS, _unit_coeffs(a=0.01), 1, 1, 1.0, 0.0)
+    got = harvested_energy(_overhead_plan(), PARAMS, 1, 1, 1.0, 0.0)
     assert got == pytest.approx(1e-5)
 
 
 def test_energy_negative_duration_rejected():
     with pytest.raises(NumericDomainError):
-        harvested_energy(PARAMS, _unit_coeffs(), 1, 1, -1.0, 0.0)
+        harvested_energy(_overhead_plan(), PARAMS, 1, 1, -1.0, 0.0)
+
+
+def test_energy_rejects_non_member():
+    with pytest.raises(PlanError):
+        harvested_energy(_overhead_plan(), PARAMS, 1, 2, 1.0, 1.0)
 
 
 def test_energy_matches_quadrature_total():
@@ -163,7 +171,7 @@ def test_energy_matches_quadrature_total():
                            start=(-15.0, 0.0))
     coeffs = group_coefficients(plan, CFG, PARAMS)
     tau_prev, zeta = 3.7, 4.9
-    got = harvested_energy(PARAMS, coeffs, 1, 1, tau_prev, zeta)
+    got = harvested_energy(plan, PARAMS, 1, 1, tau_prev, zeta)
 
     p0, p1 = plan.leg(1)
     D = plan.D[0]
@@ -249,19 +257,20 @@ def test_group_coefficients_sums_members():
     f = SensorField(sensors=sensors, region=((-25.0, -2.0), (35.0, 2.0)))
     plan = GroupPlan(field=f, groups=((1, 2), (3,)),
                      hover_points=((5.0, 0.0), (30.0, 0.0)),
-                     D=(20.0, 25.0), row_of_group=(1, 1), rows=(0.0,),
+                     D=(20.0, 25.0), row_of_group=(1, 1),
                      start_point=(-15.0, 0.0))
     coeffs = group_coefficients(plan, CFG, PARAMS)
     assert coeffs.N == 2
-    assert coeffs.a[0] == pytest.approx(sum(coeffs.a_sensor[0].values()))
-    assert coeffs.b[0] == pytest.approx(sum(coeffs.b_sensor[0].values()))
-    assert set(coeffs.a_sensor[0]) == {1, 2}
-    # M = 3 means two receive antennas per sensor
-    assert len(coeffs.h[0]) == 4
-    assert len(coeffs.h[1]) == 2
-    expect_gamma = (PARAMS.energy_scale / PARAMS.sigma2
-                    * sum(coeffs.h[0].values()))
-    assert coeffs.gamma[0] == pytest.approx(expect_gamma, rel=1e-12)
+    for n, members in ((1, (1, 2)), (2, (3,))):
+        assert coeffs.a[n - 1] == pytest.approx(
+            sum(coeff_a(plan, PARAMS, n, i) for i in members), rel=1e-15)
+        assert coeffs.b[n - 1] == pytest.approx(
+            sum(coeff_b(plan, PARAMS, n, i) for i in members), rel=1e-15)
+        # M = 3 means two receive antennas (2 and 3) per sensor
+        expect_gamma = (PARAMS.energy_scale / PARAMS.sigma2
+                        * sum(uplink_gain(plan, CFG, PARAMS, n, k, i)
+                              for i in members for k in (2, 3)))
+        assert coeffs.gamma[n - 1] == pytest.approx(expect_gamma, rel=1e-12)
 
 
 def test_params_validation():

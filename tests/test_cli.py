@@ -201,6 +201,14 @@ def test_bad_invocations(cfg_path, tmp_path, capsys):
     assert "config error" in err
 
 
+def test_workers_only_where_trials_run(cfg_path, tmp_path, capsys):
+    # plan and solve run no trial pool, so they take no --workers flag
+    for command in (["plan"], ["solve", "stm"], ["solve", "ttm"]):
+        assert main([*command, "--config", str(cfg_path), "--out",
+                     str(tmp_path), "--workers", "2"]) == 4
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_invalid_scenario_value(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(BASE_INI.replace("pt_db = 4",

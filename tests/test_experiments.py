@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from uavwpt.channel import group_coefficients
+from uavwpt.channel import (coeff_a, coeff_b, group_coefficients,
+                            harvested_energy, uplink_gain)
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError
 from uavwpt.experiments import (AggregateResult, SweepSpec, SWEEP_HEADER,
@@ -47,13 +48,28 @@ def test_uneven_group_sizes():
 
 
 def test_flight_harvest_dominates_hover_harvest():
+    params = channel_params(CFG)
     for t in range(5):
-        geo = generate_trial(CFG, trial_rng(1, t))
-        coeffs = group_coefficients(geo.plan, array_config(CFG),
-                                    channel_params(CFG))
-        for n in range(4):
-            for i in coeffs.a_sensor[n]:
-                assert coeffs.b_sensor[n][i] > coeffs.a_sensor[n][i]
+        plan = generate_trial(CFG, trial_rng(1, t)).plan
+        for n in range(1, 5):
+            for i in plan.members(n):
+                assert (coeff_b(plan, params, n, i)
+                        > coeff_a(plan, params, n, i))
+
+
+def test_sensor_energies_sum_to_group_aggregates():
+    geo = generate_trial(CFG, trial_rng(1, 3))
+    for scheme, plan in ((CFG, geo.plan),
+                         (hf_eh_baseline(CFG), geo.baseline_plan)):
+        params = channel_params(scheme)
+        coeffs = group_coefficients(plan, array_config(scheme), params)
+        tau_prev, zeta = 7.25, 3.5
+        for n in range(1, plan.N + 1):
+            total = sum(harvested_energy(plan, params, n, i, tau_prev, zeta)
+                        for i in plan.members(n))
+            expect = params.energy_scale * (coeffs.a[n - 1] * tau_prev
+                                            + coeffs.b[n - 1] * zeta)
+            assert total == pytest.approx(expect, rel=1e-12)
 
 
 def test_baseline_plan_structure():
@@ -65,12 +81,15 @@ def test_baseline_plan_structure():
     xs = [p[0] for p in plan.hover_points]
     assert xs == sorted(xs)
     bcfg = hf_eh_baseline(CFG)
-    coeffs = group_coefficients(plan, array_config(bcfg),
-                                channel_params(bcfg))
+    params = channel_params(bcfg)
+    coeffs = group_coefficients(plan, array_config(bcfg), params)
     for n in range(20):
-        (a_i,) = coeffs.a_sensor[n].values()
-        assert a_i == pytest.approx(1.0 / CFG.A_m ** 2, rel=1e-12)
-        assert len(coeffs.h[n]) == 1  # single receive antenna
+        assert coeffs.a[n] == pytest.approx(1.0 / CFG.A_m ** 2, rel=1e-12)
+        # single receive antenna: gamma_n is antenna 2's gain alone
+        (i,) = plan.groups[n]
+        h = uplink_gain(plan, array_config(bcfg), params, n + 1, 2, i)
+        assert coeffs.gamma[n] == pytest.approx(
+            params.energy_scale / params.sigma2 * h, rel=1e-12)
 
 
 def test_baseline_scenario_derivation():

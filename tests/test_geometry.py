@@ -151,7 +151,7 @@ def test_antenna_offset_cancels():
     sensors = ((5.0, 0.1),)
     f = SensorField(sensors=sensors, region=((0.0, -1.0), (10.0, 1.0)))
     plan = GroupPlan(field=f, groups=((1,),), hover_points=((5.0, 0.0),),
-                     D=(20.0,), row_of_group=(1,), rows=(0.0,),
+                     D=(20.0,), row_of_group=(1,),
                      start_point=(-15.0, 0.0))
     assert horizontal_distance(plan, CFG, 1, 2, 1) == pytest.approx(0.0, abs=1e-12)
 
@@ -205,13 +205,13 @@ def _simple_plan():
 
 
 def test_feasible_with_huge_budget():
-    ok, report = check_feasibility(_simple_plan(), CFG, v_max=10.0, T=1e9)
+    ok, report = check_feasibility(_simple_plan(), v_max=10.0, T=1e9)
     assert ok and report.feasible
 
 
 def test_infeasible_when_travel_exceeds_budget():
     plan = _simple_plan()
-    ok, report = check_feasibility(plan, CFG, v_max=10.0, T=1.0)
+    ok, report = check_feasibility(plan, v_max=10.0, T=1.0)
     assert not ok
     assert report.travel_time > report.budget
 
@@ -219,7 +219,7 @@ def test_infeasible_when_travel_exceeds_budget():
 def test_feasibility_boundary_is_closed():
     plan = _simple_plan()
     travel = sum(plan.D) / 10.0
-    ok, _ = check_feasibility(plan, CFG, v_max=10.0, T=travel)
+    ok, _ = check_feasibility(plan, v_max=10.0, T=travel)
     assert ok
 
 

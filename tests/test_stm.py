@@ -12,8 +12,8 @@ from uavwpt.errors import (BracketingError, InfeasiblePlanError,
                            NumericDomainError)
 from uavwpt.experiments import (array_config, channel_params,
                                 generate_trial, hf_eh_baseline, trial_rng)
-from uavwpt.stm import (StmProblem, TimeAllocation, _solve_closed_form,
-                        compute_f, compute_zeta1, kkt_residuals, solve_mu_n,
+from uavwpt.stm import (StmProblem, TimeAllocation, _budget_closure,
+                        _solve_closed_form, compute_f, kkt_residuals,
                         solve_stm, solve_stm_numeric, stm_diag_row,
                         sum_throughput, throughput_gradient, STM_DIAG_HEADER)
 from uavwpt.verification import stm_grid_oracle
@@ -53,6 +53,11 @@ def _swept_problem(config, trial, baseline=False):
                       v_max=config.v_max_mps)
 
 
+def _closed_form_mu_n(problem):
+    """mu_N found by the closed form."""
+    return _solve_closed_form(problem)[1].mu_N
+
+
 def _mu_from_point(problem, alloc):
     """Budget shadow price implied by last-group stationarity at a point."""
     c = problem.coeffs
@@ -65,12 +70,9 @@ def _mu_from_point(problem, alloc):
 
 def test_symmetric_instance_residual():
     coeffs = GroupCoefficients(
-        a=(0.004, 0.004), b=(0.007, 0.007), gamma=(300.0, 300.0),
-        a_sensor=({1: 0.004}, {2: 0.004}),
-        b_sensor=({1: 0.007}, {2: 0.007}),
-        h=({(2, 1): 1e-5}, {(2, 2): 1e-5}))
+        a=(0.004, 0.004), b=(0.007, 0.007), gamma=(300.0, 300.0))
     problem = StmProblem(coeffs=coeffs, D=(25.0, 25.0), T=800.0, v_max=10.0)
-    mu_n = solve_mu_n(problem)
+    mu_n = _closed_form_mu_n(problem)
     assert abs(_oracle_residual(problem, mu_n)) <= 1e-10
 
 
@@ -79,9 +81,9 @@ def test_random_instance_residuals():
     for seed in range(40):
         problem = stm_instance(seed, N=2)
         try:
-            mu_n = solve_mu_n(problem)
+            mu_n = _closed_form_mu_n(problem)
         except NumericDomainError:
-            continue  # root below the search floor; numeric territory
+            continue  # outside the closed form's domain; numeric territory
         hits += 1
         assert abs(_oracle_residual(problem, mu_n)) <= 1e-10
     assert hits >= 10
@@ -120,16 +122,15 @@ def test_root_below_domain_edge_falls_back(trial):
 
 def test_single_group_root_is_zero():
     problem = stm_instance(3, N=1)
-    assert solve_mu_n(problem) == 0.0
+    assert _closed_form_mu_n(problem) == 0.0
 
 
 def test_low_snr_guard_names_group():
     coeffs = GroupCoefficients(
-        a=(0.002,), b=(0.003,), gamma=(100.0,),
-        a_sensor=({1: 0.002},), b_sensor=({1: 0.003},), h=({(2, 1): 1e-5},))
+        a=(0.002,), b=(0.003,), gamma=(100.0,))
     problem = StmProblem(coeffs=coeffs, D=(25.0,), T=500.0, v_max=10.0)
     with pytest.raises(NumericDomainError) as exc:
-        solve_mu_n(problem)
+        _solve_closed_form(problem)
     assert "group 1" in str(exc.value)
 
 
@@ -139,7 +140,7 @@ def test_coupling_identity_against_oracle_chain():
     for seed in (1, 5, 9):
         problem = stm_instance(seed, N=3)
         try:
-            mu_n = solve_mu_n(problem)
+            mu_n = _closed_form_mu_n(problem)
         except NumericDomainError:
             continue
         f = compute_f(problem, mu_n)
@@ -162,12 +163,12 @@ def test_last_coupling_ratio_rises_with_dual():
 
 def test_first_leg_time_affine_in_budget():
     base = stm_instance(9, N=2)
-    mu_n = solve_mu_n(base)
-    f = compute_f(base, mu_n)
+    f = compute_f(base, _closed_form_mu_n(base))
     zs = []
     for T in (600.0, 800.0, 1000.0):
         p = StmProblem(coeffs=base.coeffs, D=base.D, T=T, v_max=base.v_max)
-        zs.append(compute_zeta1(p, f))
+        F1, F2 = _budget_closure(p, f, free_first_hover=False)
+        zs.append(F1 / F2)
     assert zs[2] - zs[1] == pytest.approx(zs[1] - zs[0], rel=1e-9)
 
 
@@ -260,8 +261,7 @@ def test_power_scaling_raises_optimum():
     _, diag = solve_stm(problem)
     c = problem.coeffs
     louder = GroupCoefficients(
-        a=c.a, b=c.b, gamma=tuple(2.0 * g for g in c.gamma),
-        a_sensor=c.a_sensor, b_sensor=c.b_sensor, h=c.h)
+        a=c.a, b=c.b, gamma=tuple(2.0 * g for g in c.gamma))
     _, diag2 = solve_stm(StmProblem(coeffs=louder, D=problem.D,
                                     T=problem.T, v_max=problem.v_max))
     assert diag2.objective > diag.objective
@@ -340,10 +340,7 @@ def test_single_group_concave_in_hover():
 
 def test_low_snr_fallback_modes():
     coeffs = GroupCoefficients(
-        a=(0.004, 0.0005), b=(0.006, 0.0008), gamma=(200.0, 40.0),
-        a_sensor=({1: 0.004}, {2: 0.0005}),
-        b_sensor=({1: 0.006}, {2: 0.0008}),
-        h=({(2, 1): 1e-5}, {(2, 2): 1e-5}))
+        a=(0.004, 0.0005), b=(0.006, 0.0008), gamma=(200.0, 40.0))
     problem = StmProblem(coeffs=coeffs, D=(25.0, 25.0), T=500.0, v_max=10.0)
     assert coeffs.gamma[-1] * coeffs.b[-1] <= 1.0
     alloc, diag = solve_stm(problem)

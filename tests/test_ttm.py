@@ -16,8 +16,7 @@ from uavwpt.verification import ttm_grid_oracle
 
 def _single_group(gamma, a, b, D=25.0, v_max=10.0, I=10.0):
     coeffs = GroupCoefficients(
-        a=(a,), b=(b,), gamma=(gamma,),
-        a_sensor=({1: a},), b_sensor=({1: b},), h=({(2, 1): 1e-5},))
+        a=(a,), b=(b,), gamma=(gamma,))
     return TtmProblem(coeffs=coeffs, D=(D,), v_max=v_max, I=(I,))
 
 
@@ -77,10 +76,7 @@ def test_credit_factor_shortens_early_hover():
 def test_credit_out_of_domain_raises():
     # second group hovers better than it flies: a_2 > b_2
     coeffs = GroupCoefficients(
-        a=(0.004, 0.006), b=(0.006, 0.003), gamma=(300.0, 400.0),
-        a_sensor=({1: 0.004}, {2: 0.006}),
-        b_sensor=({1: 0.006}, {2: 0.003}),
-        h=({(2, 1): 1e-5}, {(2, 2): 1e-5}))
+        a=(0.004, 0.006), b=(0.006, 0.003), gamma=(300.0, 400.0))
     problem = TtmProblem(coeffs=coeffs, D=(25.0, 25.0), v_max=10.0,
                          I=(10.0, 10.0))
     with pytest.raises(NumericDomainError):
@@ -162,9 +158,7 @@ def test_total_monotone_in_power():
     louder = TtmProblem(
         coeffs=GroupCoefficients(
             a=base.coeffs.a, b=base.coeffs.b,
-            gamma=tuple(2.0 * g for g in base.coeffs.gamma),
-            a_sensor=base.coeffs.a_sensor, b_sensor=base.coeffs.b_sensor,
-            h=base.coeffs.h),
+            gamma=tuple(2.0 * g for g in base.coeffs.gamma)),
         D=base.D, v_max=base.v_max, I=base.I)
     _, t2 = solve_ttm(louder)
     assert t2 <= t1
@@ -198,10 +192,7 @@ def test_tiny_demand_approaches_travel_floor():
 
 def test_high_power_all_clamped_still_exact():
     coeffs = GroupCoefficients(
-        a=(0.004, 0.003), b=(0.006, 0.005), gamma=(8e4, 9e4),
-        a_sensor=({1: 0.004}, {2: 0.003}),
-        b_sensor=({1: 0.006}, {2: 0.005}),
-        h=({(2, 1): 1e-5}, {(2, 2): 1e-5}))
+        a=(0.004, 0.003), b=(0.006, 0.005), gamma=(8e4, 9e4))
     problem = TtmProblem(coeffs=coeffs, D=(25.0, 30.0), v_max=10.0,
                          I=(6.0, 6.0))
     alloc, _ = solve_ttm(problem)
@@ -216,9 +207,7 @@ def test_clamped_leg_count_low_power():
     scaled = TtmProblem(
         coeffs=GroupCoefficients(
             a=problem.coeffs.a, b=problem.coeffs.b,
-            gamma=tuple(0.2 * g for g in problem.coeffs.gamma),
-            a_sensor=problem.coeffs.a_sensor,
-            b_sensor=problem.coeffs.b_sensor, h=problem.coeffs.h),
+            gamma=tuple(0.2 * g for g in problem.coeffs.gamma)),
         D=problem.D, v_max=problem.v_max, I=problem.I)
     alloc, _ = solve_ttm(scaled)
     assert count_clamped_legs(scaled, alloc) == 0

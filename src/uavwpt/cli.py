@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: plan (grouping + feasibility), solve stm|ttm (one
-realization; stm falls back to SQP outside the closed form, as in a
-sweep, and prints the method it used), sweep (Monte-Carlo parameter
-sweep), verify (oracle suite).  Exit codes are stable for scripting: 0 success,
-2 infeasible mission, 3 numeric/domain failure or failed verification,
+Subcommands: plan (grouping + feasibility of a field file, or of the
+realization solve draws), solve stm|ttm (one realization; stm falls
+back to SQP outside the closed form, as in a sweep, and prints the
+method it used), sweep (Monte-Carlo parameter sweep), verify (oracle
+suite).  Exit codes are stable for scripting: 0 success, 2 infeasible
+mission, 3 numeric/domain failure or failed verification,
 4 configuration problem.  Data goes to stdout and CSV files; error
 diagnostics go to stderr.
 """
@@ -20,8 +21,8 @@ from .errors import (ConfigError, InfeasiblePlanError, NumericDomainError,
 from .experiments import (SweepSpec, apply_sweep_value, array_config,
                           build_problem, generate_trial, run_sweep,
                           trial_rng, write_sweep_csv)
-from .geometry import (check_feasibility, generate_field, load_field,
-                       plan_groups, write_plan_csv)
+from .geometry import (check_feasibility, load_field, plan_groups,
+                       write_plan_csv)
 from .stm import STM_DIAG_HEADER, solve_stm, stm_diag_row
 from .ttm import TTM_DIAG_HEADER, count_clamped_legs, solve_ttm, ttm_diag_row
 from .verification import run_verification, write_verification_csv
@@ -107,13 +108,12 @@ def cmd_plan(args) -> int:
     config, out = _load(args)
     if args.field:
         field = load_field(args.field)
+        row_ys = [0.5 * sum(config.ytilde_range_m)]
+        plan = plan_groups(field, array_config(config), config.N, row_ys)
     else:
-        ylo, yhi = config.ytilde_range_m
-        width = config.N * 0.5 * sum(config.D_range_m)
-        field = generate_field(config.K, ((0.0, ylo), (width, yhi)),
-                               config.seed)
-    row_ys = [0.5 * sum(config.ytilde_range_m)]
-    plan = plan_groups(field, array_config(config), config.N, row_ys)
+        # the realization `solve` solves: trial 0 of the config seed
+        geo = generate_trial(config, trial_rng(config.seed, 0))
+        field, plan = geo.field, geo.plan
     feasible, report = check_feasibility(plan, config.v_max_mps, config.T_s)
     path = out / "plan.csv"
     write_plan_csv(plan, path)

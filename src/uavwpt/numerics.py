@@ -2,8 +2,8 @@
 
 Everything here is deliberately dependency-free so the solver results are
 reproducible bit-for-bit: the principal branch of the Lambert W function,
-a guarded bisection root finder, and an adaptive Simpson integrator used
-by the verification oracles.
+a bracketed, safeguarded Newton root finder, and an adaptive Simpson
+integrator used by the verification oracles.
 """
 
 import math
@@ -69,43 +69,49 @@ def lambert_w0(x: float) -> float:
     raise AccuracyError(f"lambert_w0: no convergence for argument {x!r}")
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-10,
-                max_expansions: int = 60, max_iter: int = 200) -> float:
-    """Root of f on [lo, hi] by bisection.
+def bracketed_newton(fdf, lo: float, hi: float, tol: float) -> float:
+    """Root of f on [lo, hi] by Newton steps kept inside a sign-change
+    bracket.
 
-    If f(lo) and f(hi) share a sign the upper end is pushed out by
-    repeated doubling of the interval before giving up.  Terminates when
-    either |f(mid)| <= tol or the bracket width falls below tol; the
-    returned point always lies inside the final bracket.
+    fdf(x) returns (f(x), f'(x)).  Each step is the Newton step from the
+    last point evaluated (first from the end with the smaller |f|) when
+    that step is finite and lands strictly inside the bracket, and the
+    bracket's midpoint otherwise; so an f that reads +inf, as on a
+    region outside a function's domain, is simply bisected away.  Every
+    step shrinks the bracket.  Terminates when |f| <= tol at the new
+    point or the bracket it was taken in is no wider than tol, or when
+    no float lies strictly inside the bracket.  The returned point is
+    always the last one fdf was called at, so a caller can keep what
+    fdf computed there.  Raises BracketingError when f(lo) and f(hi) do
+    not differ in sign.
     """
     if not hi > lo:
-        raise ValueError("bisect_root: need hi > lo")
-    flo = f(lo)
+        raise ValueError("bracketed_newton: need hi > lo")
+    flo, dlo = fdf(lo)
     if flo == 0.0:
         return lo
-    fhi = f(hi)
-    expansions = 0
-    while flo * fhi > 0.0:
-        if expansions >= max_expansions:
-            raise BracketingError(
-                f"bisect_root: no sign change in [{lo!r}, {hi!r}] "
-                f"after {expansions} expansions")
-        hi = lo + 2.0 * (hi - lo)
-        fhi = f(hi)
-        expansions += 1
+    fhi, dhi = fdf(hi)
     if fhi == 0.0:
         return hi
-
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid) <= tol or (hi - lo) <= tol:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
+    if not flo * fhi < 0.0:
+        raise BracketingError(
+            f"bracketed_newton: no sign change in [{lo!r}, {hi!r}]")
+    last = hi
+    x, fx, dx = (lo, flo, dlo) if abs(flo) < abs(fhi) else (hi, fhi, dhi)
+    while True:
+        new = x - fx / dx if dx != 0.0 else math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+            if not lo < new < hi:
+                return last
+        fx, dx = fdf(new)
+        x = last = new
+        if abs(fx) <= tol or (hi - lo) <= tol:
+            return x
+        if flo * fx < 0.0:
+            hi = x
         else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+            lo, flo = x, fx
 
 
 def integrate_adaptive(f, a: float, b: float, rel_tol: float = 1e-9,

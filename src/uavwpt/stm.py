@@ -7,9 +7,11 @@ system collapses to a backward recursion in q_n = 1/Y_n driven by a
 single scalar dual variable mu_N (the shadow price of the last group's
 flight-time clamp).  Every q_n is an explicit Lambert W expression, so
 for fixed mu_N the whole chain is evaluated directly, and mu_N itself is
-the root of a scalar monotone-decreasing function g.  The chain is
-undefined only below a validity edge; g reads +inf there, so a single
-bisection (numerics.bisect_root) finds the root.  All exponentials are
+the root of a scalar monotone-decreasing function g.  The chain also
+gives g's slope analytically, and is undefined only below a validity
+edge, where g reads +inf; a single bracketed, safeguarded Newton search
+(numerics.bracketed_newton) therefore finds the root, and the chain
+computed there yields the coupling ratios.  All exponentials are
 arranged so large mu_N underflows harmlessly instead of overflowing.
 
 Two boundary structures occur, and one routine solves both.  When the
@@ -34,7 +36,7 @@ from scipy.optimize import minimize
 from .channel import GroupCoefficients, group_rate
 from .errors import (AccuracyError, BracketingError, InfeasiblePlanError,
                      NumericDomainError)
-from .numerics import bisect_root, lambert_w0
+from .numerics import bracketed_newton, lambert_w0
 
 STM_DIAG_HEADER = "N,T,v_max,mu_N,objective,budget_residual,kkt_residual"
 
@@ -124,10 +126,14 @@ class StmDiagnostics:
 
 
 def _chain_q(gamma, a, b, mu_n: float):
-    """Backward dual chain: q_n = 1/Y_n for n = N..1 at a given mu_N.
+    """Backward dual chain: q_n = 1/Y_n for n = N..1 at a given mu_N,
+    and the slopes dq_n/dmu_N.
 
-    Raises NumericDomainError naming the first group whose stationarity
-    condition cannot be met (Lambert W argument out of domain).
+    The slopes come from implicit differentiation of W, with
+    W'(x) = W/(x(1 + W)); at W's branch point (W = -1) they are
+    undefined and read nan.  Raises NumericDomainError naming the first
+    group whose stationarity condition cannot be met (Lambert W argument
+    out of domain).
     """
     N = len(gamma)
     gnbn = gamma[N - 1] * b[N - 1]
@@ -140,53 +146,84 @@ def _chain_q(gamma, a, b, mu_n: float):
         raise NumericDomainError(
             f"group {N}: SNR factor would not exceed 1 at mu_N={mu_n!r}")
     q = [0.0] * N
+    dq = [0.0] * N
     q[N - 1] = math.exp(-expo)
+    dq[N - 1] = -q[N - 1] / (1.0 + w) if w > -1.0 else math.nan
     for j in range(N - 2, -1, -1):
         e = gamma[j + 1] * a[j + 1] * q[j + 1] - gnbn * q[N - 1] - mu_n - 1.0
         if e >= -1.0:
             raise NumericDomainError(
                 f"group {j + 1}: stationarity chain out of domain at "
                 f"mu_N={mu_n!r}")
-        q[j] = -lambert_w0(-math.exp(e))
-    return q
+        w = lambert_w0(-math.exp(e))
+        q[j] = -w
+        de = (gamma[j + 1] * a[j + 1] * dq[j + 1] - gnbn * dq[N - 1]
+              - 1.0)
+        dq[j] = -w / (1.0 + w) * de if w > -1.0 else math.nan
+    return q, dq
 
 
-def _solve_mu(problem: StmProblem, first_coeff: float, base: float) -> float:
+def _solve_mu(problem: StmProblem, first_coeff: float, base: float):
     """Root of g(mu_N) = first_coeff*q_1 - gamma_N b_N q_N - mu_N over
-    mu_N >= base, where q is the dual chain.  first_coeff encodes which
-    first-phase variable is free (gamma_1 b_1 for the first flight leg,
-    gamma_1 a_1 for the start hover).
+    mu_N >= base, where q is the dual chain; returns (mu_N, q at mu_N).
+    first_coeff encodes which first-phase variable is free (gamma_1 b_1
+    for the first flight leg, gamma_1 a_1 for the start hover).
 
-    g is +inf below the chain's domain edge, so one bisection from base
-    finds either the root or the edge; converging on the edge without
-    ever seeing g >= -tol means the root lies below it.
+    g is +inf below the chain's domain edge, so one bracketed Newton
+    search from base, on the slope g' = first_coeff*dq_1 -
+    gamma_N b_N dq_N - 1, finds either the root or the edge; g(base) < 0,
+    or converging on the edge without ever seeing g >= -tol, means the
+    root lies below it.
     """
     g_ = problem.coeffs.gamma
     a_ = problem.coeffs.a
     b_ = problem.coeffs.b
     gnbn = g_[-1] * b_[-1]
     near_root = False
+    chain = None      # q at the last point searched, or the chain's error
 
     def g(mu):
-        nonlocal near_root
+        nonlocal near_root, chain
         try:
-            q = _chain_q(g_, a_, b_, mu)
-        except NumericDomainError:
-            return math.inf
+            q, dq = _chain_q(g_, a_, b_, mu)
+        except NumericDomainError as exc:
+            chain = exc
+            return math.inf, math.nan
+        chain = q
         value = first_coeff * q[0] - gnbn * q[-1] - mu
         near_root = near_root or value >= -_MU_ROOT_TOL
-        return value
+        return value, first_coeff * dq[0] - gnbn * dq[-1] - 1.0
 
-    if g(base) < 0.0:
+    try:
+        # g(mu) <= first_coeff - mu, so one jump past first_coeff
+        # brackets the root
+        mu = bracketed_newton(g, base, max(base, 0.0) + first_coeff + 1.0,
+                              tol=_MU_ROOT_TOL)
+    except BracketingError as exc:
         raise BracketingError(
-            f"dual root lies below the search floor {base!r}")
-    # g(mu) <= first_coeff - mu, so one jump past first_coeff brackets it
-    mu = bisect_root(g, base, max(base, 0.0) + first_coeff + 1.0,
-                     tol=_MU_ROOT_TOL)
+            f"dual root lies below the search floor {base!r}") from exc
     if not near_root:
         raise BracketingError(
             f"dual root lies below the search floor {mu!r}")
-    return mu
+    if isinstance(chain, NumericDomainError):
+        raise chain
+    return mu, chain
+
+
+def _coupling_ratios(gamma, q):
+    """f_n = (1 - q_n)/(gamma_n q_n), i.e. Y_n = 1 + gamma_n f_n."""
+    f = []
+    for j, qj in enumerate(q):
+        if qj <= 0.0:
+            raise NumericDomainError(
+                f"group {j + 1}: dual chain underflowed to a zero SNR "
+                "reciprocal; no finite coupling ratio")
+        f.append((1.0 - qj) / (gamma[j] * qj))
+    for j, fj in enumerate(f):
+        if not fj > 0.0:
+            raise NumericDomainError(
+                f"group {j + 1}: coupling ratio {fj} is not positive")
+    return f
 
 
 def compute_f(problem: StmProblem, mu_n: float):
@@ -196,19 +233,8 @@ def compute_f(problem: StmProblem, mu_n: float):
     Y_n = 1 + gamma_n f_n.
     """
     g_ = problem.coeffs.gamma
-    q = _chain_q(g_, problem.coeffs.a, problem.coeffs.b, mu_n)
-    f = []
-    for j, qj in enumerate(q):
-        if qj <= 0.0:
-            raise NumericDomainError(
-                f"group {j + 1}: dual chain underflowed to a zero SNR "
-                "reciprocal; no finite coupling ratio")
-        f.append((1.0 - qj) / (g_[j] * qj))
-    for j, fj in enumerate(f):
-        if not fj > 0.0:
-            raise NumericDomainError(
-                f"group {j + 1}: coupling ratio {fj} is not positive")
-    return f
+    q, _ = _chain_q(g_, problem.coeffs.a, problem.coeffs.b, mu_n)
+    return _coupling_ratios(g_, q)
 
 
 def _budget_closure(problem: StmProblem, f, free_first_hover: bool):
@@ -292,7 +318,7 @@ def _solve_closed_form(problem: StmProblem):
     gnbn = g_[-1] * b_[-1]
     free_first_hover = a_[0] > b_[0]
     if free_first_hover:
-        mu_n = _solve_mu(problem, g_[0] * a_[0], base=-gnbn)
+        mu_n, q = _solve_mu(problem, g_[0] * a_[0], base=-gnbn)
         if mu_n < 0.0:
             raise NumericDomainError(
                 "start-hover closed form needs a nonnegative dual, "
@@ -302,9 +328,11 @@ def _solve_closed_form(problem: StmProblem):
             raise NumericDomainError(
                 f"gamma_N*b_N = {gnbn:.6g} <= 1: group {problem.N} "
                 "cannot reach a positive rate on flight harvesting alone")
-        mu_n = 0.0 if problem.N == 1 else _solve_mu(
-            problem, g_[0] * b_[0], 0.0)
-    f = compute_f(problem, mu_n)
+        if problem.N == 1:
+            mu_n, q = 0.0, _chain_q(g_, a_, b_, 0.0)[0]
+        else:
+            mu_n, q = _solve_mu(problem, g_[0] * b_[0], 0.0)
+    f = _coupling_ratios(g_, q)
     F1, F2 = _budget_closure(problem, f, free_first_hover)
     zeta_floor = problem.D[0] / problem.v_max
     if free_first_hover:

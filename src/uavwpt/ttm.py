@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .channel import GroupCoefficients, group_rate
 from .errors import ConfigError, NumericDomainError
-from .numerics import bisect_root, lambert_w0
+from .numerics import bracketed_newton, lambert_w0
 from .stm import TimeAllocation
 
 TTM_DIAG_HEADER = "N,Pt_dB,v_max,I_total,total_time,clamped_legs"
@@ -120,22 +120,25 @@ def _tau_for_demand(I_n: float, gamma_n: float, energy: float,
     """Smallest hover delivering I_n nats on fixed harvested energy.
 
     (tau/2)ln(1 + gamma*energy/tau) is increasing in tau and already
-    >= I_n at tau_hi, so the equality root lies in (0, tau_hi].
+    >= I_n at tau_hi, so the equality root lies in (0, tau_hi].  With
+    x = gamma*energy/tau its slope is (ln(1 + x) - x/(1 + x))/2.
     """
     def excess(t):
-        return 0.5 * t * math.log1p(gamma_n * energy / t) - I_n
+        x = gamma_n * energy / t
+        log1p = math.log1p(x)
+        return 0.5 * t * log1p - I_n, 0.5 * (log1p - x / (1.0 + x))
 
     hi = tau_hi
-    if excess(hi) <= 0.0:
+    if excess(hi)[0] <= 0.0:
         return hi
     lo = hi
     for _ in range(200):
         lo *= 0.5
-        if excess(lo) < 0.0:
+        if excess(lo)[0] < 0.0:
             break
     else:
         raise NumericDomainError("hover re-tightening found no lower bracket")
-    return bisect_root(excess, lo, hi, tol=_DEMAND_TOL)
+    return bracketed_newton(excess, lo, hi, tol=_DEMAND_TOL)
 
 
 def solve_ttm(problem: TtmProblem, credit: bool = True):

@@ -12,15 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from uavwpt.channel import coeff_b, group_coefficients
+from uavwpt.channel import coeff_b
 from uavwpt.cli import main
 from uavwpt.config import ScenarioConfig
-from uavwpt.experiments import (SweepSpec, apply_sweep_value, array_config,
-                                channel_params, generate_trial, run_sweep,
-                                run_trial, trial_rng)
+from uavwpt.experiments import (SweepSpec, build_problem, channel_params,
+                                generate_trial, run_sweep, run_trial,
+                                trial_rng)
 from uavwpt.geometry import ArrayConfig, SensorField, plan_groups
-from uavwpt.stm import StmProblem, solve_stm
-from uavwpt.ttm import TtmProblem, delivered_information, solve_ttm
+from uavwpt.stm import solve_stm
+from uavwpt.ttm import delivered_information, solve_ttm
 from uavwpt.verification import (concavity_suite, flight_energy_numeric,
                                  stm_grid_oracle, ttm_grid_oracle)
 
@@ -38,24 +38,10 @@ def _desk(N: int) -> ScenarioConfig:
     return dataclasses.replace(DEFAULTS, N=N, K=N * per_group).validate()
 
 
-def _stm_desk_instance(inst_seed: int):
+def _desk_instance(inst_seed: int, objective: str):
     desk = _desk(2)
-    geo = generate_trial(desk, trial_rng(inst_seed, 0))
-    coeffs = group_coefficients(geo.plan, array_config(desk),
-                                channel_params(desk))
-    return StmProblem(coeffs=coeffs, D=geo.plan.D, T=desk.T_s,
-                      v_max=desk.v_max_mps)
-
-
-def _ttm_desk_instance(inst_seed: int):
-    desk = _desk(2)
-    geo = generate_trial(desk, trial_rng(inst_seed, 0))
-    coeffs = group_coefficients(geo.plan, array_config(desk),
-                                channel_params(desk))
-    demands = tuple(desk.I_nats * len(geo.plan.members(n))
-                    for n in range(1, geo.plan.N + 1))
-    return TtmProblem(coeffs=coeffs, D=geo.plan.D, v_max=desk.v_max_mps,
-                      I=demands)
+    plan = generate_trial(desk, trial_rng(inst_seed, 0)).plan
+    return build_problem(desk, plan, objective)
 
 
 def _serpentine_plan(rng):
@@ -110,7 +96,7 @@ def test_criterion_2_stm_matches_grid_oracle():
     worst_gap = -math.inf
     worst_resid = 0.0
     for j in range(50):
-        problem = _stm_desk_instance(3000 + j)
+        problem = _desk_instance(3000 + j, "stm")
         _, diag = solve_stm(problem)
         _, oracle_val = stm_grid_oracle(problem)
         worst_gap = max(worst_gap, (oracle_val - diag.objective)
@@ -130,7 +116,7 @@ def test_criterion_3_ttm_constraints_and_oracle():
     worst_eq = 0.0
     worst_factor = 0.0
     for j in range(50):
-        problem = _ttm_desk_instance(5000 + j)
+        problem = _desk_instance(5000 + j, "ttm")
         alloc, total = solve_ttm(problem)
         info = delivered_information(problem.coeffs, alloc)
         for n in range(problem.N):
@@ -152,7 +138,7 @@ def test_criterion_3_ttm_constraints_and_oracle():
 
 def test_criterion_4_concavity_suite():
     t0 = time.monotonic()
-    coeffs = _stm_desk_instance(7000).coeffs
+    coeffs = _desk_instance(7000, "stm").coeffs
     report = concavity_suite(coeffs, trials=100_000, seed=DEFAULTS.seed)
     dt = time.monotonic() - t0
     ok = report.violations == 0 and dt <= 30.0

@@ -52,6 +52,17 @@ def test_plan_reads_field_file(cfg_path, tmp_path, capsys):
     assert "groups: 2" in capsys.readouterr().out
 
 
+def test_plan_default_scenario(tmp_path, capsys):
+    # default keys only: the plan is the drawn trial-0 realization that
+    # `solve` solves, which keeps every hover within d_max
+    path = tmp_path / "default.ini"
+    path.write_text("[scenario]\ntrials = 40\n")
+    rc = main(["plan", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 0
+    assert _line(capsys.readouterr().out, "groups:").startswith(
+        "groups: 4  sensors: 20")
+
+
 def test_plan_flags_infeasible_budget(tmp_path, capsys):
     path = tmp_path / "tight.ini"
     path.write_text(BASE_INI.replace("T_s = 800", "T_s = 2"))

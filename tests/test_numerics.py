@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import lambertw as scipy_lambertw
 
 from uavwpt.errors import BracketingError, NumericDomainError
-from uavwpt.numerics import bisect_root, integrate_adaptive, lambert_w0
+from uavwpt.numerics import bracketed_newton, integrate_adaptive, lambert_w0
 
 
 def test_lambert_identity_points():
@@ -44,13 +45,24 @@ def test_lambert_inverse_identity(w):
     assert got == pytest.approx(w, rel=1e-9, abs=1e-9)
 
 
+def _with_slope(f, df):
+    return lambda x: (f(x), df(x))
+
+
 def test_bisect_linear():
-    assert bisect_root(lambda x: x - 2.0, 0.0, 10.0) == pytest.approx(2.0)
+    up = _with_slope(lambda x: x - 2.0, lambda x: 1.0)
+    down = _with_slope(lambda x: 2.0 - x, lambda x: -1.0)
+    for fdf in (up, down):
+        assert bracketed_newton(fdf, 0.0, 10.0, tol=1e-10) == \
+            pytest.approx(2.0)
 
 
 def test_bisect_sqrt2():
-    root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-12)
-    assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
+    up = _with_slope(lambda x: x * x - 2.0, lambda x: 2.0 * x)
+    down = _with_slope(lambda x: 2.0 - x * x, lambda x: -2.0 * x)
+    for fdf in (up, down):
+        root = bracketed_newton(fdf, 0.0, 2.0, tol=1e-12)
+        assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
 
 def _secant(f, x0, x1, iters=100):
@@ -65,29 +77,63 @@ def _secant(f, x0, x1, iters=100):
     return x1
 
 
+def _cubic(r, c, sign):
+    # monotone: slope 3(x - r)^2 + c never vanishes for c > 0
+    def f(x):
+        return sign * ((x - r) ** 3 + c * (x - r))
+
+    def df(x):
+        return sign * (3.0 * (x - r) ** 2 + c)
+
+    return f, df
+
+
 def test_bisect_agrees_with_secant_on_monotone_cubics():
     rng = np.random.default_rng(11)
-    for _ in range(100):
+    for k in range(100):
         r = float(rng.uniform(-5.0, 5.0))
         c = float(rng.uniform(0.1, 4.0))
-
-        def f(x, r=r, c=c):
-            return (x - r) ** 3 + c * (x - r)
-
-        got = bisect_root(f, r - 7.0, r + 9.0, tol=1e-12)
+        f, df = _cubic(r, c, 1.0 if k % 2 else -1.0)
+        got = bracketed_newton(_with_slope(f, df), r - 7.0, r + 9.0,
+                               tol=1e-12)
         ref = _secant(f, r - 1.0, r + 2.0)
         assert got == pytest.approx(ref, abs=1e-8)
 
 
-def test_bisect_expands_bracket_upward():
-    # root far beyond the initial hi; the doubling expansion must find it
-    root = bisect_root(lambda x: x - 500.0, 0.0, 1.0, tol=1e-10)
-    assert root == pytest.approx(500.0, abs=1e-6)
+@given(st.floats(min_value=-5.0, max_value=5.0),
+       st.floats(min_value=0.1, max_value=4.0),
+       st.floats(min_value=0.5, max_value=20.0),
+       st.floats(min_value=0.5, max_value=20.0),
+       st.sampled_from((1.0, -1.0)))
+def test_newton_matches_brentq_on_monotone_cubics(r, c, left, right, sign):
+    f, df = _cubic(r, c, sign)
+    got = bracketed_newton(_with_slope(f, df), r - left, r + right,
+                           tol=1e-12)
+    ref = brentq(f, r - left, r + right, xtol=1e-14, rtol=1e-15)
+    assert got == pytest.approx(ref, abs=1e-10)
+
+
+def test_newton_bisects_through_infinite_region():
+    # f reads +inf left of 1, as an out-of-domain region does; on the
+    # convex decreasing branch beyond it (root 3) the first Newton step
+    # from the right overshoots into that region
+    seen = []
+
+    def fdf(x):
+        seen.append(x)
+        if x < 1.0:
+            return math.inf, math.nan
+        return 1.0 / x - 1.0 / 3.0, -1.0 / (x * x)
+
+    root = bracketed_newton(fdf, -50.0, 10.0, tol=1e-12)
+    assert root == pytest.approx(3.0, abs=1e-10)
+    assert sum(x < 1.0 for x in seen) >= 2
 
 
 def test_bisect_no_root_raises():
     with pytest.raises(BracketingError):
-        bisect_root(lambda x: x * x + 1.0, 0.0, 1.0, max_expansions=8)
+        bracketed_newton(_with_slope(lambda x: x * x + 1.0,
+                                     lambda x: 2.0 * x), 0.0, 1.0, tol=1e-10)
 
 
 def test_integrate_constant_and_linear():

@@ -10,10 +10,13 @@ from uavwpt.channel import GroupCoefficients, group_coefficients
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import (BracketingError, InfeasiblePlanError,
                            NumericDomainError)
-from uavwpt.experiments import (array_config, channel_params,
-                                generate_trial, hf_eh_baseline, trial_rng)
+from uavwpt import stm
+from uavwpt.experiments import (SweepSpec, array_config, channel_params,
+                                generate_trial, hf_eh_baseline, run_sweep,
+                                trial_rng)
 from uavwpt.stm import (StmProblem, TimeAllocation, _budget_closure,
-                        _solve_closed_form, compute_f, kkt_residuals,
+                        _chain_q, _solve_closed_form, compute_f,
+                        kkt_residuals,
                         solve_stm, solve_stm_numeric, stm_diag_row,
                         sum_throughput, throughput_gradient, STM_DIAG_HEADER)
 from uavwpt.verification import stm_grid_oracle
@@ -118,6 +121,51 @@ def test_root_below_domain_edge_falls_back(trial):
         _solve_closed_form(problem)
     _, diag = solve_stm(problem)
     assert diag.method == "numeric"
+
+
+@pytest.mark.parametrize("N, K, baseline", [(4, 20, False), (9, 45, False),
+                                            (4, 20, True)])
+def test_chain_slope_matches_central_difference(N, K, baseline):
+    config = ScenarioConfig(K=K, N=N, pt_db=2.0)
+    checked = 0
+    for trial in range(12):
+        problem = _swept_problem(config, trial, baseline)
+        c = problem.coeffs
+        try:
+            root = _closed_form_mu_n(problem)
+        except NumericDomainError:
+            continue  # SQP territory
+        for mu in (root, root + 0.3, root + 2.0):
+            h = 1e-6 * (1.0 + abs(mu))
+            _, dq = _chain_q(c.gamma, c.a, c.b, mu)
+            q_hi, _ = _chain_q(c.gamma, c.a, c.b, mu + h)
+            q_lo, _ = _chain_q(c.gamma, c.a, c.b, mu - h)
+            for n in range(problem.N):
+                fd = (q_hi[n] - q_lo[n]) / (2.0 * h)
+                assert dq[n] == pytest.approx(fd, rel=1e-6)
+        checked += 1
+    assert checked >= 6
+
+
+def test_closed_form_chain_evaluations(monkeypatch):
+    # the 40 default-config solves of test_sweep_rows_pinned's STM sweep
+    counts = {"chain": 0, "solves": 0}
+
+    def counted_chain(*args):
+        counts["chain"] += 1
+        return _chain_q(*args)
+
+    def counted_solve(problem):
+        counts["solves"] += 1
+        return _solve_closed_form(problem)
+
+    monkeypatch.setattr(stm, "_chain_q", counted_chain)
+    monkeypatch.setattr(stm, "_solve_closed_form", counted_solve)
+    sweep = SweepSpec(param="pt_db", values=(0.0, 8.0), trials=10,
+                      objective="stm")
+    run_sweep(ScenarioConfig(), sweep)
+    assert counts["solves"] == 40
+    assert counts["chain"] / counts["solves"] <= 16.0
 
 
 def test_single_group_root_is_zero():

@@ -14,15 +14,22 @@ and the group uplink rate during its hover is
 
 in nats/s/Hz, where a_n and b_n sum the members' a_i and b_i and
 gamma_n sums their uplink gains.  The solvers see a group only through
-these three aggregates; per-sensor values are recomputed from the plan
-on demand.  Everything here is a pure function of immutable inputs.
+these three aggregates, which `group_coefficients` builds in one pass
+over the plan; `coeff_a`/`coeff_b` give one sensor's a_i/b_i from the
+same primitives.  Everything here is a pure function of immutable
+inputs.
+
+Antenna k of M (1-based) sits (k-1)*delta from the hover point along
++y, perpendicular to the rows; antenna 1 transmits energy and antennas
+2..M receive data, so the uplink gain from a sensor at horizontal
+distance L_k to antenna k is k0 / (L_k^2 + A^2).
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, NumericDomainError, PlanError
-from .geometry import ArrayConfig, GroupPlan, Point, horizontal_distance
+from .geometry import ArrayConfig, GroupPlan, Point
 
 
 @dataclass(frozen=True)
@@ -102,17 +109,6 @@ def leg_average_inverse_sq(p0: Point, p1: Point, w: Point, A: float) -> float:
     return (math.atan2(D - s_w, c) - math.atan2(-s_w, c)) / (D * c)
 
 
-def uplink_gain(plan: GroupPlan, cfg: ArrayConfig, params: ChannelParams,
-                n: int, k: int, i: int) -> float:
-    """Power gain from sensor i to receive antenna k at hover point n."""
-    if k == 1:
-        raise PlanError("antenna 1 is transmit-only; uplink needs k >= 2")
-    if i not in plan.members(n):
-        raise PlanError(f"sensor {i} is not served by group {n}")
-    L = horizontal_distance(plan, cfg, n, k, i)
-    return params.k0 / (L * L + params.A * params.A)
-
-
 def coeff_a(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:
     """Hover-phase harvesting coefficient of sensor i for hover point n."""
     w = plan.field.position(i)
@@ -186,13 +182,17 @@ def group_coefficients(plan: GroupPlan, cfg: ArrayConfig,
     Sums run over members in plan order, and over antennas 2..M inside
     each member.
     """
-    cap = 1.0 / (params.A * params.A)
+    A = params.A
+    cap = 1.0 / (A * A)
     a, b, gamma = [], [], []
-    for n in range(1, plan.N + 1):
+    for n, members in enumerate(plan.groups, start=1):
+        p0, hover = plan.leg(n)
+        hx, hy = hover
         a_n, b_n, h_n = [], [], []
-        for i in plan.members(n):
-            av = coeff_a(plan, params, n, i)
-            bv = coeff_b(plan, params, n, i)
+        for i in members:
+            w = plan.field.sensors[i - 1]
+            av = point_inverse_sq(hover, w, A)
+            bv = leg_average_inverse_sq(p0, hover, w, A)
             if not 0.0 < av <= cap * (1.0 + 1e-12):
                 raise NumericDomainError(
                     f"group {n}: hover coefficient {av} outside (0, 1/A^2]")
@@ -201,8 +201,10 @@ def group_coefficients(plan: GroupPlan, cfg: ArrayConfig,
                     f"group {n}: flight coefficient {bv} outside (0, 1/A^2]")
             a_n.append(av)
             b_n.append(bv)
-            h_n.extend(uplink_gain(plan, cfg, params, n, k, i)
-                       for k in range(2, cfg.M + 1))
+            x, y = w
+            for k in range(2, cfg.M + 1):
+                L = math.hypot(hx - x, hy + (k - 1) * cfg.delta - y)
+                h_n.append(params.k0 / (L * L + A * A))
         a.append(sum(a_n))
         b.append(sum(b_n))
         gamma.append(params.energy_scale / params.sigma2 * sum(h_n))

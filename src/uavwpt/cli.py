@@ -83,9 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the oracle suite")
     _add_common(verify)
-    verify.add_argument("--workers", type=int, default=1,
-                        help="accepted for scripting symmetry with sweep; "
-                             "results do not depend on it")
     verify.set_defaults(func=cmd_verify)
     return p
 
@@ -107,17 +104,16 @@ def _fmt_vec(values) -> str:
 def cmd_plan(args) -> int:
     config, out = _load(args)
     if args.field:
-        field = load_field(args.field)
         row_ys = [0.5 * sum(config.ytilde_range_m)]
-        plan = plan_groups(field, array_config(config), config.N, row_ys)
+        plan = plan_groups(load_field(args.field), array_config(config),
+                           config.N, row_ys)
     else:
         # the realization `solve` solves: trial 0 of the config seed
-        geo = generate_trial(config, trial_rng(config.seed, 0))
-        field, plan = geo.field, geo.plan
+        plan = generate_trial(config, trial_rng(config.seed, 0)).plan
     feasible, report = check_feasibility(plan, config.v_max_mps, config.T_s)
     path = out / "plan.csv"
     write_plan_csv(plan, path)
-    print(f"groups: {plan.N}  sensors: {field.K}")
+    print(f"groups: {plan.N}  sensors: {plan.field.K}")
     print(f"travel time at top speed: {report.travel_time:.12g} s "
           f"(budget {report.budget:.12g} s)")
     print(f"plan written to {path}")
@@ -202,8 +198,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     config, out = _load(args)
-    reports, ok = run_verification(config, seed=config.seed,
-                                   workers=args.workers)
+    reports, ok = run_verification(config, seed=config.seed)
     path = out / "verification.csv"
     write_verification_csv(path, reports)
     by_oracle = {}

@@ -42,12 +42,11 @@ _SWEEP_PARAMS = ("pt_db", "N", "v_max", "I_nats")
 
 @dataclass(frozen=True)
 class TrialGeometry:
-    """One realization: shared field, proposed plan, baseline plan."""
+    """One realization: the proposed plan and the baseline plan, which
+    share one field (plan.field) and one start point."""
 
-    field: SensorField
     plan: GroupPlan
     baseline_plan: GroupPlan
-    ytilde: float
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,9 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     Hover points are spaced by the drawn leg lengths along one row at
     offset ytilde; each group's members are scattered behind its hover
     point.  Members are redrawn (rarely) if the flight-phase coefficient
-    fails to dominate the hover-phase one.
+    fails to dominate the hover-phase one.  Both plans fly in from
+    (0, ytilde); the baseline plan visits the same field one sensor at a
+    time (`singleton_plan`).
     """
     N, K = config.N, config.K
     A = config.A_m
@@ -168,25 +169,17 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     ys = [s[1] for s in sensors]
     region = ((min(xs + [0.0]), min(ys)), (max(xs + [anchors[-1]]), max(ys)))
     field = SensorField(sensors=tuple(sensors), region=region)
-
-    hover_gaps = D[1:]
-    violations = tuple(
-        n for n in range(2, N)
-        if hover_gaps[n - 2] + hover_gaps[n - 1] <= config.d_max_m)
+    start = (0.0, ytilde)
     plan = GroupPlan(
         field=field,
         groups=tuple(groups),
         hover_points=tuple((float(x), ytilde) for x in anchors),
         D=tuple(D),
         row_of_group=(1,) * N,
-        start_point=(0.0, ytilde),
-        spacing_violations=violations,
+        start_point=start,
     )
-    baseline_plan = singleton_plan(
-        field, array_config(hf_eh_baseline(config)),
-        start_point=(0.0, ytilde))
-    return TrialGeometry(field=field, plan=plan,
-                         baseline_plan=baseline_plan, ytilde=ytilde)
+    return TrialGeometry(plan=plan,
+                         baseline_plan=singleton_plan(field, start))
 
 
 def build_problem(config: ScenarioConfig, plan: GroupPlan, objective: str):
@@ -206,12 +199,12 @@ def build_problem(config: ScenarioConfig, plan: GroupPlan, objective: str):
     raise ConfigError(f"unknown objective {objective!r}")
 
 
-def _solve_for(config: ScenarioConfig, plan: GroupPlan, objective: str,
-               credit: bool) -> float:
+def _solve_for(config: ScenarioConfig, plan: GroupPlan,
+               objective: str) -> float:
     problem = build_problem(config, plan, objective)
     if objective == "stm":
         return solve_stm(problem)[1].objective
-    return solve_ttm(problem, credit=credit)[1]
+    return solve_ttm(problem)[1]
 
 
 def run_trial(config: ScenarioConfig, trial_index: int,
@@ -219,11 +212,11 @@ def run_trial(config: ScenarioConfig, trial_index: int,
               include_baseline: bool = True) -> TrialResult:
     """Solve one realization for the proposed scheme and the baseline."""
     geo = generate_trial(config, trial_rng(config.seed, trial_index))
-    ours = _solve_for(config, geo.plan, objective, credit=True)
+    ours = _solve_for(config, geo.plan, objective)
     base = None
     if include_baseline:
         base = _solve_for(hf_eh_baseline(config), geo.baseline_plan,
-                          objective, credit=False)
+                          objective)
     return TrialResult(ours=ours, baseline=base)
 
 

@@ -1,14 +1,13 @@
 """Spatial model: sensor fields, serving groups along serpentine rows,
-antenna geometry, distances, and mission feasibility checks.
+the antenna array's parameters, and mission feasibility checks.
 
 Conventions used throughout the package:
 
 * sensor ids are 1-based and stable for the lifetime of a field;
 * group indices n are 1-based; leg n is the straight flight from the
   previous stop (the start point for n = 1) to hover point n;
-* antenna indices k are 1-based; antenna 1 transmits energy, antennas
-  2..M receive data; the array lies along +y, perpendicular to the
-  rows, with spacing delta.
+* where the antennas sit relative to a hover point is set out in
+  `channel`, which is the only module that places them.
 """
 
 import math
@@ -83,9 +82,7 @@ class GroupPlan:
 
     D[n-1] is the length of leg n; row_of_group holds the 1-based row
     index of each group, whose parity decides the traversal direction
-    (odd rows run +x, even rows -x).  spacing_violations lists groups n
-    where dis_n + dis_{n+1} fails to exceed d_max; this is recorded, not
-    enforced, because dense single-sensor plans legitimately violate it.
+    (odd rows run +x, even rows -x).
     """
 
     field: SensorField
@@ -94,7 +91,6 @@ class GroupPlan:
     D: tuple[float, ...]
     row_of_group: tuple[int, ...]
     start_point: Point
-    spacing_violations: tuple[int, ...] = ()
 
     def __post_init__(self):
         n_groups = len(self.groups)
@@ -332,10 +328,6 @@ def plan_groups(field_: SensorField, cfg: ArrayConfig, N: int,
     start = (hovers[0][0] - direction * shift, hovers[0][1])
     D = [math.hypot(hovers[0][0] - start[0], hovers[0][1] - start[1])] + dists
 
-    violations = tuple(
-        n for n in range(2, N)  # pairs (dis_n, dis_{n+1}), n >= 2
-        if dists[n - 2] + dists[n - 1] <= cfg.d_max)
-
     return GroupPlan(
         field=field_,
         groups=tuple(tuple(run) for run in runs),
@@ -343,21 +335,7 @@ def plan_groups(field_: SensorField, cfg: ArrayConfig, N: int,
         D=tuple(D),
         row_of_group=tuple(group_rows),
         start_point=start,
-        spacing_violations=violations,
     )
-
-
-def horizontal_distance(plan: GroupPlan, cfg: ArrayConfig, n: int, k: int,
-                        i: int) -> float:
-    """Ground-plane distance from antenna k at hover point n to sensor i.
-
-    Antenna k sits (k-1)*delta above the hover point along +y.
-    """
-    if not 1 <= k <= cfg.M:
-        raise PlanError(f"antenna index {k} out of range 1..{cfg.M}")
-    hx, hy = plan.hover(n)
-    x, y = plan.field.position(i)
-    return math.hypot(hx - x, hy + (k - 1) * cfg.delta - y)
 
 
 @dataclass(frozen=True)
@@ -381,19 +359,13 @@ def check_feasibility(plan: GroupPlan, v_max: float,
     return report.feasible, report
 
 
-def singleton_plan(field_: SensorField, cfg: ArrayConfig,
-                   start_point: Point | None = None) -> GroupPlan:
+def singleton_plan(field_: SensorField, start_point: Point) -> GroupPlan:
     """One group per sensor, hovering directly over each sensor, visited
-    in x order.  Used by the single-receive-antenna comparison scheme."""
+    in x order after flying in from start_point.  Used by the
+    single-receive-antenna comparison scheme."""
     ids = sorted(range(1, field_.K + 1),
                  key=lambda i: (field_.position(i)[0], i))
     hovers = [field_.position(i) for i in ids]
-    if start_point is None:
-        spacing = [math.hypot(hovers[g][0] - hovers[g - 1][0],
-                              hovers[g][1] - hovers[g - 1][1])
-                   for g in range(1, len(hovers))]
-        shift = (sum(spacing) / len(spacing)) if spacing else cfg.d_max / 2.0
-        start_point = (hovers[0][0] - shift, hovers[0][1])
     D = []
     prev = start_point
     for h in hovers:

@@ -141,13 +141,13 @@ def _tau_for_demand(I_n: float, gamma_n: float, energy: float,
     return bracketed_newton(excess, lo, hi, tol=_DEMAND_TOL)
 
 
-def solve_ttm(problem: TtmProblem, credit: bool = True):
+def solve_ttm(problem: TtmProblem):
     """Minimal-time hover and flight schedule meeting every demand.
 
-    credit=False prices every hover second at full cost (no downstream
-    flight-harvest credit); this is the right model when groups hover
-    better than they fly, where the credit form is out of domain.
-    Returns (TimeAllocation, total_time).
+    Group n < N takes the downstream credit (`tau_closed_form`) when the
+    next group flies better than it hovers, a_{n+1} < b_{n+1}, and the
+    next leg is not clamped at the speed cap; otherwise every hover
+    second is priced at full cost.  Returns (TimeAllocation, total_time).
     """
     N = problem.N
     g_ = problem.coeffs.gamma
@@ -160,7 +160,7 @@ def solve_ttm(problem: TtmProblem, credit: bool = True):
     taus[N - 1] = _tau_opt(problem.I[N - 1], g_[N - 1] * b_[N - 1], N)
     for n in range(N - 1, 0, -1):
         plain = _tau_opt(problem.I[n - 1], g_[n - 1] * b_[n - 1], n)
-        if not credit:
+        if not a_[n] < b_[n]:
             taus[n - 1] = plain
             continue
         with_credit = tau_closed_form(problem, n)

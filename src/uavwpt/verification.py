@@ -262,14 +262,12 @@ def _desk_config(config: ScenarioConfig, N: int) -> ScenarioConfig:
     return replace(config, N=N, K=N * per_group).validate()
 
 
-def run_verification(config: ScenarioConfig, seed: int = None,
-                     workers: int = 1):
+def run_verification(config: ScenarioConfig, seed: int = None):
     """Full oracle suite; returns (reports, all_passed).
 
-    Grid and quadrature evaluation are vectorized in-process, so the
-    worker count does not influence any reported value.
+    Every instance is drawn from its own seed and evaluated in-process,
+    so the reports are a pure function of (config, seed).
     """
-    del workers  # results are worker-independent by construction
     if seed is None:
         seed = config.seed
     reports = []

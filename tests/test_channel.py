@@ -6,7 +6,7 @@ import pytest
 from uavwpt.channel import (ChannelParams, GroupCoefficients, coeff_a,
                             coeff_b, group_coefficients, group_rate,
                             harvested_energy, leg_average_inverse_sq,
-                            point_inverse_sq, uplink_gain)
+                            point_inverse_sq)
 from uavwpt.errors import ConfigError, NumericDomainError, PlanError
 from uavwpt.geometry import ArrayConfig, GroupPlan, SensorField
 from uavwpt.numerics import integrate_adaptive
@@ -39,37 +39,51 @@ def _leg_average_oracle(p0, p1, w, A):
     return integrate_adaptive(f, 0.0, D, rel_tol=1e-11) / D
 
 
+SNR_SCALE = PARAMS.energy_scale / PARAMS.sigma2   # 1e7
+
+
+def _uplink_sum(plan, cfg, n):
+    """Summed uplink gain of group n: antenna k sits (k-1)*delta above
+    the hover point, and each receive antenna k >= 2 contributes
+    k0 / (L^2 + A^2) for every member."""
+    hx, hy = plan.hover_points[n - 1]
+    total = 0.0
+    for i in plan.groups[n - 1]:
+        x, y = plan.field.sensors[i - 1]
+        for k in range(2, cfg.M + 1):
+            L = math.hypot(x - hx, y - (hy + (k - 1) * cfg.delta))
+            total += PARAMS.k0 / (L ** 2 + PARAMS.A ** 2)
+    return total
+
+
+def _gamma(plan, cfg, params):
+    return group_coefficients(plan, cfg, params).gamma[0]
+
+
 # ---------------------------------------------------------------- gains
 
 def test_uplink_on_axis_value():
-    # sensor right under receive antenna 2
+    # sensor right under receive antenna 2, so h_2 = k0/A^2 = 1e-5;
+    # antenna 3 is one spacing beyond it
     plan = _one_group_plan(sensor=(5.0, 0.1), hover=(5.0, 0.0))
-    assert uplink_gain(plan, CFG, PARAMS, 1, 2, 1) == pytest.approx(1e-5)
+    expect = SNR_SCALE * (1e-5 + 1e-3 / (0.1 ** 2 + 100.0))
+    assert _gamma(plan, CFG, PARAMS) == pytest.approx(expect, rel=1e-12)
 
 
 def test_uplink_inverse_square_law():
+    cfg2 = ArrayConfig(M=2, delta=0.1, altitude=10.0, d_max=35.0)
     near = _one_group_plan(sensor=(5.0, 0.1), hover=(5.0, 0.0))
     # L = 10 doubles the squared 3D distance (100 + 100 vs 100)
     far = _one_group_plan(sensor=(15.0, 0.1), hover=(5.0, 0.0))
-    g_near = uplink_gain(near, CFG, PARAMS, 1, 2, 1)
-    g_far = uplink_gain(far, CFG, PARAMS, 1, 2, 1)
+    g_near = _gamma(near, cfg2, PARAMS)
+    g_far = _gamma(far, cfg2, PARAMS)
     assert g_near == pytest.approx(2.0 * g_far, rel=1e-12)
 
 
 def test_uplink_matches_distance_module():
-    from uavwpt.geometry import horizontal_distance
     plan = _one_group_plan(sensor=(7.3, 1.9), hover=(5.0, 0.0))
-    for k in (2, 3):
-        L = horizontal_distance(plan, CFG, 1, k, 1)
-        expect = 1e-3 / (L * L + 100.0)
-        assert uplink_gain(plan, CFG, PARAMS, 1, k, 1) == pytest.approx(
-            expect, rel=1e-12)
-
-
-def test_uplink_rejects_transmit_antenna():
-    plan = _one_group_plan(sensor=(5.0, 0.1), hover=(5.0, 0.0))
-    with pytest.raises(PlanError):
-        uplink_gain(plan, CFG, PARAMS, 1, 1, 1)
+    assert _gamma(plan, CFG, PARAMS) == pytest.approx(
+        SNR_SCALE * _uplink_sum(plan, CFG, 1), rel=1e-12)
 
 
 # ---------------------------------------------------------------- coefficients
@@ -189,10 +203,6 @@ def test_energy_matches_quadrature_total():
 
 # ---------------------------------------------------------------- SNR and rate
 
-def _gamma(plan, cfg, params):
-    return group_coefficients(plan, cfg, params).gamma[0]
-
-
 def test_group_gamma_single_antenna_value():
     # h = k0/A^2 = 1e-5 for a sensor right under the receive antenna
     cfg2 = ArrayConfig(M=2, delta=0.1, altitude=10.0, d_max=35.0)
@@ -216,8 +226,9 @@ def test_group_gamma_antenna_additivity():
     plan = _one_group_plan(sensor=(6.0, 1.0), hover=(5.0, 0.0))
     g2 = _gamma(plan, cfg2, PARAMS)
     g3 = _gamma(plan, CFG, PARAMS)
-    k3_term = (PARAMS.energy_scale / PARAMS.sigma2
-               * uplink_gain(plan, CFG, PARAMS, 1, 3, 1))
+    # antenna 3 sits 2*delta above the hover point (5, 0)
+    L = math.hypot(6.0 - 5.0, 1.0 - 2 * 0.1)
+    k3_term = SNR_SCALE * PARAMS.k0 / (L ** 2 + PARAMS.A ** 2)
     assert g3 == pytest.approx(g2 + k3_term, rel=1e-12)
 
 
@@ -267,9 +278,7 @@ def test_group_coefficients_sums_members():
         assert coeffs.b[n - 1] == pytest.approx(
             sum(coeff_b(plan, PARAMS, n, i) for i in members), rel=1e-15)
         # M = 3 means two receive antennas (2 and 3) per sensor
-        expect_gamma = (PARAMS.energy_scale / PARAMS.sigma2
-                        * sum(uplink_gain(plan, CFG, PARAMS, n, k, i)
-                              for i in members for k in (2, 3)))
+        expect_gamma = SNR_SCALE * _uplink_sum(plan, CFG, n)
         assert coeffs.gamma[n - 1] == pytest.approx(expect_gamma, rel=1e-12)
 
 

@@ -213,8 +213,9 @@ def test_bad_invocations(cfg_path, tmp_path, capsys):
 
 
 def test_workers_only_where_trials_run(cfg_path, tmp_path, capsys):
-    # plan and solve run no trial pool, so they take no --workers flag
-    for command in (["plan"], ["solve", "stm"], ["solve", "ttm"]):
+    # only sweep runs a trial pool, so no other command takes --workers
+    for command in (["plan"], ["solve", "stm"], ["solve", "ttm"],
+                    ["verify"]):
         assert main([*command, "--config", str(cfg_path), "--out",
                      str(tmp_path), "--workers", "2"]) == 4
     assert "--workers" in capsys.readouterr().err

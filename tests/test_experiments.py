@@ -4,7 +4,7 @@ import math
 import pytest
 
 from uavwpt.channel import (coeff_a, coeff_b, group_coefficients,
-                            harvested_energy, uplink_gain)
+                            harvested_energy)
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError
 from uavwpt.experiments import (AggregateResult, SweepSpec, SWEEP_HEADER,
@@ -23,22 +23,22 @@ def test_trial_geometry_deterministic():
     a = generate_trial(CFG, trial_rng(CFG.seed, 5))
     b = generate_trial(CFG, trial_rng(CFG.seed, 5))
     c = generate_trial(CFG, trial_rng(CFG.seed, 6))
-    assert a.field.sensors == b.field.sensors
+    assert a.plan.field.sensors == b.plan.field.sensors
     assert a.plan.hover_points == b.plan.hover_points
-    assert a.field.sensors != c.field.sensors
+    assert a.plan.field.sensors != c.plan.field.sensors
 
 
 def test_trial_structure():
     geo = generate_trial(CFG, trial_rng(1, 0))
     assert geo.plan.N == 4
-    assert geo.field.K == 20
+    assert geo.plan.field.K == 20
     assert [len(g) for g in geo.plan.groups] == [5, 5, 5, 5]
     lo, hi = CFG.D_range_m
     for d in geo.plan.D:
         assert lo <= d < hi
     # one shared flight row for every hover point
     ys = {p[1] for p in geo.plan.hover_points}
-    assert ys == {geo.ytilde}
+    assert ys == {geo.plan.start_point[1]}
 
 
 def test_uneven_group_sizes():
@@ -87,7 +87,10 @@ def test_baseline_plan_structure():
         assert coeffs.a[n] == pytest.approx(1.0 / CFG.A_m ** 2, rel=1e-12)
         # single receive antenna: gamma_n is antenna 2's gain alone
         (i,) = plan.groups[n]
-        h = uplink_gain(plan, array_config(bcfg), params, n + 1, 2, i)
+        hx, hy = plan.hover_points[n]
+        x, y = plan.field.sensors[i - 1]
+        L = math.hypot(x - hx, y - (hy + bcfg.delta_m))
+        h = params.k0 / (L ** 2 + bcfg.A_m ** 2)
         assert coeffs.gamma[n] == pytest.approx(
             params.energy_scale / params.sigma2 * h, rel=1e-12)
 

@@ -4,11 +4,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from uavwpt.channel import ChannelParams, group_coefficients
 from uavwpt.errors import ConfigError, InfeasiblePlanError, PlanError
 from uavwpt.geometry import (ArrayConfig, GroupPlan, SensorField,
-                             check_feasibility, generate_field,
-                             horizontal_distance, load_field, plan_groups,
-                             save_field, singleton_plan, write_plan_csv)
+                             check_feasibility, generate_field, load_field,
+                             plan_groups, save_field, singleton_plan,
+                             write_plan_csv)
 
 CFG = ArrayConfig(M=3, delta=0.1, altitude=10.0, d_max=35.0)
 
@@ -131,52 +132,40 @@ def test_uncoverable_sensor_named_in_error():
     assert "sensor" in str(exc.value)
 
 
-def test_spacing_violation_recorded_not_fatal():
-    f = _row_field([0.0, 10.0, 20.0, 30.0])
-    plan = plan_groups(f, CFG, 4, row_ys=[0.0])
-    # dis_n + dis_{n+1} = 20 <= 35 for every adjacent pair
-    assert plan.spacing_violations == (2, 3)
-
-
 # ---------------------------------------------------------------- distances
 
-def test_antenna_one_at_hover_point():
-    f = _row_field([5.0])
-    plan = plan_groups(f, CFG, 1, row_ys=[0.0])
-    assert horizontal_distance(plan, CFG, 1, 1, 1) == pytest.approx(0.0)
+# k0 = 1e-3, A = 10; eta * P_t * k0 / sigma2 = 1e7
+PARAMS = ChannelParams(k0=1e-3, sigma2=1e-10, eta=0.5, P_t=2.0, A=10.0)
 
 
 def test_antenna_offset_cancels():
-    # sensor sits delta above the hover point: antenna 2 is right on top
+    # sensor sits delta above the hover point: antenna 2 is right on top,
+    # so its uplink gain is k0/A^2 and gamma = 1e7 * 1e-5
     sensors = ((5.0, 0.1),)
     f = SensorField(sensors=sensors, region=((0.0, -1.0), (10.0, 1.0)))
     plan = GroupPlan(field=f, groups=((1,),), hover_points=((5.0, 0.0),),
                      D=(20.0,), row_of_group=(1,),
                      start_point=(-15.0, 0.0))
-    assert horizontal_distance(plan, CFG, 1, 2, 1) == pytest.approx(0.0, abs=1e-12)
+    cfg2 = ArrayConfig(M=2, delta=0.1, altitude=10.0, d_max=35.0)
+    gamma = group_coefficients(plan, cfg2, PARAMS).gamma[0]
+    assert gamma == pytest.approx(100.0, rel=1e-12)
 
 
 def test_distance_matches_independent_computation():
+    # antenna k sits (k-1)*delta above the hover point along +y
+    cfg = ArrayConfig(M=4, delta=0.37, altitude=10.0, d_max=60.0)
     f = generate_field(6, ((0.0, 0.0), (40.0, 5.0)), seed=9)
-    plan = plan_groups(f, ArrayConfig(M=4, delta=0.37, altitude=10.0,
-                                      d_max=60.0), 2, row_ys=[2.5])
+    plan = plan_groups(f, cfg, 2, row_ys=[2.5])
+    gamma = group_coefficients(plan, cfg, PARAMS).gamma
     for n in (1, 2):
         hx, hy = plan.hover(n)
-        for k in (1, 2, 3, 4):
-            for i in plan.members(n):
-                x, y = f.position(i)
-                expect = math.hypot(x - hx, y - (hy + (k - 1) * 0.37))
-                got = horizontal_distance(
-                    plan, ArrayConfig(M=4, delta=0.37, altitude=10.0,
-                                      d_max=60.0), n, k, i)
-                assert got == pytest.approx(expect, rel=1e-12)
-
-
-def test_bad_antenna_index_rejected():
-    f = _row_field([5.0])
-    plan = plan_groups(f, CFG, 1, row_ys=[0.0])
-    with pytest.raises(PlanError):
-        horizontal_distance(plan, CFG, 1, 4, 1)  # M=3 has antennas 1..3
+        expect = 0.0
+        for i in plan.members(n):
+            x, y = f.position(i)
+            for k in (2, 3, 4):
+                L = math.hypot(x - hx, y - (hy + (k - 1) * 0.37))
+                expect += 1e-3 / (L ** 2 + 100.0)
+        assert gamma[n - 1] == pytest.approx(1e7 * expect, rel=1e-12)
 
 
 # ---------------------------------------------------------------- coverage radius
@@ -227,20 +216,19 @@ def test_feasibility_boundary_is_closed():
 
 def test_singleton_plan_structure():
     f = _row_field([30.0, 0.0, 15.0])  # deliberately unsorted
-    plan = singleton_plan(f, CFG)
+    plan = singleton_plan(f, start_point=(-15.0, 0.0))
     assert plan.N == 3
     xs = [plan.hover(n)[0] for n in range(1, 4)]
     assert xs == sorted(xs)
     for n in range(1, 4):
         (i,) = plan.members(n)
         assert plan.hover(n) == f.position(i)
-    assert plan.D[1] == pytest.approx(15.0)
-    assert plan.D[2] == pytest.approx(15.0)
+    assert plan.D == pytest.approx((15.0, 15.0, 15.0))
 
 
 def test_singleton_plan_custom_start():
     f = _row_field([10.0, 20.0])
-    plan = singleton_plan(f, CFG, start_point=(0.0, 0.0))
+    plan = singleton_plan(f, start_point=(0.0, 0.0))
     assert plan.start_point == (0.0, 0.0)
     assert plan.D[0] == pytest.approx(10.0)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.special import lambertw
 
 from instance_tools import ttm_instance, synthetic_coeffs
 from uavwpt.channel import GroupCoefficients
@@ -81,12 +82,14 @@ def test_credit_out_of_domain_raises():
                          I=(10.0, 10.0))
     with pytest.raises(NumericDomainError):
         tau_closed_form(problem, 1)
-    with pytest.raises(NumericDomainError):
-        solve_ttm(problem, credit=True)
-    alloc, total = solve_ttm(problem, credit=False)
+    # the solver sees a_2 >= b_2 and prices group 1's hover at full cost
+    alloc, total = solve_ttm(problem)
     assert total > 0.0
     for got, want in zip(delivered_information(coeffs, alloc), problem.I):
         assert got >= want * (1.0 - 1e-9)
+    gb = 300.0 * 0.006
+    full_cost = 2.0 * 10.0 / (lambertw((gb - 1.0) / math.e).real + 1.0)
+    assert alloc.tau[1] == pytest.approx(full_cost, rel=1e-12)
 
 
 # -------------------------------------------------- flight inversion

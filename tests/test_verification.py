@@ -143,21 +143,34 @@ def test_full_suite_passes_and_is_deterministic():
     assert len(by_name["concavity"]) == 1
     assert all(r.passed for r in reports)
 
-    again, ok2 = run_verification(CFG, workers=4)
+    again, ok2 = run_verification(CFG)
     assert ok2
-    assert again == reports  # worker count must not touch any value
+    assert again == reports
 
 
 def test_fault_injection_is_caught(monkeypatch):
+    # coeff_b is the per-sensor coefficient the flight-energy oracle
+    # checks; leg_average_inverse_sq is the primitive it shares with the
+    # aggregates the solvers read, so a fault there must scale b_n too.
+    # The grid oracles read the same aggregates as the solvers, so only
+    # the flight-energy oracle can see either fault.
     import uavwpt.channel as ch
-    real = ch.coeff_b
-    monkeypatch.setattr(ch, "coeff_b",
-                        lambda *a, **k: 0.9 * real(*a, **k))
-    reports, ok = run_verification(CFG)
-    assert not ok
-    bad = [r for r in reports if not r.passed]
-    assert bad
-    assert all(r.oracle == "flight_energy" for r in bad)
+    geo, params = _one_trial()
+    cfg = array_config(CFG)
+    clean = ch.group_coefficients(geo.plan, cfg, params)
+    for name, b_scale in (("coeff_b", 1.0), ("leg_average_inverse_sq", 0.9)):
+        real = getattr(ch, name)
+        with monkeypatch.context() as m:
+            m.setattr(ch, name,
+                      lambda *a, real=real, **k: 0.9 * real(*a, **k))
+            faulty = ch.group_coefficients(geo.plan, cfg, params)
+            reports, ok = run_verification(CFG)
+        assert faulty.b == pytest.approx(
+            tuple(b_scale * b for b in clean.b), rel=1e-12)
+        assert not ok
+        bad = [r for r in reports if not r.passed]
+        assert bad
+        assert all(r.oracle == "flight_energy" for r in bad)
 
 
 # -------------------------------------------------- report plumbing

@@ -2,8 +2,9 @@
 
 Everything here is deliberately dependency-free so the solver results are
 reproducible bit-for-bit: the principal branch of the Lambert W function,
-a bracketed, safeguarded Newton root finder, and an adaptive Simpson
-integrator used by the verification oracles.
+the one bracketed, safeguarded Newton root finder (it serves both of the
+STM solver's price searches and TTM's hover re-tightening), and an
+adaptive Simpson integrator used by the verification oracles.
 """
 
 import math
@@ -78,20 +79,21 @@ def bracketed_newton(fdf, lo: float, hi: float, tol: float) -> float:
     that step is finite and lands strictly inside the bracket, and the
     bracket's midpoint otherwise; so an f that reads +inf, as on a
     region outside a function's domain, is simply bisected away.  Every
-    step shrinks the bracket.  Terminates when |f| <= tol at the new
-    point or the bracket it was taken in is no wider than tol, or when
-    no float lies strictly inside the bracket.  The returned point is
-    always the last one fdf was called at, so a caller can keep what
-    fdf computed there.  Raises BracketingError when f(lo) and f(hi) do
-    not differ in sign.
+    step shrinks the bracket.  Terminates when |f| <= tol at an end or
+    at the new point, when the bracket a step was taken in is no wider
+    than tol, when the Newton step is too small to move x (a steep f
+    may never reach tol in floats), or when no float lies strictly
+    inside the bracket.  The returned point is always the last one fdf
+    was called at, so a caller can keep what fdf computed there.
+    Raises BracketingError when f(lo) and f(hi) do not differ in sign.
     """
     if not hi > lo:
         raise ValueError("bracketed_newton: need hi > lo")
     flo, dlo = fdf(lo)
-    if flo == 0.0:
+    if abs(flo) <= tol:
         return lo
     fhi, dhi = fdf(hi)
-    if fhi == 0.0:
+    if abs(fhi) <= tol:
         return hi
     if not flo * fhi < 0.0:
         raise BracketingError(
@@ -100,6 +102,8 @@ def bracketed_newton(fdf, lo: float, hi: float, tol: float) -> float:
     x, fx, dx = (lo, flo, dlo) if abs(flo) < abs(fhi) else (hi, fhi, dhi)
     while True:
         new = x - fx / dx if dx != 0.0 else math.nan
+        if new == x:
+            return x
         if not lo < new < hi:
             new = 0.5 * (lo + hi)
             if not lo < new < hi:

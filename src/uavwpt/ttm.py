@@ -159,16 +159,14 @@ def solve_ttm(problem: TtmProblem):
     taus = [0.0] * N
     taus[N - 1] = _tau_opt(problem.I[N - 1], g_[N - 1] * b_[N - 1], N)
     for n in range(N - 1, 0, -1):
-        plain = _tau_opt(problem.I[n - 1], g_[n - 1] * b_[n - 1], n)
-        if not a_[n] < b_[n]:
-            taus[n - 1] = plain
-            continue
-        with_credit = tau_closed_form(problem, n)
-        probe = taus.copy()
-        probe[n - 1] = with_credit
-        clamp_next = (zeta_closed_form(problem, n + 1, probe)
-                      <= problem.D[n] / problem.v_max * (1.0 + 1e-12))
-        taus[n - 1] = plain if clamp_next else with_credit
+        if a_[n] < b_[n]:
+            probe = taus.copy()
+            probe[n - 1] = tau_closed_form(problem, n)
+            if (zeta_closed_form(problem, n + 1, probe)
+                    > problem.D[n] / problem.v_max * (1.0 + 1e-12)):
+                taus[n - 1] = probe[n - 1]
+                continue
+        taus[n - 1] = _tau_opt(problem.I[n - 1], g_[n - 1] * b_[n - 1], n)
 
     # forward pass: flight times from the final hovers; on clamped legs
     # the hover is re-tightened to demand equality

@@ -1,15 +1,25 @@
-"""Synthetic solver instances for the unit tests.
+"""Synthetic solver instances and reference solvers for the unit tests.
 
-These bypass the geometry pipeline and build coefficient bundles
+The instances bypass the geometry pipeline and build coefficient bundles
 directly, so solver tests stay focused and fast: the solvers see a group
-only through its aggregates a, b and gamma.
+only through its aggregates a, b and gamma.  stm_sqp_reference solves
+the same STM model as uavwpt.stm by sequential quadratic programming,
+an independent check on the closed form.
 """
 
+import math
+
 import numpy as np
+from scipy.optimize import minimize
 
 from uavwpt.channel import GroupCoefficients
-from uavwpt.stm import StmProblem
+from uavwpt.errors import AccuracyError
+from uavwpt.stm import (StmDiagnostics, StmProblem, _close_budget,
+                        _degenerate_allocation, kkt_residuals,
+                        sum_throughput, throughput_gradient)
 from uavwpt.ttm import TtmProblem
+
+_MIN_HOVER = 1e-9         # lower bound on the reference's hover times
 
 ALTITUDE = 10.0
 CAP = 1.0 / ALTITUDE**2
@@ -47,3 +57,96 @@ def ttm_instance(seed, N=2, v_max=10.0, I_each=10.0, flight_dominant=True):
     coeffs = synthetic_coeffs(rng, N, flight_dominant)
     D = tuple(float(d) for d in rng.uniform(20.0, 30.0, N))
     return TtmProblem(coeffs=coeffs, D=D, v_max=v_max, I=(I_each,) * N)
+
+
+def stm_sqp_reference(problem: StmProblem):
+    """Sequential quadratic programming on the reduced problem.
+
+    Free variables are the N hover times and the first leg's flight
+    extension beyond the speed-cap floor, all expressed as fractions of
+    the slack budget so the solver sees a unit-scaled simplex; the start
+    hover absorbs the remainder.  The gradient is throughput_gradient's:
+    throughput is 1-homogeneous, so its partials are the same in slack
+    units.  Several deterministic starts are tried and the best feasible
+    point kept.  Returns (TimeAllocation, StmDiagnostics) with method
+    "sqp" and mu read off the last group's stationarity.
+    """
+    N = problem.N
+    B = problem.slack
+    if B <= 1e-12:
+        return _degenerate_allocation(problem)
+    g_ = np.asarray(problem.coeffs.gamma)
+    a_ = np.asarray(problem.coeffs.a)
+    b_ = np.asarray(problem.coeffs.b)
+    zeta_floor = np.asarray(problem.D) / problem.v_max
+    zf_hat = zeta_floor / B  # flight floors in slack units
+    zf_list = zf_hat.tolist()
+
+    # u = (hover fractions, extra-first-leg fraction); tau0 gets the rest
+    def objective(u):
+        taus = u[:N]
+        energy = np.empty(N)
+        energy[0] = (a_[0] * (1.0 - float(np.sum(u)))
+                     + b_[0] * (zf_hat[0] + u[N]))
+        if N > 1:
+            energy[1:] = a_[1:] * taus[:-1] + b_[1:] * zf_hat[1:]
+        return -0.5 * float(np.sum(taus * np.log1p(g_ * energy / taus)))
+
+    def gradient(u):
+        x = u.tolist()
+        rest = 1.0 - float(np.sum(u))
+        d = throughput_gradient(problem.coeffs, (rest, *x[:N]),
+                                (zf_list[0] + x[N], *zf_list[1:]))
+        return d[0] - np.asarray(d[1:])
+
+    floor = _MIN_HOVER / max(B, 1.0)
+    ramp = np.arange(1, N + 1, dtype=float)
+    ramp *= 0.90 / ramp.sum()
+    starts = [
+        np.full(N + 1, 1.0 / (N + 2)),
+        np.append(ramp, 0.05),
+        np.append(np.full(N, 0.45 / N), 0.5),
+    ]
+    best_u, best_val, converged = None, np.inf, False
+    messages = []
+    for u0 in starts:
+        res = minimize(
+            objective, u0, jac=gradient, method="SLSQP",
+            bounds=[(floor, 1.0)] * N + [(0.0, 1.0)],
+            constraints=[{"type": "ineq",
+                          "fun": lambda u: 1.0 - float(np.sum(u)),
+                          "jac": lambda u: -np.ones(N + 1)}],
+            options={"ftol": 1e-14, "maxiter": 500})
+        u = np.clip(res.x, [floor] * N + [0.0], 1.0)
+        total = float(np.sum(u))
+        if total > 1.0:
+            u *= (1.0 - 1e-15) / total
+        val = objective(u)
+        if val < best_val:
+            best_u, best_val = u, val
+        converged = converged or bool(res.success)
+        if not res.success:
+            messages.append(str(res.message))
+
+    taus = [float(t) * B for t in best_u[:N]]
+    zetas = [float(zeta_floor[0] + best_u[N] * B)]
+    zetas += [float(z) for z in zeta_floor[1:]]
+    tau0 = B - float(np.sum(best_u)) * B
+    alloc = _close_budget(tau0, taus, zetas, problem.T)
+
+    # recover the budget price from the last group's SNR factor
+    if taus[-1] > 0.0:
+        f_last = ((problem.coeffs.a[-1] * alloc.tau[-2]
+                   + problem.coeffs.b[-1] * zetas[-1]) / taus[-1])
+    else:
+        f_last = math.inf
+    Y_last = 1.0 + float(g_[-1]) * f_last
+    mu_hat = 0.5 * (math.log(Y_last) - 1.0 + 1.0 / Y_last)
+    diag = StmDiagnostics(
+        mu=mu_hat, objective=sum_throughput(problem.coeffs, alloc),
+        kkt_residual=kkt_residuals(problem, alloc, mu_hat),
+        budget_residual=abs(alloc.total - problem.T), method="sqp")
+    if not converged and diag.kkt_residual > 1e-3:
+        raise AccuracyError(
+            "numeric throughput solve failed: " + "; ".join(messages[:2]))
+    return alloc, diag

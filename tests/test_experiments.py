@@ -256,8 +256,8 @@ def test_all_failed_point_raises(monkeypatch):
 
 # Data rows of two default-config sweeps, pinned as literal strings so a
 # refactor that moves any printed digit fails here.  The pt_db sweep at
-# seed 1 takes every STM path: 18 grouped closed-form solves, 2 grouped
-# SQP fallbacks and 20 baseline start-hover closed-form solves.
+# seed 1 solves 20 grouped plans with a free zeta_1 (two of them once went
+# to an SQP fallback) and 20 baselines with a free tau_0.
 PINNED_STM_ROWS = [
     "pt_db,0,10,416.990368492,18.1684203022,199.912069665,"
     "0.0247872828215,1.08586889822",

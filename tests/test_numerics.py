@@ -130,6 +130,31 @@ def test_newton_bisects_through_infinite_region():
     assert sum(x < 1.0 for x in seen) >= 2
 
 
+def test_newton_stops_at_an_end_within_tol():
+    seen = []
+
+    def fdf(x):
+        seen.append(x)
+        return 1e-13 - x, -1.0
+
+    assert bracketed_newton(fdf, 0.0, 1.0, tol=1e-12) == 0.0
+    assert seen == [0.0]
+
+
+def test_newton_stops_when_its_step_cannot_move_x():
+    # so steep that one float step of x jumps over |f| <= tol; bisecting
+    # on would take some fifty more evaluations to the same point
+    seen = []
+
+    def fdf(x):
+        seen.append(x)
+        return 1e20 * (x - math.pi) - 3e4, 1e20
+
+    root = bracketed_newton(fdf, 3.0, 4.0, tol=1e-12)
+    assert abs(root - math.pi) <= 4.0 * math.ulp(math.pi)
+    assert len(seen) <= 5
+
+
 def test_bisect_no_root_raises():
     with pytest.raises(BracketingError):
         bracketed_newton(_with_slope(lambda x: x * x + 1.0,

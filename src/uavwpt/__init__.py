@@ -17,9 +17,8 @@ from .errors import (AccuracyError, BracketingError, ConfigError,
                      UavWptError, UnsupportedScaleError)
 from .experiments import (SweepSpec, TrialResult, generate_trial, run_sweep,
                           run_trial, trial_rng, write_sweep_csv)
-from .geometry import (ArrayConfig, GroupPlan, SensorField, check_feasibility,
-                       generate_field, load_field, plan_groups, save_field,
-                       singleton_plan)
+from .geometry import (ArrayConfig, GroupPlan, check_feasibility, load_field,
+                       plan_groups, singleton_plan)
 from .stm import (StmDiagnostics, StmProblem, TimeAllocation, solve_stm,
                   sum_throughput)
 from .ttm import TtmProblem, delivered_information, solve_ttm
@@ -30,14 +29,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError", "ArrayConfig", "BracketingError", "ChannelParams",
     "ConfigError", "GroupCoefficients", "GroupPlan", "InfeasiblePlanError",
-    "NumericDomainError", "PlanError", "ScenarioConfig", "SensorField",
-    "StmDiagnostics", "StmProblem", "SweepSpec", "TimeAllocation",
-    "TrialResult", "TtmProblem", "UavWptError", "UnsupportedScaleError",
-    "check_feasibility", "coeff_a", "coeff_b", "delivered_information",
-    "generate_field", "generate_trial", "group_coefficients", "group_rate",
-    "harvested_energy", "load_config", "load_field", "plan_groups",
-    "run_sweep", "run_trial", "run_verification", "save_field",
-    "singleton_plan", "solve_stm", "solve_ttm", "trial_rng",
-    "sum_throughput", "write_sweep_csv", "write_verification_csv",
-    "__version__",
+    "NumericDomainError", "PlanError", "ScenarioConfig", "StmDiagnostics",
+    "StmProblem", "SweepSpec", "TimeAllocation", "TrialResult", "TtmProblem",
+    "UavWptError", "UnsupportedScaleError", "check_feasibility", "coeff_a",
+    "coeff_b", "delivered_information", "generate_trial", "group_coefficients",
+    "group_rate", "harvested_energy", "load_config", "load_field",
+    "plan_groups", "run_sweep", "run_trial", "run_verification",
+    "singleton_plan", "solve_stm", "solve_ttm", "trial_rng", "sum_throughput",
+    "write_sweep_csv", "write_verification_csv", "__version__",
 ]

@@ -111,14 +111,14 @@ def leg_average_inverse_sq(p0: Point, p1: Point, w: Point, A: float) -> float:
 
 def coeff_a(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:
     """Hover-phase harvesting coefficient of sensor i for hover point n."""
-    w = plan.field.position(i)
+    w = plan.position(i)
     return point_inverse_sq(plan.hover(n), w, params.A)
 
 
 def coeff_b(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:
     """Flight-phase harvesting coefficient of sensor i over leg n."""
     p0, p1 = plan.leg(n)
-    w = plan.field.position(i)
+    w = plan.position(i)
     return leg_average_inverse_sq(p0, p1, w, params.A)
 
 
@@ -190,7 +190,7 @@ def group_coefficients(plan: GroupPlan, cfg: ArrayConfig,
         hx, hy = hover
         a_n, b_n, h_n = [], [], []
         for i in members:
-            w = plan.field.sensors[i - 1]
+            w = plan.sensors[i - 1]
             av = point_inverse_sq(hover, w, A)
             bv = leg_average_inverse_sq(p0, hover, w, A)
             if not 0.0 < av <= cap * (1.0 + 1e-12):

@@ -1,13 +1,12 @@
 """Command-line front end.
 
-Subcommands: plan (grouping + feasibility of a field file, or of the
-realization solve draws), solve stm|ttm (one realization; stm falls
-back to SQP outside the closed form, as in a sweep, and prints the
-method it used), sweep (Monte-Carlo parameter sweep), verify (oracle
-suite).  Exit codes are stable for scripting: 0 success, 2 infeasible
-mission, 3 numeric/domain failure or failed verification,
-4 configuration problem.  Data goes to stdout and CSV files; error
-diagnostics go to stderr.
+Subcommands: plan (grouping + feasibility of a sensor-position file, or
+of the realization solve draws), solve stm|ttm (one realization, solved
+exactly as in a sweep; stm prints the structure it solved), sweep
+(Monte-Carlo parameter sweep), verify (oracle suite).  Exit codes are
+stable for scripting: 0 success, 2 infeasible mission, 3 numeric/domain
+failure or failed verification, 4 configuration problem.  Data goes to
+stdout and CSV files; error diagnostics go to stderr.
 """
 
 import argparse
@@ -18,9 +17,9 @@ from pathlib import Path
 from .config import load_config
 from .errors import (ConfigError, InfeasiblePlanError, NumericDomainError,
                      UavWptError)
-from .experiments import (SweepSpec, apply_sweep_value, array_config,
-                          build_problem, generate_trial, run_sweep,
-                          trial_rng, write_sweep_csv)
+from .experiments import (SweepSpec, array_config, build_problem,
+                          generate_trial, run_sweep, trial_rng,
+                          write_sweep_csv)
 from .geometry import (check_feasibility, load_field, plan_groups,
                        write_plan_csv)
 from .stm import STM_DIAG_HEADER, solve_stm, stm_diag_row
@@ -57,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(plan)
     plan.add_argument("--field", default=None,
                       help="sensor positions file (x y per line); "
-                           "omitted = draw a field from the config")
+                           "omitted = plan the realization solve draws")
     plan.set_defaults(func=cmd_plan)
 
     solve = sub.add_parser("solve", help="solve one drawn realization")
@@ -110,17 +109,17 @@ def cmd_plan(args) -> int:
     else:
         # the realization `solve` solves: trial 0 of the config seed
         plan = generate_trial(config, trial_rng(config.seed, 0)).plan
-    feasible, report = check_feasibility(plan, config.v_max_mps, config.T_s)
+    feasible, travel = check_feasibility(plan, config.v_max_mps, config.T_s)
     path = out / "plan.csv"
     write_plan_csv(plan, path)
-    print(f"groups: {plan.N}  sensors: {plan.field.K}")
-    print(f"travel time at top speed: {report.travel_time:.12g} s "
-          f"(budget {report.budget:.12g} s)")
+    print(f"groups: {plan.N}  sensors: {len(plan.sensors)}")
+    print(f"travel time at top speed: {travel:.12g} s "
+          f"(budget {config.T_s:.12g} s)")
     print(f"plan written to {path}")
     if not feasible:
         print("INFEASIBLE: minimum travel time exceeds the mission budget")
         print(f"  legs sum {sum(plan.D):.12g} m at {config.v_max_mps:.12g} "
-              f"m/s needs {report.travel_time:.12g} s > {report.budget:.12g} s")
+              f"m/s needs {travel:.12g} s > {config.T_s:.12g} s")
         return _EXIT_INFEASIBLE
     return _EXIT_OK
 
@@ -173,9 +172,6 @@ def cmd_sweep(args) -> int:
     trials = args.trials if args.trials is not None else config.trials
     sweep = SweepSpec(param=args.param, values=values, trials=trials,
                       objective=objective)
-    # fail fast on an invalid sweep point before spending trial time
-    for v in values:
-        apply_sweep_value(config, args.param, v)
     results, failures = run_sweep(config, sweep, workers=args.workers,
                                   baseline=args.baseline)
     metadata = [

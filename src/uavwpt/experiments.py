@@ -20,7 +20,7 @@ from .channel import (ChannelParams, group_coefficients,
                       leg_average_inverse_sq, point_inverse_sq)
 from .config import ScenarioConfig
 from .errors import ConfigError, NumericDomainError, UavWptError
-from .geometry import ArrayConfig, GroupPlan, SensorField, singleton_plan
+from .geometry import ArrayConfig, GroupPlan, singleton_plan
 from .stm import StmProblem, solve_stm
 from .ttm import TtmProblem, solve_ttm
 
@@ -43,7 +43,7 @@ _SWEEP_PARAMS = ("pt_db", "N", "v_max", "I_nats")
 @dataclass(frozen=True)
 class TrialGeometry:
     """One realization: the proposed plan and the baseline plan, which
-    share one field (plan.field) and one start point."""
+    share one tuple of sensor positions and one start point."""
 
     plan: GroupPlan
     baseline_plan: GroupPlan
@@ -130,8 +130,8 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     offset ytilde; each group's members are scattered behind its hover
     point.  Members are redrawn (rarely) if the flight-phase coefficient
     fails to dominate the hover-phase one.  Both plans fly in from
-    (0, ytilde); the baseline plan visits the same field one sensor at a
-    time (`singleton_plan`).
+    (0, ytilde); the baseline plan visits the same sensors one at a time
+    (`singleton_plan`).
     """
     N, K = config.N, config.K
     A = config.A_m
@@ -165,13 +165,10 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
             next_id += 1
         groups.append(tuple(ids))
 
-    xs = [s[0] for s in sensors]
-    ys = [s[1] for s in sensors]
-    region = ((min(xs + [0.0]), min(ys)), (max(xs + [anchors[-1]]), max(ys)))
-    field = SensorField(sensors=tuple(sensors), region=region)
+    sensors = tuple(sensors)
     start = (0.0, ytilde)
     plan = GroupPlan(
-        field=field,
+        sensors=sensors,
         groups=tuple(groups),
         hover_points=tuple((float(x), ytilde) for x in anchors),
         D=tuple(D),
@@ -179,7 +176,7 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
         start_point=start,
     )
     return TrialGeometry(plan=plan,
-                         baseline_plan=singleton_plan(field, start))
+                         baseline_plan=singleton_plan(sensors, start))
 
 
 def build_problem(config: ScenarioConfig, plan: GroupPlan, objective: str):

@@ -1,9 +1,9 @@
-"""Spatial model: sensor fields, serving groups along serpentine rows,
-the antenna array's parameters, and mission feasibility checks.
+"""Spatial model: serving groups of sensors along serpentine rows, the
+antenna array's parameters, and mission feasibility checks.
 
 Conventions used throughout the package:
 
-* sensor ids are 1-based and stable for the lifetime of a field;
+* sensor ids are 1-based indices into a plan's sensor positions;
 * group indices n are 1-based; leg n is the straight flight from the
   previous stop (the start point for n = 1) to hover point n;
 * where the antennas sit relative to a hover point is set out in
@@ -13,40 +13,9 @@ Conventions used throughout the package:
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, InfeasiblePlanError, PlanError
 
 Point = tuple[float, float]
-
-
-@dataclass(frozen=True)
-class SensorField:
-    """K sensor positions inside a bounding rectangle."""
-
-    sensors: tuple[Point, ...]
-    region: tuple[Point, Point]  # (min corner, max corner)
-
-    def __post_init__(self):
-        if len(self.sensors) < 1:
-            raise ConfigError("sensor field needs at least one sensor")
-        (x0, y0), (x1, y1) = self.region
-        if x1 < x0 or y1 < y0:
-            raise ConfigError("field region corners are out of order")
-        for i, (x, y) in enumerate(self.sensors, start=1):
-            if not (x0 <= x <= x1 and y0 <= y <= y1):
-                raise ConfigError(
-                    f"sensor {i} at ({x}, {y}) lies outside the region")
-
-    @property
-    def K(self) -> int:
-        return len(self.sensors)
-
-    def position(self, i: int) -> Point:
-        """Position of sensor id i (1-based)."""
-        if not 1 <= i <= self.K:
-            raise PlanError(f"sensor id {i} out of range 1..{self.K}")
-        return self.sensors[i - 1]
 
 
 @dataclass(frozen=True)
@@ -78,14 +47,15 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class GroupPlan:
-    """Ordered partition of sensors into serving groups with hover points.
+    """Sensor positions and their ordered partition into serving groups
+    with hover points.
 
-    D[n-1] is the length of leg n; row_of_group holds the 1-based row
-    index of each group, whose parity decides the traversal direction
-    (odd rows run +x, even rows -x).
+    sensors[i-1] is the position of sensor id i; D[n-1] is the length of
+    leg n; row_of_group holds the 1-based row index of each group, whose
+    parity decides the traversal direction (odd rows run +x, even rows -x).
     """
 
-    field: SensorField
+    sensors: tuple[Point, ...]
     groups: tuple[tuple[int, ...], ...]
     hover_points: tuple[Point, ...]
     D: tuple[float, ...]
@@ -99,12 +69,13 @@ class GroupPlan:
         if not (len(self.hover_points) == len(self.D)
                 == len(self.row_of_group) == n_groups):
             raise PlanError("per-group sequences disagree in length")
+        K = len(self.sensors)
         seen = set()
         for g, members in enumerate(self.groups, start=1):
             if not members:
                 raise PlanError(f"group {g} is empty")
             for i in members:
-                if not 1 <= i <= self.field.K:
+                if not 1 <= i <= K:
                     raise PlanError(f"group {g} references unknown sensor {i}")
                 if i in seen:
                     raise PlanError(f"sensor {i} appears in more than one group")
@@ -116,6 +87,13 @@ class GroupPlan:
     @property
     def N(self) -> int:
         return len(self.groups)
+
+    def position(self, i: int) -> Point:
+        """Position of sensor id i (1-based)."""
+        if not 1 <= i <= len(self.sensors):
+            raise PlanError(
+                f"sensor id {i} out of range 1..{len(self.sensors)}")
+        return self.sensors[i - 1]
 
     def members(self, n: int) -> tuple[int, ...]:
         self._check_group(n)
@@ -140,22 +118,9 @@ class GroupPlan:
             raise PlanError(f"group index {n} out of range 1..{self.N}")
 
 
-def generate_field(K: int, region: tuple[Point, Point], seed: int) -> SensorField:
-    """Draw K sensors uniformly in a rectangle, reproducibly for a seed."""
-    if K < 1:
-        raise ConfigError("need K >= 1 sensors")
-    (x0, y0), (x1, y1) = region
-    if x1 <= x0 or y1 <= y0:
-        raise ConfigError("field region must have positive area")
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(x0, x1, K)
-    ys = rng.uniform(y0, y1, K)
-    sensors = tuple((float(x), float(y)) for x, y in zip(xs, ys))
-    return SensorField(sensors=sensors, region=((x0, y0), (x1, y1)))
-
-
-def load_field(path) -> SensorField:
-    """Read a field from plain text: one `x y` pair per line, `#` comments."""
+def load_field(path) -> tuple[Point, ...]:
+    """Read sensor positions from plain text: one `x y` pair per line,
+    `#` comments."""
     sensors = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -175,17 +140,7 @@ def load_field(path) -> SensorField:
         raise ConfigError(f"cannot read field file {path}: {exc}") from exc
     if not sensors:
         raise ConfigError(f"field file {path} contains no sensors")
-    xs = [s[0] for s in sensors]
-    ys = [s[1] for s in sensors]
-    region = ((min(xs), min(ys)), (max(xs), max(ys)))
-    return SensorField(sensors=tuple(sensors), region=region)
-
-
-def save_field(field_: SensorField, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# sensor positions, one 'x y' pair per line (meters)\n")
-        for x, y in field_.sensors:
-            fh.write(f"{x:.12g} {y:.12g}\n")
+    return tuple(sensors)
 
 
 def write_plan_csv(plan: GroupPlan, path):
@@ -197,23 +152,22 @@ def write_plan_csv(plan: GroupPlan, path):
             d = plan.D[n - 1]
             parity = plan.row_parity(n)
             for i in plan.members(n):
-                x, y = plan.field.position(i)
+                x, y = plan.position(i)
                 fh.write(f"{n},{i},{x:.12g},{y:.12g},{hx:.12g},{hy:.12g},"
                          f"{d:.12g},{parity}\n")
 
 
-def _serpentine_order(field_: SensorField, rows: tuple[float, ...]):
+def _serpentine_order(sensors, rows: tuple[float, ...]):
     """Assign sensors to nearest rows and order them along the serpentine
     traversal (rows bottom to top; odd rows +x, even rows -x)."""
     per_row: list[list[int]] = [[] for _ in rows]
-    for i in range(1, field_.K + 1):
-        _, y = field_.position(i)
+    for i, (_, y) in enumerate(sensors, start=1):
         r = min(range(len(rows)), key=lambda j: (abs(rows[j] - y), j))
         per_row[r].append(i)
     order = []
     row_of_sensor = {}
     for r, ids in enumerate(per_row, start=1):
-        ids.sort(key=lambda i: field_.position(i)[0], reverse=(r % 2 == 0))
+        ids.sort(key=lambda i: sensors[i - 1][0], reverse=(r % 2 == 0))
         for i in ids:
             row_of_sensor[i] = r
         order.extend(ids)
@@ -233,20 +187,21 @@ def _contiguous_split(order, N):
     return runs
 
 
-def _hover_of_run(field_: SensorField, run, row_of_sensor, rows):
+def _hover_of_run(sensors, run, row_of_sensor, rows):
     """Hover point of a run: mean member x on the run's dominant row."""
     counts: dict[int, int] = {}
     for i in run:
         counts[row_of_sensor[i]] = counts.get(row_of_sensor[i], 0) + 1
     # majority row; ties resolved toward the later (upper) row
     row = max(sorted(counts), key=lambda r: (counts[r], r))
-    x = sum(field_.position(i)[0] for i in run) / len(run)
+    x = sum(sensors[i - 1][0] for i in run) / len(run)
     return (x, rows[row - 1]), row
 
 
-def plan_groups(field_: SensorField, cfg: ArrayConfig, N: int,
+def plan_groups(sensors: tuple[Point, ...], cfg: ArrayConfig, N: int,
                 row_ys) -> GroupPlan:
-    """Partition a field into N ordered serving groups.
+    """Partition sensors (id i at sensors[i-1]) into N ordered serving
+    groups.
 
     Sensors are ordered by serpentine traversal and split into N
     contiguous runs of balanced size; hover points sit at the mean x of
@@ -257,29 +212,30 @@ def plan_groups(field_: SensorField, cfg: ArrayConfig, N: int,
     """
     if N < 1:
         raise PlanError("need at least one group")
-    if N > field_.K:
-        raise PlanError(f"cannot form {N} groups from {field_.K} sensors")
+    K = len(sensors)
+    if N > K:
+        raise PlanError(f"cannot form {N} groups from {K} sensors")
     rows = tuple(sorted(float(y) for y in row_ys))
     if not rows:
         raise PlanError("need at least one row")
 
-    order, row_of_sensor = _serpentine_order(field_, rows)
+    order, row_of_sensor = _serpentine_order(sensors, rows)
     runs = _contiguous_split(order, N)
     radius = cfg.l_max
 
     def coverage_violation(run):
         """(worst member, worst distance) against the run's hover point."""
-        (hx, hy), _ = _hover_of_run(field_, run, row_of_sensor, rows)
+        (hx, hy), _ = _hover_of_run(sensors, run, row_of_sensor, rows)
         worst_i, worst_d = None, radius
         for i in run:
-            x, y = field_.position(i)
+            x, y = sensors[i - 1]
             d = math.hypot(x - hx, y - hy)
             if d > worst_d:
                 worst_i, worst_d = i, d
         return worst_i, worst_d
 
     # greedy repair: move an uncovered boundary member to the adjacent run
-    for _ in range(field_.K):
+    for _ in range(K):
         moved = False
         for g, run in enumerate(runs):
             worst_i, _ = coverage_violation(run)
@@ -308,7 +264,7 @@ def plan_groups(field_: SensorField, cfg: ArrayConfig, N: int,
     hovers = []
     group_rows = []
     for run in runs:
-        hover, row = _hover_of_run(field_, run, row_of_sensor, rows)
+        hover, row = _hover_of_run(sensors, run, row_of_sensor, rows)
         hovers.append(hover)
         group_rows.append(row)
 
@@ -329,7 +285,7 @@ def plan_groups(field_: SensorField, cfg: ArrayConfig, N: int,
     D = [math.hypot(hovers[0][0] - start[0], hovers[0][1] - start[1])] + dists
 
     return GroupPlan(
-        field=field_,
+        sensors=tuple(sensors),
         groups=tuple(tuple(run) for run in runs),
         hover_points=tuple(hovers),
         D=tuple(D),
@@ -338,41 +294,36 @@ def plan_groups(field_: SensorField, cfg: ArrayConfig, N: int,
     )
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Total flight time at top speed against the mission budget."""
-
-    travel_time: float
-    budget: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.travel_time <= self.budget
+def travel_time(D, v_max: float) -> float:
+    """Seconds to fly legs of lengths D at top speed v_max."""
+    return math.fsum(d / v_max for d in D)
 
 
 def check_feasibility(plan: GroupPlan, v_max: float,
-                      T: float) -> tuple[bool, FeasibilityReport]:
-    """Can the mission fit in T seconds at top speed v_max?"""
+                      T: float) -> tuple[bool, float]:
+    """Can the mission fit in T seconds at top speed v_max?  Returns
+    (feasible, travel time at top speed)."""
     if v_max <= 0.0 or T <= 0.0:
         raise ConfigError("v_max and T must be positive")
-    report = FeasibilityReport(travel_time=sum(plan.D) / v_max, budget=T)
-    return report.feasible, report
+    travel = travel_time(plan.D, v_max)
+    return travel <= T, travel
 
 
-def singleton_plan(field_: SensorField, start_point: Point) -> GroupPlan:
+def singleton_plan(sensors: tuple[Point, ...],
+                   start_point: Point) -> GroupPlan:
     """One group per sensor, hovering directly over each sensor, visited
     in x order after flying in from start_point.  Used by the
     single-receive-antenna comparison scheme."""
-    ids = sorted(range(1, field_.K + 1),
-                 key=lambda i: (field_.position(i)[0], i))
-    hovers = [field_.position(i) for i in ids]
+    ids = sorted(range(1, len(sensors) + 1),
+                 key=lambda i: (sensors[i - 1][0], i))
+    hovers = [sensors[i - 1] for i in ids]
     D = []
     prev = start_point
     for h in hovers:
         D.append(math.hypot(h[0] - prev[0], h[1] - prev[1]))
         prev = h
     return GroupPlan(
-        field=field_,
+        sensors=tuple(sensors),
         groups=tuple((i,) for i in ids),
         hover_points=tuple(hovers),
         D=tuple(D),

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 from .channel import GroupCoefficients, group_rate
 from .errors import AccuracyError, InfeasiblePlanError, NumericDomainError
+from .geometry import travel_time
 from .numerics import bracketed_newton, lambert_w0
 
 STM_DIAG_HEADER = "N,T,v_max,mu,objective,budget_residual,kkt_residual"
@@ -81,7 +82,7 @@ class StmProblem:
 
     @property
     def travel_time(self) -> float:
-        return math.fsum(d / self.v_max for d in self.D)
+        return travel_time(self.D, self.v_max)
 
     @property
     def slack(self) -> float:

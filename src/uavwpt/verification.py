@@ -8,15 +8,15 @@ TOLERANCES table so solver and oracle cannot drift apart silently.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel
 from .config import ScenarioConfig
 from .errors import UnsupportedScaleError
-from .experiments import (build_problem, channel_params, generate_trial,
-                          trial_rng)
+from .experiments import (apply_sweep_value, build_problem, channel_params,
+                          generate_trial, trial_rng)
 from .geometry import GroupPlan
 from .numerics import integrate_adaptive
 from .stm import StmProblem, TimeAllocation, solve_stm
@@ -65,7 +65,7 @@ def flight_energy_numeric(plan: GroupPlan, params, n: int, i: int,
     if zeta_n == 0.0:
         return 0.0
     p0, p1 = plan.leg(n)
-    w = plan.field.position(i)
+    w = plan.position(i)
     dx = p1[0] - p0[0]
     dy = p1[1] - p0[1]
 
@@ -257,11 +257,6 @@ def concavity_suite(coeffs, trials: int, seed: int) -> ConcavityReport:
                            min_slack=float(slack.min()))
 
 
-def _desk_config(config: ScenarioConfig, N: int) -> ScenarioConfig:
-    per_group = max(1, config.K // config.N)
-    return replace(config, N=N, K=N * per_group).validate()
-
-
 def run_verification(config: ScenarioConfig, seed: int = None):
     """Full oracle suite; returns (reports, all_passed).
 
@@ -273,7 +268,7 @@ def run_verification(config: ScenarioConfig, seed: int = None):
     reports = []
 
     # closed-form flight energy vs quadrature on random geometries
-    desk = _desk_config(config, 2)
+    desk = apply_sweep_value(config, "N", 2)
     for j in range(200):
         inst = seed * 100003 + j
         geo = generate_trial(desk, trial_rng(inst, 0))

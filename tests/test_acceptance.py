@@ -18,7 +18,7 @@ from uavwpt.config import ScenarioConfig
 from uavwpt.experiments import (SweepSpec, build_problem, channel_params,
                                 generate_trial, run_sweep, run_trial,
                                 trial_rng)
-from uavwpt.geometry import ArrayConfig, SensorField, plan_groups
+from uavwpt.geometry import ArrayConfig, plan_groups
 from uavwpt.stm import solve_stm
 from uavwpt.ttm import delivered_information, solve_ttm
 from uavwpt.verification import (concavity_suite, flight_energy_numeric,
@@ -54,14 +54,9 @@ def _serpentine_plan(rng):
         for _ in range(2):
             sensors.append((cx + rng.uniform(-4.0, 4.0),
                             cy + rng.uniform(-2.0, 2.0)))
-    xs = [s[0] for s in sensors]
-    ys = [s[1] for s in sensors]
-    field = SensorField(sensors=tuple(sensors),
-                        region=((min(xs) - 1, min(ys) - 1),
-                                (max(xs) + 1, max(ys) + 1)))
     cfg = ArrayConfig(M=DEFAULTS.M, delta=DEFAULTS.delta_m,
                       altitude=DEFAULTS.A_m, d_max=80.0)
-    return plan_groups(field, cfg, 4, rows)
+    return plan_groups(tuple(sensors), cfg, 4, rows)
 
 
 def test_criterion_1_flight_energy_vs_quadrature():

@@ -8,7 +8,7 @@ from uavwpt.channel import (ChannelParams, GroupCoefficients, coeff_a,
                             harvested_energy, leg_average_inverse_sq,
                             point_inverse_sq)
 from uavwpt.errors import ConfigError, NumericDomainError, PlanError
-from uavwpt.geometry import ArrayConfig, GroupPlan, SensorField
+from uavwpt.geometry import ArrayConfig, GroupPlan
 from uavwpt.numerics import integrate_adaptive
 
 PARAMS = ChannelParams(k0=1e-3, sigma2=1e-10, eta=0.5, P_t=2.0, A=10.0)
@@ -16,13 +16,8 @@ CFG = ArrayConfig(M=3, delta=0.1, altitude=10.0, d_max=35.0)
 
 
 def _one_group_plan(sensor, hover, start=(-20.0, 0.0)):
-    lo_x = min(sensor[0], hover[0], start[0]) - 1.0
-    hi_x = max(sensor[0], hover[0], start[0]) + 1.0
-    lo_y = min(sensor[1], hover[1], start[1]) - 1.0
-    hi_y = max(sensor[1], hover[1], start[1]) + 1.0
-    f = SensorField(sensors=(sensor,), region=((lo_x, lo_y), (hi_x, hi_y)))
     D = math.hypot(hover[0] - start[0], hover[1] - start[1])
-    return GroupPlan(field=f, groups=((1,),), hover_points=(hover,),
+    return GroupPlan(sensors=(sensor,), groups=((1,),), hover_points=(hover,),
                      D=(D,), row_of_group=(1,),
                      start_point=start)
 
@@ -49,7 +44,7 @@ def _uplink_sum(plan, cfg, n):
     hx, hy = plan.hover_points[n - 1]
     total = 0.0
     for i in plan.groups[n - 1]:
-        x, y = plan.field.sensors[i - 1]
+        x, y = plan.sensors[i - 1]
         for k in range(2, cfg.M + 1):
             L = math.hypot(x - hx, y - (hy + (k - 1) * cfg.delta))
             total += PARAMS.k0 / (L ** 2 + PARAMS.A ** 2)
@@ -265,8 +260,7 @@ def test_rate_requires_positive_hover():
 
 def test_group_coefficients_sums_members():
     sensors = ((2.0, 1.0), (4.0, -1.0), (30.0, 0.5))
-    f = SensorField(sensors=sensors, region=((-25.0, -2.0), (35.0, 2.0)))
-    plan = GroupPlan(field=f, groups=((1, 2), (3,)),
+    plan = GroupPlan(sensors=sensors, groups=((1, 2), (3,)),
                      hover_points=((5.0, 0.0), (30.0, 0.0)),
                      D=(20.0, 25.0), row_of_group=(1, 1),
                      start_point=(-15.0, 0.0))

@@ -71,6 +71,104 @@ def test_plan_flags_infeasible_budget(tmp_path, capsys):
     assert "INFEASIBLE" in capsys.readouterr().out
 
 
+# `plan` output pinned byte for byte: the default scenario's trial-0
+# realization, and a hand-written field grouped under BASE_INI.
+FIELD_TEXT = "0 1\n2 0\n4 2\n30 1\n32 0\n34 2\n36 1\n38 0\n"
+PINNED_PLAN = {
+    "default": (
+        "groups: 4  sensors: 20\n"
+        "travel time at top speed: 10.5550943809 s (budget 1000 s)\n",
+        "group,sensor_id,x,y,hover_x,hover_y,D_n,row_parity\n"
+        "1,1,5.23304817956,2.86996763533,25.118216247,1.55915726005,"
+        "25.118216247,odd\n"
+        "1,2,5.41047462604,1.75753201074,25.118216247,1.55915726005,"
+        "25.118216247,odd\n"
+        "1,3,10.2035329407,2.57320969475,25.118216247,1.55915726005,"
+        "25.118216247,odd\n"
+        "1,4,3.79105076708,0.878084126049,25.118216247,1.55915726005,"
+        "25.118216247,odd\n"
+        "1,5,0.647689489712,0.771936577219,25.118216247,1.55915726005,"
+        "25.118216247,odd\n"
+        "2,6,30.8200184752,0.0953240490411,54.6228532103,1.55915726005,"
+        "29.5046369633,odd\n"
+        "2,7,31.5633126114,0.372978222757,54.6228532103,1.55915726005,"
+        "29.5046369633,odd\n"
+        "2,8,33.6404338314,2.56061595057,54.6228532103,1.55915726005,"
+        "29.5046369633,odd\n"
+        "2,9,33.3734844687,1.49992115778,54.6228532103,1.55915726005,"
+        "29.5046369633,odd\n"
+        "2,10,23.0420162533,3.40578603471,54.6228532103,1.55915726005,"
+        "29.5046369633,odd\n"
+        "3,11,55.8579969901,1.72406468224,76.0644493375,1.55915726005,"
+        "21.4415961272,odd\n"
+        "3,12,60.6598288995,0.201765295153,76.0644493375,1.55915726005,"
+        "21.4415961272,odd\n"
+        "3,13,53.2299490918,1.62343160224,76.0644493375,1.55915726005,"
+        "21.4415961272,odd\n"
+        "3,14,62.3861517499,2.0531162822,76.0644493375,1.55915726005,"
+        "21.4415961272,odd\n"
+        "3,15,55.3016607554,2.01117046426,76.0644493375,1.55915726005,"
+        "21.4415961272,odd\n"
+        "4,16,74.924830165,-0.282471233291,105.550943809,1.55915726005,"
+        "29.4864944714,odd\n"
+        "4,17,80.6556548211,1.39650079159,105.550943809,1.55915726005,"
+        "29.4864944714,odd\n"
+        "4,18,87.529541755,2.12446993661,105.550943809,1.55915726005,"
+        "29.4864944714,odd\n"
+        "4,19,75.8782002764,1.93092133247,105.550943809,1.55915726005,"
+        "29.4864944714,odd\n"
+        "4,20,84.6140960381,2.91868334418,105.550943809,1.55915726005,"
+        "29.4864944714,odd\n"),
+    "field": (
+        "groups: 2  sensors: 8\n"
+        "travel time at top speed: 5.2 s (budget 800 s)\n",
+        "group,sensor_id,x,y,hover_x,hover_y,D_n,row_parity\n"
+        "1,1,0,1,9,2.5,26,odd\n"
+        "1,2,2,0,9,2.5,26,odd\n"
+        "1,3,4,2,9,2.5,26,odd\n"
+        "1,4,30,1,9,2.5,26,odd\n"
+        "2,5,32,0,35,2.5,26,odd\n"
+        "2,6,34,2,35,2.5,26,odd\n"
+        "2,7,36,1,35,2.5,26,odd\n"
+        "2,8,38,0,35,2.5,26,odd\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PLAN))
+def test_plan_output_pinned(case, cfg_path, tmp_path, capsys):
+    if case == "default":
+        config = tmp_path / "default.ini"
+        config.write_text("[scenario]\ntrials = 40\n")
+        extra = []
+    else:
+        config = cfg_path
+        field = tmp_path / "field.txt"
+        field.write_text(FIELD_TEXT)
+        extra = ["--field", str(field)]
+    out_dir = tmp_path / "out"
+    rc = main(["plan", "--config", str(config), "--out", str(out_dir),
+               *extra])
+    assert rc == 0
+    stdout, csv_text = PINNED_PLAN[case]
+    assert capsys.readouterr().out == (
+        stdout + f"plan written to {out_dir / 'plan.csv'}\n")
+    assert (out_dir / "plan.csv").read_bytes() == csv_text.encode()
+
+
+# Default-config budgets within one rounding of the trial-0 travel time:
+# seed 7's budget sits just below it and seed 12's just above it.
+@pytest.mark.parametrize("seed,T_s", [(7, "10.523202147810027"),
+                                      (12, "9.56618919592574")])
+def test_plan_and_solve_agree_on_feasibility(seed, T_s, tmp_path, capsys):
+    path = tmp_path / "edge.ini"
+    path.write_text(f"[scenario]\nT_s = {T_s}\nseed = {seed}\n")
+    codes = [main([*command, "--config", str(path), "--out", str(tmp_path)])
+             for command in (["plan"], ["solve", "stm"])]
+    capsys.readouterr()
+    assert codes[0] == codes[1]
+    assert codes[0] in (0, 2)
+
+
 # -------------------------------------------------- solve
 
 def test_solve_stm(cfg_path, tmp_path, capsys):

@@ -23,15 +23,15 @@ def test_trial_geometry_deterministic():
     a = generate_trial(CFG, trial_rng(CFG.seed, 5))
     b = generate_trial(CFG, trial_rng(CFG.seed, 5))
     c = generate_trial(CFG, trial_rng(CFG.seed, 6))
-    assert a.plan.field.sensors == b.plan.field.sensors
+    assert a.plan.sensors == b.plan.sensors
     assert a.plan.hover_points == b.plan.hover_points
-    assert a.plan.field.sensors != c.plan.field.sensors
+    assert a.plan.sensors != c.plan.sensors
 
 
 def test_trial_structure():
     geo = generate_trial(CFG, trial_rng(1, 0))
     assert geo.plan.N == 4
-    assert geo.plan.field.K == 20
+    assert len(geo.plan.sensors) == 20
     assert [len(g) for g in geo.plan.groups] == [5, 5, 5, 5]
     lo, hi = CFG.D_range_m
     for d in geo.plan.D:
@@ -88,7 +88,7 @@ def test_baseline_plan_structure():
         # single receive antenna: gamma_n is antenna 2's gain alone
         (i,) = plan.groups[n]
         hx, hy = plan.hover_points[n]
-        x, y = plan.field.sensors[i - 1]
+        x, y = plan.sensors[i - 1]
         L = math.hypot(x - hx, y - (hy + bcfg.delta_m))
         h = params.k0 / (L ** 2 + bcfg.A_m ** 2)
         assert coeffs.gamma[n] == pytest.approx(

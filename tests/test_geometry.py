@@ -1,56 +1,42 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from uavwpt.channel import ChannelParams, group_coefficients
 from uavwpt.errors import ConfigError, InfeasiblePlanError, PlanError
-from uavwpt.geometry import (ArrayConfig, GroupPlan, SensorField,
-                             check_feasibility, generate_field, load_field,
-                             plan_groups, save_field, singleton_plan,
-                             write_plan_csv)
+from uavwpt.geometry import (ArrayConfig, GroupPlan, check_feasibility,
+                             load_field, plan_groups, singleton_plan,
+                             travel_time, write_plan_csv)
+from uavwpt.stm import StmProblem
 
 CFG = ArrayConfig(M=3, delta=0.1, altitude=10.0, d_max=35.0)
 
 
 def _row_field(xs, y=0.0):
-    sensors = tuple((float(x), y) for x in xs)
-    lo = min(xs) - 1.0
-    hi = max(xs) + 1.0
-    return SensorField(sensors=sensors, region=((lo, y - 1.0), (hi, y + 1.0)))
+    return tuple((float(x), y) for x in xs)
+
+
+def _uniform_sensors(K, x_hi, y_hi, seed):
+    """K sensors drawn uniformly in [0, x_hi] x [0, y_hi]."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, x_hi, K)
+    ys = rng.uniform(0.0, y_hi, K)
+    return tuple((float(x), float(y)) for x, y in zip(xs, ys))
 
 
 # ---------------------------------------------------------------- fields
 
-def test_generate_single_point_inside_region():
-    f = generate_field(1, ((0.0, 0.0), (1.0, 1.0)), seed=7)
-    (x, y), = f.sensors
-    assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
-
-
-def test_generate_deterministic_per_seed():
-    region = ((0.0, 0.0), (200.0, 5.0))
-    assert generate_field(20, region, seed=1) == generate_field(20, region, seed=1)
-
-
-def test_generate_seeds_differ():
-    region = ((0.0, 0.0), (200.0, 5.0))
-    a = generate_field(20, region, seed=1)
-    b = generate_field(20, region, seed=2)
-    assert a.sensors != b.sensors
-
-
 def test_field_roundtrip(tmp_path):
-    f = generate_field(9, ((0.0, 0.0), (50.0, 5.0)), seed=3)
     path = tmp_path / "field.txt"
-    save_field(f, path)
-    back = load_field(path)
-    for i in range(1, 10):
-        x0, y0 = f.position(i)
-        x1, y1 = back.position(i)
-        assert x1 == pytest.approx(x0, rel=1e-10)
-        assert y1 == pytest.approx(y0, rel=1e-10)
+    path.write_text("# sensor positions (meters)\n"
+                    "1.5 2.25\n"
+                    "\n"
+                    "-3e1   4  # trailing comment\n"
+                    "0.1 -0.7\n")
+    assert load_field(path) == ((1.5, 2.25), (-30.0, 4.0), (0.1, -0.7))
 
 
 def test_load_field_rejects_garbage(tmp_path):
@@ -61,11 +47,12 @@ def test_load_field_rejects_garbage(tmp_path):
 
 
 def test_position_range_checked():
-    f = _row_field([0.0, 1.0])
+    plan = plan_groups(_row_field([0.0, 1.0]), CFG, 1, row_ys=[0.0])
+    assert plan.position(2) == (1.0, 0.0)
     with pytest.raises(PlanError):
-        f.position(3)
+        plan.position(3)
     with pytest.raises(PlanError):
-        f.position(0)
+        plan.position(0)
 
 
 # ---------------------------------------------------------------- grouping
@@ -83,24 +70,24 @@ def test_singleton_groups_at_own_x():
     plan = plan_groups(f, CFG, 4, row_ys=[0.0])
     for n in range(1, 5):
         (i,) = plan.members(n)
-        assert plan.hover(n)[0] == pytest.approx(f.position(i)[0])
+        assert plan.hover(n)[0] == pytest.approx(plan.position(i)[0])
 
 
 def test_random_field_coverage():
-    f = generate_field(20, ((0.0, 0.0), (200.0, 5.0)), seed=1)
+    f = _uniform_sensors(20, 200.0, 5.0, seed=1)
     plan = plan_groups(f, ArrayConfig(M=3, delta=0.1, altitude=10.0,
                                       d_max=80.0), 4, row_ys=[2.5])
     radius = math.sqrt(80.0 ** 2 - 10.0 ** 2)
     for n in range(1, 5):
         hx, hy = plan.hover(n)
         for i in plan.members(n):
-            x, y = f.position(i)
+            x, y = plan.position(i)
             assert math.hypot(x - hx, y - hy) <= radius + 1e-9
 
 
 def test_plan_partitions_all_sensors():
     cfg = ArrayConfig(M=3, delta=0.1, altitude=10.0, d_max=80.0)
-    f = generate_field(20, ((0.0, 0.0), (200.0, 5.0)), seed=4)
+    f = _uniform_sensors(20, 200.0, 5.0, seed=4)
     plan = plan_groups(f, cfg, 4, row_ys=[2.5])
     served = sorted(i for n in range(1, 5) for i in plan.members(n))
     assert served == list(range(1, 21))
@@ -109,9 +96,8 @@ def test_plan_partitions_all_sensors():
 def test_serpentine_direction_by_row_parity():
     # two rows; the lower (odd) row is traversed +x, the upper (even) -x
     sensors = ((0.0, 0.0), (10.0, 0.0), (10.0, 20.0), (0.0, 20.0))
-    f = SensorField(sensors=sensors, region=((-1.0, -1.0), (11.0, 21.0)))
-    plan = plan_groups(f, ArrayConfig(M=3, delta=0.1, altitude=10.0,
-                                      d_max=30.0), 4, row_ys=[0.0, 20.0])
+    cfg = ArrayConfig(M=3, delta=0.1, altitude=10.0, d_max=30.0)
+    plan = plan_groups(sensors, cfg, 4, row_ys=[0.0, 20.0])
     xs = [plan.hover(n)[0] for n in range(1, 5)]
     assert xs == [0.0, 10.0, 10.0, 0.0]
     assert plan.row_parity(1) == "odd"
@@ -141,9 +127,8 @@ PARAMS = ChannelParams(k0=1e-3, sigma2=1e-10, eta=0.5, P_t=2.0, A=10.0)
 def test_antenna_offset_cancels():
     # sensor sits delta above the hover point: antenna 2 is right on top,
     # so its uplink gain is k0/A^2 and gamma = 1e7 * 1e-5
-    sensors = ((5.0, 0.1),)
-    f = SensorField(sensors=sensors, region=((0.0, -1.0), (10.0, 1.0)))
-    plan = GroupPlan(field=f, groups=((1,),), hover_points=((5.0, 0.0),),
+    plan = GroupPlan(sensors=((5.0, 0.1),), groups=((1,),),
+                     hover_points=((5.0, 0.0),),
                      D=(20.0,), row_of_group=(1,),
                      start_point=(-15.0, 0.0))
     cfg2 = ArrayConfig(M=2, delta=0.1, altitude=10.0, d_max=35.0)
@@ -154,14 +139,14 @@ def test_antenna_offset_cancels():
 def test_distance_matches_independent_computation():
     # antenna k sits (k-1)*delta above the hover point along +y
     cfg = ArrayConfig(M=4, delta=0.37, altitude=10.0, d_max=60.0)
-    f = generate_field(6, ((0.0, 0.0), (40.0, 5.0)), seed=9)
-    plan = plan_groups(f, cfg, 2, row_ys=[2.5])
+    plan = plan_groups(_uniform_sensors(6, 40.0, 5.0, seed=9), cfg, 2,
+                       row_ys=[2.5])
     gamma = group_coefficients(plan, cfg, PARAMS).gamma
     for n in (1, 2):
         hx, hy = plan.hover(n)
         expect = 0.0
         for i in plan.members(n):
-            x, y = f.position(i)
+            x, y = plan.position(i)
             for k in (2, 3, 4):
                 L = math.hypot(x - hx, y - (hy + (k - 1) * 0.37))
                 expect += 1e-3 / (L ** 2 + 100.0)
@@ -194,22 +179,32 @@ def _simple_plan():
 
 
 def test_feasible_with_huge_budget():
-    ok, report = check_feasibility(_simple_plan(), v_max=10.0, T=1e9)
-    assert ok and report.feasible
+    ok, _ = check_feasibility(_simple_plan(), v_max=10.0, T=1e9)
+    assert ok
 
 
 def test_infeasible_when_travel_exceeds_budget():
     plan = _simple_plan()
-    ok, report = check_feasibility(plan, v_max=10.0, T=1.0)
+    ok, travel = check_feasibility(plan, v_max=10.0, T=1.0)
     assert not ok
-    assert report.travel_time > report.budget
+    assert travel == travel_time(plan.D, 10.0) > 1.0
 
 
 def test_feasibility_boundary_is_closed():
+    # the plan check and the throughput problem share one travel time,
+    # so they agree on both sides of the boundary to the last bit
     plan = _simple_plan()
-    travel = sum(plan.D) / 10.0
-    ok, _ = check_feasibility(plan, v_max=10.0, T=travel)
-    assert ok
+    coeffs = group_coefficients(plan, CFG, PARAMS)
+    travel = travel_time(plan.D, 10.0)
+    ok, reported = check_feasibility(plan, v_max=10.0, T=travel)
+    assert ok and reported == travel
+    assert StmProblem(coeffs=coeffs, D=plan.D, T=travel,
+                      v_max=10.0).travel_time == travel
+    below = math.nextafter(travel, 0.0)
+    ok, _ = check_feasibility(plan, v_max=10.0, T=below)
+    assert not ok
+    with pytest.raises(InfeasiblePlanError):
+        StmProblem(coeffs=coeffs, D=plan.D, T=below, v_max=10.0)
 
 
 # ---------------------------------------------------------------- baseline plan
@@ -222,7 +217,7 @@ def test_singleton_plan_structure():
     assert xs == sorted(xs)
     for n in range(1, 4):
         (i,) = plan.members(n)
-        assert plan.hover(n) == f.position(i)
+        assert plan.hover(n) == plan.position(i)
     assert plan.D == pytest.approx((15.0, 15.0, 15.0))
 
 
@@ -243,6 +238,6 @@ def test_plan_csv_layout(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["group", "sensor_id", "x", "y", "hover_x", "hover_y",
                        "D_n", "row_parity"]
-    assert len(rows) == 1 + plan.field.K
+    assert len(rows) == 1 + len(plan.sensors)
     assert rows[1][0] == "1"
     assert rows[1][7] in ("odd", "even")

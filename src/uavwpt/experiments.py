@@ -10,6 +10,7 @@ and seeded from (master seed, trial index), so results do not depend
 on scheduling or worker count.
 """
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -38,6 +39,7 @@ REDRAW_CAP = 25
 SWEEP_HEADER = ("param,value,trials,mean_ours,se_ours,"
                 "mean_baseline,se_baseline,improvement")
 _SWEEP_PARAMS = ("pt_db", "N", "v_max", "I_nats")
+_CONFIG_MEMO = 16         # configs whose derived constants are kept
 
 
 @dataclass(frozen=True)
@@ -98,18 +100,35 @@ class AggregateResult:
 
 
 def array_config(config: ScenarioConfig) -> ArrayConfig:
-    return ArrayConfig(M=config.M, delta=config.delta_m,
-                       altitude=config.A_m, d_max=config.d_max_m)
+    return _array_config(config)
 
 
 def channel_params(config: ScenarioConfig) -> ChannelParams:
-    return ChannelParams.from_db(config.k0_db, config.sigma2_dbm,
-                                 config.pt_db, config.eta, config.A_m)
+    return _channel_params(config)
 
 
 def hf_eh_baseline(config: ScenarioConfig) -> ScenarioConfig:
     """Baseline scenario: every sensor is its own group, hovered over
     directly, with a single receive antenna."""
+    return _hf_eh_baseline(config)
+
+
+# The three above are pure functions of a frozen config, and every
+# trial of a sweep point asks for the same ones: build each once.
+@functools.lru_cache(maxsize=_CONFIG_MEMO)
+def _array_config(config: ScenarioConfig) -> ArrayConfig:
+    return ArrayConfig(M=config.M, delta=config.delta_m,
+                       altitude=config.A_m, d_max=config.d_max_m)
+
+
+@functools.lru_cache(maxsize=_CONFIG_MEMO)
+def _channel_params(config: ScenarioConfig) -> ChannelParams:
+    return ChannelParams.from_db(config.k0_db, config.sigma2_dbm,
+                                 config.pt_db, config.eta, config.A_m)
+
+
+@functools.lru_cache(maxsize=_CONFIG_MEMO)
+def _hf_eh_baseline(config: ScenarioConfig) -> ScenarioConfig:
     return replace(config, N=config.K, M=2).validate()
 
 

@@ -32,8 +32,18 @@ Vandenberghe, ch. 5) then settles the solve:
 - degenerate: there is no slack to hover in.
 
 diagnostics.method names the outcome, and kkt_residuals certifies it.
+
+The first search reads only gamma, a and c = gamma_1 lead / 2, so it is
+memoized on those exact tuples (a small LRU, _lead_price): a hit
+returns the same bits a fresh search would.  The hover-and-fly
+baselines of one sweep point hit it on every trial after the first:
+each sensor is hovered directly overhead with one receive antenna, so
+every link has a = 1/A^2 and the same gamma whatever the draw.  Grouped
+plans bring new coefficients each trial and miss.  The pinned search
+reads b and D as well and is not memoized.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +58,9 @@ _ROOT_TOL = 1e-12         # both searches' tolerance (dimensionless)
 # tolerated drift when closing the budget, relative to T: a pinned
 # mission can be so steep in mu that one float step of mu moves it ~1e-9 T
 _BUDGET_SLOP = 1e-6
+# distinct lead-price searches kept: each sweep point's baselines share
+# one key, and every grouped plan brings a new one
+_LEAD_PRICE_MEMO = 16
 
 
 @dataclass(frozen=True)
@@ -159,6 +172,37 @@ def _chain_q(gamma, a, mu: float):
     return q, dq
 
 
+@functools.lru_cache(maxsize=_LEAD_PRICE_MEMO)
+def _lead_price(gamma, a, c: float):
+    """The price mu+ at which the lead first-phase variable, worth
+    c q_1 with c = gamma_1 lead / 2, is worth mu, and the chain at the
+    last price evaluated (tuples q, dq, or None outside the domain).
+
+    A pure function of the exact tuples it reads, memoized on them, so
+    a hit returns the bits a fresh search would; the chain is stored as
+    tuples so that no caller can alter an entry.
+    """
+    chain = None      # the chain at the last price searched
+
+    def lead_gap(mu):
+        nonlocal chain
+        chain = _chain_q(gamma, a, mu)
+        if chain is None:
+            return math.inf, math.nan
+        q, dq = chain
+        if q[0] == 0.0:
+            return -math.inf, math.nan
+        return math.log(c * q[0] / mu), dq[0] / q[0] - 1.0 / mu
+
+    # q_1 is at least group 1's link with nothing downstream, so the gap
+    # is >= 0 where that link alone prices the lead at mu (a closed
+    # form); q_n <= 1 puts every r_n >= 1 and the gap below 0 at hi
+    lo = c * math.exp(-1.0 - lambert_w0((2.0 * c - 1.0) / math.e))
+    hi = 1.0 + max([c] + [0.5 * g * an for g, an in zip(gamma[1:], a[1:])])
+    mu = bracketed_newton(lead_gap, lo, hi, tol=_ROOT_TOL)
+    return mu, None if chain is None else tuple(map(tuple, chain))
+
+
 def _mission(problem: StmProblem, chain, tau0: float, zeta1: float):
     """Hover and flight times at the chain's price for given tau_0 and
     zeta_1, flight times at the cap from leg 2 on.
@@ -258,24 +302,7 @@ def solve_stm(problem: StmProblem):
     cap1 = problem.D[0] / problem.v_max
     free_first_hover = a_[0] > b_[0]
     c = 0.5 * g_[0] * (a_[0] if free_first_hover else b_[0])
-    chain = None      # the chain at the last price searched
-
-    def lead_gap(mu):
-        nonlocal chain
-        chain = _chain_q(g_, a_, mu)
-        if chain is None:
-            return math.inf, math.nan
-        q, dq = chain
-        if q[0] == 0.0:
-            return -math.inf, math.nan
-        return math.log(c * q[0] / mu), dq[0] / q[0] - 1.0 / mu
-
-    # q_1 is at least group 1's link with nothing downstream, so the gap
-    # is >= 0 where that link alone prices the lead at mu (a closed
-    # form); q_n <= 1 puts every r_n >= 1 and the gap below 0 at hi
-    lo = c * math.exp(-1.0 - lambert_w0((2.0 * c - 1.0) / math.e))
-    hi = 1.0 + max([c] + [0.5 * g * a for g, a in zip(g_[1:], a_[1:])])
-    mu = bracketed_newton(lead_gap, lo, hi, tol=_ROOT_TOL)
+    mu, chain = _lead_price(g_, a_, c)
     if chain is not None:
         rho, _, _, excess, _ = _mission(problem, chain, 0.0, cap1)
         if excess <= 0.0:

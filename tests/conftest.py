@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from uavwpt import experiments, stm
 
 settings.register_profile(
     "suite",
@@ -8,3 +11,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+_MEMOS = (stm._lead_price, experiments._array_config,
+          experiments._channel_params, experiments._hf_eh_baseline)
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Every test starts and ends with empty memos, so no test's outcome
+    or counts depend on which tests ran before it."""
+    for memo in _MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in _MEMOS:
+        memo.cache_clear()

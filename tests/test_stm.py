@@ -188,7 +188,8 @@ def test_chain_undefined_below_its_domain():
 
 
 def test_closed_form_chain_evaluations(monkeypatch):
-    # the 40 default-config solves of test_sweep_rows_pinned's STM sweep
+    # the 40 default-config solves of test_sweep_rows_pinned's STM sweep,
+    # each from a cold memo so that the count measures the search
     counts = {"chain": 0, "solves": 0}
 
     def counted_chain(*args):
@@ -197,6 +198,7 @@ def test_closed_form_chain_evaluations(monkeypatch):
 
     def counted_solve(problem):
         counts["solves"] += 1
+        stm._lead_price.cache_clear()
         return solve_stm(problem)
 
     monkeypatch.setattr(stm, "_chain_q", counted_chain)
@@ -206,6 +208,87 @@ def test_closed_form_chain_evaluations(monkeypatch):
     run_sweep(ScenarioConfig(), sweep)
     assert counts["solves"] == 40
     assert counts["chain"] / counts["solves"] <= 16.0
+
+
+def _memo_trial_problems():
+    """Grouped and baseline STM problems of stm-power-shaped (pt_db 0 and
+    8) and stm-groups-shaped (N = 6 and 9) trials."""
+    base = ScenarioConfig()
+    configs = [experiments.apply_sweep_value(base, "pt_db", v)
+               for v in (0.0, 8.0)]
+    configs += [experiments.apply_sweep_value(base, "N", v) for v in (6, 9)]
+    problems = []
+    for cfg in configs:
+        for t in range(4):
+            geo = generate_trial(cfg, trial_rng(cfg.seed, t))
+            problems.append(experiments.build_problem(cfg, geo.plan, "stm"))
+            problems.append(experiments.build_problem(
+                hf_eh_baseline(cfg), geo.baseline_plan, "stm"))
+    return problems
+
+
+def _lead_key(problem):
+    c = problem.coeffs
+    lead = c.a[0] if c.a[0] > c.b[0] else c.b[0]
+    return c.gamma, c.a, 0.5 * c.gamma[0] * lead
+
+
+def test_lead_price_memo_changes_no_bit():
+    problems = _memo_trial_problems()
+    cold = []
+    for p in problems:
+        stm._lead_price.cache_clear()
+        cold.append(solve_stm(p))
+    warm = [solve_stm(p) for p in reversed(problems)][::-1]
+    assert stm._lead_price.cache_info().hits > 0
+    for (alloc, diag), (walloc, wdiag) in zip(cold, warm):
+        assert walloc == alloc
+        assert wdiag == diag
+    hits = stm._lead_price.cache_info().hits
+    _, chain = stm._lead_price(*_lead_key(problems[1]))
+    assert stm._lead_price.cache_info().hits == hits + 1
+    assert isinstance(chain, tuple)
+    assert all(isinstance(part, tuple) for part in chain)
+
+
+def test_lead_price_memo_serves_baselines(monkeypatch):
+    cfg = ScenarioConfig()
+    baselines = []
+    for t in range(5):
+        geo = generate_trial(cfg, trial_rng(cfg.seed, t))
+        baselines.append(experiments.build_problem(
+            hf_eh_baseline(cfg), geo.baseline_plan, "stm"))
+    calls = {"chain": 0, "before_structure_test": None}
+
+    def counted_chain(*args):
+        calls["chain"] += 1
+        return _chain_q(*args)
+
+    def first_mission(*args):
+        if calls["before_structure_test"] is None:
+            calls["before_structure_test"] = calls["chain"]
+        return mission(*args)
+
+    mission = stm._mission
+    monkeypatch.setattr(stm, "_chain_q", counted_chain)
+    monkeypatch.setattr(stm, "_mission", first_mission)
+    solve_stm(baselines[0])
+    assert calls["before_structure_test"] > 0
+    for problem in baselines[1:]:
+        calls["chain"] = 0
+        calls["before_structure_test"] = None
+        solve_stm(problem)
+        assert calls["before_structure_test"] == 0
+
+
+def test_lead_price_memo_stays_bounded():
+    sweep = SweepSpec(param="pt_db", values=(0.0, 8.0), trials=50,
+                      objective="stm")
+    results, _ = run_sweep(ScenarioConfig(), sweep)
+    info = stm._lead_price.cache_info()
+    assert info.currsize <= info.maxsize == stm._LEAD_PRICE_MEMO
+    # every baseline after the first at each point is a hit
+    assert info.hits == sum(r.trials for r in results) - len(results)
 
 
 def test_single_group_meets_sqp_reference():

@@ -180,32 +180,39 @@ def group_coefficients(plan: GroupPlan, cfg: ArrayConfig,
     """Compute every coefficient the solvers need for a plan.
 
     Sums run over members in plan order, and over antennas 2..M inside
-    each member.
+    each member.  Each leg starts where the previous one ended.
     """
     A = params.A
-    cap = 1.0 / (A * A)
+    A2 = A * A
+    bound = 1.0 / A2 * (1.0 + 1e-12)
+    k0 = params.k0
+    snr = params.energy_scale / params.sigma2
+    offsets = [(k - 1) * cfg.delta for k in range(2, cfg.M + 1)]
+    sensors = plan.sensors
     a, b, gamma = [], [], []
-    for n, members in enumerate(plan.groups, start=1):
-        p0, hover = plan.leg(n)
+    p0 = plan.start_point
+    for n, (members, hover) in enumerate(
+            zip(plan.groups, plan.hover_points), start=1):
         hx, hy = hover
         a_n, b_n, h_n = [], [], []
         for i in members:
-            w = plan.sensors[i - 1]
+            w = sensors[i - 1]
             av = point_inverse_sq(hover, w, A)
             bv = leg_average_inverse_sq(p0, hover, w, A)
-            if not 0.0 < av <= cap * (1.0 + 1e-12):
+            if not 0.0 < av <= bound:
                 raise NumericDomainError(
                     f"group {n}: hover coefficient {av} outside (0, 1/A^2]")
-            if not 0.0 < bv <= cap * (1.0 + 1e-12):
+            if not 0.0 < bv <= bound:
                 raise NumericDomainError(
                     f"group {n}: flight coefficient {bv} outside (0, 1/A^2]")
             a_n.append(av)
             b_n.append(bv)
             x, y = w
-            for k in range(2, cfg.M + 1):
-                L = math.hypot(hx - x, hy + (k - 1) * cfg.delta - y)
-                h_n.append(params.k0 / (L * L + A * A))
+            for off in offsets:
+                L = math.hypot(hx - x, hy + off - y)
+                h_n.append(k0 / (L * L + A2))
         a.append(sum(a_n))
         b.append(sum(b_n))
-        gamma.append(params.energy_scale / params.sigma2 * sum(h_n))
+        gamma.append(snr * sum(h_n))
+        p0 = hover
     return GroupCoefficients(a=tuple(a), b=tuple(b), gamma=tuple(gamma))

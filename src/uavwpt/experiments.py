@@ -7,10 +7,14 @@ selected problem twice: once for the proposed grouped full-duplex
 scheme and once for a hover-and-fly baseline that visits every sensor
 individually with a single receive antenna.  Trials are independent
 and seeded from (master seed, trial index), so results do not depend
-on scheduling or worker count.
+on scheduling or worker count.  A trial takes its numbers from
+standard-uniform blocks, mapped to their ranges the way
+`Generator.uniform` maps them, so each trial's stream, and every
+number drawn from it, is the one per-number `uniform` calls would give.
 """
 
 import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -151,26 +155,46 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     fails to dominate the hover-phase one.  Both plans fly in from
     (0, ytilde); the baseline plan visits the same sensors one at a time
     (`singleton_plan`).
+
+    The draws come from standard-uniform blocks (`rng.random`), each
+    value mapped to its range as lo + (hi - lo) * u, the two float
+    operations `Generator.uniform` makes.  One block holds the N leg
+    lengths, ytilde and one (u, yj) pair per member; a redraw takes the
+    next pair, and only when the block runs out is another drawn, sized
+    for the members still to place.  So a trial reads the same stream
+    and gets the same bits as one `rng.uniform` call per number would,
+    and a successful draw leaves `rng` where those calls would.
     """
     N, K = config.N, config.K
     A = config.A_m
-    D = [float(d) for d in rng.uniform(*config.D_range_m, size=N)]
-    ytilde = float(rng.uniform(*config.ytilde_range_m))
-    anchors = np.cumsum(D)
-    sizes = _group_sizes(K, N)
+    block = rng.random(N + 1 + 2 * K).tolist()
+    d_lo, d_hi = config.D_range_m
+    D = [d_lo + (d_hi - d_lo) * v for v in block[:N]]
+    y_lo, y_hi = config.ytilde_range_m
+    ytilde = y_lo + (y_hi - y_lo) * block[N]
+    pos = N + 1
+    s_lo, s_hi = SCATTER_SPAN
+    s_span = s_hi - s_lo
+    j_lo = -Y_JITTER_M
+    j_span = Y_JITTER_M - j_lo
+    anchors = list(itertools.accumulate(D))
 
+    start = (0.0, ytilde)
     sensors = []
     groups = []
-    next_id = 1
-    for g in range(N):
-        hover = (float(anchors[g]), ytilde)
-        leg_start = (float(anchors[g - 1]) if g > 0 else 0.0, ytilde)
-        ids = []
-        for _ in range(sizes[g]):
+    leg_start = start
+    for g, (hx, d_g, size) in enumerate(zip(anchors, D, _group_sizes(K, N))):
+        hover = (hx, ytilde)
+        first = len(sensors) + 1
+        for _ in range(size):
             for attempt in range(REDRAW_CAP + 1):
-                u = float(rng.uniform(*SCATTER_SPAN))
-                yj = float(rng.uniform(-Y_JITTER_M, Y_JITTER_M))
-                w = (hover[0] - u * D[g], ytilde + yj)
+                if pos == len(block):
+                    block = rng.random(2 * (K - len(sensors))).tolist()
+                    pos = 0
+                u = s_lo + s_span * block[pos]
+                yj = j_lo + j_span * block[pos + 1]
+                pos += 2
+                w = (hx - u * d_g, ytilde + yj)
                 a_i = point_inverse_sq(hover, w, A)
                 b_i = leg_average_inverse_sq(leg_start, hover, w, A)
                 if b_i > a_i:
@@ -180,16 +204,14 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
                     f"group {g + 1}: could not place a member with "
                     f"flight-dominant harvesting in {REDRAW_CAP} redraws")
             sensors.append(w)
-            ids.append(next_id)
-            next_id += 1
-        groups.append(tuple(ids))
+        groups.append(tuple(range(first, len(sensors) + 1)))
+        leg_start = hover
 
     sensors = tuple(sensors)
-    start = (0.0, ytilde)
     plan = GroupPlan(
         sensors=sensors,
         groups=tuple(groups),
-        hover_points=tuple((float(x), ytilde) for x in anchors),
+        hover_points=tuple((x, ytilde) for x in anchors),
         D=tuple(D),
         row_of_group=(1,) * N,
         start_point=start,
@@ -208,8 +230,8 @@ def build_problem(config: ScenarioConfig, plan: GroupPlan, objective: str):
         return StmProblem(coeffs=coeffs, D=plan.D, T=config.T_s,
                           v_max=config.v_max_mps)
     if objective == "ttm":
-        demands = tuple(config.I_nats * len(plan.members(n))
-                        for n in range(1, plan.N + 1))
+        demands = tuple(config.I_nats * len(members)
+                        for members in plan.groups)
         return TtmProblem(coeffs=coeffs, D=plan.D, v_max=config.v_max_mps,
                           I=demands)
     raise ConfigError(f"unknown objective {objective!r}")

@@ -129,16 +129,22 @@ def _tau_for_demand(I_n: float, gamma_n: float, energy: float,
         return 0.5 * t * log1p - I_n, 0.5 * (log1p - x / (1.0 + x))
 
     hi = tau_hi
-    if excess(hi)[0] <= 0.0:
+    at_hi = excess(hi)
+    if at_hi[0] <= 0.0:
         return hi
     lo = hi
     for _ in range(200):
         lo *= 0.5
-        if excess(lo)[0] < 0.0:
+        at_lo = excess(lo)
+        if at_lo[0] < 0.0:
             break
     else:
         raise NumericDomainError("hover re-tightening found no lower bracket")
-    return bracketed_newton(excess, lo, hi, tol=_DEMAND_TOL)
+    # the search starts at both ends, which the bracket hunt has just
+    # evaluated
+    known = {lo: at_lo, hi: at_hi}
+    return bracketed_newton(lambda t: known.get(t) or excess(t), lo, hi,
+                            tol=_DEMAND_TOL)
 
 
 def solve_ttm(problem: TtmProblem):

@@ -276,6 +276,31 @@ def test_group_coefficients_sums_members():
         assert coeffs.gamma[n - 1] == pytest.approx(expect_gamma, rel=1e-12)
 
 
+def test_group_coefficients_range_checks(monkeypatch):
+    # a coefficient above the overhead value 1/A^2 is a fault in the
+    # primitive that made it; the error names the group and the phase
+    import uavwpt.channel as ch
+    plan = GroupPlan(sensors=((2.0, 1.0), (30.0, 0.5)), groups=((1,), (2,)),
+                     hover_points=((5.0, 0.0), (30.0, 0.0)),
+                     D=(20.0, 25.0), row_of_group=(1, 1),
+                     start_point=(-15.0, 0.0))
+    too_big = 2.0 / PARAMS.A ** 2
+    for name, phase in (("point_inverse_sq", "hover"),
+                        ("leg_average_inverse_sq", "flight")):
+        real = getattr(ch, name)
+
+        def faulty(*args, real=real):
+            # both primitives end in (hover point, sensor, A); fault
+            # only group 2's
+            return too_big if args[-3] == (30.0, 0.0) else real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(ch, name, faulty)
+            with pytest.raises(NumericDomainError,
+                               match=f"^group 2: {phase} coefficient"):
+                group_coefficients(plan, CFG, PARAMS)
+
+
 def test_params_validation():
     with pytest.raises(ConfigError):
         ChannelParams(k0=0.0, sigma2=1e-10, eta=0.5, P_t=2.0, A=10.0)

@@ -1,12 +1,16 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+import uavwpt.channel as channel
+import uavwpt.experiments as experiments
 from uavwpt.channel import (coeff_a, coeff_b, group_coefficients,
                             harvested_energy)
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError
+from uavwpt.geometry import GroupPlan, singleton_plan
 from uavwpt.experiments import (AggregateResult, SweepSpec, SWEEP_HEADER,
                                 apply_sweep_value, array_config,
                                 channel_params, generate_trial,
@@ -93,6 +97,131 @@ def test_baseline_plan_structure():
         h = params.k0 / (L ** 2 + bcfg.A_m ** 2)
         assert coeffs.gamma[n] == pytest.approx(
             params.energy_scale / params.sigma2 * h, rel=1e-12)
+
+
+def _scalar_trial(config, rng):
+    """generate_trial as one `rng.uniform` call per number: the stream
+    the block draws must reproduce.  Returns (geometry, redraws)."""
+    N, K, A = config.N, config.K, config.A_m
+    D = [float(d) for d in rng.uniform(*config.D_range_m, size=N)]
+    ytilde = float(rng.uniform(*config.ytilde_range_m))
+    anchors = np.cumsum(D)
+    base, extra = divmod(K, N)
+    sensors, groups, redraws = [], [], 0
+    for g in range(N):
+        hover = (float(anchors[g]), ytilde)
+        leg_start = (float(anchors[g - 1]) if g > 0 else 0.0, ytilde)
+        ids = []
+        for _ in range(base + (1 if g < extra else 0)):
+            for attempt in range(experiments.REDRAW_CAP + 1):
+                u = float(rng.uniform(*experiments.SCATTER_SPAN))
+                yj = float(rng.uniform(-experiments.Y_JITTER_M,
+                                       experiments.Y_JITTER_M))
+                w = (hover[0] - u * D[g], ytilde + yj)
+                if (channel.leg_average_inverse_sq(leg_start, hover, w, A)
+                        > channel.point_inverse_sq(hover, w, A)):
+                    break
+                redraws += 1
+            else:
+                raise NumericDomainError(
+                    f"group {g + 1}: could not place a member with "
+                    f"flight-dominant harvesting in "
+                    f"{experiments.REDRAW_CAP} redraws")
+            sensors.append(w)
+            ids.append(len(sensors))
+        groups.append(tuple(ids))
+    sensors = tuple(sensors)
+    start = (0.0, ytilde)
+    plan = GroupPlan(sensors=sensors, groups=tuple(groups),
+                     hover_points=tuple((float(x), ytilde) for x in anchors),
+                     D=tuple(D), row_of_group=(1,) * N, start_point=start)
+    return (experiments.TrialGeometry(
+        plan=plan, baseline_plan=singleton_plan(sensors, start)), redraws)
+
+
+_STREAM_CASES = {
+    "defaults": (ScenarioConfig(), None),
+    "N9_K45": (ScenarioConfig(N=9, K=45), None),
+    "odd_ranges": (ScenarioConfig(D_range_m=(20.3, 31.7),
+                                  ytilde_range_m=(-1.3, 4.9)), None),
+    "forced_redraws": (ScenarioConfig(), (0.0, 0.4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STREAM_CASES))
+def test_block_draw_matches_scalar_stream(case, monkeypatch):
+    config, span = _STREAM_CASES[case]
+    config = config.validate()
+    if span is not None:
+        monkeypatch.setattr(experiments, "SCATTER_SPAN", span)
+    total_redraws = 0
+    for t in range(12):
+        block_rng = trial_rng(config.seed, t)
+        scalar_rng = trial_rng(config.seed, t)
+        geo = generate_trial(config, block_rng)
+        expect, redraws = _scalar_trial(config, scalar_rng)
+        total_redraws += redraws
+        assert geo.plan == expect.plan
+        assert geo.baseline_plan == expect.baseline_plan
+        # the block draws leave the generator where scalar calls would
+        assert (block_rng.bit_generator.state
+                == scalar_rng.bit_generator.state)
+    # the forced case runs past the first block and refills it
+    assert (total_redraws > 0) == (span is not None)
+
+
+def test_block_draw_exhausted_redraws_same_error(monkeypatch):
+    monkeypatch.setattr(experiments, "SCATTER_SPAN", (0.0, 0.05))
+    config = ScenarioConfig()
+    with pytest.raises(NumericDomainError) as scalar:
+        _scalar_trial(config, trial_rng(config.seed, 0))
+    with pytest.raises(NumericDomainError) as block:
+        generate_trial(config, trial_rng(config.seed, 0))
+    assert "redraws" in str(scalar.value)
+    assert str(block.value) == str(scalar.value)
+
+
+class _CountingRng:
+    """A Generator stand-in that counts each method call it forwards."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = {}
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_trial_draw_and_coefficient_counts(monkeypatch):
+    # guards the lean trial path: one block draw and no scalar uniform
+    # draw per trial without redraws, and one flight coefficient per
+    # member when the coefficients are built
+    config = ScenarioConfig()
+    legs = {"calls": 0}
+    real_leg = channel.leg_average_inverse_sq
+
+    def counted_leg(*args):
+        legs["calls"] += 1
+        return real_leg(*args)
+
+    for t in range(5):
+        rng = _CountingRng(trial_rng(config.seed, t))
+        geo = generate_trial(config, rng)
+        assert rng.calls == {"random": 1}
+        with monkeypatch.context() as m:
+            m.setattr(channel, "leg_average_inverse_sq", counted_leg)
+            for scheme, plan in ((config, geo.plan),
+                                 (hf_eh_baseline(config), geo.baseline_plan)):
+                legs["calls"] = 0
+                group_coefficients(plan, array_config(scheme),
+                                   channel_params(scheme))
+                assert legs["calls"] == config.K
 
 
 def test_baseline_scenario_derivation():

@@ -17,18 +17,18 @@ from .errors import (AccuracyError, BracketingError, ConfigError,
                      UavWptError, UnsupportedScaleError)
 from .experiments import (SweepSpec, TrialResult, generate_trial, run_sweep,
                           run_trial, trial_rng, write_sweep_csv)
-from .geometry import (ArrayConfig, GroupPlan, check_feasibility, load_field,
-                       plan_groups, singleton_plan)
-from .stm import (StmDiagnostics, StmProblem, TimeAllocation, solve_stm,
-                  sum_throughput)
-from .ttm import TtmProblem, delivered_information, solve_ttm
+from .geometry import (GroupPlan, check_feasibility, load_field, plan_groups,
+                       singleton_plan)
+from .stm import (StmDiagnostics, StmProblem, TimeAllocation,
+                  delivered_information, solve_stm, sum_throughput)
+from .ttm import TtmProblem, solve_ttm
 from .verification import run_verification, write_verification_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyError", "ArrayConfig", "BracketingError", "ChannelParams",
-    "ConfigError", "GroupCoefficients", "GroupPlan", "InfeasiblePlanError",
+    "AccuracyError", "BracketingError", "ChannelParams", "ConfigError",
+    "GroupCoefficients", "GroupPlan", "InfeasiblePlanError",
     "NumericDomainError", "PlanError", "ScenarioConfig", "StmDiagnostics",
     "StmProblem", "SweepSpec", "TimeAllocation", "TrialResult", "TtmProblem",
     "UavWptError", "UnsupportedScaleError", "check_feasibility", "coeff_a",

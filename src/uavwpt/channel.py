@@ -22,25 +22,30 @@ inputs.
 Antenna k of M (1-based) sits (k-1)*delta from the hover point along
 +y, perpendicular to the rows; antenna 1 transmits energy and antennas
 2..M receive data, so the uplink gain from a sensor at horizontal
-distance L_k to antenna k is k0 / (L_k^2 + A^2).
+distance L_k to antenna k is k0 / (L_k^2 + A^2).  `ChannelParams`
+holds the whole radio: the array's M and delta, the altitude and the
+power-transfer constants.
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, NumericDomainError, PlanError
-from .geometry import ArrayConfig, GroupPlan, Point
+from .geometry import GroupPlan, Point
 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Radio and energy-harvesting parameters.
+    """The UAV's radio: its antenna array and the energy-harvesting
+    link parameters.
 
     k0      linear channel power gain at 1 m reference distance
     sigma2  receiver noise power, watts
     eta     energy-harvesting efficiency, in (0, 1]
     P_t     UAV transmit power, watts
     A       flight altitude, meters
+    M       antennas: 1 transmit + M-1 receive
+    delta   inter-antenna spacing, meters
     """
 
     k0: float
@@ -48,6 +53,8 @@ class ChannelParams:
     eta: float
     P_t: float
     A: float
+    M: int
+    delta: float
 
     def __post_init__(self):
         if self.k0 <= 0.0 or self.sigma2 <= 0.0 or self.P_t <= 0.0:
@@ -56,10 +63,15 @@ class ChannelParams:
             raise ConfigError(f"eta={self.eta} must lie in (0, 1]")
         if self.A <= 0.0:
             raise ConfigError("altitude must be positive")
+        if int(self.M) != self.M or self.M < 2:
+            raise ConfigError("need M >= 2 antennas (1 transmit + receive)")
+        if self.delta <= 0.0:
+            raise ConfigError("antenna spacing must be positive")
 
     @classmethod
     def from_db(cls, k0_db: float, sigma2_dbm: float, pt_db: float,
-                eta: float, altitude: float) -> "ChannelParams":
+                eta: float, altitude: float, M: int,
+                delta: float) -> "ChannelParams":
         """Build from the usual logarithmic units.
 
         k0_db is dB relative to unity, sigma2_dbm is dBm, pt_db is dBW.
@@ -70,6 +82,8 @@ class ChannelParams:
             eta=eta,
             P_t=10.0 ** (pt_db / 10.0),
             A=altitude,
+            M=M,
+            delta=delta,
         )
 
     @property
@@ -175,7 +189,7 @@ class GroupCoefficients:
         return len(self.a)
 
 
-def group_coefficients(plan: GroupPlan, cfg: ArrayConfig,
+def group_coefficients(plan: GroupPlan,
                        params: ChannelParams) -> GroupCoefficients:
     """Compute every coefficient the solvers need for a plan.
 
@@ -187,7 +201,7 @@ def group_coefficients(plan: GroupPlan, cfg: ArrayConfig,
     bound = 1.0 / A2 * (1.0 + 1e-12)
     k0 = params.k0
     snr = params.energy_scale / params.sigma2
-    offsets = [(k - 1) * cfg.delta for k in range(2, cfg.M + 1)]
+    offsets = [(k - 1) * params.delta for k in range(2, params.M + 1)]
     sensors = plan.sensors
     a, b, gamma = [], [], []
     p0 = plan.start_point

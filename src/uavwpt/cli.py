@@ -17,9 +17,8 @@ from pathlib import Path
 from .config import load_config
 from .errors import (ConfigError, InfeasiblePlanError, NumericDomainError,
                      UavWptError)
-from .experiments import (SweepSpec, array_config, build_problem,
-                          generate_trial, run_sweep, trial_rng,
-                          write_sweep_csv)
+from .experiments import (SweepSpec, build_problem, generate_trial,
+                          run_sweep, trial_rng, write_sweep_csv)
 from .geometry import (check_feasibility, load_field, plan_groups,
                        write_plan_csv)
 from .stm import STM_DIAG_HEADER, solve_stm, stm_diag_row
@@ -104,8 +103,8 @@ def cmd_plan(args) -> int:
     config, out = _load(args)
     if args.field:
         row_ys = [0.5 * sum(config.ytilde_range_m)]
-        plan = plan_groups(load_field(args.field), array_config(config),
-                           config.N, row_ys)
+        plan = plan_groups(load_field(args.field), config.A_m,
+                           config.d_max_m, config.N, row_ys)
     else:
         # the realization `solve` solves: trial 0 of the config seed
         plan = generate_trial(config, trial_rng(config.seed, 0)).plan
@@ -194,7 +193,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     config, out = _load(args)
-    reports, ok = run_verification(config, seed=config.seed)
+    reports, ok = run_verification(config)
     path = out / "verification.csv"
     write_verification_csv(path, reports)
     by_oracle = {}

@@ -11,6 +11,8 @@ on scheduling or worker count.  A trial takes its numbers from
 standard-uniform blocks, mapped to their ranges the way
 `Generator.uniform` maps them, so each trial's stream, and every
 number drawn from it, is the one per-number `uniform` calls would give.
+A config's radio (`channel_params`, the antenna array included) and its
+baseline scenario (`hf_eh_baseline`) are built once and reused.
 """
 
 import functools
@@ -25,7 +27,7 @@ from .channel import (ChannelParams, group_coefficients,
                       leg_average_inverse_sq, point_inverse_sq)
 from .config import ScenarioConfig
 from .errors import ConfigError, NumericDomainError, UavWptError
-from .geometry import ArrayConfig, GroupPlan, singleton_plan
+from .geometry import GroupPlan, group_sizes, singleton_plan
 from .stm import StmProblem, solve_stm
 from .ttm import TtmProblem, solve_ttm
 
@@ -103,47 +105,25 @@ class AggregateResult:
     exclusions: int
 
 
-def array_config(config: ScenarioConfig) -> ArrayConfig:
-    return _array_config(config)
-
-
+# Pure functions of a frozen config that every trial of a sweep point
+# asks for: build each once.
+@functools.lru_cache(maxsize=_CONFIG_MEMO)
 def channel_params(config: ScenarioConfig) -> ChannelParams:
-    return _channel_params(config)
+    return ChannelParams.from_db(config.k0_db, config.sigma2_dbm,
+                                 config.pt_db, config.eta, config.A_m,
+                                 config.M, config.delta_m)
 
 
+@functools.lru_cache(maxsize=_CONFIG_MEMO)
 def hf_eh_baseline(config: ScenarioConfig) -> ScenarioConfig:
     """Baseline scenario: every sensor is its own group, hovered over
     directly, with a single receive antenna."""
-    return _hf_eh_baseline(config)
-
-
-# The three above are pure functions of a frozen config, and every
-# trial of a sweep point asks for the same ones: build each once.
-@functools.lru_cache(maxsize=_CONFIG_MEMO)
-def _array_config(config: ScenarioConfig) -> ArrayConfig:
-    return ArrayConfig(M=config.M, delta=config.delta_m,
-                       altitude=config.A_m, d_max=config.d_max_m)
-
-
-@functools.lru_cache(maxsize=_CONFIG_MEMO)
-def _channel_params(config: ScenarioConfig) -> ChannelParams:
-    return ChannelParams.from_db(config.k0_db, config.sigma2_dbm,
-                                 config.pt_db, config.eta, config.A_m)
-
-
-@functools.lru_cache(maxsize=_CONFIG_MEMO)
-def _hf_eh_baseline(config: ScenarioConfig) -> ScenarioConfig:
     return replace(config, N=config.K, M=2).validate()
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([master_seed, trial_index]))
-
-
-def _group_sizes(K: int, N: int):
-    base, extra = divmod(K, N)
-    return [base + (1 if g < extra else 0) for g in range(N)]
 
 
 def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
@@ -183,7 +163,7 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     sensors = []
     groups = []
     leg_start = start
-    for g, (hx, d_g, size) in enumerate(zip(anchors, D, _group_sizes(K, N))):
+    for g, (hx, d_g, size) in enumerate(zip(anchors, D, group_sizes(K, N))):
         hover = (hx, ytilde)
         first = len(sensors) + 1
         for _ in range(size):
@@ -224,8 +204,7 @@ def build_problem(config: ScenarioConfig, plan: GroupPlan, objective: str):
     """The plan's coefficients wrapped as an StmProblem under the
     config's budget (objective "stm"), or as a TtmProblem demanding
     I_nats per member sensor (objective "ttm")."""
-    coeffs = group_coefficients(plan, array_config(config),
-                                channel_params(config))
+    coeffs = group_coefficients(plan, channel_params(config))
     if objective == "stm":
         return StmProblem(coeffs=coeffs, D=plan.D, T=config.T_s,
                           v_max=config.v_max_mps)

@@ -1,5 +1,5 @@
-"""Spatial model: serving groups of sensors along serpentine rows, the
-antenna array's parameters, and mission feasibility checks.
+"""Spatial model: serving groups of sensors along serpentine rows and
+mission feasibility checks.
 
 Conventions used throughout the package:
 
@@ -16,33 +16,6 @@ from dataclasses import dataclass
 from .errors import ConfigError, InfeasiblePlanError, PlanError
 
 Point = tuple[float, float]
-
-
-@dataclass(frozen=True)
-class ArrayConfig:
-    """UAV antenna array and power-transfer range parameters."""
-
-    M: int
-    delta: float      # inter-antenna spacing, m
-    altitude: float   # flight altitude A, m
-    d_max: float      # maximum effective power-transfer distance, m
-
-    def __post_init__(self):
-        if int(self.M) != self.M or self.M < 2:
-            raise ConfigError("need M >= 2 antennas (1 transmit + receive)")
-        if self.delta <= 0.0:
-            raise ConfigError("antenna spacing must be positive")
-        if self.altitude <= 0.0:
-            raise ConfigError("altitude must be positive")
-        if self.d_max <= self.altitude:
-            raise ConfigError(
-                f"d_max={self.d_max} must exceed altitude={self.altitude} "
-                "for a real ground coverage radius")
-
-    @property
-    def l_max(self) -> float:
-        """Ground-plane coverage radius sqrt(d_max^2 - A^2)."""
-        return math.sqrt(self.d_max ** 2 - self.altitude ** 2)
 
 
 @dataclass(frozen=True)
@@ -174,14 +147,18 @@ def _serpentine_order(sensors, rows: tuple[float, ...]):
     return order, row_of_sensor
 
 
-def _contiguous_split(order, N):
-    """Split a sequence into N contiguous runs with balanced sizes."""
-    K = len(order)
+def group_sizes(K: int, N: int) -> list[int]:
+    """Balanced sizes of N groups of K sensors: the first K mod N groups
+    take one extra."""
     base, extra = divmod(K, N)
+    return [base + (1 if g < extra else 0) for g in range(N)]
+
+
+def _contiguous_split(order, N):
+    """Split a sequence into N contiguous runs of `group_sizes`."""
     runs = []
     pos = 0
-    for g in range(N):
-        size = base + (1 if g < extra else 0)
+    for size in group_sizes(len(order), N):
         runs.append(list(order[pos:pos + size]))
         pos += size
     return runs
@@ -198,11 +175,12 @@ def _hover_of_run(sensors, run, row_of_sensor, rows):
     return (x, rows[row - 1]), row
 
 
-def plan_groups(sensors: tuple[Point, ...], cfg: ArrayConfig, N: int,
-                row_ys) -> GroupPlan:
+def plan_groups(sensors: tuple[Point, ...], altitude: float, d_max: float,
+                N: int, row_ys) -> GroupPlan:
     """Partition sensors (id i at sensors[i-1]) into N ordered serving
-    groups.
+    groups, for a UAV at `altitude` whose power transfer reaches d_max.
 
+    The coverage radius on the ground is sqrt(d_max^2 - altitude^2).
     Sensors are ordered by serpentine traversal and split into N
     contiguous runs of balanced size; hover points sit at the mean x of
     each run on its row.  Runs whose members fall outside the coverage
@@ -210,6 +188,10 @@ def plan_groups(sensors: tuple[Point, ...], cfg: ArrayConfig, N: int,
     neighbouring run; if that cannot restore coverage, or consecutive
     hover points end up farther apart than d_max, the plan is infeasible.
     """
+    if not 0.0 < altitude < d_max:
+        raise ConfigError(
+            f"need 0 < altitude < d_max for a real ground coverage "
+            f"radius, got altitude={altitude}, d_max={d_max}")
     if N < 1:
         raise PlanError("need at least one group")
     K = len(sensors)
@@ -221,7 +203,7 @@ def plan_groups(sensors: tuple[Point, ...], cfg: ArrayConfig, N: int,
 
     order, row_of_sensor = _serpentine_order(sensors, rows)
     runs = _contiguous_split(order, N)
-    radius = cfg.l_max
+    radius = math.sqrt(d_max ** 2 - altitude ** 2)
 
     def coverage_violation(run):
         """(worst member, worst distance) against the run's hover point."""
@@ -273,13 +255,13 @@ def plan_groups(sensors: tuple[Point, ...], cfg: ArrayConfig, N: int,
                         hovers[g][1] - hovers[g - 1][1])
              for g in range(1, N)]
     for g, d in enumerate(dists, start=2):
-        if d > cfg.d_max:
+        if d > d_max:
             raise InfeasiblePlanError(
-                f"group {g}: hover spacing {d:.3f} m exceeds d_max={cfg.d_max} m")
+                f"group {g}: hover spacing {d:.3f} m exceeds d_max={d_max} m")
         if d <= 0.0:
             raise PlanError(
                 f"group {g}: coincident hover points (duplicate sensors?)")
-    shift = (sum(dists) / len(dists)) if dists else cfg.d_max / 2.0
+    shift = (sum(dists) / len(dists)) if dists else d_max / 2.0
     direction = 1.0 if group_rows[0] % 2 == 1 else -1.0
     start = (hovers[0][0] - direction * shift, hovers[0][1])
     D = [math.hypot(hovers[0][0] - start[0], hovers[0][1] - start[1])] + dists

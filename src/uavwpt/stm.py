@@ -338,21 +338,32 @@ def solve_stm(problem: StmProblem):
     return alloc, _diagnostics(problem, alloc, mu, "pinned")
 
 
-def sum_throughput(coeffs: GroupCoefficients, alloc: TimeAllocation) -> float:
-    """Total delivered information Sigma tau_n R_n in nats per hertz.
+def delivered_information(coeffs: GroupCoefficients,
+                          alloc: TimeAllocation) -> tuple[float, ...]:
+    """Per-group delivered information tau_n * R_n in nats per hertz.
 
-    Groups with zero hover time contribute zero (the tau*R limit).
+    Groups with zero hover time deliver zero (the tau*R limit).
     """
-    if len(alloc.zeta) != coeffs.N:
-        raise NumericDomainError("allocation does not match the group count")
-    total = 0.0
+    out = []
     for n in range(1, coeffs.N + 1):
         tau_n = alloc.tau[n]
         if tau_n == 0.0:
+            out.append(0.0)
             continue
         rate = group_rate(coeffs, n, alloc.tau[n - 1], alloc.zeta[n - 1],
                           tau_n)
-        total += tau_n * rate
+        out.append(tau_n * rate)
+    return tuple(out)
+
+
+def sum_throughput(coeffs: GroupCoefficients, alloc: TimeAllocation) -> float:
+    """Total delivered information Sigma tau_n R_n in nats per hertz,
+    summed over the groups in order."""
+    if len(alloc.zeta) != coeffs.N:
+        raise NumericDomainError("allocation does not match the group count")
+    total = 0.0
+    for info in delivered_information(coeffs, alloc):
+        total += info
     return total
 
 

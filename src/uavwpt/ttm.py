@@ -18,7 +18,7 @@ information matches its demand exactly instead of overshooting.
 import math
 from dataclasses import dataclass
 
-from .channel import GroupCoefficients, group_rate
+from .channel import GroupCoefficients
 from .errors import ConfigError, NumericDomainError
 from .numerics import bracketed_newton, lambert_w0
 from .stm import TimeAllocation
@@ -192,21 +192,6 @@ def solve_ttm(problem: TtmProblem):
 
     alloc = TimeAllocation(tau=(0.0, *taus), zeta=tuple(zetas))
     return alloc, alloc.total
-
-
-def delivered_information(coeffs: GroupCoefficients,
-                          alloc: TimeAllocation) -> tuple[float, ...]:
-    """Per-group delivered information tau_n * R_n in nats."""
-    out = []
-    for n in range(1, coeffs.N + 1):
-        tau_n = alloc.tau[n]
-        if tau_n == 0.0:
-            out.append(0.0)
-            continue
-        rate = group_rate(coeffs, n, alloc.tau[n - 1], alloc.zeta[n - 1],
-                          tau_n)
-        out.append(tau_n * rate)
-    return tuple(out)
 
 
 def count_clamped_legs(problem: TtmProblem, alloc: TimeAllocation) -> int:

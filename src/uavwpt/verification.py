@@ -19,8 +19,9 @@ from .experiments import (apply_sweep_value, build_problem, channel_params,
                           generate_trial, trial_rng)
 from .geometry import GroupPlan
 from .numerics import integrate_adaptive
-from .stm import StmProblem, TimeAllocation, solve_stm
-from .ttm import TtmProblem, delivered_information, solve_ttm
+from .stm import (StmProblem, TimeAllocation, delivered_information,
+                  solve_stm)
+from .ttm import TtmProblem, solve_ttm
 
 TOLERANCES = {
     "flight_energy_rel": 1e-6,   # closed-form vs quadrature energy
@@ -257,14 +258,14 @@ def concavity_suite(coeffs, trials: int, seed: int) -> ConcavityReport:
                            min_slack=float(slack.min()))
 
 
-def run_verification(config: ScenarioConfig, seed: int = None):
+def run_verification(config: ScenarioConfig):
     """Full oracle suite; returns (reports, all_passed).
 
-    Every instance is drawn from its own seed and evaluated in-process,
-    so the reports are a pure function of (config, seed).
+    Every instance is drawn from its own seed, derived from config.seed,
+    and evaluated in-process, so the reports are a pure function of the
+    config.
     """
-    if seed is None:
-        seed = config.seed
+    seed = config.seed
     reports = []
 
     # closed-form flight energy vs quadrature on random geometries

@@ -12,8 +12,8 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-_MEMOS = (stm._lead_price, experiments._array_config,
-          experiments._channel_params, experiments._hf_eh_baseline)
+_MEMOS = (stm._lead_price, experiments.channel_params,
+          experiments.hf_eh_baseline)
 
 
 @pytest.fixture(autouse=True)

@@ -18,9 +18,9 @@ from uavwpt.config import ScenarioConfig
 from uavwpt.experiments import (SweepSpec, build_problem, channel_params,
                                 generate_trial, run_sweep, run_trial,
                                 trial_rng)
-from uavwpt.geometry import ArrayConfig, plan_groups
-from uavwpt.stm import solve_stm
-from uavwpt.ttm import delivered_information, solve_ttm
+from uavwpt.geometry import plan_groups
+from uavwpt.stm import delivered_information, solve_stm
+from uavwpt.ttm import solve_ttm
 from uavwpt.verification import (concavity_suite, flight_energy_numeric,
                                  stm_grid_oracle, ttm_grid_oracle)
 
@@ -54,9 +54,7 @@ def _serpentine_plan(rng):
         for _ in range(2):
             sensors.append((cx + rng.uniform(-4.0, 4.0),
                             cy + rng.uniform(-2.0, 2.0)))
-    cfg = ArrayConfig(M=DEFAULTS.M, delta=DEFAULTS.delta_m,
-                      altitude=DEFAULTS.A_m, d_max=80.0)
-    return plan_groups(tuple(sensors), cfg, 4, rows)
+    return plan_groups(tuple(sensors), DEFAULTS.A_m, 80.0, 4, rows)
 
 
 def test_criterion_1_flight_energy_vs_quadrature():

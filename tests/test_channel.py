@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +9,12 @@ from uavwpt.channel import (ChannelParams, GroupCoefficients, coeff_a,
                             harvested_energy, leg_average_inverse_sq,
                             point_inverse_sq)
 from uavwpt.errors import ConfigError, NumericDomainError, PlanError
-from uavwpt.geometry import ArrayConfig, GroupPlan
+from uavwpt.geometry import GroupPlan
 from uavwpt.numerics import integrate_adaptive
 
-PARAMS = ChannelParams(k0=1e-3, sigma2=1e-10, eta=0.5, P_t=2.0, A=10.0)
-CFG = ArrayConfig(M=3, delta=0.1, altitude=10.0, d_max=35.0)
+PARAMS = ChannelParams(k0=1e-3, sigma2=1e-10, eta=0.5, P_t=2.0, A=10.0,
+                       M=3, delta=0.1)
+PARAMS_M2 = dataclasses.replace(PARAMS, M=2)   # one receive antenna
 
 
 def _one_group_plan(sensor, hover, start=(-20.0, 0.0)):
@@ -37,7 +39,7 @@ def _leg_average_oracle(p0, p1, w, A):
 SNR_SCALE = PARAMS.energy_scale / PARAMS.sigma2   # 1e7
 
 
-def _uplink_sum(plan, cfg, n):
+def _uplink_sum(plan, n):
     """Summed uplink gain of group n: antenna k sits (k-1)*delta above
     the hover point, and each receive antenna k >= 2 contributes
     k0 / (L^2 + A^2) for every member."""
@@ -45,14 +47,14 @@ def _uplink_sum(plan, cfg, n):
     total = 0.0
     for i in plan.groups[n - 1]:
         x, y = plan.sensors[i - 1]
-        for k in range(2, cfg.M + 1):
-            L = math.hypot(x - hx, y - (hy + (k - 1) * cfg.delta))
+        for k in range(2, PARAMS.M + 1):
+            L = math.hypot(x - hx, y - (hy + (k - 1) * PARAMS.delta))
             total += PARAMS.k0 / (L ** 2 + PARAMS.A ** 2)
     return total
 
 
-def _gamma(plan, cfg, params):
-    return group_coefficients(plan, cfg, params).gamma[0]
+def _gamma(plan, params):
+    return group_coefficients(plan, params).gamma[0]
 
 
 # ---------------------------------------------------------------- gains
@@ -62,23 +64,22 @@ def test_uplink_on_axis_value():
     # antenna 3 is one spacing beyond it
     plan = _one_group_plan(sensor=(5.0, 0.1), hover=(5.0, 0.0))
     expect = SNR_SCALE * (1e-5 + 1e-3 / (0.1 ** 2 + 100.0))
-    assert _gamma(plan, CFG, PARAMS) == pytest.approx(expect, rel=1e-12)
+    assert _gamma(plan, PARAMS) == pytest.approx(expect, rel=1e-12)
 
 
 def test_uplink_inverse_square_law():
-    cfg2 = ArrayConfig(M=2, delta=0.1, altitude=10.0, d_max=35.0)
     near = _one_group_plan(sensor=(5.0, 0.1), hover=(5.0, 0.0))
     # L = 10 doubles the squared 3D distance (100 + 100 vs 100)
     far = _one_group_plan(sensor=(15.0, 0.1), hover=(5.0, 0.0))
-    g_near = _gamma(near, cfg2, PARAMS)
-    g_far = _gamma(far, cfg2, PARAMS)
+    g_near = _gamma(near, PARAMS_M2)
+    g_far = _gamma(far, PARAMS_M2)
     assert g_near == pytest.approx(2.0 * g_far, rel=1e-12)
 
 
 def test_uplink_matches_distance_module():
     plan = _one_group_plan(sensor=(7.3, 1.9), hover=(5.0, 0.0))
-    assert _gamma(plan, CFG, PARAMS) == pytest.approx(
-        SNR_SCALE * _uplink_sum(plan, CFG, 1), rel=1e-12)
+    assert _gamma(plan, PARAMS) == pytest.approx(
+        SNR_SCALE * _uplink_sum(plan, 1), rel=1e-12)
 
 
 # ---------------------------------------------------------------- coefficients
@@ -178,7 +179,7 @@ def test_energy_matches_quadrature_total():
     # instantaneous downlink power along the leg at constant speed
     plan = _one_group_plan(sensor=(2.0, 1.5), hover=(10.0, 0.0),
                            start=(-15.0, 0.0))
-    coeffs = group_coefficients(plan, CFG, PARAMS)
+    coeffs = group_coefficients(plan, PARAMS)
     tau_prev, zeta = 3.7, 4.9
     got = harvested_energy(plan, PARAMS, 1, 1, tau_prev, zeta)
 
@@ -200,27 +201,23 @@ def test_energy_matches_quadrature_total():
 
 def test_group_gamma_single_antenna_value():
     # h = k0/A^2 = 1e-5 for a sensor right under the receive antenna
-    cfg2 = ArrayConfig(M=2, delta=0.1, altitude=10.0, d_max=35.0)
     plan = _one_group_plan(sensor=(5.0, 0.1), hover=(5.0, 0.0))
-    got = _gamma(plan, cfg2, PARAMS)
+    got = _gamma(plan, PARAMS_M2)
     # eta * P_t * k0 * h / sigma2 = 0.5 * 2 * 1e-3 * 1e-5 / 1e-10
     assert got == pytest.approx(100.0, rel=1e-12)
 
 
 def test_group_gamma_linear_in_power():
     plan = _one_group_plan(sensor=(6.0, 1.0), hover=(5.0, 0.0))
-    base = _gamma(plan, CFG, PARAMS)
-    doubled = _gamma(
-        plan, CFG,
-        ChannelParams(k0=1e-3, sigma2=1e-10, eta=0.5, P_t=4.0, A=10.0))
+    base = _gamma(plan, PARAMS)
+    doubled = _gamma(plan, dataclasses.replace(PARAMS, P_t=4.0))
     assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_group_gamma_antenna_additivity():
-    cfg2 = ArrayConfig(M=2, delta=0.1, altitude=10.0, d_max=35.0)
     plan = _one_group_plan(sensor=(6.0, 1.0), hover=(5.0, 0.0))
-    g2 = _gamma(plan, cfg2, PARAMS)
-    g3 = _gamma(plan, CFG, PARAMS)
+    g2 = _gamma(plan, PARAMS_M2)
+    g3 = _gamma(plan, PARAMS)
     # antenna 3 sits 2*delta above the hover point (5, 0)
     L = math.hypot(6.0 - 5.0, 1.0 - 2 * 0.1)
     k3_term = SNR_SCALE * PARAMS.k0 / (L ** 2 + PARAMS.A ** 2)
@@ -264,7 +261,7 @@ def test_group_coefficients_sums_members():
                      hover_points=((5.0, 0.0), (30.0, 0.0)),
                      D=(20.0, 25.0), row_of_group=(1, 1),
                      start_point=(-15.0, 0.0))
-    coeffs = group_coefficients(plan, CFG, PARAMS)
+    coeffs = group_coefficients(plan, PARAMS)
     assert coeffs.N == 2
     for n, members in ((1, (1, 2)), (2, (3,))):
         assert coeffs.a[n - 1] == pytest.approx(
@@ -272,7 +269,7 @@ def test_group_coefficients_sums_members():
         assert coeffs.b[n - 1] == pytest.approx(
             sum(coeff_b(plan, PARAMS, n, i) for i in members), rel=1e-15)
         # M = 3 means two receive antennas (2 and 3) per sensor
-        expect_gamma = SNR_SCALE * _uplink_sum(plan, CFG, n)
+        expect_gamma = SNR_SCALE * _uplink_sum(plan, n)
         assert coeffs.gamma[n - 1] == pytest.approx(expect_gamma, rel=1e-12)
 
 
@@ -298,19 +295,19 @@ def test_group_coefficients_range_checks(monkeypatch):
             m.setattr(ch, name, faulty)
             with pytest.raises(NumericDomainError,
                                match=f"^group 2: {phase} coefficient"):
-                group_coefficients(plan, CFG, PARAMS)
+                group_coefficients(plan, PARAMS)
 
 
 def test_params_validation():
-    with pytest.raises(ConfigError):
-        ChannelParams(k0=0.0, sigma2=1e-10, eta=0.5, P_t=2.0, A=10.0)
-    with pytest.raises(ConfigError):
-        ChannelParams(k0=1e-3, sigma2=1e-10, eta=1.5, P_t=2.0, A=10.0)
+    for change in ({"k0": 0.0}, {"eta": 1.5}, {"M": 1}, {"M": 2.5},
+                   {"delta": 0.0}):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(PARAMS, **change)
 
 
 def test_params_from_db():
     p = ChannelParams.from_db(k0_db=-30.0, sigma2_dbm=-70.0, pt_db=4.0,
-                              eta=0.5, altitude=10.0)
+                              eta=0.5, altitude=10.0, M=3, delta=0.1)
     assert p.k0 == pytest.approx(1e-3)
     assert p.sigma2 == pytest.approx(1e-10)
     assert p.P_t == pytest.approx(10.0 ** 0.4)

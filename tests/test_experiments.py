@@ -12,10 +12,9 @@ from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError
 from uavwpt.geometry import GroupPlan, singleton_plan
 from uavwpt.experiments import (AggregateResult, SweepSpec, SWEEP_HEADER,
-                                apply_sweep_value, array_config,
-                                channel_params, generate_trial,
-                                hf_eh_baseline, run_sweep, run_trial,
-                                trial_rng, write_sweep_csv)
+                                apply_sweep_value, channel_params,
+                                generate_trial, hf_eh_baseline, run_sweep,
+                                run_trial, trial_rng, write_sweep_csv)
 
 CFG = ScenarioConfig(K=20, N=4, pt_db=4.0, T_s=1000.0, seed=1)
 SMALL = ScenarioConfig(K=8, N=2, pt_db=4.0, T_s=800.0, seed=3)
@@ -66,7 +65,7 @@ def test_sensor_energies_sum_to_group_aggregates():
     for scheme, plan in ((CFG, geo.plan),
                          (hf_eh_baseline(CFG), geo.baseline_plan)):
         params = channel_params(scheme)
-        coeffs = group_coefficients(plan, array_config(scheme), params)
+        coeffs = group_coefficients(plan, params)
         tau_prev, zeta = 7.25, 3.5
         for n in range(1, plan.N + 1):
             total = sum(harvested_energy(plan, params, n, i, tau_prev, zeta)
@@ -86,7 +85,7 @@ def test_baseline_plan_structure():
     assert xs == sorted(xs)
     bcfg = hf_eh_baseline(CFG)
     params = channel_params(bcfg)
-    coeffs = group_coefficients(plan, array_config(bcfg), params)
+    coeffs = group_coefficients(plan, params)
     for n in range(20):
         assert coeffs.a[n] == pytest.approx(1.0 / CFG.A_m ** 2, rel=1e-12)
         # single receive antenna: gamma_n is antenna 2's gain alone
@@ -219,8 +218,7 @@ def test_trial_draw_and_coefficient_counts(monkeypatch):
             for scheme, plan in ((config, geo.plan),
                                  (hf_eh_baseline(config), geo.baseline_plan)):
                 legs["calls"] = 0
-                group_coefficients(plan, array_config(scheme),
-                                   channel_params(scheme))
+                group_coefficients(plan, channel_params(scheme))
                 assert legs["calls"] == config.K
 
 

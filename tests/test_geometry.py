@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,12 @@ from hypothesis import given, strategies as st
 
 from uavwpt.channel import ChannelParams, group_coefficients
 from uavwpt.errors import ConfigError, InfeasiblePlanError, PlanError
-from uavwpt.geometry import (ArrayConfig, GroupPlan, check_feasibility,
-                             load_field, plan_groups, singleton_plan,
-                             travel_time, write_plan_csv)
+from uavwpt.geometry import (GroupPlan, check_feasibility, load_field,
+                             plan_groups, singleton_plan, travel_time,
+                             write_plan_csv)
 from uavwpt.stm import StmProblem
 
-CFG = ArrayConfig(M=3, delta=0.1, altitude=10.0, d_max=35.0)
+A, D_MAX = 10.0, 35.0   # altitude and power-transfer reach, m
 
 
 def _row_field(xs, y=0.0):
@@ -47,7 +48,7 @@ def test_load_field_rejects_garbage(tmp_path):
 
 
 def test_position_range_checked():
-    plan = plan_groups(_row_field([0.0, 1.0]), CFG, 1, row_ys=[0.0])
+    plan = plan_groups(_row_field([0.0, 1.0]), A, D_MAX, 1, row_ys=[0.0])
     assert plan.position(2) == (1.0, 0.0)
     with pytest.raises(PlanError):
         plan.position(3)
@@ -59,7 +60,7 @@ def test_position_range_checked():
 
 def test_two_cluster_split():
     f = _row_field([0.0, 1.0, 30.0, 31.0])
-    plan = plan_groups(f, CFG, 2, row_ys=[0.0])
+    plan = plan_groups(f, A, D_MAX, 2, row_ys=[0.0])
     assert plan.groups == ((1, 2), (3, 4))
     assert plan.hover(1)[0] == pytest.approx(0.5)
     assert plan.hover(2)[0] == pytest.approx(30.5)
@@ -67,7 +68,7 @@ def test_two_cluster_split():
 
 def test_singleton_groups_at_own_x():
     f = _row_field([0.0, 12.0, 25.0, 40.0])
-    plan = plan_groups(f, CFG, 4, row_ys=[0.0])
+    plan = plan_groups(f, A, D_MAX, 4, row_ys=[0.0])
     for n in range(1, 5):
         (i,) = plan.members(n)
         assert plan.hover(n)[0] == pytest.approx(plan.position(i)[0])
@@ -75,8 +76,7 @@ def test_singleton_groups_at_own_x():
 
 def test_random_field_coverage():
     f = _uniform_sensors(20, 200.0, 5.0, seed=1)
-    plan = plan_groups(f, ArrayConfig(M=3, delta=0.1, altitude=10.0,
-                                      d_max=80.0), 4, row_ys=[2.5])
+    plan = plan_groups(f, A, 80.0, 4, row_ys=[2.5])
     radius = math.sqrt(80.0 ** 2 - 10.0 ** 2)
     for n in range(1, 5):
         hx, hy = plan.hover(n)
@@ -86,9 +86,8 @@ def test_random_field_coverage():
 
 
 def test_plan_partitions_all_sensors():
-    cfg = ArrayConfig(M=3, delta=0.1, altitude=10.0, d_max=80.0)
     f = _uniform_sensors(20, 200.0, 5.0, seed=4)
-    plan = plan_groups(f, cfg, 4, row_ys=[2.5])
+    plan = plan_groups(f, A, 80.0, 4, row_ys=[2.5])
     served = sorted(i for n in range(1, 5) for i in plan.members(n))
     assert served == list(range(1, 21))
 
@@ -96,8 +95,7 @@ def test_plan_partitions_all_sensors():
 def test_serpentine_direction_by_row_parity():
     # two rows; the lower (odd) row is traversed +x, the upper (even) -x
     sensors = ((0.0, 0.0), (10.0, 0.0), (10.0, 20.0), (0.0, 20.0))
-    cfg = ArrayConfig(M=3, delta=0.1, altitude=10.0, d_max=30.0)
-    plan = plan_groups(sensors, cfg, 4, row_ys=[0.0, 20.0])
+    plan = plan_groups(sensors, A, 30.0, 4, row_ys=[0.0, 20.0])
     xs = [plan.hover(n)[0] for n in range(1, 5)]
     assert xs == [0.0, 10.0, 10.0, 0.0]
     assert plan.row_parity(1) == "odd"
@@ -107,21 +105,29 @@ def test_serpentine_direction_by_row_parity():
 def test_hover_spacing_beyond_dmax_infeasible():
     f = _row_field([0.0, 1.0, 100.0, 101.0])
     with pytest.raises(InfeasiblePlanError):
-        plan_groups(f, CFG, 2, row_ys=[0.0])
+        plan_groups(f, A, D_MAX, 2, row_ys=[0.0])
 
 
 def test_uncoverable_sensor_named_in_error():
     # one group, members 80 m apart: no single hover can cover both
     f = _row_field([0.0, 80.0])
     with pytest.raises(InfeasiblePlanError) as exc:
-        plan_groups(f, CFG, 1, row_ys=[0.0])
+        plan_groups(f, A, D_MAX, 1, row_ys=[0.0])
     assert "sensor" in str(exc.value)
+
+
+def test_plan_rejects_dmax_not_above_altitude():
+    f = _row_field([0.0, 1.0])
+    for altitude, d_max in ((10.0, 10.0), (10.0, 9.0), (0.0, 35.0)):
+        with pytest.raises(ConfigError):
+            plan_groups(f, altitude, d_max, 1, row_ys=[0.0])
 
 
 # ---------------------------------------------------------------- distances
 
 # k0 = 1e-3, A = 10; eta * P_t * k0 / sigma2 = 1e7
-PARAMS = ChannelParams(k0=1e-3, sigma2=1e-10, eta=0.5, P_t=2.0, A=10.0)
+PARAMS = ChannelParams(k0=1e-3, sigma2=1e-10, eta=0.5, P_t=2.0, A=A,
+                       M=3, delta=0.1)
 
 
 def test_antenna_offset_cancels():
@@ -131,17 +137,16 @@ def test_antenna_offset_cancels():
                      hover_points=((5.0, 0.0),),
                      D=(20.0,), row_of_group=(1,),
                      start_point=(-15.0, 0.0))
-    cfg2 = ArrayConfig(M=2, delta=0.1, altitude=10.0, d_max=35.0)
-    gamma = group_coefficients(plan, cfg2, PARAMS).gamma[0]
+    gamma = group_coefficients(plan, dataclasses.replace(PARAMS, M=2)).gamma[0]
     assert gamma == pytest.approx(100.0, rel=1e-12)
 
 
 def test_distance_matches_independent_computation():
     # antenna k sits (k-1)*delta above the hover point along +y
-    cfg = ArrayConfig(M=4, delta=0.37, altitude=10.0, d_max=60.0)
-    plan = plan_groups(_uniform_sensors(6, 40.0, 5.0, seed=9), cfg, 2,
+    params = dataclasses.replace(PARAMS, M=4, delta=0.37)
+    plan = plan_groups(_uniform_sensors(6, 40.0, 5.0, seed=9), A, 60.0, 2,
                        row_ys=[2.5])
-    gamma = group_coefficients(plan, cfg, PARAMS).gamma
+    gamma = group_coefficients(plan, params).gamma
     for n in (1, 2):
         hx, hy = plan.hover(n)
         expect = 0.0
@@ -155,27 +160,40 @@ def test_distance_matches_independent_computation():
 
 # ---------------------------------------------------------------- coverage radius
 
+def _covers(r, altitude, d_max):
+    """Does one group hovering on row y = 0 cover a sensor at (0, r)?"""
+    try:
+        plan_groups(((0.0, r),), altitude, d_max, 1, row_ys=[0.0])
+    except InfeasiblePlanError:
+        return False
+    return True
+
+
+def _assert_coverage_radius(radius, altitude, d_max):
+    assert _covers(radius * (1.0 - 1e-9), altitude, d_max)
+    assert not _covers(radius * (1.0 + 1e-9), altitude, d_max)
+
+
 def test_lmax_equals_altitude_at_sqrt2():
-    cfg = ArrayConfig(M=2, delta=0.1, altitude=10.0, d_max=10.0 * math.sqrt(2))
-    assert cfg.l_max == pytest.approx(10.0)
+    _assert_coverage_radius(10.0, 10.0, 10.0 * math.sqrt(2))
 
 
 def test_lmax_table_value():
-    assert CFG.l_max == pytest.approx(math.sqrt(1125.0))
+    _assert_coverage_radius(math.sqrt(1125.0), A, D_MAX)
 
 
 @given(st.floats(min_value=1.0, max_value=100.0),
        st.floats(min_value=1.01, max_value=10.0))
 def test_lmax_identity(a, factor):
-    cfg = ArrayConfig(M=2, delta=0.1, altitude=a, d_max=a * factor)
-    assert cfg.l_max ** 2 + a ** 2 == pytest.approx(cfg.d_max ** 2, rel=1e-12)
+    # l^2 + A^2 = d_max^2 with d_max = factor * A
+    _assert_coverage_radius(a * math.sqrt(factor ** 2 - 1.0), a, a * factor)
 
 
 # ---------------------------------------------------------------- feasibility
 
 def _simple_plan():
     f = _row_field([0.0, 25.0])
-    return plan_groups(f, CFG, 2, row_ys=[0.0])
+    return plan_groups(f, A, D_MAX, 2, row_ys=[0.0])
 
 
 def test_feasible_with_huge_budget():
@@ -194,7 +212,7 @@ def test_feasibility_boundary_is_closed():
     # the plan check and the throughput problem share one travel time,
     # so they agree on both sides of the boundary to the last bit
     plan = _simple_plan()
-    coeffs = group_coefficients(plan, CFG, PARAMS)
+    coeffs = group_coefficients(plan, PARAMS)
     travel = travel_time(plan.D, 10.0)
     ok, reported = check_feasibility(plan, v_max=10.0, T=travel)
     assert ok and reported == travel

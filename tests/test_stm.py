@@ -10,9 +10,8 @@ from uavwpt.channel import GroupCoefficients, group_coefficients
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import InfeasiblePlanError, NumericDomainError
 from uavwpt import experiments, stm
-from uavwpt.experiments import (SweepSpec, array_config, channel_params,
-                                generate_trial, hf_eh_baseline, run_sweep,
-                                trial_rng)
+from uavwpt.experiments import (SweepSpec, channel_params, generate_trial,
+                                hf_eh_baseline, run_sweep, trial_rng)
 from uavwpt.stm import (StmProblem, TimeAllocation, _chain_q, kkt_residuals,
                         solve_stm, stm_diag_row, sum_throughput,
                         throughput_gradient, STM_DIAG_HEADER)
@@ -74,8 +73,7 @@ def _swept_problem(config, trial, baseline=False):
     geo = generate_trial(config, trial_rng(7, trial))
     plan = geo.baseline_plan if baseline else geo.plan
     scheme = hf_eh_baseline(config) if baseline else config
-    coeffs = group_coefficients(plan, array_config(scheme),
-                                channel_params(scheme))
+    coeffs = group_coefficients(plan, channel_params(scheme))
     return StmProblem(coeffs=coeffs, D=plan.D, T=config.T_s,
                       v_max=config.v_max_mps)
 

@@ -9,9 +9,10 @@ from scipy.special import lambertw
 from instance_tools import ttm_instance, synthetic_coeffs
 from uavwpt.channel import GroupCoefficients
 from uavwpt.errors import ConfigError, NumericDomainError
-from uavwpt.ttm import (TtmProblem, count_clamped_legs, delivered_information,
-                        solve_ttm, tau_closed_form, ttm_diag_row,
-                        zeta_closed_form, TTM_DIAG_HEADER)
+from uavwpt.stm import delivered_information
+from uavwpt.ttm import (TtmProblem, count_clamped_legs, solve_ttm,
+                        tau_closed_form, ttm_diag_row, zeta_closed_form,
+                        TTM_DIAG_HEADER)
 from uavwpt.verification import ttm_grid_oracle
 
 

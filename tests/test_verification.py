@@ -8,10 +8,10 @@ from instance_tools import stm_instance, synthetic_coeffs, ttm_instance
 from uavwpt.channel import coeff_b
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import UnsupportedScaleError
-from uavwpt.experiments import (array_config, channel_params,
-                                generate_trial, trial_rng)
-from uavwpt.stm import TimeAllocation, solve_stm, sum_throughput
-from uavwpt.ttm import delivered_information, solve_ttm
+from uavwpt.experiments import channel_params, generate_trial, trial_rng
+from uavwpt.stm import (TimeAllocation, delivered_information, solve_stm,
+                        sum_throughput)
+from uavwpt.ttm import solve_ttm
 from uavwpt.verification import (ORACLE_CSV_HEADER, OracleReport,
                                  concavity_suite, flight_energy_numeric,
                                  run_verification, stm_grid_oracle,
@@ -156,14 +156,13 @@ def test_fault_injection_is_caught(monkeypatch):
     # the flight-energy oracle can see either fault.
     import uavwpt.channel as ch
     geo, params = _one_trial()
-    cfg = array_config(CFG)
-    clean = ch.group_coefficients(geo.plan, cfg, params)
+    clean = ch.group_coefficients(geo.plan, params)
     for name, b_scale in (("coeff_b", 1.0), ("leg_average_inverse_sq", 0.9)):
         real = getattr(ch, name)
         with monkeypatch.context() as m:
             m.setattr(ch, name,
                       lambda *a, real=real, **k: 0.9 * real(*a, **k))
-            faulty = ch.group_coefficients(geo.plan, cfg, params)
+            faulty = ch.group_coefficients(geo.plan, params)
             reports, ok = run_verification(CFG)
         assert faulty.b == pytest.approx(
             tuple(b_scale * b for b in clean.b), rel=1e-12)

@@ -14,10 +14,11 @@ and the group uplink rate during its hover is
 
 in nats/s/Hz, where a_n and b_n sum the members' a_i and b_i and
 gamma_n sums their uplink gains.  The solvers see a group only through
-these three aggregates, which `group_coefficients` builds in one pass
-over the plan; `coeff_a`/`coeff_b` give one sensor's a_i/b_i from the
-same primitives.  Everything here is a pure function of immutable
-inputs.
+these three aggregates.  `experiments.generate_trial` computes each
+member's a_i and b_i once, from `point_inverse_sq` and
+`leg_average_inverse_sq`; `aggregate_coefficients` range-checks and
+sums them and adds the uplink gains.  Everything here is a pure
+function of immutable inputs.
 
 Antenna k of M (1-based) sits (k-1)*delta from the hover point along
 +y, perpendicular to the rows; antenna 1 transmits energy and antennas
@@ -123,30 +124,11 @@ def leg_average_inverse_sq(p0: Point, p1: Point, w: Point, A: float) -> float:
     return (math.atan2(D - s_w, c) - math.atan2(-s_w, c)) / (D * c)
 
 
-def coeff_a(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:
-    """Hover-phase harvesting coefficient of sensor i for hover point n."""
-    w = plan.position(i)
-    return point_inverse_sq(plan.hover(n), w, params.A)
-
-
 def coeff_b(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:
     """Flight-phase harvesting coefficient of sensor i over leg n."""
     p0, p1 = plan.leg(n)
     w = plan.position(i)
     return leg_average_inverse_sq(p0, p1, w, params.A)
-
-
-def harvested_energy(plan: GroupPlan, params: ChannelParams, n: int, i: int,
-                     tau_prev: float, zeta_n: float) -> float:
-    """Energy (joules) sensor i collects before its group's hover n:
-    tau_prev seconds of hover at the previous stop plus zeta_n seconds of
-    inbound flight."""
-    if tau_prev < 0.0 or zeta_n < 0.0:
-        raise NumericDomainError("durations must be nonnegative")
-    if i not in plan.members(n):
-        raise PlanError(f"sensor {i} is not served by group {n}")
-    return params.energy_scale * (coeff_a(plan, params, n, i) * tau_prev
-                                  + coeff_b(plan, params, n, i) * zeta_n)
 
 
 def group_rate(coeffs: "GroupCoefficients", n: int, tau_prev: float,
@@ -189,12 +171,15 @@ class GroupCoefficients:
         return len(self.a)
 
 
-def group_coefficients(plan: GroupPlan,
-                       params: ChannelParams) -> GroupCoefficients:
-    """Compute every coefficient the solvers need for a plan.
+def aggregate_coefficients(plan: GroupPlan, params: ChannelParams,
+                           a_i, b_i) -> GroupCoefficients:
+    """Every coefficient the solvers need for a plan, from its members'
+    hover and flight coefficients a_i and b_i, listed group by group in
+    plan order.
 
-    Sums run over members in plan order, and over antennas 2..M inside
-    each member.  Each leg starts where the previous one ended.
+    Each a_i and b_i must lie in (0, 1/A^2], the value right under the
+    UAV.  Sums run over members in plan order, and over antennas 2..M
+    inside each member.
     """
     A = params.A
     A2 = A * A
@@ -204,15 +189,11 @@ def group_coefficients(plan: GroupPlan,
     offsets = [(k - 1) * params.delta for k in range(2, params.M + 1)]
     sensors = plan.sensors
     a, b, gamma = [], [], []
-    p0 = plan.start_point
-    for n, (members, hover) in enumerate(
+    pairs = zip(a_i, b_i)
+    for n, (members, (hx, hy)) in enumerate(
             zip(plan.groups, plan.hover_points), start=1):
-        hx, hy = hover
         a_n, b_n, h_n = [], [], []
-        for i in members:
-            w = sensors[i - 1]
-            av = point_inverse_sq(hover, w, A)
-            bv = leg_average_inverse_sq(p0, hover, w, A)
+        for i, (av, bv) in zip(members, pairs):
             if not 0.0 < av <= bound:
                 raise NumericDomainError(
                     f"group {n}: hover coefficient {av} outside (0, 1/A^2]")
@@ -221,12 +202,11 @@ def group_coefficients(plan: GroupPlan,
                     f"group {n}: flight coefficient {bv} outside (0, 1/A^2]")
             a_n.append(av)
             b_n.append(bv)
-            x, y = w
+            x, y = sensors[i - 1]
             for off in offsets:
                 L = math.hypot(hx - x, hy + off - y)
                 h_n.append(k0 / (L * L + A2))
         a.append(sum(a_n))
         b.append(sum(b_n))
         gamma.append(snr * sum(h_n))
-        p0 = hover
     return GroupCoefficients(a=tuple(a), b=tuple(b), gamma=tuple(gamma))

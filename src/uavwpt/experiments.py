@@ -11,8 +11,9 @@ on scheduling or worker count.  A trial takes its numbers from
 standard-uniform blocks, mapped to their ranges the way
 `Generator.uniform` maps them, so each trial's stream, and every
 number drawn from it, is the one per-number `uniform` calls would give.
-A config's radio (`channel_params`, the antenna array included) and its
-baseline scenario (`hf_eh_baseline`) are built once and reused.
+The pass that draws a trial computes both plans' coefficients, each
+member's once.  A config's radio (`channel_params`, the antenna array
+included) and its baseline scenario (`hf_eh_baseline`) are built once.
 """
 
 import functools
@@ -23,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (ChannelParams, group_coefficients,
-                      leg_average_inverse_sq, point_inverse_sq)
+from . import channel        # read per call, so a patched primitive is seen
+from .channel import ChannelParams, GroupCoefficients
 from .config import ScenarioConfig
 from .errors import ConfigError, NumericDomainError, UavWptError
 from .geometry import GroupPlan, group_sizes, singleton_plan
@@ -51,10 +52,13 @@ _CONFIG_MEMO = 16         # configs whose derived constants are kept
 @dataclass(frozen=True)
 class TrialGeometry:
     """One realization: the proposed plan and the baseline plan, which
-    share one tuple of sensor positions and one start point."""
+    share one tuple of sensor positions and one start point, each with
+    its coefficients."""
 
     plan: GroupPlan
+    coeffs: GroupCoefficients
     baseline_plan: GroupPlan
+    baseline_coeffs: GroupCoefficients
 
 
 @dataclass(frozen=True)
@@ -132,9 +136,10 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     Hover points are spaced by the drawn leg lengths along one row at
     offset ytilde; each group's members are scattered behind its hover
     point.  Members are redrawn (rarely) if the flight-phase coefficient
-    fails to dominate the hover-phase one.  Both plans fly in from
-    (0, ytilde); the baseline plan visits the same sensors one at a time
-    (`singleton_plan`).
+    fails to dominate the hover-phase one; the accepted pair is what
+    the aggregates sum.  Both plans fly in from (0, ytilde); the
+    baseline plan visits the same sensors one at a time
+    (`singleton_plan`) with the `hf_eh_baseline` radio.
 
     The draws come from standard-uniform blocks (`rng.random`), each
     value mapped to its range as lo + (hi - lo) * u, the two float
@@ -162,6 +167,7 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     start = (0.0, ytilde)
     sensors = []
     groups = []
+    hover_a, flight_b = [], []
     leg_start = start
     for g, (hx, d_g, size) in enumerate(zip(anchors, D, group_sizes(K, N))):
         hover = (hx, ytilde)
@@ -175,8 +181,8 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
                 yj = j_lo + j_span * block[pos + 1]
                 pos += 2
                 w = (hx - u * d_g, ytilde + yj)
-                a_i = point_inverse_sq(hover, w, A)
-                b_i = leg_average_inverse_sq(leg_start, hover, w, A)
+                a_i = channel.point_inverse_sq(hover, w, A)
+                b_i = channel.leg_average_inverse_sq(leg_start, hover, w, A)
                 if b_i > a_i:
                     break
             else:
@@ -184,6 +190,8 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
                     f"group {g + 1}: could not place a member with "
                     f"flight-dominant harvesting in {REDRAW_CAP} redraws")
             sensors.append(w)
+            hover_a.append(a_i)
+            flight_b.append(b_i)
         groups.append(tuple(range(first, len(sensors) + 1)))
         leg_start = hover
 
@@ -196,15 +204,26 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
         row_of_group=(1,) * N,
         start_point=start,
     )
-    return TrialGeometry(plan=plan,
-                         baseline_plan=singleton_plan(sensors, start))
+    baseline_plan = singleton_plan(sensors, start)
+    stops = baseline_plan.hover_points
+    base_b = [channel.leg_average_inverse_sq(p0, w, w, A)
+              for p0, w in zip((start,) + stops, stops)]
+    return TrialGeometry(
+        plan=plan,
+        coeffs=channel.aggregate_coefficients(
+            plan, channel_params(config), hover_a, flight_b),
+        baseline_plan=baseline_plan,
+        baseline_coeffs=channel.aggregate_coefficients(
+            baseline_plan, channel_params(hf_eh_baseline(config)),
+            # point_inverse_sq(w, w, A) is exactly 1/(A*A)
+            [1.0 / (A * A)] * K, base_b))
 
 
-def build_problem(config: ScenarioConfig, plan: GroupPlan, objective: str):
-    """The plan's coefficients wrapped as an StmProblem under the
-    config's budget (objective "stm"), or as a TtmProblem demanding
-    I_nats per member sensor (objective "ttm")."""
-    coeffs = group_coefficients(plan, channel_params(config))
+def build_problem(config: ScenarioConfig, plan: GroupPlan,
+                  coeffs: GroupCoefficients, objective: str):
+    """A plan's coefficients wrapped as an StmProblem under the config's
+    budget (objective "stm"), or as a TtmProblem demanding I_nats per
+    member sensor (objective "ttm")."""
     if objective == "stm":
         return StmProblem(coeffs=coeffs, D=plan.D, T=config.T_s,
                           v_max=config.v_max_mps)
@@ -217,8 +236,8 @@ def build_problem(config: ScenarioConfig, plan: GroupPlan, objective: str):
 
 
 def _solve_for(config: ScenarioConfig, plan: GroupPlan,
-               objective: str) -> float:
-    problem = build_problem(config, plan, objective)
+               coeffs: GroupCoefficients, objective: str) -> float:
+    problem = build_problem(config, plan, coeffs, objective)
     if objective == "stm":
         return solve_stm(problem)[1].objective
     return solve_ttm(problem)[1]
@@ -229,10 +248,10 @@ def run_trial(config: ScenarioConfig, trial_index: int,
               include_baseline: bool = True) -> TrialResult:
     """Solve one realization for the proposed scheme and the baseline."""
     geo = generate_trial(config, trial_rng(config.seed, trial_index))
-    ours = _solve_for(config, geo.plan, objective)
+    ours = _solve_for(config, geo.plan, geo.coeffs, objective)
     base = None
     if include_baseline:
-        base = _solve_for(hf_eh_baseline(config), geo.baseline_plan,
+        base = _solve_for(config, geo.baseline_plan, geo.baseline_coeffs,
                           objective)
     return TrialResult(ours=ours, baseline=base)
 
@@ -276,6 +295,8 @@ def run_sweep(config: ScenarioConfig, sweep: SweepSpec, workers: int = 1,
     """
     if baseline not in ("hf-eh", "none"):
         raise ConfigError(f"unknown baseline mode {baseline!r}")
+    if workers < 1:
+        raise ConfigError(f"need at least 1 worker, got {workers}")
     include_baseline = baseline == "hf-eh"
     point_configs = [apply_sweep_value(config, sweep.param, v)
                      for v in sweep.values]

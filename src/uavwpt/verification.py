@@ -290,8 +290,8 @@ def run_verification(config: ScenarioConfig):
     # throughput solver vs grid oracle
     for j in range(5):
         inst = seed * 7919 + j
-        problem = build_problem(
-            desk, generate_trial(desk, trial_rng(inst, 0)).plan, "stm")
+        geo = generate_trial(desk, trial_rng(inst, 0))
+        problem = build_problem(desk, geo.plan, geo.coeffs, "stm")
         _, oracle_val = stm_grid_oracle(problem)
         _, diag = solve_stm(problem)
         ok = (diag.objective
@@ -305,8 +305,8 @@ def run_verification(config: ScenarioConfig):
     # time-minimization solver vs grid oracle
     for j in range(5):
         inst = seed * 104729 + j
-        problem = build_problem(
-            desk, generate_trial(desk, trial_rng(inst, 0)).plan, "ttm")
+        geo = generate_trial(desk, trial_rng(inst, 0))
+        problem = build_problem(desk, geo.plan, geo.coeffs, "ttm")
         _, oracle_total = ttm_grid_oracle(problem)
         alloc, total = solve_ttm(problem)
         info = delivered_information(problem.coeffs, alloc)
@@ -318,8 +318,8 @@ def run_verification(config: ScenarioConfig):
             oracle_value=oracle_total, solver_value=total, passed=ok))
 
     # concavity of the per-group throughput term
-    problem = build_problem(
-        desk, generate_trial(desk, trial_rng(seed * 31 + 7, 0)).plan, "stm")
+    geo = generate_trial(desk, trial_rng(seed * 31 + 7, 0))
+    problem = build_problem(desk, geo.plan, geo.coeffs, "stm")
     conc = concavity_suite(problem.coeffs, trials=100_000, seed=seed)
     reports.append(OracleReport(
         oracle="concavity", instance_seed=seed,

@@ -4,7 +4,12 @@ The instances bypass the geometry pipeline and build coefficient bundles
 directly, so solver tests stay focused and fast: the solvers see a group
 only through its aggregates a, b and gamma.  stm_sqp_reference solves
 the same STM model as uavwpt.stm by sequential quadratic programming,
-an independent check on the closed form.
+an independent check on the closed form.  group_coefficients rebuilds a
+plan's aggregates from the plan alone, the bitwise reference for the
+coefficients a trial is drawn with; coeff_a and harvested_energy give
+one sensor's hover coefficient and harvested energy.  They call the
+channel primitives through the module, so a test that patches one
+reaches them too.
 """
 
 import math
@@ -12,8 +17,10 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from uavwpt.channel import GroupCoefficients
-from uavwpt.errors import AccuracyError
+from uavwpt import channel
+from uavwpt.channel import ChannelParams, GroupCoefficients
+from uavwpt.errors import AccuracyError, NumericDomainError, PlanError
+from uavwpt.geometry import GroupPlan
 from uavwpt.stm import (StmDiagnostics, StmProblem, _close_budget,
                         _degenerate_allocation, kkt_residuals,
                         sum_throughput, throughput_gradient)
@@ -150,3 +157,68 @@ def stm_sqp_reference(problem: StmProblem):
         raise AccuracyError(
             "numeric throughput solve failed: " + "; ".join(messages[:2]))
     return alloc, diag
+
+
+def coeff_a(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:
+    """Hover-phase harvesting coefficient of sensor i for hover point n."""
+    w = plan.position(i)
+    return channel.point_inverse_sq(plan.hover(n), w, params.A)
+
+
+def harvested_energy(plan: GroupPlan, params: ChannelParams, n: int, i: int,
+                     tau_prev: float, zeta_n: float) -> float:
+    """Energy (joules) sensor i collects before its group's hover n:
+    tau_prev seconds of hover at the previous stop plus zeta_n seconds of
+    inbound flight."""
+    if tau_prev < 0.0 or zeta_n < 0.0:
+        raise NumericDomainError("durations must be nonnegative")
+    if i not in plan.members(n):
+        raise PlanError(f"sensor {i} is not served by group {n}")
+    return params.energy_scale * (
+        coeff_a(plan, params, n, i) * tau_prev
+        + channel.coeff_b(plan, params, n, i) * zeta_n)
+
+
+def group_coefficients(plan: GroupPlan,
+                       params: ChannelParams) -> GroupCoefficients:
+    """Every coefficient the solvers need for a plan, from the plan alone.
+
+    Sums run over members in plan order, and over antennas 2..M inside
+    each member.  Each leg starts where the previous one ended.  The
+    float operations and their order are those of the trial's own
+    coefficient pass, so the two agree bit for bit.
+    """
+    A = params.A
+    A2 = A * A
+    bound = 1.0 / A2 * (1.0 + 1e-12)
+    k0 = params.k0
+    snr = params.energy_scale / params.sigma2
+    offsets = [(k - 1) * params.delta for k in range(2, params.M + 1)]
+    sensors = plan.sensors
+    a, b, gamma = [], [], []
+    p0 = plan.start_point
+    for n, (members, hover) in enumerate(
+            zip(plan.groups, plan.hover_points), start=1):
+        hx, hy = hover
+        a_n, b_n, h_n = [], [], []
+        for i in members:
+            w = sensors[i - 1]
+            av = channel.point_inverse_sq(hover, w, A)
+            bv = channel.leg_average_inverse_sq(p0, hover, w, A)
+            if not 0.0 < av <= bound:
+                raise NumericDomainError(
+                    f"group {n}: hover coefficient {av} outside (0, 1/A^2]")
+            if not 0.0 < bv <= bound:
+                raise NumericDomainError(
+                    f"group {n}: flight coefficient {bv} outside (0, 1/A^2]")
+            a_n.append(av)
+            b_n.append(bv)
+            x, y = w
+            for off in offsets:
+                L = math.hypot(hx - x, hy + off - y)
+                h_n.append(k0 / (L * L + A2))
+        a.append(sum(a_n))
+        b.append(sum(b_n))
+        gamma.append(snr * sum(h_n))
+        p0 = hover
+    return GroupCoefficients(a=tuple(a), b=tuple(b), gamma=tuple(gamma))

@@ -40,8 +40,8 @@ def _desk(N: int) -> ScenarioConfig:
 
 def _desk_instance(inst_seed: int, objective: str):
     desk = _desk(2)
-    plan = generate_trial(desk, trial_rng(inst_seed, 0)).plan
-    return build_problem(desk, plan, objective)
+    geo = generate_trial(desk, trial_rng(inst_seed, 0))
+    return build_problem(desk, geo.plan, geo.coeffs, objective)
 
 
 def _serpentine_plan(rng):

@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from uavwpt.channel import (ChannelParams, GroupCoefficients, coeff_a,
-                            coeff_b, group_coefficients, group_rate,
-                            harvested_energy, leg_average_inverse_sq,
-                            point_inverse_sq)
+import uavwpt.channel as channel
+from instance_tools import coeff_a, group_coefficients, harvested_energy
+from uavwpt.channel import (ChannelParams, GroupCoefficients,
+                            aggregate_coefficients, coeff_b, group_rate,
+                            leg_average_inverse_sq, point_inverse_sq)
+from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError, PlanError
+from uavwpt.experiments import generate_trial, trial_rng
 from uavwpt.geometry import GroupPlan
 from uavwpt.numerics import integrate_adaptive
 
@@ -54,7 +57,9 @@ def _uplink_sum(plan, n):
 
 
 def _gamma(plan, params):
-    return group_coefficients(plan, params).gamma[0]
+    # one-sensor plans: the aggregate pass handed that sensor's a and b
+    return aggregate_coefficients(plan, params, [coeff_a(plan, params, 1, 1)],
+                                  [coeff_b(plan, params, 1, 1)]).gamma[0]
 
 
 # ---------------------------------------------------------------- gains
@@ -276,26 +281,32 @@ def test_group_coefficients_sums_members():
 def test_group_coefficients_range_checks(monkeypatch):
     # a coefficient above the overhead value 1/A^2 is a fault in the
     # primitive that made it; the error names the group and the phase
-    import uavwpt.channel as ch
     plan = GroupPlan(sensors=((2.0, 1.0), (30.0, 0.5)), groups=((1,), (2,)),
                      hover_points=((5.0, 0.0), (30.0, 0.0)),
                      D=(20.0, 25.0), row_of_group=(1, 1),
                      start_point=(-15.0, 0.0))
     too_big = 2.0 / PARAMS.A ** 2
-    for name, phase in (("point_inverse_sq", "hover"),
-                        ("leg_average_inverse_sq", "flight")):
-        real = getattr(ch, name)
-
-        def faulty(*args, real=real):
-            # both primitives end in (hover point, sensor, A); fault
-            # only group 2's
-            return too_big if args[-3] == (30.0, 0.0) else real(*args)
-
+    a = [coeff_a(plan, PARAMS, n, n) for n in (1, 2)]
+    b = [coeff_b(plan, PARAMS, n, n) for n in (1, 2)]
+    assert aggregate_coefficients(plan, PARAMS, a, b).N == 2
+    # fault only group 2's
+    for phase, a_i, b_i in (("hover", [a[0], too_big], b),
+                            ("flight", a, [b[0], too_big])):
+        with pytest.raises(NumericDomainError,
+                           match=f"^group 2: {phase} coefficient"):
+            aggregate_coefficients(plan, PARAMS, a_i, b_i)
+    # the same faults in the primitives a trial is drawn with; the
+    # flight one stays above the hover one, so no member is redrawn
+    config = ScenarioConfig(A_m=PARAMS.A)
+    for phase, hover, flight in (("hover", too_big, 2.0 * too_big),
+                                 ("flight", None, too_big)):
         with monkeypatch.context() as m:
-            m.setattr(ch, name, faulty)
+            if hover is not None:
+                m.setattr(channel, "point_inverse_sq", lambda *_: hover)
+            m.setattr(channel, "leg_average_inverse_sq", lambda *_: flight)
             with pytest.raises(NumericDomainError,
-                               match=f"^group 2: {phase} coefficient"):
-                group_coefficients(plan, PARAMS)
+                               match=f"^group 1: {phase} coefficient"):
+                generate_trial(config, trial_rng(config.seed, 0))
 
 
 def test_params_validation():

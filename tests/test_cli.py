@@ -266,6 +266,13 @@ def test_sweep_rejects_bad_values(cfg_path, tmp_path, capsys):
     rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
                "--param", "N", "--values", "0.5"])
     assert rc == 4
+    for workers in ("0", "-3"):
+        rc = main(["sweep", "--config", str(cfg_path), "--out",
+                   str(tmp_path), "--param", "pt_db", "--values", "4",
+                   "--workers", workers])
+        assert rc == 4
+        assert "at least 1 worker" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_pt_db.csv").exists()
     capsys.readouterr()
 
 

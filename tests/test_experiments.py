@@ -6,8 +6,8 @@ import pytest
 
 import uavwpt.channel as channel
 import uavwpt.experiments as experiments
-from uavwpt.channel import (coeff_a, coeff_b, group_coefficients,
-                            harvested_energy)
+from instance_tools import coeff_a, group_coefficients, harvested_energy
+from uavwpt.channel import coeff_b
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError
 from uavwpt.geometry import GroupPlan, singleton_plan
@@ -62,10 +62,10 @@ def test_flight_harvest_dominates_hover_harvest():
 
 def test_sensor_energies_sum_to_group_aggregates():
     geo = generate_trial(CFG, trial_rng(1, 3))
-    for scheme, plan in ((CFG, geo.plan),
-                         (hf_eh_baseline(CFG), geo.baseline_plan)):
+    for scheme, plan, coeffs in (
+            (CFG, geo.plan, geo.coeffs),
+            (hf_eh_baseline(CFG), geo.baseline_plan, geo.baseline_coeffs)):
         params = channel_params(scheme)
-        coeffs = group_coefficients(plan, params)
         tau_prev, zeta = 7.25, 3.5
         for n in range(1, plan.N + 1):
             total = sum(harvested_energy(plan, params, n, i, tau_prev, zeta)
@@ -85,7 +85,7 @@ def test_baseline_plan_structure():
     assert xs == sorted(xs)
     bcfg = hf_eh_baseline(CFG)
     params = channel_params(bcfg)
-    coeffs = group_coefficients(plan, params)
+    coeffs = geo.baseline_coeffs
     for n in range(20):
         assert coeffs.a[n] == pytest.approx(1.0 / CFG.A_m ** 2, rel=1e-12)
         # single receive antenna: gamma_n is antenna 2's gain alone
@@ -134,8 +134,13 @@ def _scalar_trial(config, rng):
     plan = GroupPlan(sensors=sensors, groups=tuple(groups),
                      hover_points=tuple((float(x), ytilde) for x in anchors),
                      D=tuple(D), row_of_group=(1,) * N, start_point=start)
+    baseline_plan = singleton_plan(sensors, start)
     return (experiments.TrialGeometry(
-        plan=plan, baseline_plan=singleton_plan(sensors, start)), redraws)
+        plan=plan, coeffs=group_coefficients(plan, channel_params(config)),
+        baseline_plan=baseline_plan,
+        baseline_coeffs=group_coefficients(
+            baseline_plan, channel_params(hf_eh_baseline(config)))),
+        redraws)
 
 
 _STREAM_CASES = {
@@ -162,6 +167,9 @@ def test_block_draw_matches_scalar_stream(case, monkeypatch):
         total_redraws += redraws
         assert geo.plan == expect.plan
         assert geo.baseline_plan == expect.baseline_plan
+        # redrawn members leave no trace in the coefficients
+        assert geo.coeffs == expect.coeffs
+        assert geo.baseline_coeffs == expect.baseline_coeffs
         # the block draws leave the generator where scalar calls would
         assert (block_rng.bit_generator.state
                 == scalar_rng.bit_generator.state)
@@ -199,27 +207,73 @@ class _CountingRng:
 
 def test_trial_draw_and_coefficient_counts(monkeypatch):
     # guards the lean trial path: one block draw and no scalar uniform
-    # draw per trial without redraws, and one flight coefficient per
-    # member when the coefficients are built
+    # draw per trial without redraws, and each coefficient computed once
+    # per trial: a hover and a flight coefficient per grouped member, a
+    # flight coefficient per baseline member (its hover one is 1/A^2)
     config = ScenarioConfig()
-    legs = {"calls": 0}
-    real_leg = channel.leg_average_inverse_sq
+    K = config.K
+    calls = {}
 
-    def counted_leg(*args):
-        legs["calls"] += 1
-        return real_leg(*args)
+    def counted(name):
+        real = getattr(channel, name)
 
-    for t in range(5):
-        rng = _CountingRng(trial_rng(config.seed, t))
-        geo = generate_trial(config, rng)
-        assert rng.calls == {"random": 1}
-        with monkeypatch.context() as m:
-            m.setattr(channel, "leg_average_inverse_sq", counted_leg)
-            for scheme, plan in ((config, geo.plan),
-                                 (hf_eh_baseline(config), geo.baseline_plan)):
-                legs["calls"] = 0
-                group_coefficients(plan, channel_params(scheme))
-                assert legs["calls"] == config.K
+        def primitive(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return primitive
+
+    rngs = []
+
+    def counted_rng(*args):
+        rngs.append(_CountingRng(trial_rng(*args)))
+        return rngs[-1]
+
+    monkeypatch.setattr(experiments, "trial_rng", counted_rng)
+    for name in ("point_inverse_sq", "leg_average_inverse_sq"):
+        monkeypatch.setattr(channel, name, counted(name))
+    for objective in ("stm", "ttm"):
+        for t in range(5):
+            calls.update(point_inverse_sq=0, leg_average_inverse_sq=0)
+            run_trial(config, t, objective)
+            assert rngs[-1].calls == {"random": 1}
+            assert calls == {"point_inverse_sq": K,
+                             "leg_average_inverse_sq": 2 * K}
+
+
+def test_trial_coefficients_match_reference_bitwise():
+    # each trial's coefficients, computed in the pass that draws it, are
+    # the ones the plan alone gives, to the last bit; a baseline gamma
+    # reads (y + off) - y, which need not equal off, so it must come
+    # from the baseline radio's own antenna loop (M = 6 and a 3 m
+    # spacing make the grouped and baseline radios far apart)
+    for config in (ScenarioConfig(), ScenarioConfig(N=9, K=45),
+                   ScenarioConfig(M=6, delta_m=3.0),
+                   ScenarioConfig(A_m=20.0, d_max_m=40.0)):
+        config = config.validate()
+        params = channel_params(config)
+        base_params = channel_params(hf_eh_baseline(config))
+        for t in range(1000):
+            geo = generate_trial(config, trial_rng(config.seed, t))
+            assert geo.coeffs == group_coefficients(geo.plan, params)
+            assert geo.baseline_coeffs == group_coefficients(
+                geo.baseline_plan, base_params)
+
+
+def test_sweep_rejects_fewer_than_one_worker(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial was run")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(experiments, "run_trial", no_trial)
+    sweep = SweepSpec(param="pt_db", values=(4.0,), trials=2,
+                      objective="stm")
+    for workers in (0, -1):
+        with pytest.raises(ConfigError, match="at least 1 worker"):
+            run_sweep(SMALL, sweep, workers=workers)
 
 
 def test_baseline_scenario_derivation():

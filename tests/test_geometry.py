@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from uavwpt.channel import ChannelParams, group_coefficients
+from instance_tools import group_coefficients
+from uavwpt.channel import ChannelParams
 from uavwpt.errors import ConfigError, InfeasiblePlanError, PlanError
 from uavwpt.geometry import (GroupPlan, check_feasibility, load_field,
                              plan_groups, singleton_plan, travel_time,

@@ -6,12 +6,11 @@ from hypothesis import given, strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
 from instance_tools import stm_instance, stm_sqp_reference, synthetic_coeffs
-from uavwpt.channel import GroupCoefficients, group_coefficients
+from uavwpt.channel import GroupCoefficients
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import InfeasiblePlanError, NumericDomainError
 from uavwpt import experiments, stm
-from uavwpt.experiments import (SweepSpec, channel_params, generate_trial,
-                                hf_eh_baseline, run_sweep, trial_rng)
+from uavwpt.experiments import SweepSpec, generate_trial, run_sweep, trial_rng
 from uavwpt.stm import (StmProblem, TimeAllocation, _chain_q, kkt_residuals,
                         solve_stm, stm_diag_row, sum_throughput,
                         throughput_gradient, STM_DIAG_HEADER)
@@ -72,8 +71,7 @@ def _swept_problem(config, trial, baseline=False):
     or the hover-and-fly baseline's one-sensor groups."""
     geo = generate_trial(config, trial_rng(7, trial))
     plan = geo.baseline_plan if baseline else geo.plan
-    scheme = hf_eh_baseline(config) if baseline else config
-    coeffs = group_coefficients(plan, channel_params(scheme))
+    coeffs = geo.baseline_coeffs if baseline else geo.coeffs
     return StmProblem(coeffs=coeffs, D=plan.D, T=config.T_s,
                       v_max=config.v_max_mps)
 
@@ -219,9 +217,10 @@ def _memo_trial_problems():
     for cfg in configs:
         for t in range(4):
             geo = generate_trial(cfg, trial_rng(cfg.seed, t))
-            problems.append(experiments.build_problem(cfg, geo.plan, "stm"))
             problems.append(experiments.build_problem(
-                hf_eh_baseline(cfg), geo.baseline_plan, "stm"))
+                cfg, geo.plan, geo.coeffs, "stm"))
+            problems.append(experiments.build_problem(
+                cfg, geo.baseline_plan, geo.baseline_coeffs, "stm"))
     return problems
 
 
@@ -255,7 +254,7 @@ def test_lead_price_memo_serves_baselines(monkeypatch):
     for t in range(5):
         geo = generate_trial(cfg, trial_rng(cfg.seed, t))
         baselines.append(experiments.build_problem(
-            hf_eh_baseline(cfg), geo.baseline_plan, "stm"))
+            cfg, geo.baseline_plan, geo.baseline_coeffs, "stm"))
     calls = {"chain": 0, "before_structure_test": None}
 
     def counted_chain(*args):

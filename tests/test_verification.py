@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from instance_tools import stm_instance, synthetic_coeffs, ttm_instance
+from instance_tools import (group_coefficients, stm_instance,
+                            synthetic_coeffs, ttm_instance)
 from uavwpt.channel import coeff_b
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import UnsupportedScaleError
@@ -156,13 +157,13 @@ def test_fault_injection_is_caught(monkeypatch):
     # the flight-energy oracle can see either fault.
     import uavwpt.channel as ch
     geo, params = _one_trial()
-    clean = ch.group_coefficients(geo.plan, params)
+    clean = group_coefficients(geo.plan, params)
     for name, b_scale in (("coeff_b", 1.0), ("leg_average_inverse_sq", 0.9)):
         real = getattr(ch, name)
         with monkeypatch.context() as m:
             m.setattr(ch, name,
                       lambda *a, real=real, **k: 0.9 * real(*a, **k))
-            faulty = ch.group_coefficients(geo.plan, params)
+            faulty = group_coefficients(geo.plan, params)
             reports, ok = run_verification(CFG)
         assert faulty.b == pytest.approx(
             tuple(b_scale * b for b in clean.b), rel=1e-12)

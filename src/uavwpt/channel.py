@@ -15,10 +15,11 @@ and the group uplink rate during its hover is
 in nats/s/Hz, where a_n and b_n sum the members' a_i and b_i and
 gamma_n sums their uplink gains.  The solvers see a group only through
 these three aggregates.  `experiments.generate_trial` computes each
-member's a_i and b_i once, from `point_inverse_sq` and
-`leg_average_inverse_sq`; `aggregate_coefficients` range-checks and
-sums them and adds the uplink gains.  Everything here is a pure
-function of immutable inputs.
+grouped member's a_i and b_i once, from `point_inverse_sq` and
+`leg_average_inverse_sq`, and a trial's baseline computes its members'
+b_i when it is first read (each a_i is 1/A^2, right overhead);
+`aggregate_coefficients` range-checks and sums them and adds the
+uplink gains.  Everything here is a pure function of immutable inputs.
 
 Antenna k of M (1-based) sits (k-1)*delta from the hover point along
 +y, perpendicular to the rows; antenna 1 transmits energy and antennas
@@ -28,8 +29,10 @@ holds the whole radio: the array's M and delta, the altitude and the
 power-transfer constants.
 """
 
-import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
+from math import atan2, hypot, log1p, sqrt
 
 from .errors import ConfigError, NumericDomainError, PlanError
 from .geometry import GroupPlan, Point
@@ -113,15 +116,17 @@ def leg_average_inverse_sq(p0: Point, p1: Point, w: Point, A: float) -> float:
     """
     dx = p1[0] - p0[0]
     dy = p1[1] - p0[1]
-    D = math.hypot(dx, dy)
+    D = hypot(dx, dy)
     if D == 0.0:
         return point_inverse_sq(p0, w, A)
     wx = w[0] - p0[0]
     wy = w[1] - p0[1]
     s_w = (wx * dx + wy * dy) / D
-    perp_sq = max(wx * wx + wy * wy - s_w * s_w, 0.0)
-    c = math.sqrt(A * A + perp_sq)
-    return (math.atan2(D - s_w, c) - math.atan2(-s_w, c)) / (D * c)
+    perp_sq = wx * wx + wy * wy - s_w * s_w
+    if perp_sq < 0.0:
+        perp_sq = 0.0
+    c = sqrt(A * A + perp_sq)
+    return (atan2(D - s_w, c) - atan2(-s_w, c)) / (D * c)
 
 
 def coeff_b(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:
@@ -140,7 +145,7 @@ def group_rate(coeffs: "GroupCoefficients", n: int, tau_prev: float,
     energy = (coeffs.a[n - 1] * tau_prev + coeffs.b[n - 1] * zeta_n)
     if energy < 0.0:
         raise NumericDomainError("negative harvested-energy term")
-    return 0.5 * math.log1p(coeffs.gamma[n - 1] * energy / tau_n)
+    return 0.5 * log1p(coeffs.gamma[n - 1] * energy / tau_n)
 
 
 @dataclass(frozen=True)
@@ -178,35 +183,38 @@ def aggregate_coefficients(plan: GroupPlan, params: ChannelParams,
     plan order.
 
     Each a_i and b_i must lie in (0, 1/A^2], the value right under the
-    UAV.  Sums run over members in plan order, and over antennas 2..M
-    inside each member.
+    UAV; the first member outside, in plan order, is reported.  Sums
+    run over members in plan order, and over antennas 2..M inside each
+    member.
     """
     A = params.A
     A2 = A * A
     bound = 1.0 / A2 * (1.0 + 1e-12)
+    sizes = list(map(len, plan.groups))
+    if not len(a_i) == len(b_i) == sum(sizes):
+        raise PlanError("need one hover and one flight coefficient per member")
+    for j, (av, bv) in enumerate(zip(a_i, b_i)):
+        if not (0.0 < av <= bound and 0.0 < bv <= bound):
+            n = bisect_right(list(accumulate(sizes)), j) + 1
+            phase, v = ("flight", bv) if 0.0 < av <= bound else ("hover", av)
+            raise NumericDomainError(
+                f"group {n}: {phase} coefficient {v} outside (0, 1/A^2]")
     k0 = params.k0
     snr = params.energy_scale / params.sigma2
     offsets = [(k - 1) * params.delta for k in range(2, params.M + 1)]
     sensors = plan.sensors
-    a, b, gamma = [], [], []
-    pairs = zip(a_i, b_i)
-    for n, (members, (hx, hy)) in enumerate(
-            zip(plan.groups, plan.hover_points), start=1):
-        a_n, b_n, h_n = [], [], []
-        for i, (av, bv) in zip(members, pairs):
-            if not 0.0 < av <= bound:
-                raise NumericDomainError(
-                    f"group {n}: hover coefficient {av} outside (0, 1/A^2]")
-            if not 0.0 < bv <= bound:
-                raise NumericDomainError(
-                    f"group {n}: flight coefficient {bv} outside (0, 1/A^2]")
-            a_n.append(av)
-            b_n.append(bv)
+    gamma = []
+    for members, (hx, hy) in zip(plan.groups, plan.hover_points):
+        h_n = []
+        for i in members:
             x, y = sensors[i - 1]
+            dx = hx - x
             for off in offsets:
-                L = math.hypot(hx - x, hy + off - y)
+                L = hypot(dx, hy + off - y)
                 h_n.append(k0 / (L * L + A2))
-        a.append(sum(a_n))
-        b.append(sum(b_n))
         gamma.append(snr * sum(h_n))
-    return GroupCoefficients(a=tuple(a), b=tuple(b), gamma=tuple(gamma))
+    # each group sums the next len(members) values, in order
+    return GroupCoefficients(
+        a=tuple(map(sum, map(islice, repeat(iter(a_i)), sizes))),
+        b=tuple(map(sum, map(islice, repeat(iter(b_i)), sizes))),
+        gamma=tuple(gamma))

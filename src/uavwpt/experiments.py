@@ -11,18 +11,20 @@ on scheduling or worker count.  A trial takes its numbers from
 standard-uniform blocks, mapped to their ranges the way
 `Generator.uniform` maps them, so each trial's stream, and every
 number drawn from it, is the one per-number `uniform` calls would give.
-The pass that draws a trial computes both plans' coefficients, each
-member's once.  A config's radio (`channel_params`, the antenna array
-included) and its baseline scenario (`hf_eh_baseline`) are built once.
+The pass that draws a trial computes the grouped plan's coefficients,
+each member's once; the baseline plan and its coefficients are built
+on first read, so a trial solved without the baseline never builds
+them.  A config's radio (`channel_params`, the antenna array included)
+and its baseline scenario (`hf_eh_baseline`) are built once.
 """
 
 import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from . import channel        # read per call, so a patched primitive is seen
 from .channel import ChannelParams, GroupCoefficients
@@ -51,14 +53,29 @@ _CONFIG_MEMO = 16         # configs whose derived constants are kept
 
 @dataclass(frozen=True)
 class TrialGeometry:
-    """One realization: the proposed plan and the baseline plan, which
-    share one tuple of sensor positions and one start point, each with
-    its coefficients."""
+    """One realization drawn under `config`: the proposed plan with its
+    coefficients, and the baseline plan over the same tuple of sensor
+    positions and start point, with its own, built on first read."""
 
     plan: GroupPlan
     coeffs: GroupCoefficients
-    baseline_plan: GroupPlan
-    baseline_coeffs: GroupCoefficients
+    config: ScenarioConfig
+
+    @functools.cached_property
+    def baseline_plan(self) -> GroupPlan:
+        return singleton_plan(self.plan.sensors, self.plan.start_point)
+
+    @functools.cached_property
+    def baseline_coeffs(self) -> GroupCoefficients:
+        plan = self.baseline_plan
+        params = channel_params(hf_eh_baseline(self.config))
+        A = params.A
+        stops = plan.hover_points
+        # each leg ends over its sensor, where point_inverse_sq is 1/(A*A)
+        return channel.aggregate_coefficients(
+            plan, params, [1.0 / (A * A)] * len(stops),
+            list(map(channel.leg_average_inverse_sq, (plan.start_point,)
+                     + stops, stops, stops, itertools.repeat(A))))
 
 
 @dataclass(frozen=True)
@@ -126,8 +143,7 @@ def hf_eh_baseline(config: ScenarioConfig) -> ScenarioConfig:
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([master_seed, trial_index]))
+    return Generator(PCG64(SeedSequence([master_seed, trial_index])))
 
 
 def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
@@ -152,6 +168,10 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     """
     N, K = config.N, config.K
     A = config.A_m
+    # read once per trial, through the module, so a patched primitive
+    # is seen
+    point_inverse_sq = channel.point_inverse_sq
+    leg_average_inverse_sq = channel.leg_average_inverse_sq
     block = rng.random(N + 1 + 2 * K).tolist()
     d_lo, d_hi = config.D_range_m
     D = [d_lo + (d_hi - d_lo) * v for v in block[:N]]
@@ -181,8 +201,8 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
                 yj = j_lo + j_span * block[pos + 1]
                 pos += 2
                 w = (hx - u * d_g, ytilde + yj)
-                a_i = channel.point_inverse_sq(hover, w, A)
-                b_i = channel.leg_average_inverse_sq(leg_start, hover, w, A)
+                a_i = point_inverse_sq(hover, w, A)
+                b_i = leg_average_inverse_sq(leg_start, hover, w, A)
                 if b_i > a_i:
                     break
             else:
@@ -195,28 +215,19 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
         groups.append(tuple(range(first, len(sensors) + 1)))
         leg_start = hover
 
-    sensors = tuple(sensors)
     plan = GroupPlan(
-        sensors=sensors,
+        sensors=tuple(sensors),
         groups=tuple(groups),
         hover_points=tuple((x, ytilde) for x in anchors),
         D=tuple(D),
         row_of_group=(1,) * N,
         start_point=start,
     )
-    baseline_plan = singleton_plan(sensors, start)
-    stops = baseline_plan.hover_points
-    base_b = [channel.leg_average_inverse_sq(p0, w, w, A)
-              for p0, w in zip((start,) + stops, stops)]
     return TrialGeometry(
         plan=plan,
         coeffs=channel.aggregate_coefficients(
             plan, channel_params(config), hover_a, flight_b),
-        baseline_plan=baseline_plan,
-        baseline_coeffs=channel.aggregate_coefficients(
-            baseline_plan, channel_params(hf_eh_baseline(config)),
-            # point_inverse_sq(w, w, A) is exactly 1/(A*A)
-            [1.0 / (A * A)] * K, base_b))
+        config=config)
 
 
 def build_problem(config: ScenarioConfig, plan: GroupPlan,
@@ -304,6 +315,8 @@ def run_sweep(config: ScenarioConfig, sweep: SweepSpec, workers: int = 1,
              for pc in point_configs
              for t in range(sweep.trials)]
     if workers > 1:
+        # imported here: a one-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(tasks) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_trial_task, tasks, chunksize=chunk))

@@ -296,19 +296,15 @@ def singleton_plan(sensors: tuple[Point, ...],
     """One group per sensor, hovering directly over each sensor, visited
     in x order after flying in from start_point.  Used by the
     single-receive-antenna comparison scheme."""
-    ids = sorted(range(1, len(sensors) + 1),
-                 key=lambda i: (sensors[i - 1][0], i))
+    order = sorted(zip([w[0] for w in sensors], range(1, len(sensors) + 1)))
+    ids = [i for _, i in order]
     hovers = [sensors[i - 1] for i in ids]
-    D = []
-    prev = start_point
-    for h in hovers:
-        D.append(math.hypot(h[0] - prev[0], h[1] - prev[1]))
-        prev = h
+    # dist(h, prev) is hypot(h[0] - prev[0], h[1] - prev[1]), to the bit
     return GroupPlan(
         sensors=tuple(sensors),
-        groups=tuple((i,) for i in ids),
+        groups=tuple(zip(ids)),
         hover_points=tuple(hovers),
-        D=tuple(D),
-        row_of_group=tuple(1 for _ in ids),
+        D=tuple(map(math.dist, hovers, [start_point] + hovers)),
+        row_of_group=(1,) * len(ids),
         start_point=start_point,
     )

@@ -304,11 +304,16 @@ def solve_stm(problem: StmProblem):
     c = 0.5 * g_[0] * (a_[0] if free_first_hover else b_[0])
     mu, chain = _lead_price(g_, a_, c)
     if chain is not None:
-        rho, _, _, excess, _ = _mission(problem, chain, 0.0, cap1)
+        rho, _, zetas, excess, _ = _mission(problem, chain, 0.0, cap1)
         if excess <= 0.0:
             lead = _budget_closure(problem, rho, free_first_hover, excess)
-            tau0, zeta1 = (lead, cap1) if free_first_hover else (0.0, lead)
-            _, taus, zetas, _, _ = _mission(problem, chain, tau0, zeta1)
+            tau0, zetas[0] = (lead, cap1) if free_first_hover else (0.0, lead)
+            # the energy chain forward again from the closed first phase
+            taus = []
+            prev = tau0
+            for r, an, bn, zn in zip(rho, a_, b_, zetas):
+                prev = r * (an * prev + bn * zn)
+                taus.append(prev)
             alloc = _close_budget(tau0, taus, zetas, problem.T)
             method = "free-tau0" if free_first_hover else "free-zeta1"
             return alloc, _diagnostics(problem, alloc, mu, method)

@@ -10,13 +10,16 @@ kappa*tau + zeta(tau) subject to the demand gives
     tau_n = 2 I_n / (W((kappa gamma_n b_n - 1)/e) + 1)
 
 with kappa = 1 for the last group.  Flight times then come from the
-exact inverse of the rate formula, floored at the speed cap.  A forward
-pass re-tightens hovers on clamped legs so every group's delivered
-information matches its demand exactly instead of overshooting.
+exact inverse of the rate formula, floored at the speed cap
+(`zeta_closed_form`, which also tests each credit against the next
+leg's cap).  A forward pass re-tightens hovers on clamped legs so
+every group's delivered information matches its demand exactly
+instead of overshooting.
 """
 
 import math
 from dataclasses import dataclass
+from math import expm1
 
 from .channel import GroupCoefficients
 from .errors import ConfigError, NumericDomainError
@@ -74,23 +77,6 @@ def _tau_opt(I_n: float, gamma_b_eff: float, n: int) -> float:
     return 2.0 * I_n / denom
 
 
-def tau_closed_form(problem: TtmProblem, n: int) -> float:
-    """Optimal hover time of group n before any clamp repair.
-
-    Groups before the last get the downstream credit factor
-    kappa = 1 - a_{n+1}/b_{n+1}; a_{n+1} >= b_{n+1} is a hard domain
-    error rather than a silent fallback.
-    """
-    if not 1 <= n <= problem.N:
-        raise NumericDomainError(f"group index {n} out of range")
-    g_ = problem.coeffs.gamma[n - 1]
-    b_ = problem.coeffs.b[n - 1]
-    if n == problem.N:
-        return _tau_opt(problem.I[n - 1], g_ * b_, n)
-    kappa = 1.0 - problem.coeffs.a[n] / problem.coeffs.b[n]
-    return _tau_opt(problem.I[n - 1], kappa * g_ * b_, n)
-
-
 def zeta_closed_form(problem: TtmProblem, n: int, tau) -> float:
     """Flight time of leg n given the hover schedule tau = (tau_1..tau_N).
 
@@ -99,7 +85,7 @@ def zeta_closed_form(problem: TtmProblem, n: int, tau) -> float:
     exactly I_n nats, floored at the speed cap.  The group harvests
     nothing before leg 1 (no start hover in time minimization).
     """
-    if not 1 <= n <= problem.N:
+    if not 1 <= n <= len(problem.D):
         raise NumericDomainError(f"group index {n} out of range")
     tau_n = tau[n - 1]
     if tau_n <= 0.0:
@@ -109,10 +95,10 @@ def zeta_closed_form(problem: TtmProblem, n: int, tau) -> float:
     u = 2.0 * problem.I[n - 1] / tau_n
     if u > _EXP_LIMIT:
         return math.inf
-    g_ = problem.coeffs.gamma[n - 1]
-    need = (tau_n / g_ * math.expm1(u)
-            - problem.coeffs.a[n - 1] * tau_prev) / problem.coeffs.b[n - 1]
-    return max(need, floor)
+    coeffs = problem.coeffs
+    need = (tau_n / coeffs.gamma[n - 1] * expm1(u)
+            - coeffs.a[n - 1] * tau_prev) / coeffs.b[n - 1]
+    return floor if floor > need else need
 
 
 def _tau_for_demand(I_n: float, gamma_n: float, energy: float,
@@ -150,10 +136,10 @@ def _tau_for_demand(I_n: float, gamma_n: float, energy: float,
 def solve_ttm(problem: TtmProblem):
     """Minimal-time hover and flight schedule meeting every demand.
 
-    Group n < N takes the downstream credit (`tau_closed_form`) when the
-    next group flies better than it hovers, a_{n+1} < b_{n+1}, and the
-    next leg is not clamped at the speed cap; otherwise every hover
-    second is priced at full cost.  Returns (TimeAllocation, total_time).
+    Group n < N takes the downstream credit when the next group flies
+    better than it hovers, a_{n+1} < b_{n+1}, and the next leg is not
+    clamped at the speed cap; otherwise every hover second is priced at
+    full cost.  Returns (TimeAllocation, total_time).
     """
     N = problem.N
     g_ = problem.coeffs.gamma
@@ -161,16 +147,17 @@ def solve_ttm(problem: TtmProblem):
     b_ = problem.coeffs.b
 
     # backward pass: hover times, checking that each group's credit
-    # assumption survives the next leg's speed-cap clamp
+    # assumption survives the next leg's speed-cap clamp (leg n+1 reads
+    # only hovers n and n+1)
     taus = [0.0] * N
     taus[N - 1] = _tau_opt(problem.I[N - 1], g_[N - 1] * b_[N - 1], N)
     for n in range(N - 1, 0, -1):
         if a_[n] < b_[n]:
-            probe = taus.copy()
-            probe[n - 1] = tau_closed_form(problem, n)
-            if (zeta_closed_form(problem, n + 1, probe)
+            kappa = 1.0 - a_[n] / b_[n]
+            taus[n - 1] = _tau_opt(problem.I[n - 1],
+                                   kappa * g_[n - 1] * b_[n - 1], n)
+            if (zeta_closed_form(problem, n + 1, taus)
                     > problem.D[n] / problem.v_max * (1.0 + 1e-12)):
-                taus[n - 1] = probe[n - 1]
                 continue
         taus[n - 1] = _tau_opt(problem.I[n - 1], g_[n - 1] * b_[n - 1], n)
 

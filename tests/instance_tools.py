@@ -9,7 +9,8 @@ plan's aggregates from the plan alone, the bitwise reference for the
 coefficients a trial is drawn with; coeff_a and harvested_energy give
 one sensor's hover coefficient and harvested energy.  They call the
 channel primitives through the module, so a test that patches one
-reaches them too.
+reaches them too.  tau_closed_form is one group's TTM hover closed
+form, which `solve_ttm` computes inline.
 """
 
 import math
@@ -24,7 +25,7 @@ from uavwpt.geometry import GroupPlan
 from uavwpt.stm import (StmDiagnostics, StmProblem, _close_budget,
                         _degenerate_allocation, kkt_residuals,
                         sum_throughput, throughput_gradient)
-from uavwpt.ttm import TtmProblem
+from uavwpt.ttm import TtmProblem, _tau_opt
 
 _MIN_HOVER = 1e-9         # lower bound on the reference's hover times
 
@@ -157,6 +158,24 @@ def stm_sqp_reference(problem: StmProblem):
         raise AccuracyError(
             "numeric throughput solve failed: " + "; ".join(messages[:2]))
     return alloc, diag
+
+
+def tau_closed_form(problem: TtmProblem, n: int) -> float:
+    """Optimal hover time of group n before any clamp repair: the
+    closed form `solve_ttm` takes for a group whose credit holds.
+
+    Groups before the last get the downstream credit factor
+    kappa = 1 - a_{n+1}/b_{n+1}; a_{n+1} >= b_{n+1} is a hard domain
+    error rather than a silent fallback.
+    """
+    if not 1 <= n <= problem.N:
+        raise NumericDomainError(f"group index {n} out of range")
+    g_ = problem.coeffs.gamma[n - 1]
+    b_ = problem.coeffs.b[n - 1]
+    if n == problem.N:
+        return _tau_opt(problem.I[n - 1], g_ * b_, n)
+    kappa = 1.0 - problem.coeffs.a[n] / problem.coeffs.b[n]
+    return _tau_opt(problem.I[n - 1], kappa * g_ * b_, n)
 
 
 def coeff_a(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:

@@ -289,6 +289,10 @@ def test_group_coefficients_range_checks(monkeypatch):
     a = [coeff_a(plan, PARAMS, n, n) for n in (1, 2)]
     b = [coeff_b(plan, PARAMS, n, n) for n in (1, 2)]
     assert aggregate_coefficients(plan, PARAMS, a, b).N == 2
+    # one hover and one flight coefficient per member, no more, no less
+    for a_i, b_i in ((a[:1], b), (a, b + b[:1])):
+        with pytest.raises(PlanError, match="one hover and one flight"):
+            aggregate_coefficients(plan, PARAMS, a_i, b_i)
     # fault only group 2's
     for phase, a_i, b_i in (("hover", [a[0], too_big], b),
                             ("flight", a, [b[0], too_big])):

@@ -1,5 +1,11 @@
+import concurrent.futures
 import dataclasses
+import hashlib
 import math
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,7 +106,8 @@ def test_baseline_plan_structure():
 
 def _scalar_trial(config, rng):
     """generate_trial as one `rng.uniform` call per number: the stream
-    the block draws must reproduce.  Returns (geometry, redraws)."""
+    the block draws must reproduce.  Returns (the trial's plans and
+    coefficients, redraws)."""
     N, K, A = config.N, config.K, config.A_m
     D = [float(d) for d in rng.uniform(*config.D_range_m, size=N)]
     ytilde = float(rng.uniform(*config.ytilde_range_m))
@@ -135,12 +142,12 @@ def _scalar_trial(config, rng):
                      hover_points=tuple((float(x), ytilde) for x in anchors),
                      D=tuple(D), row_of_group=(1,) * N, start_point=start)
     baseline_plan = singleton_plan(sensors, start)
-    return (experiments.TrialGeometry(
+    expect = SimpleNamespace(
         plan=plan, coeffs=group_coefficients(plan, channel_params(config)),
         baseline_plan=baseline_plan,
         baseline_coeffs=group_coefficients(
-            baseline_plan, channel_params(hf_eh_baseline(config)))),
-        redraws)
+            baseline_plan, channel_params(hf_eh_baseline(config))))
+    return expect, redraws
 
 
 _STREAM_CASES = {
@@ -209,7 +216,8 @@ def test_trial_draw_and_coefficient_counts(monkeypatch):
     # guards the lean trial path: one block draw and no scalar uniform
     # draw per trial without redraws, and each coefficient computed once
     # per trial: a hover and a flight coefficient per grouped member, a
-    # flight coefficient per baseline member (its hover one is 1/A^2)
+    # flight coefficient per baseline member (its hover one is 1/A^2),
+    # and no baseline coefficient at all when the baseline is not solved
     config = ScenarioConfig()
     K = config.K
     calls = {}
@@ -233,12 +241,13 @@ def test_trial_draw_and_coefficient_counts(monkeypatch):
     for name in ("point_inverse_sq", "leg_average_inverse_sq"):
         monkeypatch.setattr(channel, name, counted(name))
     for objective in ("stm", "ttm"):
-        for t in range(5):
-            calls.update(point_inverse_sq=0, leg_average_inverse_sq=0)
-            run_trial(config, t, objective)
-            assert rngs[-1].calls == {"random": 1}
-            assert calls == {"point_inverse_sq": K,
-                             "leg_average_inverse_sq": 2 * K}
+        for include_baseline, legs in ((True, 2 * K), (False, K)):
+            for t in range(5):
+                calls.update(point_inverse_sq=0, leg_average_inverse_sq=0)
+                run_trial(config, t, objective, include_baseline)
+                assert rngs[-1].calls == {"random": 1}
+                assert calls == {"point_inverse_sq": K,
+                                 "leg_average_inverse_sq": legs}
 
 
 def test_trial_coefficients_match_reference_bitwise():
@@ -267,13 +276,26 @@ def test_sweep_rejects_fewer_than_one_worker(monkeypatch):
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial was run")
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(experiments, "run_trial", no_trial)
     sweep = SweepSpec(param="pt_db", values=(4.0,), trials=2,
                       objective="stm")
     for workers in (0, -1):
         with pytest.raises(ConfigError, match="at least 1 worker"):
             run_sweep(SMALL, sweep, workers=workers)
+
+
+def test_import_loads_no_process_pool():
+    # a one-process sweep, and every `solve`, never needs multiprocessing,
+    # whose import slows the start of every fresh process
+    src = str(Path(experiments.__file__).resolve().parent.parent)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import uavwpt; "
+             "print(sorted(m for m in ('multiprocessing', "
+             "'concurrent.futures') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe, src],
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_baseline_scenario_derivation():
@@ -284,6 +306,27 @@ def test_baseline_scenario_derivation():
 
 
 # -------------------------------------------------- single trials
+
+# SHA-256 over float.hex of both results of every trial below, so the
+# last bit of any result shows (the sweep pins print 12 digits of
+# means).  Pinned with glibc's libm on x86-64 Linux.
+PINNED_TRIAL_DIGEST = (
+    "26f430b697889c80277ddeed65d82da9795a49d1919341b00a2253189cade97d")
+
+
+def test_trial_results_pinned_bitwise():
+    digest = hashlib.sha256()
+    for config in (ScenarioConfig(), ScenarioConfig(N=9, K=45),
+                   ScenarioConfig(M=6, delta_m=3.0),
+                   ScenarioConfig(pt_db=0.0)):
+        config = config.validate()
+        for objective in ("stm", "ttm"):
+            for t in range(100):
+                r = run_trial(config, t, objective)
+                digest.update(
+                    f"{r.ours.hex()} {r.baseline.hex()}\n".encode())
+    assert digest.hexdigest() == PINNED_TRIAL_DIGEST
+
 
 def test_run_trial_deterministic():
     r1 = run_trial(SMALL, 0, "stm")

@@ -6,13 +6,12 @@ from hypothesis import given, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import lambertw
 
-from instance_tools import ttm_instance, synthetic_coeffs
+from instance_tools import synthetic_coeffs, tau_closed_form, ttm_instance
 from uavwpt.channel import GroupCoefficients
 from uavwpt.errors import ConfigError, NumericDomainError
 from uavwpt.stm import delivered_information
-from uavwpt.ttm import (TtmProblem, count_clamped_legs, solve_ttm,
-                        tau_closed_form, ttm_diag_row, zeta_closed_form,
-                        TTM_DIAG_HEADER)
+from uavwpt.ttm import (TtmProblem, _tau_opt, count_clamped_legs, solve_ttm,
+                        ttm_diag_row, zeta_closed_form, TTM_DIAG_HEADER)
 from uavwpt.verification import ttm_grid_oracle
 
 
@@ -124,6 +123,28 @@ def test_flight_guards():
         zeta_closed_form(problem, 1, [0.0, 1.0])
     with pytest.raises(NumericDomainError):
         tau_closed_form(problem, 0)
+
+
+def test_solve_takes_closed_form_hovers():
+    # off the speed cap a hover is the closed form, to the bit: with the
+    # downstream credit where the solver grants it, at full cost
+    # otherwise; both kinds occur
+    kinds = set()
+    for seed in range(20):
+        problem = ttm_instance(seed, N=3)
+        alloc, _ = solve_ttm(problem)
+        c = problem.coeffs
+        for n in (1, 2, 3):
+            floor = problem.D[n - 1] / problem.v_max
+            if alloc.zeta[n - 1] <= floor * (1.0 + 1e-12):
+                continue
+            if n < 3 and alloc.tau[n] == tau_closed_form(problem, n):
+                kinds.add("credit")
+            else:
+                assert alloc.tau[n] == _tau_opt(
+                    problem.I[n - 1], c.gamma[n - 1] * c.b[n - 1], n)
+                kinds.add("full")
+    assert kinds == {"credit", "full"}
 
 
 # -------------------------------------------------- full solve

@@ -11,14 +11,16 @@ stdout and CSV files; error diagnostics go to stderr.
 
 import argparse
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import load_config
 from .errors import (ConfigError, InfeasiblePlanError, NumericDomainError,
                      UavWptError)
-from .experiments import (SweepSpec, build_problem, generate_trial,
-                          run_sweep, trial_rng, write_sweep_csv)
+from .experiments import (SWEEP_PARAMS, SweepSpec, build_problem,
+                          generate_trial, run_sweep, trial_rng,
+                          write_sweep_csv)
 from .geometry import (check_feasibility, load_field, plan_groups,
                        write_plan_csv)
 from .stm import STM_DIAG_HEADER, solve_stm, stm_diag_row
@@ -67,16 +69,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sweep)
     sweep.add_argument("--workers", type=int, default=1,
                        help="worker processes for trial execution")
-    sweep.add_argument("--param", required=True,
-                       choices=("pt_db", "N", "v_max", "I_nats"))
+    sweep.add_argument("--param", required=True, choices=tuple(SWEEP_PARAMS))
     sweep.add_argument("--values", required=True,
                        help="comma-separated sweep values, increasing")
     sweep.add_argument("--trials", type=int, default=None,
                        help="override the config trial count")
     sweep.add_argument("--baseline", choices=("hf-eh", "none"),
                        default="hf-eh")
+    defaults = ", ".join(f"{objective} for {param}"
+                         for param, (_, objective) in SWEEP_PARAMS.items())
     sweep.add_argument("--objective", choices=("stm", "ttm"), default=None,
-                       help="default: stm for pt_db/N, ttm for v_max/I_nats")
+                       help=f"default: {defaults}")
     sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the oracle suite")
@@ -88,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     config = load_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-        config = replace(config, seed=args.seed).validate()
+        config = replace(config, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return config, out
@@ -165,9 +167,7 @@ def _parse_values(raw: str):
 def cmd_sweep(args) -> int:
     config, out = _load(args)
     values = _parse_values(args.values)
-    objective = args.objective
-    if objective is None:
-        objective = "ttm" if args.param in ("v_max", "I_nats") else "stm"
+    objective = args.objective or SWEEP_PARAMS[args.param][1]
     trials = args.trials if args.trials is not None else config.trials
     sweep = SweepSpec(param=args.param, values=values, trials=trials,
                       objective=objective)

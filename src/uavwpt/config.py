@@ -3,7 +3,8 @@ experimental parameter, loadable from an INI file.
 
 Key names in the file must match the dataclass fields exactly; unknown
 keys or sections are hard errors because a silently ignored typo in a
-physics parameter is the worst failure mode this tool has.
+physics parameter is the worst failure mode this tool has.  Values take
+their field's annotated type; a config checks itself when it is built.
 """
 
 import configparser
@@ -38,7 +39,7 @@ class ScenarioConfig:
     trials: int = 1000
     seed: int = 1
 
-    def validate(self) -> "ScenarioConfig":
+    def __post_init__(self):
         def positive(name, value):
             if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
@@ -69,21 +70,20 @@ class ScenarioConfig:
             raise ConfigError("trials must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+
+    def validate(self) -> "ScenarioConfig":
+        """The config, which was checked when it was built."""
         return self
 
 
-_INT_FIELDS = {"M", "K", "N", "trials", "seed"}
-_RANGE_FIELDS = {"D_range_m", "ytilde_range_m"}
-
-
-def _parse_range(name: str, raw: str) -> tuple:
-    parts = [p.strip() for p in raw.split(",")]
+def _parse_range(raw: str) -> tuple:
+    parts = raw.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"{name} must be 'lo,hi', got {raw!r}")
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        raise ValueError(f"must be 'lo,hi', got {raw!r}")
+    return (float(parts[0]), float(parts[1]))
+
+
+_PARSERS = {float: float, int: int, tuple: _parse_range}
 
 
 def load_config(path) -> ScenarioConfig:
@@ -104,18 +104,13 @@ def load_config(path) -> ScenarioConfig:
             f"config must contain exactly one [scenario] section, "
             f"found {sections or 'none'}")
 
-    known = {f.name for f in fields(ScenarioConfig)}
+    types = {f.name: f.type for f in fields(ScenarioConfig)}
     values = {}
     for key, raw in parser.items("scenario"):
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            if key in _RANGE_FIELDS:
-                values[key] = _parse_range(key, raw)
-            elif key in _INT_FIELDS:
-                values[key] = int(raw)
-            else:
-                values[key] = float(raw)
+            values[key] = _PARSERS[types[key]](raw)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return ScenarioConfig(**values).validate()
+    return ScenarioConfig(**values)

@@ -14,8 +14,8 @@ number drawn from it, is the one per-number `uniform` calls would give.
 The pass that draws a trial computes the grouped plan's coefficients,
 each member's once; the baseline plan and its coefficients are built
 on first read, so a trial solved without the baseline never builds
-them.  A config's radio (`channel_params`, the antenna array included)
-and its baseline scenario (`hf_eh_baseline`) are built once.
+them.  A config's radio (`channel_params`, antennas included) and the
+baseline's one-receive-antenna radio (`baseline_params`) are built once.
 """
 
 import functools
@@ -47,7 +47,13 @@ REDRAW_CAP = 25
 
 SWEEP_HEADER = ("param,value,trials,mean_ours,se_ours,"
                 "mean_baseline,se_baseline,improvement")
-_SWEEP_PARAMS = ("pt_db", "N", "v_max", "I_nats")
+# sweep parameter: (config field it sets, default objective)
+SWEEP_PARAMS = {
+    "pt_db": ("pt_db", "stm"),
+    "N": ("N", "stm"),
+    "v_max": ("v_max_mps", "ttm"),
+    "I_nats": ("I_nats", "ttm"),
+}
 _CONFIG_MEMO = 16         # configs whose derived constants are kept
 
 
@@ -68,7 +74,7 @@ class TrialGeometry:
     @functools.cached_property
     def baseline_coeffs(self) -> GroupCoefficients:
         plan = self.baseline_plan
-        params = channel_params(hf_eh_baseline(self.config))
+        params = baseline_params(self.config)
         A = params.A
         stops = plan.hover_points
         # each leg ends over its sensor, where point_inverse_sq is 1/(A*A)
@@ -95,9 +101,9 @@ class SweepSpec:
     objective: str
 
     def __post_init__(self):
-        if self.param not in _SWEEP_PARAMS:
+        if self.param not in SWEEP_PARAMS:
             raise ConfigError(
-                f"sweep parameter must be one of {_SWEEP_PARAMS}, "
+                f"sweep parameter must be one of {tuple(SWEEP_PARAMS)}, "
                 f"got {self.param!r}")
         if len(self.values) < 1:
             raise ConfigError("sweep needs at least one value")
@@ -136,10 +142,10 @@ def channel_params(config: ScenarioConfig) -> ChannelParams:
 
 
 @functools.lru_cache(maxsize=_CONFIG_MEMO)
-def hf_eh_baseline(config: ScenarioConfig) -> ScenarioConfig:
-    """Baseline scenario: every sensor is its own group, hovered over
-    directly, with a single receive antenna."""
-    return replace(config, N=config.K, M=2).validate()
+def baseline_params(config: ScenarioConfig) -> ChannelParams:
+    """The hover-and-fly baseline's radio: the config's, with a single
+    receive antenna."""
+    return replace(channel_params(config), M=2)
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -155,7 +161,7 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     fails to dominate the hover-phase one; the accepted pair is what
     the aggregates sum.  Both plans fly in from (0, ytilde); the
     baseline plan visits the same sensors one at a time
-    (`singleton_plan`) with the `hf_eh_baseline` radio.
+    (`singleton_plan`) with the `baseline_params` radio.
 
     The draws come from standard-uniform blocks (`rng.random`), each
     value mapped to its range as lo + (hi - lo) * u, the two float
@@ -283,17 +289,12 @@ def apply_sweep_value(config: ScenarioConfig, param: str,
     Sweeping N keeps the per-group sensor count of the base config, so
     K scales with N.
     """
-    if param == "pt_db":
-        return replace(config, pt_db=float(value)).validate()
+    if param not in SWEEP_PARAMS:
+        raise ConfigError(f"unknown sweep parameter {param!r}")
     if param == "N":
         per_group = max(1, config.K // config.N)
-        return replace(config, N=int(value),
-                       K=int(value) * per_group).validate()
-    if param == "v_max":
-        return replace(config, v_max_mps=float(value)).validate()
-    if param == "I_nats":
-        return replace(config, I_nats=float(value)).validate()
-    raise ConfigError(f"unknown sweep parameter {param!r}")
+        return replace(config, N=int(value), K=int(value) * per_group)
+    return replace(config, **{SWEEP_PARAMS[param][0]: float(value)})
 
 
 def run_sweep(config: ScenarioConfig, sweep: SweepSpec, workers: int = 1,

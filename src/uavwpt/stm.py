@@ -5,7 +5,7 @@ The model: the UAV hovers tau_0 at the start, flies leg n in zeta_n and
 hovers tau_n over group n.  Legs 2..N are flown at the speed cap
 D_n/v_max; only the start hover tau_0 or the first leg's flight time
 zeta_1 may take up slack beyond the hovers over the groups.  (Freeing
-every leg is the pending model change, item 1 of ROADMAP.md.)
+every leg is the pending model change, item 2 of ROADMAP.md.)
 
 The solver works with the budget's shadow price mu.  Writing
 Y_n = 1 + gamma_n E_n / tau_n for group n's SNR factor and q_n = 1/Y_n,
@@ -45,11 +45,11 @@ reads b and D as well and is not memoized.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .channel import GroupCoefficients, group_rate
-from .errors import AccuracyError, InfeasiblePlanError, NumericDomainError
-from .geometry import travel_time
+from .errors import (AccuracyError, ConfigError, InfeasiblePlanError,
+                     NumericDomainError)
 from .numerics import bracketed_newton, lambert_w0
 
 STM_DIAG_HEADER = "N,T,v_max,mu,objective,budget_residual,kkt_residual"
@@ -63,27 +63,41 @@ _BUDGET_SLOP = 1e-6
 _LEAD_PRICE_MEMO = 16
 
 
+def leg_floors(coeffs: GroupCoefficients, D, v_max: float) -> tuple:
+    """Each leg's flight time at the speed cap, D_n / v_max: both problem
+    types check v_max and their legs here, one positive leg per group."""
+    if not v_max > 0.0:
+        raise ConfigError("v_max must be positive")
+    if len(D) != coeffs.N:
+        raise ConfigError("need one leg length per group")
+    for n, d in enumerate(D, start=1):
+        if not d > 0.0:
+            raise ConfigError(f"leg {n} has non-positive length")
+    return tuple([d / v_max for d in D])
+
+
 @dataclass(frozen=True)
 class StmProblem:
     """Throughput-maximization instance over one planned mission.
 
     Legs 2..N are flown at the speed cap D_n/v_max; the solver lets only
-    tau_0 or zeta_1 take up slack (see the module docstring).
+    tau_0 or zeta_1 take up slack (see the module docstring).  The cap
+    floors and their sum, the travel time, are derived once, when built.
     """
 
     coeffs: GroupCoefficients
     D: tuple[float, ...]
     T: float
     v_max: float
+    floors: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    travel_time: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.T <= 0.0 or self.v_max <= 0.0:
-            raise NumericDomainError("T and v_max must be positive")
-        if len(self.D) != self.coeffs.N:
-            raise NumericDomainError("need one leg length per group")
-        for n, d in enumerate(self.D, start=1):
-            if not d > 0.0:
-                raise NumericDomainError(f"leg {n} has non-positive length")
+        if not self.T > 0.0:
+            raise ConfigError("T must be positive")
+        floors = leg_floors(self.coeffs, self.D, self.v_max)
+        object.__setattr__(self, "floors", floors)
+        object.__setattr__(self, "travel_time", math.fsum(floors))
         if self.travel_time > self.T:
             raise InfeasiblePlanError(
                 f"minimum travel time {self.travel_time:.6g} s exceeds "
@@ -92,10 +106,6 @@ class StmProblem:
     @property
     def N(self) -> int:
         return self.coeffs.N
-
-    @property
-    def travel_time(self) -> float:
-        return travel_time(self.D, self.v_max)
 
     @property
     def slack(self) -> float:
@@ -215,7 +225,7 @@ def _mission(problem: StmProblem, chain, tau0: float, zeta1: float):
     """
     a_ = problem.coeffs.a
     b_ = problem.coeffs.b
-    zetas = [zeta1] + [d / problem.v_max for d in problem.D[1:]]
+    zetas = [zeta1, *problem.floors[1:]]
     rho = []
     taus = []
     prev, dprev, slope = tau0, 0.0, 0.0
@@ -248,7 +258,7 @@ def _budget_closure(problem: StmProblem, rho, free_first_hover: bool,
     for m in range(problem.N - 1, 0, -1):
         S = 1.0 + a_[m] * rho[m] * S
     lead = a_[0] if free_first_hover else problem.coeffs.b[0]
-    floor = 0.0 if free_first_hover else problem.D[0] / problem.v_max
+    floor = 0.0 if free_first_hover else problem.floors[0]
     return floor - excess / (1.0 + lead * rho[0] * S)
 
 
@@ -274,8 +284,7 @@ def _diagnostics(problem, alloc, mu, method):
 
 def _degenerate_allocation(problem: StmProblem):
     """Zero slack: every second goes to flying, nothing is transmitted."""
-    zetas = tuple(d / problem.v_max for d in problem.D)
-    alloc = TimeAllocation(tau=(0.0,) * (problem.N + 1), zeta=zetas)
+    alloc = TimeAllocation(tau=(0.0,) * (problem.N + 1), zeta=problem.floors)
     diag = StmDiagnostics(
         mu=0.0, objective=0.0, kkt_residual=0.0,
         budget_residual=abs(alloc.total - problem.T), method="degenerate")
@@ -299,7 +308,7 @@ def solve_stm(problem: StmProblem):
     a_ = problem.coeffs.a
     b_ = problem.coeffs.b
     g_ = problem.coeffs.gamma
-    cap1 = problem.D[0] / problem.v_max
+    cap1 = problem.floors[0]
     free_first_hover = a_[0] > b_[0]
     c = 0.5 * g_[0] * (a_[0] if free_first_hover else b_[0])
     mu, chain = _lead_price(g_, a_, c)
@@ -412,8 +421,7 @@ def kkt_residuals(problem: StmProblem, alloc: TimeAllocation,
     """
     d = throughput_gradient(problem.coeffs, alloc.tau, alloc.zeta)
     bound = [x <= 1e-3 for x in alloc.tau]
-    cap1 = problem.D[0] / problem.v_max
-    bound.append(alloc.zeta[0] <= max(cap1 * (1.0 + 1e-9), 1e-3))
+    bound.append(alloc.zeta[0] <= max(problem.floors[0] * (1.0 + 1e-9), 1e-3))
     return max(max(di - mu, 0.0) if at else abs(di - mu)
                for di, at in zip(d, bound))
 

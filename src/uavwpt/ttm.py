@@ -18,13 +18,13 @@ instead of overshooting.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import expm1
 
 from .channel import GroupCoefficients
 from .errors import ConfigError, NumericDomainError
 from .numerics import bracketed_newton, lambert_w0
-from .stm import TimeAllocation
+from .stm import TimeAllocation, leg_floors
 
 TTM_DIAG_HEADER = "N,Pt_dB,v_max,I_total,total_time,clamped_legs"
 
@@ -34,21 +34,20 @@ _EXP_LIMIT = 700.0    # beyond this, exp overflows; treat demand as inf
 
 @dataclass(frozen=True)
 class TtmProblem:
-    """Time-minimization instance: per-group demands I_n in nats."""
+    """Time-minimization instance: per-group demands I_n in nats.  The
+    speed-cap floors D_n / v_max are derived once, when it is built."""
 
     coeffs: GroupCoefficients
     D: tuple[float, ...]
     v_max: float
     I: tuple[float, ...]
+    floors: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.v_max <= 0.0:
-            raise ConfigError("v_max must be positive")
-        if len(self.D) != self.coeffs.N or len(self.I) != self.coeffs.N:
-            raise ConfigError("need one leg length and one demand per group")
-        for n, d in enumerate(self.D, start=1):
-            if not d > 0.0:
-                raise ConfigError(f"leg {n} has non-positive length")
+        object.__setattr__(self, "floors",
+                           leg_floors(self.coeffs, self.D, self.v_max))
+        if len(self.I) != self.coeffs.N:
+            raise ConfigError("need one demand per group")
         for n, i_n in enumerate(self.I, start=1):
             if not i_n > 0.0:
                 raise ConfigError(f"group {n} demand must be positive")
@@ -91,7 +90,7 @@ def zeta_closed_form(problem: TtmProblem, n: int, tau) -> float:
     if tau_n <= 0.0:
         raise NumericDomainError(f"group {n}: hover time must be positive")
     tau_prev = 0.0 if n == 1 else tau[n - 2]
-    floor = problem.D[n - 1] / problem.v_max
+    floor = problem.floors[n - 1]
     u = 2.0 * problem.I[n - 1] / tau_n
     if u > _EXP_LIMIT:
         return math.inf
@@ -157,7 +156,7 @@ def solve_ttm(problem: TtmProblem):
             taus[n - 1] = _tau_opt(problem.I[n - 1],
                                    kappa * g_[n - 1] * b_[n - 1], n)
             if (zeta_closed_form(problem, n + 1, taus)
-                    > problem.D[n] / problem.v_max * (1.0 + 1e-12)):
+                    > problem.floors[n] * (1.0 + 1e-12)):
                 continue
         taus[n - 1] = _tau_opt(problem.I[n - 1], g_[n - 1] * b_[n - 1], n)
 
@@ -167,7 +166,7 @@ def solve_ttm(problem: TtmProblem):
     prev = 0.0
     for n in range(1, N + 1):
         need = zeta_closed_form(problem, n, taus)
-        floor = problem.D[n - 1] / problem.v_max
+        floor = problem.floors[n - 1]
         if need > floor:
             zetas[n - 1] = need
         else:
@@ -183,12 +182,8 @@ def solve_ttm(problem: TtmProblem):
 
 def count_clamped_legs(problem: TtmProblem, alloc: TimeAllocation) -> int:
     """Legs flown exactly at the speed cap."""
-    total = 0
-    for n in range(problem.N):
-        floor = problem.D[n] / problem.v_max
-        if alloc.zeta[n] <= floor * (1.0 + 1e-12):
-            total += 1
-    return total
+    return sum(zeta <= floor * (1.0 + 1e-12)
+               for zeta, floor in zip(alloc.zeta, problem.floors))
 
 
 def ttm_diag_row(N: int, pt_db: float, v_max: float, I_total: float,

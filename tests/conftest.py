@@ -13,7 +13,7 @@ settings.register_profile(
 settings.load_profile("suite")
 
 _MEMOS = (stm._lead_price, experiments.channel_params,
-          experiments.hf_eh_baseline)
+          experiments.baseline_params)
 
 
 @pytest.fixture(autouse=True)

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from uavwpt.cli import main
+from uavwpt.experiments import SWEEP_PARAMS
 
 BASE_INI = """\
 [scenario]
@@ -254,6 +255,20 @@ def test_sweep_reports_points(cfg_path, tmp_path, capsys):
     assert rc == 0
     assert re.search(r"I_nats=5: ours ", out)
     assert (tmp_path / "sweep_I_nats.csv").exists()
+
+
+def test_sweep_default_objectives_come_from_the_table(cfg_path, tmp_path,
+                                                     capsys):
+    values = {"pt_db": "4", "N": "2", "v_max": "10", "I_nats": "10"}
+    assert set(values) == set(SWEEP_PARAMS)
+    for param, (_, objective) in SWEEP_PARAMS.items():
+        assert main(["sweep", "--config", str(cfg_path), "--out",
+                     str(tmp_path), "--param", param, "--values",
+                     values[param], "--trials", "1", "--baseline",
+                     "none"]) == 0
+        text = (tmp_path / f"sweep_{param}.csv").read_text()
+        assert f"# objective {objective}  baseline none" in text
+    capsys.readouterr()
 
 
 def test_sweep_rejects_bad_values(cfg_path, tmp_path, capsys):

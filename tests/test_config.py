@@ -4,6 +4,18 @@ import pytest
 
 from uavwpt.config import ScenarioConfig, load_config
 from uavwpt.errors import ConfigError
+from uavwpt.experiments import run_trial
+
+# one bad value each; every entry must be refused wherever a config is
+# built, so no library call can solve what `load_config` rejects (a
+# negative seed would otherwise reach numpy's SeedSequence, a ValueError)
+BAD = [
+    {"eta": 0.0}, {"eta": 1.2}, {"M": 1}, {"K": 0},
+    {"N": 30}, {"T_s": 0.0}, {"I_nats": -1.0}, {"trials": 0},
+    {"seed": -1}, {"d_max_m": 5.0}, {"D_range_m": (30.0, 20.0)},
+    {"D_range_m": (0.0, 10.0)}, {"ytilde_range_m": (2.0, 2.0)},
+    {"v_max_mps": 0.0},
+]
 
 
 def _write(tmp_path, text, name="scn.ini"):
@@ -81,16 +93,47 @@ def test_malformed_file_rejected(tmp_path):
 
 def test_validation_failures():
     good = ScenarioConfig()
-    bad = [
-        {"eta": 0.0}, {"eta": 1.2}, {"M": 1}, {"K": 0},
-        {"N": 30}, {"T_s": 0.0}, {"I_nats": -1.0}, {"trials": 0},
-        {"seed": -1}, {"d_max_m": 5.0}, {"D_range_m": (30.0, 20.0)},
-        {"D_range_m": (0.0, 10.0)}, {"ytilde_range_m": (2.0, 2.0)},
-        {"v_max_mps": 0.0},
-    ]
-    for kw in bad:
+    for kw in BAD:
         with pytest.raises(ConfigError):
-            dataclasses.replace(good, **kw).validate()
+            ScenarioConfig(**kw)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(good, **kw)
+
+
+@pytest.mark.parametrize("include_baseline", [True, False])
+@pytest.mark.parametrize("objective", ["stm", "ttm"])
+def test_run_trial_refuses_bad_config(objective, include_baseline):
+    good = ScenarioConfig()
+    for kw in BAD:
+        with pytest.raises(ConfigError):
+            run_trial(dataclasses.replace(good, **kw), 0, objective,
+                      include_baseline)
+
+
+def _ini_text(config):
+    """Every field of `config`, floats exactly (repr), ranges as lo, hi."""
+    lines = ["[scenario]"]
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        text = (", ".join(map(repr, value)) if isinstance(value, tuple)
+                else repr(value))
+        lines.append(f"{f.name} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(),
+    ScenarioConfig(k0_db=-31.5, sigma2_dbm=-72.25, A_m=12.5, eta=0.625,
+                   M=5, delta_m=0.2, v_max_mps=7.5, T_s=640.0,
+                   D_range_m=(18.0, 28.5), ytilde_range_m=(-1.5, 4.25),
+                   K=12, N=3, pt_db=2.5, I_nats=15.0, d_max_m=40.0,
+                   trials=50, seed=7),
+], ids=["defaults", "every_field_moved"])
+def test_every_field_roundtrips_through_ini(config, tmp_path):
+    loaded = load_config(_write(tmp_path, _ini_text(config)))
+    assert loaded == config
+    for f in dataclasses.fields(config):
+        assert type(getattr(loaded, f.name)) is type(getattr(config, f.name))
 
 
 def test_config_is_immutable():

@@ -18,8 +18,8 @@ from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError
 from uavwpt.geometry import GroupPlan, singleton_plan
 from uavwpt.experiments import (AggregateResult, SweepSpec, SWEEP_HEADER,
-                                apply_sweep_value, channel_params,
-                                generate_trial, hf_eh_baseline, run_sweep,
+                                apply_sweep_value, baseline_params,
+                                channel_params, generate_trial, run_sweep,
                                 run_trial, trial_rng, write_sweep_csv)
 
 CFG = ScenarioConfig(K=20, N=4, pt_db=4.0, T_s=1000.0, seed=1)
@@ -68,10 +68,9 @@ def test_flight_harvest_dominates_hover_harvest():
 
 def test_sensor_energies_sum_to_group_aggregates():
     geo = generate_trial(CFG, trial_rng(1, 3))
-    for scheme, plan, coeffs in (
-            (CFG, geo.plan, geo.coeffs),
-            (hf_eh_baseline(CFG), geo.baseline_plan, geo.baseline_coeffs)):
-        params = channel_params(scheme)
+    for params, plan, coeffs in (
+            (channel_params(CFG), geo.plan, geo.coeffs),
+            (baseline_params(CFG), geo.baseline_plan, geo.baseline_coeffs)):
         tau_prev, zeta = 7.25, 3.5
         for n in range(1, plan.N + 1):
             total = sum(harvested_energy(plan, params, n, i, tau_prev, zeta)
@@ -89,8 +88,7 @@ def test_baseline_plan_structure():
     # hover directly over each sensor, visited left to right
     xs = [p[0] for p in plan.hover_points]
     assert xs == sorted(xs)
-    bcfg = hf_eh_baseline(CFG)
-    params = channel_params(bcfg)
+    params = baseline_params(CFG)
     coeffs = geo.baseline_coeffs
     for n in range(20):
         assert coeffs.a[n] == pytest.approx(1.0 / CFG.A_m ** 2, rel=1e-12)
@@ -98,8 +96,8 @@ def test_baseline_plan_structure():
         (i,) = plan.groups[n]
         hx, hy = plan.hover_points[n]
         x, y = plan.sensors[i - 1]
-        L = math.hypot(x - hx, y - (hy + bcfg.delta_m))
-        h = params.k0 / (L ** 2 + bcfg.A_m ** 2)
+        L = math.hypot(x - hx, y - (hy + CFG.delta_m))
+        h = params.k0 / (L ** 2 + CFG.A_m ** 2)
         assert coeffs.gamma[n] == pytest.approx(
             params.energy_scale / params.sigma2 * h, rel=1e-12)
 
@@ -146,7 +144,7 @@ def _scalar_trial(config, rng):
         plan=plan, coeffs=group_coefficients(plan, channel_params(config)),
         baseline_plan=baseline_plan,
         baseline_coeffs=group_coefficients(
-            baseline_plan, channel_params(hf_eh_baseline(config))))
+            baseline_plan, baseline_params(config)))
     return expect, redraws
 
 
@@ -261,7 +259,7 @@ def test_trial_coefficients_match_reference_bitwise():
                    ScenarioConfig(A_m=20.0, d_max_m=40.0)):
         config = config.validate()
         params = channel_params(config)
-        base_params = channel_params(hf_eh_baseline(config))
+        base_params = baseline_params(config)
         for t in range(1000):
             geo = generate_trial(config, trial_rng(config.seed, t))
             assert geo.coeffs == group_coefficients(geo.plan, params)
@@ -299,10 +297,16 @@ def test_import_loads_no_process_pool():
 
 
 def test_baseline_scenario_derivation():
-    b = hf_eh_baseline(CFG)
-    assert b.N == b.K == CFG.K
+    # the baseline radio is the config's with one receive antenna: the
+    # floats a whole M = 2 scenario's radio has, built once per config
+    b = baseline_params(CFG)
     assert b.M == 2
-    assert b.pt_db == CFG.pt_db
+    assert b == channel_params(dataclasses.replace(CFG, M=2))
+    baseline_params.cache_clear()
+    for t in range(3):
+        run_trial(CFG, t, "stm")
+    info = baseline_params.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 # -------------------------------------------------- single trials

@@ -117,6 +117,40 @@ def test_uncoverable_sensor_named_in_error():
     assert "sensor" in str(exc.value)
 
 
+# altitude 20 m and reach 35 m leave a 28.7 m coverage radius; ten
+# sensors near x = 0, one at x = 3 and nine near x = 35.1 split 10/10, so
+# the one at x = 3 opens the second run, 28.9 m from its hover point
+_SHED_XS = ([-0.45 + 0.1 * i for i in range(10)] + [3.0]
+            + [35.06 + 0.01 * i for i in range(9)])
+
+
+@pytest.mark.parametrize("mirrored", [False, True],
+                         ids=["to_previous_run", "to_next_run"])
+def test_repair_moves_boundary_member(mirrored):
+    # mirrored, the stray sensor closes the first run and moves forward
+    xs = [35.1 - x for x in reversed(_SHED_XS)] if mirrored else _SHED_XS
+    plan = plan_groups(_row_field(xs), 20.0, D_MAX, 2, row_ys=[0.0])
+    stray = 10 if mirrored else 11
+    assert [len(g) for g in plan.groups] == ([9, 11] if mirrored
+                                             else [11, 9])
+    assert stray in plan.members(2 if mirrored else 1)
+    radius = math.sqrt(D_MAX ** 2 - 20.0 ** 2)
+    for n in range(1, 3):
+        hx, hy = plan.hover(n)
+        for i in plan.members(n):
+            x, y = plan.position(i)
+            assert math.hypot(x - hx, y - hy) <= radius
+
+
+def test_repair_that_cannot_settle_is_infeasible():
+    # the middle sensor is out of reach of either run's hover point, so
+    # the repair hands it back and forth until its moves run out
+    f = _row_field([-1.0, 0.0, 1.0, 50.0, 99.0, 100.0, 101.0])
+    with pytest.raises(InfeasiblePlanError,
+                       match="sensor 4 lies 37.500 m from its hover point"):
+        plan_groups(f, A, D_MAX, 2, row_ys=[0.0])
+
+
 def test_plan_rejects_dmax_not_above_altitude():
     f = _row_field([0.0, 1.0])
     for altitude, d_max in ((10.0, 10.0), (10.0, 9.0), (0.0, 35.0)):

@@ -8,12 +8,13 @@ from scipy.special import lambertw as scipy_lambertw
 from instance_tools import stm_instance, stm_sqp_reference, synthetic_coeffs
 from uavwpt.channel import GroupCoefficients
 from uavwpt.config import ScenarioConfig
-from uavwpt.errors import InfeasiblePlanError, NumericDomainError
+from uavwpt.errors import ConfigError, InfeasiblePlanError, NumericDomainError
 from uavwpt import experiments, stm
 from uavwpt.experiments import SweepSpec, generate_trial, run_sweep, trial_rng
 from uavwpt.stm import (StmProblem, TimeAllocation, _chain_q, kkt_residuals,
                         solve_stm, stm_diag_row, sum_throughput,
                         throughput_gradient, STM_DIAG_HEADER)
+from uavwpt.ttm import TtmProblem
 from uavwpt.verification import stm_grid_oracle
 
 METHODS = {"free-tau0", "free-zeta1", "pinned", "degenerate"}
@@ -137,6 +138,29 @@ def test_swept_sizes_meet_sqp_reference():
             assert diag.objective == pytest.approx(ref.objective, rel=1e-9)
             assert diag.kkt_residual <= 1e-9
     assert methods == {"free-tau0", "free-zeta1", "pinned"}
+
+
+def test_pinned_search_grows_its_bracket(monkeypatch):
+    # 10 ms of slack: the pinned hovers still overrun it one unit of
+    # price above mu+, so the search doubles its bracket before Newton
+    base = stm_instance(0, N=3)
+    problem = StmProblem(coeffs=base.coeffs, D=base.D,
+                         T=base.travel_time + 0.01, v_max=base.v_max)
+    brackets = []
+    real = stm.bracketed_newton
+
+    def recording(f, lo, hi, **kwargs):
+        brackets.append(hi - lo)
+        return real(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(stm, "bracketed_newton", recording)
+    _, diag = solve_stm(problem)
+    assert diag.method == "pinned"
+    assert brackets[-1] > 1.0
+    _, ref = stm_sqp_reference(problem)
+    assert diag.objective == pytest.approx(ref.objective, rel=1e-9)
+    assert diag.kkt_residual <= 1e-9
+    _assert_meets_oracle(problem, diag)
 
 
 @pytest.mark.parametrize("trial", [9, 43])
@@ -549,6 +573,36 @@ def test_travel_beyond_budget_is_infeasible():
     coeffs = synthetic_coeffs(rng, 2)
     with pytest.raises(InfeasiblePlanError):
         StmProblem(coeffs=coeffs, D=(300.0, 300.0), T=50.0, v_max=10.0)
+
+
+def test_problems_check_legs_alike():
+    # one check for both modes: the same inputs, the same error type
+    coeffs = synthetic_coeffs(np.random.default_rng(0), 2)
+    for D, v_max in (((25.0, 25.0), 0.0), ((25.0, 25.0), -10.0),
+                     ((25.0,), 10.0), ((25.0, 25.0, 25.0), 10.0),
+                     ((25.0, 0.0), 10.0), ((-1.0, 25.0), 10.0)):
+        with pytest.raises(ConfigError):
+            StmProblem(coeffs=coeffs, D=D, T=1000.0, v_max=v_max)
+        with pytest.raises(ConfigError):
+            TtmProblem(coeffs=coeffs, D=D, v_max=v_max, I=(1.0, 1.0))
+    with pytest.raises(ConfigError):
+        StmProblem(coeffs=coeffs, D=(25.0, 25.0), T=0.0, v_max=10.0)
+
+
+def test_problem_derives_floors_once():
+    problem = stm_instance(3, N=3)
+    floors = tuple(d / problem.v_max for d in problem.D)
+    assert problem.floors == floors
+    assert problem.travel_time == math.fsum(floors)
+    same = StmProblem(coeffs=problem.coeffs, D=problem.D, T=problem.T,
+                      v_max=problem.v_max)
+    # derived fields stay out of equality, hashing and repr
+    assert same == problem and hash(same) == hash(problem)
+    assert "floors" not in repr(problem)
+    assert "travel_time" not in repr(problem)
+    ttm = TtmProblem(coeffs=problem.coeffs, D=problem.D,
+                     v_max=problem.v_max, I=(1.0,) * 3)
+    assert ttm.floors == floors and "floors" not in repr(ttm)
 
 
 def test_allocation_validation():

@@ -32,7 +32,7 @@ power-transfer constants.
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
-from math import atan2, hypot, log1p, sqrt
+from math import atan2, hypot, inf, log1p, sqrt
 
 from .errors import ConfigError, NumericDomainError, PlanError
 from .geometry import GroupPlan, Point
@@ -61,16 +61,17 @@ class ChannelParams:
     delta: float
 
     def __post_init__(self):
-        if self.k0 <= 0.0 or self.sigma2 <= 0.0 or self.P_t <= 0.0:
-            raise ConfigError("k0, sigma2 and P_t must be positive")
+        for name in ("k0", "sigma2", "P_t", "A", "delta"):
+            value = getattr(self, name)
+            if not 0.0 < value < inf:
+                raise ConfigError(
+                    f"{name}={value} must be positive and finite")
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError(f"eta={self.eta} must lie in (0, 1]")
-        if self.A <= 0.0:
-            raise ConfigError("altitude must be positive")
-        if int(self.M) != self.M or self.M < 2:
-            raise ConfigError("need M >= 2 antennas (1 transmit + receive)")
-        if self.delta <= 0.0:
-            raise ConfigError("antenna spacing must be positive")
+        # nan fails the first test; inf % 1 is nan, which fails the second
+        if not (self.M >= 2 and self.M % 1 == 0):
+            raise ConfigError(f"need an integer M >= 2 antennas "
+                              f"(1 transmit + receive), got {self.M}")
 
     @classmethod
     def from_db(cls, k0_db: float, sigma2_dbm: float, pt_db: float,

@@ -4,12 +4,16 @@ experimental parameter, loadable from an INI file.
 Key names in the file must match the dataclass fields exactly; unknown
 keys or sections are hard errors because a silently ignored typo in a
 physics parameter is the worst failure mode this tool has.  Values take
-their field's annotated type; a config checks itself when it is built.
+their field's annotated type; a config checks itself when it is built
+and derives its two radios then, its own and the baseline's.
 """
 
 import configparser
-from dataclasses import dataclass, fields
+import functools
+import math
+from dataclasses import dataclass, fields, replace
 
+from .channel import ChannelParams
 from .errors import ConfigError
 
 
@@ -40,19 +44,23 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int:
+                if not isinstance(value, int):
+                    raise ConfigError(
+                        f"{f.name} must be an integer, got {value!r}")
+            elif not all(map(math.isfinite,
+                             value if f.type is tuple else (value,))):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+
         def positive(name, value):
             if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
 
-        positive("A_m", self.A_m)
-        positive("delta_m", self.delta_m)
         positive("v_max_mps", self.v_max_mps)
         positive("T_s", self.T_s)
         positive("I_nats", self.I_nats)
-        if not 0.0 < self.eta <= 1.0:
-            raise ConfigError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.M < 2:
-            raise ConfigError("need M >= 2 antennas")
         if self.K < 1 or self.N < 1:
             raise ConfigError("K and N must be at least 1")
         if self.N > self.K:
@@ -70,6 +78,19 @@ class ScenarioConfig:
             raise ConfigError("trials must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        self.baseline_radio  # builds, and so checks, both radios
+
+    @functools.cached_property
+    def radio(self) -> ChannelParams:
+        """The UAV's radio: its M-antenna array at this power and altitude."""
+        return ChannelParams.from_db(self.k0_db, self.sigma2_dbm, self.pt_db,
+                                     self.eta, self.A_m, self.M, self.delta_m)
+
+    @functools.cached_property
+    def baseline_radio(self) -> ChannelParams:
+        """The hover-and-fly baseline's radio: this config's, with a single
+        receive antenna."""
+        return replace(self.radio, M=2)
 
     def validate(self) -> "ScenarioConfig":
         """The config, which was checked when it was built."""

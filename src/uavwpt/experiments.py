@@ -14,8 +14,8 @@ number drawn from it, is the one per-number `uniform` calls would give.
 The pass that draws a trial computes the grouped plan's coefficients,
 each member's once; the baseline plan and its coefficients are built
 on first read, so a trial solved without the baseline never builds
-them.  A config's radio (`channel_params`, antennas included) and the
-baseline's one-receive-antenna radio (`baseline_params`) are built once.
+them.  Both plans' radios are read from the config, which derives them
+when it is built (`ScenarioConfig.radio` and `.baseline_radio`).
 """
 
 import functools
@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from . import channel        # read per call, so a patched primitive is seen
-from .channel import ChannelParams, GroupCoefficients
+from .channel import GroupCoefficients
 from .config import ScenarioConfig
 from .errors import ConfigError, NumericDomainError, UavWptError
 from .geometry import GroupPlan, group_sizes, singleton_plan
@@ -54,7 +54,6 @@ SWEEP_PARAMS = {
     "v_max": ("v_max_mps", "ttm"),
     "I_nats": ("I_nats", "ttm"),
 }
-_CONFIG_MEMO = 16         # configs whose derived constants are kept
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ class TrialGeometry:
     @functools.cached_property
     def baseline_coeffs(self) -> GroupCoefficients:
         plan = self.baseline_plan
-        params = baseline_params(self.config)
+        params = self.config.baseline_radio
         A = params.A
         stops = plan.hover_points
         # each leg ends over its sensor, where point_inverse_sq is 1/(A*A)
@@ -110,8 +109,9 @@ class SweepSpec:
         for lo, hi in zip(self.values, self.values[1:]):
             if not hi > lo:
                 raise ConfigError("sweep values must be strictly increasing")
-        if self.trials < 1:
-            raise ConfigError("per-point trial count must be at least 1")
+        if not isinstance(self.trials, int) or self.trials < 1:
+            raise ConfigError(f"per-point trial count must be an integer "
+                              f"of at least 1, got {self.trials!r}")
         if self.objective not in ("stm", "ttm"):
             raise ConfigError(f"unknown objective {self.objective!r}")
 
@@ -132,23 +132,10 @@ class AggregateResult:
     exclusions: int
 
 
-# Pure functions of a frozen config that every trial of a sweep point
-# asks for: build each once.
-@functools.lru_cache(maxsize=_CONFIG_MEMO)
-def channel_params(config: ScenarioConfig) -> ChannelParams:
-    return ChannelParams.from_db(config.k0_db, config.sigma2_dbm,
-                                 config.pt_db, config.eta, config.A_m,
-                                 config.M, config.delta_m)
-
-
-@functools.lru_cache(maxsize=_CONFIG_MEMO)
-def baseline_params(config: ScenarioConfig) -> ChannelParams:
-    """The hover-and-fly baseline's radio: the config's, with a single
-    receive antenna."""
-    return replace(channel_params(config), M=2)
-
-
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
+    if not isinstance(trial_index, int) or trial_index < 0:
+        raise ConfigError(f"trial index must be a nonnegative integer, "
+                          f"got {trial_index!r}")
     return Generator(PCG64(SeedSequence([master_seed, trial_index])))
 
 
@@ -161,7 +148,7 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     fails to dominate the hover-phase one; the accepted pair is what
     the aggregates sum.  Both plans fly in from (0, ytilde); the
     baseline plan visits the same sensors one at a time
-    (`singleton_plan`) with the `baseline_params` radio.
+    (`singleton_plan`) with the config's `baseline_radio`.
 
     The draws come from standard-uniform blocks (`rng.random`), each
     value mapped to its range as lo + (hi - lo) * u, the two float
@@ -232,7 +219,7 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     return TrialGeometry(
         plan=plan,
         coeffs=channel.aggregate_coefficients(
-            plan, channel_params(config), hover_a, flight_b),
+            plan, config.radio, hover_a, flight_b),
         config=config)
 
 
@@ -292,6 +279,9 @@ def apply_sweep_value(config: ScenarioConfig, param: str,
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {param!r}")
     if param == "N":
+        if value % 1 != 0:
+            raise ConfigError(f"an N sweep value must be an integer, "
+                              f"got {value}")
         per_group = max(1, config.K // config.N)
         return replace(config, N=int(value), K=int(value) * per_group)
     return replace(config, **{SWEEP_PARAMS[param][0]: float(value)})

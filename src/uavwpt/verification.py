@@ -15,8 +15,8 @@ import numpy as np
 from . import channel
 from .config import ScenarioConfig
 from .errors import UnsupportedScaleError
-from .experiments import (apply_sweep_value, build_problem, channel_params,
-                          generate_trial, trial_rng)
+from .experiments import (apply_sweep_value, build_problem, generate_trial,
+                          trial_rng)
 from .geometry import GroupPlan
 from .numerics import integrate_adaptive
 from .stm import (StmProblem, TimeAllocation, delivered_information,
@@ -270,10 +270,10 @@ def run_verification(config: ScenarioConfig):
 
     # closed-form flight energy vs quadrature on random geometries
     desk = apply_sweep_value(config, "N", 2)
+    params = desk.radio
     for j in range(200):
         inst = seed * 100003 + j
         geo = generate_trial(desk, trial_rng(inst, 0))
-        params = channel_params(desk)
         rng = trial_rng(inst, 1)
         n = int(rng.integers(1, geo.plan.N + 1))
         i = int(rng.choice(geo.plan.members(n)))

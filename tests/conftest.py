@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from uavwpt import experiments, stm
+from uavwpt import stm
 
 settings.register_profile(
     "suite",
@@ -12,8 +12,7 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-_MEMOS = (stm._lead_price, experiments.channel_params,
-          experiments.baseline_params)
+_MEMOS = (stm._lead_price,)
 
 
 @pytest.fixture(autouse=True)

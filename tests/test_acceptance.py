@@ -15,9 +15,8 @@ import pytest
 from uavwpt.channel import coeff_b
 from uavwpt.cli import main
 from uavwpt.config import ScenarioConfig
-from uavwpt.experiments import (SweepSpec, build_problem, channel_params,
-                                generate_trial, run_sweep, run_trial,
-                                trial_rng)
+from uavwpt.experiments import (SweepSpec, build_problem, generate_trial,
+                                run_sweep, run_trial, trial_rng)
 from uavwpt.geometry import plan_groups
 from uavwpt.stm import delivered_information, solve_stm
 from uavwpt.ttm import solve_ttm
@@ -59,7 +58,7 @@ def _serpentine_plan(rng):
 
 def test_criterion_1_flight_energy_vs_quadrature():
     t0 = time.monotonic()
-    params = channel_params(DEFAULTS)
+    params = DEFAULTS.radio
     worst = 0.0
     parities = {"odd": 0, "even": 0}
     for j in range(1000):

@@ -315,7 +315,10 @@ def test_group_coefficients_range_checks(monkeypatch):
 
 def test_params_validation():
     for change in ({"k0": 0.0}, {"eta": 1.5}, {"M": 1}, {"M": 2.5},
-                   {"delta": 0.0}):
+                   {"delta": 0.0}, {"k0": math.nan}, {"sigma2": math.inf},
+                   {"P_t": math.inf}, {"eta": math.nan}, {"A": math.nan},
+                   {"A": math.inf}, {"delta": math.inf}, {"M": math.nan},
+                   {"M": math.inf}):
         with pytest.raises(ConfigError):
             dataclasses.replace(PARAMS, **change)
 

@@ -281,6 +281,11 @@ def test_sweep_rejects_bad_values(cfg_path, tmp_path, capsys):
     rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
                "--param", "N", "--values", "0.5"])
     assert rc == 4
+    # a fractional N is refused, not solved at its integer part
+    rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+               "--param", "N", "--values", "2.5"])
+    assert rc == 4
+    assert not (tmp_path / "sweep_N.csv").exists()
     for workers in ("0", "-3"):
         rc = main(["sweep", "--config", str(cfg_path), "--out",
                    str(tmp_path), "--param", "pt_db", "--values", "4",
@@ -343,9 +348,9 @@ def test_workers_only_where_trials_run(cfg_path, tmp_path, capsys):
 
 def test_invalid_scenario_value(tmp_path, capsys):
     path = tmp_path / "bad.ini"
-    path.write_text(BASE_INI.replace("pt_db = 4",
-                                     "pt_db = 4\nI_nats = 0"))
-    rc = main(["solve", "ttm", "--config", str(path), "--out",
-               str(tmp_path)])
-    assert rc == 4
-    assert "config error" in capsys.readouterr().err
+    for bad in ("pt_db = 4\nI_nats = 0", "pt_db = nan"):
+        path.write_text(BASE_INI.replace("pt_db = 4", bad))
+        rc = main(["solve", "ttm", "--config", str(path), "--out",
+                   str(tmp_path)])
+        assert rc == 4
+        assert "config error" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import pickle
 
 import pytest
 
@@ -15,6 +17,11 @@ BAD = [
     {"seed": -1}, {"d_max_m": 5.0}, {"D_range_m": (30.0, 20.0)},
     {"D_range_m": (0.0, 10.0)}, {"ytilde_range_m": (2.0, 2.0)},
     {"v_max_mps": 0.0},
+    # integer fields hold integers, and every float is finite
+    {"K": 20.5}, {"seed": 1.5}, {"trials": 1.5}, {"M": 2.5},
+    {"pt_db": math.nan}, {"pt_db": math.inf}, {"T_s": math.inf},
+    {"I_nats": math.inf}, {"D_range_m": (20.0, math.inf)},
+    {"d_max_m": math.inf},
 ]
 
 
@@ -134,6 +141,15 @@ def test_every_field_roundtrips_through_ini(config, tmp_path):
     assert loaded == config
     for f in dataclasses.fields(config):
         assert type(getattr(loaded, f.name)) is type(getattr(config, f.name))
+
+
+def test_config_pickles_with_its_radios():
+    # the process pool ships each config to its workers pickled
+    config = ScenarioConfig(M=5, pt_db=2.5)
+    loaded = pickle.loads(pickle.dumps(config))
+    assert loaded == config
+    assert loaded.radio == config.radio
+    assert loaded.baseline_radio == config.baseline_radio
 
 
 def test_config_is_immutable():

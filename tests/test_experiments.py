@@ -18,8 +18,7 @@ from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError
 from uavwpt.geometry import GroupPlan, singleton_plan
 from uavwpt.experiments import (AggregateResult, SweepSpec, SWEEP_HEADER,
-                                apply_sweep_value, baseline_params,
-                                channel_params, generate_trial, run_sweep,
+                                apply_sweep_value, generate_trial, run_sweep,
                                 run_trial, trial_rng, write_sweep_csv)
 
 CFG = ScenarioConfig(K=20, N=4, pt_db=4.0, T_s=1000.0, seed=1)
@@ -57,7 +56,7 @@ def test_uneven_group_sizes():
 
 
 def test_flight_harvest_dominates_hover_harvest():
-    params = channel_params(CFG)
+    params = CFG.radio
     for t in range(5):
         plan = generate_trial(CFG, trial_rng(1, t)).plan
         for n in range(1, 5):
@@ -69,8 +68,8 @@ def test_flight_harvest_dominates_hover_harvest():
 def test_sensor_energies_sum_to_group_aggregates():
     geo = generate_trial(CFG, trial_rng(1, 3))
     for params, plan, coeffs in (
-            (channel_params(CFG), geo.plan, geo.coeffs),
-            (baseline_params(CFG), geo.baseline_plan, geo.baseline_coeffs)):
+            (CFG.radio, geo.plan, geo.coeffs),
+            (CFG.baseline_radio, geo.baseline_plan, geo.baseline_coeffs)):
         tau_prev, zeta = 7.25, 3.5
         for n in range(1, plan.N + 1):
             total = sum(harvested_energy(plan, params, n, i, tau_prev, zeta)
@@ -88,7 +87,7 @@ def test_baseline_plan_structure():
     # hover directly over each sensor, visited left to right
     xs = [p[0] for p in plan.hover_points]
     assert xs == sorted(xs)
-    params = baseline_params(CFG)
+    params = CFG.baseline_radio
     coeffs = geo.baseline_coeffs
     for n in range(20):
         assert coeffs.a[n] == pytest.approx(1.0 / CFG.A_m ** 2, rel=1e-12)
@@ -141,10 +140,10 @@ def _scalar_trial(config, rng):
                      D=tuple(D), row_of_group=(1,) * N, start_point=start)
     baseline_plan = singleton_plan(sensors, start)
     expect = SimpleNamespace(
-        plan=plan, coeffs=group_coefficients(plan, channel_params(config)),
+        plan=plan, coeffs=group_coefficients(plan, config.radio),
         baseline_plan=baseline_plan,
         baseline_coeffs=group_coefficients(
-            baseline_plan, baseline_params(config)))
+            baseline_plan, config.baseline_radio))
     return expect, redraws
 
 
@@ -258,8 +257,8 @@ def test_trial_coefficients_match_reference_bitwise():
                    ScenarioConfig(M=6, delta_m=3.0),
                    ScenarioConfig(A_m=20.0, d_max_m=40.0)):
         config = config.validate()
-        params = channel_params(config)
-        base_params = baseline_params(config)
+        params = config.radio
+        base_params = config.baseline_radio
         for t in range(1000):
             geo = generate_trial(config, trial_rng(config.seed, t))
             assert geo.coeffs == group_coefficients(geo.plan, params)
@@ -296,17 +295,25 @@ def test_import_loads_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
-def test_baseline_scenario_derivation():
+def test_baseline_scenario_derivation(monkeypatch):
     # the baseline radio is the config's with one receive antenna: the
-    # floats a whole M = 2 scenario's radio has, built once per config
-    b = baseline_params(CFG)
-    assert b.M == 2
-    assert b == channel_params(dataclasses.replace(CFG, M=2))
-    baseline_params.cache_clear()
+    # floats a whole M = 2 scenario's radio has; a config builds both
+    # radios when it is built, so no trial builds one
+    assert CFG.baseline_radio.M == 2
+    assert CFG.baseline_radio == dataclasses.replace(CFG, M=2).radio
+    built = []
+    check = channel.ChannelParams.__post_init__
+
+    def counted(params):
+        built.append(params)
+        check(params)
+
+    monkeypatch.setattr(channel.ChannelParams, "__post_init__", counted)
+    config = dataclasses.replace(CFG, pt_db=3.0)
+    assert built == [config.radio, config.baseline_radio]
     for t in range(3):
-        run_trial(CFG, t, "stm")
-    info = baseline_params.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+        run_trial(config, t, "stm")
+    assert len(built) == 2
 
 
 # -------------------------------------------------- single trials
@@ -341,6 +348,12 @@ def test_run_trial_deterministic():
 def test_run_trial_rejects_unknown_objective():
     with pytest.raises(ConfigError):
         run_trial(SMALL, 0, "latency")
+
+
+def test_run_trial_rejects_bad_trial_index():
+    for t in (-1, 1.5):
+        with pytest.raises(ConfigError, match="trial index"):
+            run_trial(SMALL, t, "stm")
 
 
 def test_throughput_monotone_in_power_per_trial():
@@ -384,6 +397,13 @@ def test_apply_sweep_value():
         apply_sweep_value(CFG, "altitude", 30)
     with pytest.raises(ConfigError):
         apply_sweep_value(CFG, "N", 0)
+    # integral floats, as the CLI parses them, set N; fractions are
+    # refused rather than solved at their integer part
+    assert apply_sweep_value(CFG, "N", 9.0).N == 9
+    with pytest.raises(ConfigError):
+        apply_sweep_value(CFG, "N", 2.5)
+    with pytest.raises(ConfigError):
+        run_sweep(SMALL, SweepSpec("N", (2.2, 2.7), 2, "stm"))
 
 
 def test_sweep_spec_validation():
@@ -391,7 +411,7 @@ def test_sweep_spec_validation():
     SweepSpec(**good)
     for kw in ({"param": "k0_db"}, {"values": ()},
                {"values": (2.0, 2.0)}, {"values": (4.0, 2.0)},
-               {"trials": 0}, {"objective": "both"}):
+               {"trials": 0}, {"trials": 1.5}, {"objective": "both"}):
         with pytest.raises(ConfigError):
             SweepSpec(**{**good, **kw})
 

@@ -9,7 +9,7 @@ from instance_tools import (group_coefficients, stm_instance,
 from uavwpt.channel import coeff_b
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import UnsupportedScaleError
-from uavwpt.experiments import channel_params, generate_trial, trial_rng
+from uavwpt.experiments import generate_trial, trial_rng
 from uavwpt.stm import (TimeAllocation, delivered_information, solve_stm,
                         sum_throughput)
 from uavwpt.ttm import solve_ttm
@@ -25,7 +25,7 @@ CFG = ScenarioConfig(K=20, N=4, pt_db=4.0, seed=1)
 
 def _one_trial(seed=11):
     geo = generate_trial(CFG, trial_rng(seed, 0))
-    return geo, channel_params(CFG)
+    return geo, CFG.radio
 
 
 def test_flight_energy_zero_time():

@@ -80,12 +80,20 @@ class ChannelParams:
         """Build from the usual logarithmic units.
 
         k0_db is dB relative to unity, sigma2_dbm is dBm, pt_db is dBW.
+        A level too large for a float is a ConfigError.
         """
+        try:
+            k0, sigma2_mw, P_t = [10.0 ** (x / 10.0)
+                                  for x in (k0_db, sigma2_dbm, pt_db)]
+        except OverflowError:
+            raise ConfigError(
+                f"a level overflows a float: k0_db={k0_db}, "
+                f"sigma2_dbm={sigma2_dbm}, pt_db={pt_db}") from None
         return cls(
-            k0=10.0 ** (k0_db / 10.0),
-            sigma2=10.0 ** (sigma2_dbm / 10.0) * 1e-3,
+            k0=k0,
+            sigma2=sigma2_mw * 1e-3,
             eta=eta,
-            P_t=10.0 ** (pt_db / 10.0),
+            P_t=P_t,
             A=altitude,
             M=M,
             delta=delta,

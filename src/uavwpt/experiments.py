@@ -133,6 +133,9 @@ class AggregateResult:
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
+    if not isinstance(master_seed, int) or master_seed < 0:
+        raise ConfigError(f"master seed must be a nonnegative integer, "
+                          f"got {master_seed!r}")
     if not isinstance(trial_index, int) or trial_index < 0:
         raise ConfigError(f"trial index must be a nonnegative integer, "
                           f"got {trial_index!r}")

@@ -31,16 +31,17 @@ Vandenberghe, ch. 5) then settles the solve:
   finds the mu > mu+ at which that mission takes exactly T;
 - degenerate: there is no slack to hover in.
 
-diagnostics.method names the outcome, and kkt_residuals certifies it.
+diagnostics.method names the outcome, and kkt_residuals certifies it
+when diagnostics.kkt_residual is first read.
 
-The first search reads only gamma, a and c = gamma_1 lead / 2, so it is
-memoized on those exact tuples (a small LRU, _lead_price): a hit
-returns the same bits a fresh search would.  The hover-and-fly
-baselines of one sweep point hit it on every trial after the first:
-each sensor is hovered directly overhead with one receive antenna, so
-every link has a = 1/A^2 and the same gamma whatever the draw.  Grouped
-plans bring new coefficients each trial and miss.  The pinned search
-reads b and D as well and is not memoized.
+The first search reads only gamma, a and c = gamma_1 lead / 2.  Plans
+whose hover coefficients a_n are all equal memoize it on those exact
+tuples (a small LRU, _lead_price): a hit returns the same bits a fresh
+search would.  The hover-and-fly baselines of one sweep point share one
+key: each sensor is hovered directly overhead with one receive antenna,
+so every link has a = 1/A^2 and the same gamma whatever the draw.  A
+grouped plan's key never recurs, so it bypasses the memo and evicts no
+baseline key.  The pinned search reads b and D too; it is not memoized.
 """
 
 import functools
@@ -59,7 +60,7 @@ _ROOT_TOL = 1e-12         # both searches' tolerance (dimensionless)
 # mission can be so steep in mu that one float step of mu moves it ~1e-9 T
 _BUDGET_SLOP = 1e-6
 # distinct lead-price searches kept: each sweep point's baselines share
-# one key, and every grouped plan brings a new one
+# one key; grouped plans, whose keys never recur, bypass the memo
 _LEAD_PRICE_MEMO = 16
 
 
@@ -138,22 +139,30 @@ class StmDiagnostics:
     """How a solve came out.
 
     mu is the budget's shadow price, objective the summed throughput in
-    nats/Hz.  kkt_residual is kkt_residuals' worst violation and
-    budget_residual the budget closure error at the returned times.
-    method names the structure solved: "free-tau0" or "free-zeta1" (that
-    variable takes up the slack), "pinned" (tau_0 = 0 and every leg at
-    the cap) or "degenerate" (no slack at all).
+    nats/Hz and budget_residual the budget closure error at the returned
+    times.  method names the structure solved: "free-tau0" or
+    "free-zeta1" (that variable takes up the slack), "pinned" (tau_0 = 0
+    and every leg at the cap) or "degenerate" (no slack at all).
+    kkt_residual, kkt_residuals' worst violation at `alloc`, is computed
+    on first read (no sweep reads it); a degenerate solve reads 0.
     """
 
     mu: float
     objective: float
-    kkt_residual: float
     budget_residual: float
     method: str
+    problem: StmProblem = field(repr=False, compare=False)
+    alloc: TimeAllocation = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.mu < 0.0:
             raise NumericDomainError("budget price must be nonnegative")
+
+    @functools.cached_property
+    def kkt_residual(self) -> float:
+        if self.method == "degenerate":
+            return 0.0
+        return kkt_residuals(self.problem, self.alloc, self.mu)
 
 
 def _chain_q(gamma, a, mu: float):
@@ -278,16 +287,16 @@ def _close_budget(tau0: float, taus, zetas, T: float) -> TimeAllocation:
 def _diagnostics(problem, alloc, mu, method):
     return StmDiagnostics(
         mu=mu, objective=sum_throughput(problem.coeffs, alloc),
-        kkt_residual=kkt_residuals(problem, alloc, mu),
-        budget_residual=abs(alloc.total - problem.T), method=method)
+        budget_residual=abs(alloc.total - problem.T), method=method,
+        problem=problem, alloc=alloc)
 
 
 def _degenerate_allocation(problem: StmProblem):
     """Zero slack: every second goes to flying, nothing is transmitted."""
     alloc = TimeAllocation(tau=(0.0,) * (problem.N + 1), zeta=problem.floors)
     diag = StmDiagnostics(
-        mu=0.0, objective=0.0, kkt_residual=0.0,
-        budget_residual=abs(alloc.total - problem.T), method="degenerate")
+        mu=0.0, objective=0.0, budget_residual=abs(alloc.total - problem.T),
+        method="degenerate", problem=problem, alloc=alloc)
     return alloc, diag
 
 
@@ -311,7 +320,8 @@ def solve_stm(problem: StmProblem):
     cap1 = problem.floors[0]
     free_first_hover = a_[0] > b_[0]
     c = 0.5 * g_[0] * (a_[0] if free_first_hover else b_[0])
-    mu, chain = _lead_price(g_, a_, c)
+    recurs = a_.count(a_[0]) == len(a_)    # one hover coefficient
+    mu, chain = (_lead_price if recurs else _lead_price.__wrapped__)(g_, a_, c)
     if chain is not None:
         rho, _, zetas, excess, _ = _mission(problem, chain, 0.0, cap1)
         if excess <= 0.0:

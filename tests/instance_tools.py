@@ -23,8 +23,8 @@ from uavwpt.channel import ChannelParams, GroupCoefficients
 from uavwpt.errors import AccuracyError, NumericDomainError, PlanError
 from uavwpt.geometry import GroupPlan
 from uavwpt.stm import (StmDiagnostics, StmProblem, _close_budget,
-                        _degenerate_allocation, kkt_residuals,
-                        sum_throughput, throughput_gradient)
+                        _degenerate_allocation, sum_throughput,
+                        throughput_gradient)
 from uavwpt.ttm import TtmProblem, _tau_opt
 
 _MIN_HOVER = 1e-9         # lower bound on the reference's hover times
@@ -152,8 +152,8 @@ def stm_sqp_reference(problem: StmProblem):
     mu_hat = 0.5 * (math.log(Y_last) - 1.0 + 1.0 / Y_last)
     diag = StmDiagnostics(
         mu=mu_hat, objective=sum_throughput(problem.coeffs, alloc),
-        kkt_residual=kkt_residuals(problem, alloc, mu_hat),
-        budget_residual=abs(alloc.total - problem.T), method="sqp")
+        budget_residual=abs(alloc.total - problem.T), method="sqp",
+        problem=problem, alloc=alloc)
     if not converged and diag.kkt_residual > 1e-3:
         raise AccuracyError(
             "numeric throughput solve failed: " + "; ".join(messages[:2]))

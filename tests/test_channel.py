@@ -329,3 +329,11 @@ def test_params_from_db():
     assert p.k0 == pytest.approx(1e-3)
     assert p.sigma2 == pytest.approx(1e-10)
     assert p.P_t == pytest.approx(10.0 ** 0.4)
+
+
+@pytest.mark.parametrize("field", ("pt_db", "k0_db", "sigma2_dbm"))
+def test_level_too_large_for_a_float_is_config_error(field):
+    # 10 ** 400 overflows a float: the level is refused where it is
+    # converted, and a config holding it is refused when it is built
+    with pytest.raises(ConfigError, match="overflows"):
+        ScenarioConfig(**{field: 4000.0})

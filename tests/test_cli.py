@@ -185,6 +185,11 @@ def test_solve_stm(cfg_path, tmp_path, capsys):
     rows = (tmp_path / "stm_diag.csv").read_text().splitlines()
     assert len(rows) == 2
     assert rows[0].startswith("N,")
+    # the KKT residual, computed when the row is written, prints as it
+    # did when every solve computed it
+    assert (tmp_path / "stm_diag.csv").read_bytes() == (
+        b"N,T,v_max,mu,objective,budget_residual,kkt_residual\n"
+        b"2,800,10,0.62278884184,497.436244841,0,1.11022302463e-16\n")
 
 
 def test_solve_ttm(cfg_path, tmp_path, capsys):
@@ -294,6 +299,17 @@ def test_sweep_rejects_bad_values(cfg_path, tmp_path, capsys):
         assert "at least 1 worker" in capsys.readouterr().err
     assert not (tmp_path / "sweep_pt_db.csv").exists()
     capsys.readouterr()
+
+
+def test_solve_rejects_level_too_large_for_a_float(tmp_path, capsys):
+    path = tmp_path / "loud.ini"
+    path.write_text(BASE_INI.replace("pt_db = 4", "pt_db = 4000"),
+                    encoding="utf-8")
+    rc = main(["solve", "stm", "--config", str(path), "--out",
+               str(tmp_path)])
+    assert rc == 4
+    assert "overflows" in capsys.readouterr().err
+    assert not (tmp_path / "stm_diag.csv").exists()
 
 
 # -------------------------------------------------- verify

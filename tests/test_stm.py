@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -310,6 +311,53 @@ def test_lead_price_memo_stays_bounded():
     assert info.currsize <= info.maxsize == stm._LEAD_PRICE_MEMO
     # every baseline after the first at each point is a hit
     assert info.hits == sum(r.trials for r in results) - len(results)
+
+
+def test_lead_price_memo_keeps_only_recurring_keys():
+    # two stm-power-shaped sweeps in one process: only the five baseline
+    # keys enter the memo, so grouped searches evict none of them
+    base = ScenarioConfig()
+    sweep = SweepSpec(param="pt_db", values=(0.0, 2.0, 4.0, 6.0, 8.0),
+                      trials=20, objective="stm")
+    for seed in (1, 2):
+        run_sweep(dataclasses.replace(base, seed=seed), sweep)
+    info = stm._lead_price.cache_info()
+    assert info.misses == 5 and info.currsize == 5
+    assert info.hits == 2 * 5 * 20 - 5
+    grouped = [p for p in _memo_trial_problems() if len(set(p.coeffs.a)) > 1]
+    assert grouped
+    for problem in grouped:
+        solve_stm(problem)
+    assert stm._lead_price.cache_info() == info
+
+
+def test_kkt_residual_computed_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kkt_residuals(*args)
+
+    monkeypatch.setattr(stm, "kkt_residuals", counted)
+    config = ScenarioConfig()
+    experiments.run_trial(config, 0, "stm")
+    run_sweep(config, SweepSpec(param="pt_db", values=(0.0, 8.0),
+                                trials=5, objective="stm"))
+    assert calls == []
+    for problem in _memo_trial_problems():
+        calls.clear()
+        alloc, diag = solve_stm(problem)
+        assert calls == []
+        first = diag.kkt_residual
+        assert len(calls) == 1
+        assert diag.kkt_residual == first and len(calls) == 1
+        assert first.hex() == kkt_residuals(problem, alloc, diag.mu).hex()
+        assert "kkt" not in repr(diag) and "problem" not in repr(diag)
+    # a solve with no slack has nothing to optimize
+    problem = stm_instance(4, N=2)
+    tight = StmProblem(coeffs=problem.coeffs, D=problem.D,
+                       T=problem.travel_time, v_max=problem.v_max)
+    assert solve_stm(tight)[1].kkt_residual == 0.0
 
 
 def test_single_group_meets_sqp_reference():

@@ -31,7 +31,7 @@ power-transfer constants.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate
 from math import atan2, hypot, inf, log1p, sqrt
 
 from .errors import ConfigError, NumericDomainError, PlanError
@@ -212,18 +212,22 @@ def aggregate_coefficients(plan: GroupPlan, params: ChannelParams,
     snr = params.energy_scale / params.sigma2
     offsets = [(k - 1) * params.delta for k in range(2, params.M + 1)]
     sensors = plan.sensors
-    gamma = []
+    a, b, gamma = [], [], []
+    hover_i, flight_i = iter(a_i), iter(b_i)
+    # explicit left folds: from CPython 3.12 sum() of floats is
+    # compensated and would change the bits
     for members, (hx, hy) in zip(plan.groups, plan.hover_points):
-        h_n = []
-        for i in members:
+        a_n = b_n = h_n = 0.0
+        # members first: zip stops on it without drawing one more a_i
+        for i, av, bv in zip(members, hover_i, flight_i):
+            a_n += av
+            b_n += bv
             x, y = sensors[i - 1]
             dx = hx - x
             for off in offsets:
                 L = hypot(dx, hy + off - y)
-                h_n.append(k0 / (L * L + A2))
-        gamma.append(snr * sum(h_n))
-    # each group sums the next len(members) values, in order
-    return GroupCoefficients(
-        a=tuple(map(sum, map(islice, repeat(iter(a_i)), sizes))),
-        b=tuple(map(sum, map(islice, repeat(iter(b_i)), sizes))),
-        gamma=tuple(gamma))
+                h_n += k0 / (L * L + A2)
+        a.append(a_n)
+        b.append(b_n)
+        gamma.append(snr * h_n)
+    return GroupCoefficients(a=tuple(a), b=tuple(b), gamma=tuple(gamma))

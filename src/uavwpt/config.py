@@ -93,7 +93,8 @@ class ScenarioConfig:
         return replace(self.radio, M=2)
 
     def validate(self) -> "ScenarioConfig":
-        """The config, which was checked when it was built."""
+        """The config, which was checked when it was built.  Kept for
+        bench/run.py, which calls it on every config it builds."""
         return self
 
 

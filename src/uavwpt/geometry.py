@@ -12,6 +12,8 @@ Conventions used throughout the package:
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .errors import ConfigError, InfeasiblePlanError, PlanError
 
@@ -171,7 +173,9 @@ def _hover_of_run(sensors, run, row_of_sensor, rows):
         counts[row_of_sensor[i]] = counts.get(row_of_sensor[i], 0) + 1
     # majority row; ties resolved toward the later (upper) row
     row = max(sorted(counts), key=lambda r: (counts[r], r))
-    x = sum(sensors[i - 1][0] for i in run) / len(run)
+    # left folds (reduce) where sum() would do: from CPython 3.12 sum()
+    # of floats is compensated and rounds differently
+    x = reduce(add, (sensors[i - 1][0] for i in run), 0.0) / len(run)
     return (x, rows[row - 1]), row
 
 
@@ -261,7 +265,7 @@ def plan_groups(sensors: tuple[Point, ...], altitude: float, d_max: float,
         if d <= 0.0:
             raise PlanError(
                 f"group {g}: coincident hover points (duplicate sensors?)")
-    shift = (sum(dists) / len(dists)) if dists else d_max / 2.0
+    shift = (reduce(add, dists, 0.0) / len(dists)) if dists else d_max / 2.0
     direction = 1.0 if group_rows[0] % 2 == 1 else -1.0
     start = (hovers[0][0] - direction * shift, hovers[0][1])
     D = [math.hypot(hovers[0][0] - start[0], hovers[0][1] - start[1])] + dists

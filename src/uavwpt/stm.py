@@ -31,8 +31,9 @@ Vandenberghe, ch. 5) then settles the solve:
   finds the mu > mu+ at which that mission takes exactly T;
 - degenerate: there is no slack to hover in.
 
-diagnostics.method names the outcome, and kkt_residuals certifies it
-when diagnostics.kkt_residual is first read.
+diagnostics.method names the outcome; optimality_gap, the Frank-Wolfe
+duality gap (Jaggi 2013), certifies it without a solver when
+diagnostics.optimality_gap is first read.
 
 The first search reads only gamma, a and c = gamma_1 lead / 2.  Plans
 whose hover coefficients a_n are all equal memoize it on those exact
@@ -53,7 +54,7 @@ from .errors import (AccuracyError, ConfigError, InfeasiblePlanError,
                      NumericDomainError)
 from .numerics import bracketed_newton, lambert_w0
 
-STM_DIAG_HEADER = "N,T,v_max,mu,objective,budget_residual,kkt_residual"
+STM_DIAG_HEADER = "N,T,v_max,mu,objective,budget_residual,optimality_gap"
 
 _ROOT_TOL = 1e-12         # both searches' tolerance (dimensionless)
 # tolerated drift when closing the budget, relative to T: a pinned
@@ -81,9 +82,10 @@ def leg_floors(coeffs: GroupCoefficients, D, v_max: float) -> tuple:
 class StmProblem:
     """Throughput-maximization instance over one planned mission.
 
-    Legs 2..N are flown at the speed cap D_n/v_max; the solver lets only
-    tau_0 or zeta_1 take up slack (see the module docstring).  The cap
-    floors and their sum, the travel time, are derived once, when built.
+    The variables are the hovers tau_0..tau_N (at least 0) and zeta_1
+    (at least D_1/v_max); legs 2..N are pinned at the speed cap
+    D_n/v_max, and optimality_gap certifies over the variables only.
+    The cap floors and their sum, the travel time, are derived once.
     """
 
     coeffs: GroupCoefficients
@@ -143,8 +145,8 @@ class StmDiagnostics:
     times.  method names the structure solved: "free-tau0" or
     "free-zeta1" (that variable takes up the slack), "pinned" (tau_0 = 0
     and every leg at the cap) or "degenerate" (no slack at all).
-    kkt_residual, kkt_residuals' worst violation at `alloc`, is computed
-    on first read (no sweep reads it); a degenerate solve reads 0.
+    optimality_gap, the certificate at `alloc`, is computed on first
+    read (no sweep reads it).
     """
 
     mu: float
@@ -159,10 +161,8 @@ class StmDiagnostics:
             raise NumericDomainError("budget price must be nonnegative")
 
     @functools.cached_property
-    def kkt_residual(self) -> float:
-        if self.method == "degenerate":
-            return 0.0
-        return kkt_residuals(self.problem, self.alloc, self.mu)
+    def optimality_gap(self) -> float:
+        return optimality_gap(self.problem, self.alloc)
 
 
 def _chain_q(gamma, a, mu: float):
@@ -294,10 +294,7 @@ def _diagnostics(problem, alloc, mu, method):
 def _degenerate_allocation(problem: StmProblem):
     """Zero slack: every second goes to flying, nothing is transmitted."""
     alloc = TimeAllocation(tau=(0.0,) * (problem.N + 1), zeta=problem.floors)
-    diag = StmDiagnostics(
-        mu=0.0, objective=0.0, budget_residual=abs(alloc.total - problem.T),
-        method="degenerate", problem=problem, alloc=alloc)
-    return alloc, diag
+    return alloc, _diagnostics(problem, alloc, 0.0, "degenerate")
 
 
 def solve_stm(problem: StmProblem):
@@ -393,12 +390,13 @@ def sum_throughput(coeffs: GroupCoefficients, alloc: TimeAllocation) -> float:
 
 def throughput_gradient(coeffs: GroupCoefficients, tau, zeta) -> list:
     """Partial derivatives of sum_throughput, ordered (d/dtau_0 ..
-    d/dtau_N, d/dzeta_1).
+    d/dtau_N, d/dzeta_1 .. d/dzeta_N).
 
     With q_n = 1/Y_n, hover n gains 0.5(ln Y_n - 1 + q_n) from its own
     rate and 0.5 gamma_{n+1} a_{n+1} q_{n+1} from charging group n+1;
-    tau_0 and zeta_1 only charge group 1.  A group with no hover adds
-    nothing downstream and has an unbounded marginal gain of its own.
+    tau_0 only charges group 1, and flight time zeta_n only charges
+    group n, 0.5 gamma_n b_n q_n.  A group with no hover adds nothing
+    downstream and has an unbounded marginal gain of its own.
     """
     g_ = coeffs.gamma
     a_ = coeffs.a
@@ -415,31 +413,33 @@ def throughput_gradient(coeffs: GroupCoefficients, tau, zeta) -> list:
     for n in range(N - 1):
         d.append(own[n] + 0.5 * g_[n + 1] * a_[n + 1] * q[n + 1])
     d.append(own[-1])
-    d.append(0.5 * g_[0] * b_[0] * q[0])
+    d.extend([0.5 * g * b * qn for g, b, qn in zip(g_, b_, q)])
     return d
 
 
-def kkt_residuals(problem: StmProblem, alloc: TimeAllocation,
-                  mu: float) -> float:
-    """Worst KKT violation of the budget Lagrangian at price mu.
+def optimality_gap(problem: StmProblem, alloc: TimeAllocation) -> float:
+    """Frank-Wolfe duality gap at `alloc` in nats/Hz, an upper bound on
+    the optimum's throughput minus alloc's: sum_k (x_k - f_k)(max_j d_j
+    - d_k) over the variables x_k, their floors f_k and the gradient d.
 
-    A coordinate off its bound must be worth exactly mu, |dH/dx - mu|;
-    one at its bound (a hover of at most 1e-3 s, or zeta_1 at the speed
-    cap) must be worth at most mu, since raising it would otherwise pay,
-    so it contributes max(dH/dx - mu, 0).  Legs 2..N sit at the cap by
-    the model and are not variables.
+    Throughput is jointly concave, so its linearization at alloc bounds
+    it, and over the shifted simplex of the variables that bound peaks
+    where the variable worth most takes all the slack.  A variable at
+    its floor adds nothing: an allocation without slack reads 0.
     """
-    d = throughput_gradient(problem.coeffs, alloc.tau, alloc.zeta)
-    bound = [x <= 1e-3 for x in alloc.tau]
-    bound.append(alloc.zeta[0] <= max(problem.floors[0] * (1.0 + 1e-9), 1e-3))
-    return max(max(di - mu, 0.0) if at else abs(di - mu)
-               for di, at in zip(d, bound))
+    N = problem.N
+    d = throughput_gradient(problem.coeffs, alloc.tau, alloc.zeta)[:N + 2]
+    x = (*alloc.tau, alloc.zeta[0])
+    floors = (0.0,) * (N + 1) + (problem.floors[0],)
+    top = max(d)
+    return math.fsum((xk - fk) * (top - dk)
+                     for xk, fk, dk in zip(x, floors, d) if xk > fk)
 
 
 def stm_diag_row(problem: StmProblem, diag: StmDiagnostics) -> str:
     """One CSV data row matching STM_DIAG_HEADER."""
     fields = (problem.N, problem.T, problem.v_max, diag.mu,
-              diag.objective, diag.budget_residual, diag.kkt_residual)
+              diag.objective, diag.budget_residual, diag.optimality_gap)
     return ",".join(_fmt(v) for v in fields)
 
 

@@ -4,10 +4,16 @@ The instances bypass the geometry pipeline and build coefficient bundles
 directly, so solver tests stay focused and fast: the solvers see a group
 only through its aggregates a, b and gamma.  stm_sqp_reference solves
 the same STM model as uavwpt.stm by sequential quadratic programming,
-an independent check on the closed form.  group_coefficients rebuilds a
-plan's aggregates from the plan alone, the bitwise reference for the
-coefficients a trial is drawn with; coeff_a and harvested_energy give
-one sensor's hover coefficient and harvested energy.  They call the
+an independent check on the closed form; its non-convergence rule reads
+kkt_residuals, the budget Lagrangian's worst KKT violation.
+stm_grid_oracle is an exhaustive refined grid search over the same
+model at N <= 3, and full_variable_gap the Frank-Wolfe gap with every
+leg free, the problem the model narrows (ROADMAP item 2).
+hover_moved_to_start makes a feasible, off-optimum allocation.
+group_coefficients rebuilds a plan's aggregates from the plan alone,
+the bitwise reference for the coefficients a trial is drawn with;
+coeff_a and harvested_energy give one sensor's hover coefficient and
+harvested energy.  They call the
 channel primitives through the module, so a test that patches one
 reaches them too.  tau_closed_form is one group's TTM hover closed
 form, which `solve_ttm` computes inline.
@@ -20,11 +26,12 @@ from scipy.optimize import minimize
 
 from uavwpt import channel
 from uavwpt.channel import ChannelParams, GroupCoefficients
-from uavwpt.errors import AccuracyError, NumericDomainError, PlanError
+from uavwpt.errors import (AccuracyError, NumericDomainError, PlanError,
+                           UnsupportedScaleError)
 from uavwpt.geometry import GroupPlan
-from uavwpt.stm import (StmDiagnostics, StmProblem, _close_budget,
-                        _degenerate_allocation, sum_throughput,
-                        throughput_gradient)
+from uavwpt.stm import (StmDiagnostics, StmProblem, TimeAllocation,
+                        _close_budget, _degenerate_allocation,
+                        sum_throughput, throughput_gradient)
 from uavwpt.ttm import TtmProblem, _tau_opt
 
 _MIN_HOVER = 1e-9         # lower bound on the reference's hover times
@@ -105,7 +112,7 @@ def stm_sqp_reference(problem: StmProblem):
         rest = 1.0 - float(np.sum(u))
         d = throughput_gradient(problem.coeffs, (rest, *x[:N]),
                                 (zf_list[0] + x[N], *zf_list[1:]))
-        return d[0] - np.asarray(d[1:])
+        return d[0] - np.asarray(d[1:N + 2])
 
     floor = _MIN_HOVER / max(B, 1.0)
     ramp = np.arange(1, N + 1, dtype=float)
@@ -154,10 +161,124 @@ def stm_sqp_reference(problem: StmProblem):
         mu=mu_hat, objective=sum_throughput(problem.coeffs, alloc),
         budget_residual=abs(alloc.total - problem.T), method="sqp",
         problem=problem, alloc=alloc)
-    if not converged and diag.kkt_residual > 1e-3:
+    if not converged and kkt_residuals(problem, alloc, mu_hat) > 1e-3:
         raise AccuracyError(
             "numeric throughput solve failed: " + "; ".join(messages[:2]))
     return alloc, diag
+
+
+def kkt_residuals(problem: StmProblem, alloc: TimeAllocation,
+                  mu: float) -> float:
+    """Worst KKT violation of the budget Lagrangian at price mu.
+
+    A coordinate off its bound must be worth exactly mu, |dH/dx - mu|;
+    one at its bound (a hover of at most 1e-3 s, or zeta_1 at the speed
+    cap) must be worth at most mu, since raising it would otherwise pay,
+    so it contributes max(dH/dx - mu, 0).  Legs 2..N sit at the cap by
+    the model and are not variables.
+    """
+    d = throughput_gradient(problem.coeffs, alloc.tau, alloc.zeta)
+    bound = [x <= 1e-3 for x in alloc.tau]
+    bound.append(alloc.zeta[0] <= max(problem.floors[0] * (1.0 + 1e-9), 1e-3))
+    return max(max(di - mu, 0.0) if at else abs(di - mu)
+               for di, at in zip(d, bound))
+
+
+def hover_moved_to_start(alloc: TimeAllocation,
+                         seconds: float) -> TimeAllocation:
+    """alloc with `seconds` moved from its largest group hover to tau_0:
+    still feasible, no longer optimal."""
+    tau = list(alloc.tau)
+    j = max(range(1, len(tau)), key=tau.__getitem__)
+    tau[j] -= seconds
+    tau[0] += seconds
+    return TimeAllocation(tau=tuple(tau), zeta=alloc.zeta)
+
+
+def full_variable_gap(problem: StmProblem, alloc: TimeAllocation) -> float:
+    """Frank-Wolfe gap over every tau_n and every zeta_n, legs 2..N
+    included: `stm.optimality_gap` for the problem in which every leg
+    may be flown slower than the cap.  It bounds how far the pinned
+    model's optimum falls below that problem's."""
+    d = throughput_gradient(problem.coeffs, alloc.tau, alloc.zeta)
+    x = (*alloc.tau, *alloc.zeta)
+    floors = (0.0,) * (problem.N + 1) + problem.floors
+    top = max(d)
+    return math.fsum((xk - fk) * (top - dk)
+                     for xk, fk, dk in zip(x, floors, d) if xk > fk)
+
+
+def _stm_objective_grid(problem: StmProblem, taus, e1):
+    """Vectorized throughput over broadcastable hover/flight arrays."""
+    g_ = problem.coeffs.gamma
+    a_ = problem.coeffs.a
+    b_ = problem.coeffs.b
+    N = problem.N
+    B = problem.slack
+    floor1 = problem.D[0] / problem.v_max
+    tau0 = B - sum(taus) - e1
+    feasible = tau0 >= -1e-12
+    tau0 = np.clip(tau0, 0.0, None)
+    total = 0.0
+    prev = tau0
+    for n in range(N):
+        zeta = floor1 + e1 if n == 0 else problem.D[n] / problem.v_max
+        energy = a_[n] * prev + b_[n] * zeta
+        t = taus[n]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = np.where(t > 0.0, 0.5 * t * np.log1p(
+                g_[n] * energy / np.where(t > 0.0, t, 1.0)), 0.0)
+        total = total + term
+        prev = t
+    return np.where(feasible, total, -np.inf), tau0
+
+
+def stm_grid_oracle(problem: StmProblem, refinements: int = 2):
+    """Exhaustive grid search over the throughput problem, N <= 3.
+
+    Free axes are the N hover times and the first leg's flight
+    extension; the start hover absorbs the slack.  An 11-point base
+    grid per axis is refined around the incumbent, each pass shrinking
+    the step tenfold; the incumbent never regresses.
+    """
+    if problem.N > 3:
+        raise UnsupportedScaleError(
+            f"grid oracle supports N <= 3, got N={problem.N}")
+    B = problem.slack
+    N = problem.N
+    if B <= 0.0:
+        zetas = tuple(d / problem.v_max for d in problem.D)
+        alloc = TimeAllocation(tau=(0.0,) * (N + 1), zeta=zetas)
+        return alloc, 0.0
+
+    centers = np.full(N + 1, B / 2.0)
+    step = B / 10.0
+    best_val = -math.inf
+    best_x = None
+    for _ in range(refinements + 1):
+        axes = []
+        for d in range(N + 1):
+            lo = max(0.0, centers[d] - 5.0 * step)
+            hi = min(B, centers[d] + 5.0 * step)
+            axes.append(np.linspace(lo, hi, 11))
+        mesh = np.meshgrid(*axes, indexing="ij")
+        taus = [m.ravel() for m in mesh[:N]]
+        e1 = mesh[N].ravel()
+        vals, _ = _stm_objective_grid(problem, taus, e1)
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val = float(vals[k])
+            best_x = [float(t[k]) for t in taus] + [float(e1[k])]
+        centers = np.array(best_x)
+        step /= 10.0
+
+    taus = best_x[:N]
+    e1 = best_x[N]
+    tau0 = max(B - math.fsum(taus) - e1, 0.0)
+    zetas = [problem.D[0] / problem.v_max + e1] + [
+        d / problem.v_max for d in problem.D[1:]]
+    alloc = TimeAllocation(tau=(tau0, *taus), zeta=tuple(zetas))
+    return alloc, best_val
 
 
 def tau_closed_form(problem: TtmProblem, n: int) -> float:
@@ -202,8 +323,8 @@ def group_coefficients(plan: GroupPlan,
                        params: ChannelParams) -> GroupCoefficients:
     """Every coefficient the solvers need for a plan, from the plan alone.
 
-    Sums run over members in plan order, and over antennas 2..M inside
-    each member.  Each leg starts where the previous one ended.  The
+    Sums are left folds over members in plan order, and over antennas
+    2..M inside each member.  Each leg starts where the previous one ended.  The
     float operations and their order are those of the trial's own
     coefficient pass, so the two agree bit for bit.
     """
@@ -219,7 +340,7 @@ def group_coefficients(plan: GroupPlan,
     for n, (members, hover) in enumerate(
             zip(plan.groups, plan.hover_points), start=1):
         hx, hy = hover
-        a_n, b_n, h_n = [], [], []
+        a_n = b_n = h_n = 0.0
         for i in members:
             w = sensors[i - 1]
             av = channel.point_inverse_sq(hover, w, A)
@@ -230,14 +351,14 @@ def group_coefficients(plan: GroupPlan,
             if not 0.0 < bv <= bound:
                 raise NumericDomainError(
                     f"group {n}: flight coefficient {bv} outside (0, 1/A^2]")
-            a_n.append(av)
-            b_n.append(bv)
+            a_n += av
+            b_n += bv
             x, y = w
             for off in offsets:
                 L = math.hypot(hx - x, hy + off - y)
-                h_n.append(k0 / (L * L + A2))
-        a.append(sum(a_n))
-        b.append(sum(b_n))
-        gamma.append(snr * sum(h_n))
+                h_n += k0 / (L * L + A2)
+        a.append(a_n)
+        b.append(b_n)
+        gamma.append(snr * h_n)
         p0 = hover
     return GroupCoefficients(a=tuple(a), b=tuple(b), gamma=tuple(gamma))

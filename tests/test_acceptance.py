@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from instance_tools import stm_grid_oracle
 from uavwpt.channel import coeff_b
 from uavwpt.cli import main
 from uavwpt.config import ScenarioConfig
@@ -21,7 +22,7 @@ from uavwpt.geometry import plan_groups
 from uavwpt.stm import delivered_information, solve_stm
 from uavwpt.ttm import solve_ttm
 from uavwpt.verification import (concavity_suite, flight_energy_numeric,
-                                 stm_grid_oracle, ttm_grid_oracle)
+                                 ttm_grid_oracle)
 
 DEFAULTS = ScenarioConfig()  # physical defaults used throughout
 

@@ -185,11 +185,10 @@ def test_solve_stm(cfg_path, tmp_path, capsys):
     rows = (tmp_path / "stm_diag.csv").read_text().splitlines()
     assert len(rows) == 2
     assert rows[0].startswith("N,")
-    # the KKT residual, computed when the row is written, prints as it
-    # did when every solve computed it
+    # the optimality gap is computed when the row is written
     assert (tmp_path / "stm_diag.csv").read_bytes() == (
-        b"N,T,v_max,mu,objective,budget_residual,kkt_residual\n"
-        b"2,800,10,0.62278884184,497.436244841,0,1.11022302463e-16\n")
+        b"N,T,v_max,mu,objective,budget_residual,optimality_gap\n"
+        b"2,800,10,0.62278884184,497.436244841,0,7.86002337523e-14\n")
 
 
 def test_solve_ttm(cfg_path, tmp_path, capsys):

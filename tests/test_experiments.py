@@ -320,10 +320,11 @@ def test_baseline_scenario_derivation(monkeypatch):
 
 # SHA-256 over float.hex of both results of every trial below, so the
 # last bit of any result shows (the sweep pins print 12 digits of
-# means).  Pinned with glibc's libm on x86-64 Linux under CPython 3.11;
-# it holds for CPython <= 3.11 only.  From 3.12, sum() of floats is
-# compensated (sum([0.1] * 10) == 1.0 there, 0.9999999999999999 on
-# 3.11), and channel.aggregate_coefficients sums with sum().
+# means).  Pinned with glibc's libm on x86-64 Linux under CPython 3.11.
+# channel.aggregate_coefficients adds with explicit left folds, not
+# sum(), which is compensated from 3.12 (sum([0.1] * 10) == 1.0 there,
+# 0.9999999999999999 on 3.11), so no CPython version should move the
+# pin; only 3.11 has been run.
 PINNED_TRIAL_DIGEST = (
     "26f430b697889c80277ddeed65d82da9795a49d1919341b00a2253189cade97d")
 

@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
-from instance_tools import stm_instance, stm_sqp_reference, synthetic_coeffs
+from instance_tools import (full_variable_gap, hover_moved_to_start,
+                            stm_grid_oracle, stm_instance, stm_sqp_reference,
+                            synthetic_coeffs)
 from uavwpt.channel import GroupCoefficients
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, InfeasiblePlanError, NumericDomainError
 from uavwpt import experiments, stm
 from uavwpt.experiments import SweepSpec, generate_trial, run_sweep, trial_rng
-from uavwpt.stm import (StmProblem, TimeAllocation, _chain_q, kkt_residuals,
+from uavwpt.stm import (StmProblem, TimeAllocation, _chain_q, optimality_gap,
                         solve_stm, stm_diag_row, sum_throughput,
                         throughput_gradient, STM_DIAG_HEADER)
 from uavwpt.ttm import TtmProblem
-from uavwpt.verification import stm_grid_oracle
 
 METHODS = {"free-tau0", "free-zeta1", "pinned", "degenerate"}
 
@@ -137,7 +138,7 @@ def test_swept_sizes_meet_sqp_reference():
             _, ref = stm_sqp_reference(problem)
             methods.add(diag.method)
             assert diag.objective == pytest.approx(ref.objective, rel=1e-9)
-            assert diag.kkt_residual <= 1e-9
+            assert diag.optimality_gap <= 1e-9 * diag.objective
     assert methods == {"free-tau0", "free-zeta1", "pinned"}
 
 
@@ -160,7 +161,7 @@ def test_pinned_search_grows_its_bracket(monkeypatch):
     assert brackets[-1] > 1.0
     _, ref = stm_sqp_reference(problem)
     assert diag.objective == pytest.approx(ref.objective, rel=1e-9)
-    assert diag.kkt_residual <= 1e-9
+    assert diag.optimality_gap <= 1e-9 * diag.objective
     _assert_meets_oracle(problem, diag)
 
 
@@ -174,7 +175,7 @@ def test_former_fallback_trials_solve_pinned(trial):
     ref_alloc, ref = stm_sqp_reference(problem)
     assert ref_alloc.zeta[0] == pytest.approx(alloc.zeta[0], rel=1e-9)
     assert diag.objective >= ref.objective * (1.0 - 1e-12)
-    assert diag.kkt_residual <= 1e-9
+    assert diag.optimality_gap <= 1e-9 * diag.objective
 
 
 @pytest.mark.parametrize("N, K, baseline", [(4, 20, False), (9, 45, False),
@@ -331,14 +332,14 @@ def test_lead_price_memo_keeps_only_recurring_keys():
     assert stm._lead_price.cache_info() == info
 
 
-def test_kkt_residual_computed_on_first_read(monkeypatch):
+def test_optimality_gap_computed_on_first_read(monkeypatch):
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return kkt_residuals(*args)
+        return optimality_gap(*args)
 
-    monkeypatch.setattr(stm, "kkt_residuals", counted)
+    monkeypatch.setattr(stm, "optimality_gap", counted)
     config = ScenarioConfig()
     experiments.run_trial(config, 0, "stm")
     run_sweep(config, SweepSpec(param="pt_db", values=(0.0, 8.0),
@@ -348,16 +349,17 @@ def test_kkt_residual_computed_on_first_read(monkeypatch):
         calls.clear()
         alloc, diag = solve_stm(problem)
         assert calls == []
-        first = diag.kkt_residual
+        first = diag.optimality_gap
         assert len(calls) == 1
-        assert diag.kkt_residual == first and len(calls) == 1
-        assert first.hex() == kkt_residuals(problem, alloc, diag.mu).hex()
-        assert "kkt" not in repr(diag) and "problem" not in repr(diag)
+        assert diag.optimality_gap == first and len(calls) == 1
+        assert first.hex() == optimality_gap(problem, alloc).hex()
+        assert "gap" not in repr(diag) and "problem" not in repr(diag)
     # a solve with no slack has nothing to optimize
     problem = stm_instance(4, N=2)
     tight = StmProblem(coeffs=problem.coeffs, D=problem.D,
                        T=problem.travel_time, v_max=problem.v_max)
-    assert solve_stm(tight)[1].kkt_residual == 0.0
+    alloc, diag = solve_stm(tight)
+    assert diag.optimality_gap == 0.0 == optimality_gap(tight, alloc)
 
 
 def test_single_group_meets_sqp_reference():
@@ -500,28 +502,50 @@ def test_power_scaling_raises_optimum():
 
 # -------------------------------------------------- stationarity checks
 
-def test_kkt_small_at_solution_large_when_perturbed():
-    problem = stm_instance(23, N=2)
-    alloc, diag = solve_stm(problem)
-    assert diag.kkt_residual <= 1e-6
-
-    tau = list(alloc.tau)
-    tau[1] += 5.0
-    tau[2] -= 5.0
-    worse = kkt_residuals(problem,
-                          TimeAllocation(tau=tuple(tau), zeta=alloc.zeta),
-                          diag.mu)
-    assert worse > 10.0 * diag.kkt_residual
+def test_gap_small_at_solution_grows_when_perturbed():
+    problems = [stm_instance(23, N=2)]
+    config = ScenarioConfig(K=30, N=6)
+    problems += [_swept_problem(config, t, baseline) for t in range(3)
+                 for baseline in (False, True)]
+    for problem in problems:
+        alloc, diag = solve_stm(problem)
+        assert 0.0 <= diag.optimality_gap <= 1e-9 * diag.objective
+        worse = optimality_gap(problem, hover_moved_to_start(alloc, 1.0))
+        assert worse >= 10.0 * diag.optimality_gap and worse > 1e-9
 
 
-def test_kkt_small_at_grid_optimum():
+def test_gap_bounds_grid_optimum_both_ways():
+    # each side's gap bounds the other side's value from above
     problem = stm_instance(23, N=2)
     _, diag = solve_stm(problem)
-    oracle_alloc, _ = stm_grid_oracle(problem, refinements=5)
-    assert kkt_residuals(problem, oracle_alloc, diag.mu) <= 1e-3
+    oracle_alloc, oracle_val = stm_grid_oracle(problem, refinements=5)
+    assert oracle_val <= (diag.objective + diag.optimality_gap) * (1 + 1e-12)
+    oracle_gap = optimality_gap(problem, oracle_alloc)
+    assert diag.objective <= (oracle_val + oracle_gap) * (1 + 1e-12)
+    # the grid's 1e-3 s steps leave its point 1e-3 nats/Hz per second of
+    # slack from stationary, at most
+    assert oracle_gap <= 1e-3 * problem.slack
 
 
-def test_kkt_flags_bound_coordinate_worth_more_than_price():
+@pytest.mark.parametrize("N, trials", [(4, 120), (6, 60), (9, 40)])
+def test_gap_certifies_swept_solves(N, trials):
+    # every grouped solve and its baseline is optimal for the model to
+    # 1e-9; the full-variable gap adds legs 2..N, so it bounds the
+    # model's gap from above, and on the baselines no pinned leg pays
+    config = ScenarioConfig(K=5 * N, N=N)
+    for trial in range(trials):
+        for baseline in (False, True):
+            problem = _swept_problem(config, trial, baseline)
+            alloc, diag = solve_stm(problem)
+            gap = diag.optimality_gap
+            assert 0.0 <= gap <= 1e-9 * diag.objective
+            full = full_variable_gap(problem, alloc)
+            assert full >= gap
+            if baseline:
+                assert full == gap
+
+
+def test_gap_flags_bound_coordinate_worth_more_than_price():
     # every hover stationary at a price below mu+, zeta_1 at the cap: the
     # free coordinates all read mu, but zeta_1 is worth more than mu, so
     # flying leg 1 slower would pay
@@ -539,8 +563,9 @@ def test_kkt_flags_bound_coordinate_worth_more_than_price():
                         v_max=problem.v_max)
     d = throughput_gradient(c, alloc.tau, alloc.zeta)
     assert max(abs(d[n] - mu) for n in (1, 2)) <= 1e-9
-    assert d[-1] - mu > 0.01
-    assert kkt_residuals(pinned, alloc, mu) == pytest.approx(d[-1] - mu)
+    assert d[3] - mu > 0.01 and d[3] == max(d[:4])
+    assert optimality_gap(pinned, alloc) == pytest.approx(
+        taus[1] * (d[3] - d[1]) + taus[2] * (d[3] - d[2]), rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [1, 3, 9])
@@ -556,8 +581,8 @@ def test_gradient_matches_central_difference(N):
             return sum_throughput(coeffs, alloc)
 
         d = throughput_gradient(coeffs, x[:N + 1], x[N + 1:])
-        assert len(d) == N + 2
-        for idx in range(N + 2):  # tau_0..tau_N, then zeta_1
+        assert len(d) == 2 * N + 1
+        for idx in range(2 * N + 1):  # tau_0..tau_N, then zeta_1..zeta_N
             h = 1e-5 * x[idx]
             hi = x.copy()
             lo = x.copy()
@@ -683,4 +708,4 @@ def test_solver_invariants_hold(seed, N):
     assert diag.objective >= 0.0
     assert diag.mu >= 0.0
     assert diag.method in METHODS
-    assert diag.kkt_residual <= 1e-8
+    assert diag.optimality_gap <= 1e-9 * diag.objective

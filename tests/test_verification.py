@@ -1,22 +1,26 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from instance_tools import (group_coefficients, stm_instance,
-                            synthetic_coeffs, ttm_instance)
+from instance_tools import (group_coefficients, hover_moved_to_start,
+                            stm_grid_oracle, stm_instance, synthetic_coeffs,
+                            ttm_instance)
 from uavwpt.channel import coeff_b
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import UnsupportedScaleError
-from uavwpt.experiments import generate_trial, trial_rng
+from uavwpt.experiments import (apply_sweep_value, build_problem,
+                                generate_trial, trial_rng)
+from uavwpt import verification
 from uavwpt.stm import (TimeAllocation, delivered_information, solve_stm,
                         sum_throughput)
 from uavwpt.ttm import solve_ttm
 from uavwpt.verification import (ORACLE_CSV_HEADER, OracleReport,
                                  concavity_suite, flight_energy_numeric,
-                                 run_verification, stm_grid_oracle,
-                                 ttm_grid_oracle, write_verification_csv)
+                                 run_verification, ttm_grid_oracle,
+                                 write_verification_csv)
 
 CFG = ScenarioConfig(K=20, N=4, pt_db=4.0, seed=1)
 
@@ -79,6 +83,19 @@ def test_stm_oracle_refinement_never_regresses():
     assert vals[-1] <= diag.objective * (1.0 + 1e-9) + 1e-12
 
 
+def test_grid_value_within_certified_bound():
+    # criterion 2's fifty desk instances: no grid point beats the
+    # solver's objective plus its optimality gap
+    desk = apply_sweep_value(ScenarioConfig(), "N", 2)
+    for j in range(50):
+        geo = generate_trial(desk, trial_rng(3000 + j, 0))
+        problem = build_problem(desk, geo.plan, geo.coeffs, "stm")
+        _, diag = solve_stm(problem)
+        _, oracle_val = stm_grid_oracle(problem)
+        assert oracle_val <= (diag.objective + diag.optimality_gap) * (
+            1.0 + 1e-12)
+
+
 def test_stm_oracle_scale_guard():
     with pytest.raises(UnsupportedScaleError):
         stm_grid_oracle(stm_instance(1, N=4))
@@ -134,12 +151,12 @@ def test_concavity_rejects_empty_run():
 def test_full_suite_passes_and_is_deterministic():
     reports, ok = run_verification(CFG)
     assert ok
-    assert len(reports) == 211
+    assert len(reports) == 236
     by_name = {}
     for r in reports:
         by_name.setdefault(r.oracle, []).append(r)
     assert len(by_name["flight_energy"]) == 200
-    assert len(by_name["stm_grid"]) == 5
+    assert len(by_name["stm_gap"]) == 30
     assert len(by_name["ttm_grid"]) == 5
     assert len(by_name["concavity"]) == 1
     assert all(r.passed for r in reports)
@@ -153,8 +170,9 @@ def test_fault_injection_is_caught(monkeypatch):
     # coeff_b is the per-sensor coefficient the flight-energy oracle
     # checks; leg_average_inverse_sq is the primitive it shares with the
     # aggregates the solvers read, so a fault there must scale b_n too.
-    # The grid oracles read the same aggregates as the solvers, so only
-    # the flight-energy oracle can see either fault.
+    # The certificate and the TTM grid oracle read the same aggregates
+    # as the solvers, so only the flight-energy oracle can see either
+    # fault.
     import uavwpt.channel as ch
     geo, params = _one_trial()
     clean = group_coefficients(geo.plan, params)
@@ -173,10 +191,28 @@ def test_fault_injection_is_caught(monkeypatch):
         assert all(r.oracle == "flight_energy" for r in bad)
 
 
+def test_off_optimum_stm_solve_is_caught(monkeypatch):
+    # a solver that returns a feasible but poor allocation: half of its
+    # largest hover moved to tau_0, the budget still closed
+    def faulty(problem):
+        alloc, diag = solve_stm(problem)
+        bad = hover_moved_to_start(alloc, 0.5 * max(alloc.tau[1:]))
+        return bad, dataclasses.replace(
+            diag, objective=sum_throughput(problem.coeffs, bad),
+            budget_residual=abs(bad.total - problem.T), alloc=bad)
+
+    monkeypatch.setattr(verification, "solve_stm", faulty)
+    reports, ok = run_verification(CFG)
+    assert not ok
+    failed = {r.oracle for r in reports if not r.passed}
+    assert failed == {"stm_gap"}
+    assert not any(r.passed for r in reports if r.oracle == "stm_gap")
+
+
 # -------------------------------------------------- report plumbing
 
 def test_report_gap_and_csv(tmp_path):
-    r = OracleReport(oracle="stm_grid", instance_seed=3,
+    r = OracleReport(oracle="stm_gap", instance_seed=3,
                      oracle_value=2.0, solver_value=2.002, passed=True)
     assert r.rel_gap == pytest.approx(0.001)
     path = tmp_path / "oracles.csv"
@@ -184,4 +220,4 @@ def test_report_gap_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ORACLE_CSV_HEADER
     assert lines[1].endswith(",1")
-    assert lines[1].startswith("stm_grid,3,")
+    assert lines[1].startswith("stm_gap,3,")

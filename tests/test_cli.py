@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -199,7 +200,11 @@ def test_solve_ttm(cfg_path, tmp_path, capsys):
     assert float(_line(out, "total time:").split()[2]) > 0.0
     taus = _line(out, "tau:").split()[1:]
     assert float(taus[0]) == 0.0  # no start hover when minimizing time
-    assert (tmp_path / "ttm_diag.csv").exists()
+    assert _line(out, "tau:") == "tau: 0 44.9571366831 48.1485693671"
+    assert _line(out, "zeta:") == "zeta: 26.1157698237 30.649334213"
+    assert (tmp_path / "ttm_diag.csv").read_bytes() == (
+        b"N,Pt_dB,v_max,I_total,total_time,clamped_legs\n"
+        b"2,4,10,80,149.870810087,0\n")
 
 
 def test_solve_seed_override_changes_draw(cfg_path, tmp_path, capsys):
@@ -324,6 +329,9 @@ def test_verify_passes_and_is_reproducible(cfg_path, tmp_path, capsys):
     assert "flight_energy: 200/200 passed" in out
     assert ((a / "verification.csv").read_bytes()
             == (b / "verification.csv").read_bytes())
+    # pinned with glibc's libm on x86-64 Linux under CPython 3.11
+    assert hashlib.sha256((a / "verification.csv").read_bytes()).hexdigest() \
+        == "f684317361bca89d01b43f73b8f0097c6660959a8bafc8768bd1de262d8ef0e5"
 
 
 def test_verify_catches_tampering(cfg_path, tmp_path, capsys, monkeypatch):

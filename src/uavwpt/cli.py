@@ -13,6 +13,8 @@ import argparse
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from .config import load_config
@@ -24,7 +26,7 @@ from .experiments import (SWEEP_PARAMS, SweepSpec, build_problem,
 from .geometry import (check_feasibility, load_field, plan_groups,
                        write_plan_csv)
 from .stm import STM_DIAG_HEADER, solve_stm, stm_diag_row
-from .ttm import TTM_DIAG_HEADER, count_clamped_legs, solve_ttm, ttm_diag_row
+from .ttm import TTM_DIAG_HEADER, solve_ttm, ttm_diag_row
 from .verification import run_verification, write_verification_csv
 
 _EXIT_OK = 0
@@ -118,8 +120,10 @@ def cmd_plan(args) -> int:
           f"(budget {config.T_s:.12g} s)")
     print(f"plan written to {path}")
     if not feasible:
+        # a left fold: from CPython 3.12 sum() of floats rounds differently
+        legs = reduce(add, plan.D, 0.0)
         print("INFEASIBLE: minimum travel time exceeds the mission budget")
-        print(f"  legs sum {sum(plan.D):.12g} m at {config.v_max_mps:.12g} "
+        print(f"  legs sum {legs:.12g} m at {config.v_max_mps:.12g} "
               f"m/s needs {travel:.12g} s > {config.T_s:.12g} s")
         return _EXIT_INFEASIBLE
     return _EXIT_OK
@@ -150,9 +154,7 @@ def cmd_solve(args) -> int:
         path = out / "ttm_diag.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(TTM_DIAG_HEADER + "\n")
-            fh.write(ttm_diag_row(problem.N, config.pt_db,
-                                  config.v_max_mps, sum(problem.I), total,
-                                  count_clamped_legs(problem, alloc)) + "\n")
+            fh.write(ttm_diag_row(problem, config.pt_db, alloc) + "\n")
     print(f"diagnostics written to {path}")
     return _EXIT_OK
 

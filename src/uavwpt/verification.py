@@ -31,7 +31,6 @@ TOLERANCES = {
     "ttm_total_factor": 1.05,    # solver total vs grid-oracle total
     "ttm_info_abs": 1e-8,        # nats of demand shortfall allowed
     "concavity_slack": 1e-9,     # midpoint concavity slack floor
-    "speed_cap_abs": 1e-12,      # meters of speed-cap violation allowed
 }
 
 ORACLE_CSV_HEADER = "oracle,instance_seed,oracle_value,solver_value,rel_gap,pass"

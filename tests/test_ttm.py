@@ -13,8 +13,8 @@ from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError
 from uavwpt.experiments import build_problem, generate_trial, trial_rng
 from uavwpt.stm import delivered_information
-from uavwpt.ttm import (TtmProblem, _tau_opt, count_clamped_legs, solve_ttm,
-                        ttm_diag_row, zeta_closed_form, TTM_DIAG_HEADER)
+from uavwpt.ttm import (TtmProblem, _flight_need, _tau_opt, solve_ttm,
+                        ttm_diag_row, TTM_DIAG_HEADER)
 from uavwpt.verification import ttm_grid_oracle
 
 
@@ -44,6 +44,11 @@ def _single_group_oracle(problem):
                           method="bounded",
                           options={"xatol": 1e-12})
     return min(float(res.fun), total(float(res.x)))
+
+
+def _clamped_legs(problem, alloc):
+    """Legs the solve flew at the speed cap, as the diag row counts them."""
+    return int(ttm_diag_row(problem, 0.0, alloc).rsplit(",", 1)[1])
 
 
 # -------------------------------------------------- hover closed form
@@ -101,10 +106,10 @@ def test_flight_inverts_rate_exactly():
     problem = ttm_instance(3, N=2)
     taus = [tau_closed_form(problem, n) for n in (1, 2)]
     for n in (1, 2):
-        z = zeta_closed_form(problem, n, taus)
+        prev = 0.0 if n == 1 else taus[n - 2]
+        z = _flight_need(problem, n, prev, taus[n - 1])
         floor = problem.D[n - 1] / problem.v_max
         if z > floor:
-            prev = 0.0 if n == 1 else taus[n - 2]
             E = (problem.coeffs.a[n - 1] * prev
                  + problem.coeffs.b[n - 1] * z)
             got = 0.5 * taus[n - 1] * math.log1p(
@@ -113,17 +118,18 @@ def test_flight_inverts_rate_exactly():
 
 
 def test_flight_floored_at_speed_cap():
+    # the need falls below the cap, so the solve flies the leg at it
     problem = _single_group(gamma=5e4, a=0.004, b=0.006, I=5.0)
     tau = tau_closed_form(problem, 1)
-    assert zeta_closed_form(problem, 1, [tau]) == pytest.approx(2.5)
+    assert _flight_need(problem, 1, 0.0, tau) < 2.5
+    alloc, _ = solve_ttm(problem)
+    assert alloc.zeta == (2.5,)
 
 
 def test_flight_guards():
     problem = ttm_instance(3, N=2)
-    with pytest.raises(NumericDomainError):
-        zeta_closed_form(problem, 3, [1.0, 1.0])
-    with pytest.raises(NumericDomainError):
-        zeta_closed_form(problem, 1, [0.0, 1.0])
+    # past exp's range the demand cannot be met by any flight
+    assert _flight_need(problem, 1, 0.0, 1e-3 * problem.I[0]) == math.inf
     with pytest.raises(NumericDomainError):
         tau_closed_form(problem, 0)
 
@@ -214,7 +220,7 @@ def test_tiny_demand_approaches_travel_floor():
     problem = ttm_instance(2, N=3, I_each=1e-8)
     alloc, total = solve_ttm(problem)
     travel = sum(d / problem.v_max for d in problem.D)
-    assert count_clamped_legs(problem, alloc) == 3
+    assert _clamped_legs(problem, alloc) == 3
     assert total == pytest.approx(travel, rel=1e-4)
 
 
@@ -224,7 +230,7 @@ def test_high_power_all_clamped_still_exact():
     problem = TtmProblem(coeffs=coeffs, D=(25.0, 30.0), v_max=10.0,
                          I=(6.0, 6.0))
     alloc, _ = solve_ttm(problem)
-    assert count_clamped_legs(problem, alloc) == 2
+    assert _clamped_legs(problem, alloc) == 2
     assert alloc.zeta == (2.5, 3.0)
     for got, want in zip(delivered_information(coeffs, alloc), problem.I):
         assert got == pytest.approx(want, rel=1e-9)
@@ -238,7 +244,7 @@ def test_clamped_leg_count_low_power():
             gamma=tuple(0.2 * g for g in problem.coeffs.gamma)),
         D=problem.D, v_max=problem.v_max, I=problem.I)
     alloc, _ = solve_ttm(scaled)
-    assert count_clamped_legs(scaled, alloc) == 0
+    assert _clamped_legs(scaled, alloc) == 0
 
 
 # Every hover and flight time of 50 trials, grouped and baseline, at the
@@ -284,9 +290,19 @@ def test_problem_validation():
 
 
 def test_diag_row_matches_header():
-    row = ttm_diag_row(2, 2.0, 10.0, 30.0, 123.456, 1)
-    assert len(row.split(",")) == len(TTM_DIAG_HEADER.split(","))
-    assert row.split(",")[-1] == "1"
+    for problem in (ttm_instance(3, N=2),
+                    ttm_instance(2, N=3, I_each=1e-8)):
+        alloc, total = solve_ttm(problem)
+        row = ttm_diag_row(problem, 2.0, alloc).split(",")
+        assert len(row) == len(TTM_DIAG_HEADER.split(","))
+        demand = 0.0
+        for i_n in problem.I:
+            demand += i_n
+        assert row[:5] == [str(problem.N), "2", f"{problem.v_max:.12g}",
+                           f"{demand:.12g}", f"{total:.12g}"]
+        # a clamped leg is flown at its floor exactly
+        assert row[5] == str(sum(z == fl for z, fl in
+                                 zip(alloc.zeta, problem.floors)))
 
 
 @given(st.integers(min_value=0, max_value=2000),

@@ -18,8 +18,10 @@ these three aggregates.  `experiments.generate_trial` computes each
 grouped member's a_i and b_i once, from `point_inverse_sq` and
 `leg_average_inverse_sq`, and a trial's baseline computes its members'
 b_i when it is first read (each a_i is 1/A^2, right overhead);
-`aggregate_coefficients` range-checks and sums them and adds the
-uplink gains.  Everything here is a pure function of immutable inputs.
+`aggregate_coefficients` range-checks and sums them and the uplink
+gains h_n, and `GroupCoefficients.scaled` forms gamma_n = snr * h_n at
+a radio's transmit power and noise.  Everything here is a pure
+function of immutable inputs.
 
 Antenna k of M (1-based) sits (k-1)*delta from the hover point along
 +y, perpendicular to the rows; antenna 1 transmits energy and antennas
@@ -184,12 +186,21 @@ class GroupCoefficients:
     def N(self) -> int:
         return len(self.a)
 
+    @classmethod
+    def scaled(cls, sums, params: ChannelParams) -> "GroupCoefficients":
+        """`aggregate_coefficients`' sums (a, b, h) under radio `params`:
+        gamma_n = snr * h_n, with snr = eta P_t k0 / sigma2."""
+        a, b, h = sums
+        snr = params.energy_scale / params.sigma2
+        return cls(a=a, b=b, gamma=tuple([snr * h_n for h_n in h]))
+
 
 def aggregate_coefficients(plan: GroupPlan, params: ChannelParams,
-                           a_i, b_i) -> GroupCoefficients:
-    """Every coefficient the solvers need for a plan, from its members'
-    hover and flight coefficients a_i and b_i, listed group by group in
-    plan order.
+                           a_i, b_i) -> tuple:
+    """A plan's per-group sums (a, b, h), length-N tuples, from its
+    members' hover and flight coefficients a_i and b_i, listed group by
+    group in plan order; h_n sums their uplink gains over receive
+    antennas 2..M.
 
     Each a_i and b_i must lie in (0, 1/A^2], the value right under the
     UAV; the first member outside, in plan order, is reported.  Sums
@@ -209,10 +220,9 @@ def aggregate_coefficients(plan: GroupPlan, params: ChannelParams,
             raise NumericDomainError(
                 f"group {n}: {phase} coefficient {v} outside (0, 1/A^2]")
     k0 = params.k0
-    snr = params.energy_scale / params.sigma2
     offsets = [(k - 1) * params.delta for k in range(2, params.M + 1)]
     sensors = plan.sensors
-    a, b, gamma = [], [], []
+    a, b, h = [], [], []
     hover_i, flight_i = iter(a_i), iter(b_i)
     # explicit left folds: from CPython 3.12 sum() of floats is
     # compensated and would change the bits
@@ -229,5 +239,5 @@ def aggregate_coefficients(plan: GroupPlan, params: ChannelParams,
                 h_n += k0 / (L * L + A2)
         a.append(a_n)
         b.append(b_n)
-        gamma.append(snr * h_n)
-    return GroupCoefficients(a=tuple(a), b=tuple(b), gamma=tuple(gamma))
+        h.append(h_n)
+    return tuple(a), tuple(b), tuple(h)

@@ -11,11 +11,16 @@ on scheduling or worker count.  A trial takes its numbers from
 standard-uniform blocks, mapped to their ranges the way
 `Generator.uniform` maps them, so each trial's stream, and every
 number drawn from it, is the one per-number `uniform` calls would give.
-The pass that draws a trial computes the grouped plan's coefficients,
-each member's once; the baseline plan and its coefficients are built
-on first read, so a trial solved without the baseline never builds
-them.  Both plans' radios are read from the config, which derives them
-when it is built (`ScenarioConfig.radio` and `.baseline_radio`).
+The pass that draws a trial sums the grouped plan's coefficients
+(`channel.aggregate_coefficients`), each member's once; the baseline
+plan and its sums are built on first read.  No sum depends on the
+transmit power or the noise, and trial t draws the same stream at every
+sweep point (common random numbers).  So `run_trial` keeps what the
+solves read of each trial it draws (both plans' leg lengths, member
+counts and sums) and scales the sums by each point's SNR: a pt_db,
+v_max or I_nats sweep draws each trial once, with every bit kept.  It
+keeps only the latest (seed, geometry) key's trials, at most
+`_TRIAL_MEMO`, and no failed draw.
 """
 
 import functools
@@ -44,6 +49,11 @@ from .ttm import TtmProblem, solve_ttm
 SCATTER_SPAN = (0.58, 1.08)
 Y_JITTER_M = 2.0
 REDRAW_CAP = 25
+# trials run_trial keeps: a default-config sweep's per-point count
+_TRIAL_MEMO = 1000
+# {(seed, fields the draw reads): {trial index: (ours, baseline)}}, each
+# plan as (D, member counts, sums); baseline None until first solved
+_DRAWS = {}
 
 SWEEP_HEADER = ("param,value,trials,mean_ours,se_ours,"
                 "mean_baseline,se_baseline,improvement")
@@ -59,12 +69,16 @@ SWEEP_PARAMS = {
 @dataclass(frozen=True)
 class TrialGeometry:
     """One realization drawn under `config`: the proposed plan with its
-    coefficients, and the baseline plan over the same tuple of sensor
+    coefficient sums, and the baseline plan over the same tuple of sensor
     positions and start point, with its own, built on first read."""
 
     plan: GroupPlan
-    coeffs: GroupCoefficients
+    sums: tuple
     config: ScenarioConfig
+
+    @functools.cached_property
+    def coeffs(self) -> GroupCoefficients:
+        return GroupCoefficients.scaled(self.sums, self.config.radio)
 
     @functools.cached_property
     def baseline_plan(self) -> GroupPlan:
@@ -72,6 +86,11 @@ class TrialGeometry:
 
     @functools.cached_property
     def baseline_coeffs(self) -> GroupCoefficients:
+        return GroupCoefficients.scaled(self.baseline_sums,
+                                        self.config.baseline_radio)
+
+    @functools.cached_property
+    def baseline_sums(self) -> tuple:
         plan = self.baseline_plan
         params = self.config.baseline_radio
         A = params.A
@@ -132,13 +151,15 @@ class AggregateResult:
     exclusions: int
 
 
+def _check_index(name: str, value) -> None:
+    if not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{name} must be a nonnegative integer, "
+                          f"got {value!r}")
+
+
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    if not isinstance(master_seed, int) or master_seed < 0:
-        raise ConfigError(f"master seed must be a nonnegative integer, "
-                          f"got {master_seed!r}")
-    if not isinstance(trial_index, int) or trial_index < 0:
-        raise ConfigError(f"trial index must be a nonnegative integer, "
-                          f"got {trial_index!r}")
+    _check_index("master seed", master_seed)
+    _check_index("trial index", trial_index)
     return Generator(PCG64(SeedSequence([master_seed, trial_index])))
 
 
@@ -221,7 +242,7 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     )
     return TrialGeometry(
         plan=plan,
-        coeffs=channel.aggregate_coefficients(
+        sums=channel.aggregate_coefficients(
             plan, config.radio, hover_a, flight_b),
         config=config)
 
@@ -231,20 +252,24 @@ def build_problem(config: ScenarioConfig, plan: GroupPlan,
     """A plan's coefficients wrapped as an StmProblem under the config's
     budget (objective "stm"), or as a TtmProblem demanding I_nats per
     member sensor (objective "ttm")."""
+    return _problem(config, plan.D, map(len, plan.groups), coeffs, objective)
+
+
+def _problem(config: ScenarioConfig, D, counts, coeffs: GroupCoefficients,
+             objective: str):
     if objective == "stm":
-        return StmProblem(coeffs=coeffs, D=plan.D, T=config.T_s,
+        return StmProblem(coeffs=coeffs, D=D, T=config.T_s,
                           v_max=config.v_max_mps)
     if objective == "ttm":
-        demands = tuple(config.I_nats * len(members)
-                        for members in plan.groups)
-        return TtmProblem(coeffs=coeffs, D=plan.D, v_max=config.v_max_mps,
-                          I=demands)
+        return TtmProblem(coeffs=coeffs, D=D, v_max=config.v_max_mps,
+                          I=tuple(config.I_nats * n for n in counts))
     raise ConfigError(f"unknown objective {objective!r}")
 
 
-def _solve_for(config: ScenarioConfig, plan: GroupPlan,
-               coeffs: GroupCoefficients, objective: str) -> float:
-    problem = build_problem(config, plan, coeffs, objective)
+def _solve_for(config: ScenarioConfig, radio, objective: str, D, counts,
+               sums) -> float:
+    coeffs = GroupCoefficients.scaled(sums, radio)
+    problem = _problem(config, D, counts, coeffs, objective)
     if objective == "stm":
         return solve_stm(problem)[1].objective
     return solve_ttm(problem)[1]
@@ -253,14 +278,26 @@ def _solve_for(config: ScenarioConfig, plan: GroupPlan,
 def run_trial(config: ScenarioConfig, trial_index: int,
               objective: str = "stm",
               include_baseline: bool = True) -> TrialResult:
-    """Solve one realization for the proposed scheme and the baseline."""
-    geo = generate_trial(config, trial_rng(config.seed, trial_index))
-    ours = _solve_for(config, geo.plan, geo.coeffs, objective)
-    base = None
-    if include_baseline:
-        base = _solve_for(config, geo.baseline_plan, geo.baseline_coeffs,
-                          objective)
-    return TrialResult(ours=ours, baseline=base)
+    """Solve one realization for the proposed scheme and the baseline,
+    drawn now or kept from an earlier call (see the module docstring)."""
+    _check_index("trial index", trial_index)
+    key = (config.seed, config.N, config.K, config.A_m, config.D_range_m,
+           config.ytilde_range_m, config.k0_db, config.M, config.delta_m)
+    if key not in _DRAWS:
+        _DRAWS.clear()
+    draws = _DRAWS.setdefault(key, {})
+    ours, base = draws.get(trial_index, (None, None))
+    if ours is None or (include_baseline and base is None):
+        geo = generate_trial(config, trial_rng(config.seed, trial_index))
+        ours = (geo.plan.D, tuple(map(len, geo.plan.groups)), geo.sums)
+        if include_baseline:
+            base = (geo.baseline_plan.D, (1,) * config.K, geo.baseline_sums)
+        if len(draws) < _TRIAL_MEMO:
+            draws[trial_index] = ours, base
+    return TrialResult(
+        ours=_solve_for(config, config.radio, objective, *ours),
+        baseline=(_solve_for(config, config.baseline_radio, objective, *base)
+                  if include_baseline else None))
 
 
 def _trial_task(args):

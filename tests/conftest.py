@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from uavwpt import stm
+from uavwpt import experiments, stm
 
 settings.register_profile(
     "suite",
@@ -12,15 +12,17 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-_MEMOS = (stm._lead_price,)
+# what empties each memo the package keeps: the budget-price searches
+# and run_trial's kept trial draws
+_MEMOS = (stm._lead_price.cache_clear, experiments._DRAWS.clear)
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
     """Every test starts and ends with empty memos, so no test's outcome
     or counts depend on which tests ran before it."""
-    for memo in _MEMOS:
-        memo.cache_clear()
+    for clear in _MEMOS:
+        clear()
     yield
-    for memo in _MEMOS:
-        memo.cache_clear()
+    for clear in _MEMOS:
+        clear()

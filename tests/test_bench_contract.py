@@ -5,7 +5,9 @@ bench/run.py replays sweep 0 of its recorded seeds and compares the
 sweep means with bench/reference.json at 1e-9 relative.  This test
 imports that script (reading it only) and makes the same replay for
 the stm-power and ttm-demand workloads, so a change that moves a sweep
-mean, or removes a name the benchmark calls, fails here first.
+mean, or removes a name the benchmark calls, fails here first.  It also
+counts the trial draws of one stm-power sweep, the work `run_trial`
+saves by keeping each trial's draw across the sweep's points.
 """
 
 import importlib.util
@@ -31,3 +33,21 @@ def test_sweep_zero_matches_bench_reference(bench, workload, seed):
     expected = bench.load_reference(workload)[seed][0]
     got = bench.Sweeps(uv, bench.WORKLOADS[workload], seed).run(0)
     assert bench.sweep_mismatches(got, expected, f"seed {seed}") == []
+
+
+def test_stm_power_sweep_draws_each_trial_once(bench, monkeypatch):
+    # five pt_db points of 20 trials: one draw per trial index, where
+    # drawing at every point would make 100
+    uv = bench.load_uavwpt()
+    real = uv.experiments.trial_rng
+    drawn = []
+
+    def counted(seed, t):
+        drawn.append(t)
+        return real(seed, t)
+
+    monkeypatch.setattr(uv.experiments, "trial_rng", counted)
+    got = bench.Sweeps(uv, bench.WORKLOADS["stm-power"], 1).run(0)
+    assert sorted(drawn) == list(range(20))
+    expected = bench.load_reference("stm-power")[1][0]
+    assert bench.sweep_mismatches(got, expected, "seed 1") == []

@@ -57,9 +57,11 @@ def _uplink_sum(plan, n):
 
 
 def _gamma(plan, params):
-    # one-sensor plans: the aggregate pass handed that sensor's a and b
-    return aggregate_coefficients(plan, params, [coeff_a(plan, params, 1, 1)],
-                                  [coeff_b(plan, params, 1, 1)]).gamma[0]
+    # one-sensor plans: the aggregate pass handed that sensor's a and b,
+    # its uplink sum then scaled by the radio's SNR
+    sums = aggregate_coefficients(plan, params, [coeff_a(plan, params, 1, 1)],
+                                  [coeff_b(plan, params, 1, 1)])
+    return GroupCoefficients.scaled(sums, params).gamma[0]
 
 
 # ---------------------------------------------------------------- gains
@@ -288,7 +290,8 @@ def test_group_coefficients_range_checks(monkeypatch):
     too_big = 2.0 / PARAMS.A ** 2
     a = [coeff_a(plan, PARAMS, n, n) for n in (1, 2)]
     b = [coeff_b(plan, PARAMS, n, n) for n in (1, 2)]
-    assert aggregate_coefficients(plan, PARAMS, a, b).N == 2
+    sums = aggregate_coefficients(plan, PARAMS, a, b)
+    assert GroupCoefficients.scaled(sums, PARAMS).N == 2
     # one hover and one flight coefficient per member, no more, no less
     for a_i, b_i in ((a[:1], b), (a, b + b[:1])):
         with pytest.raises(PlanError, match="one hover and one flight"):

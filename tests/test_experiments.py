@@ -210,11 +210,14 @@ class _CountingRng:
 
 
 def test_trial_draw_and_coefficient_counts(monkeypatch):
-    # guards the lean trial path: one block draw and no scalar uniform
-    # draw per trial without redraws, and each coefficient computed once
-    # per trial: a hover and a flight coefficient per grouped member, a
-    # flight coefficient per baseline member (its hover one is 1/A^2),
-    # and no baseline coefficient at all when the baseline is not solved
+    # guards the lean trial path: a fresh draw makes one block draw and
+    # no scalar uniform draw when no member is redrawn, and computes each
+    # coefficient once: a hover and a flight coefficient per grouped
+    # member, a flight coefficient per baseline member (its hover one is
+    # 1/A^2), and no baseline coefficient at all when the baseline is not
+    # solved.  Every later call at the same trial, under either objective,
+    # reads the kept draw and draws nothing, until a call first asks for
+    # the baseline the kept draw lacks.
     config = ScenarioConfig()
     K = config.K
     calls = {}
@@ -237,14 +240,125 @@ def test_trial_draw_and_coefficient_counts(monkeypatch):
     monkeypatch.setattr(experiments, "trial_rng", counted_rng)
     for name in ("point_inverse_sq", "leg_average_inverse_sq"):
         monkeypatch.setattr(channel, name, counted(name))
-    for objective in ("stm", "ttm"):
-        for include_baseline, legs in ((True, 2 * K), (False, K)):
-            for t in range(5):
+    for include_baseline, legs in ((False, K), (True, 2 * K)):
+        for t in range(5):
+            for repeat, objective in enumerate(("stm", "ttm", "stm", "ttm")):
                 calls.update(point_inverse_sq=0, leg_average_inverse_sq=0)
+                drawn = len(rngs)
                 run_trial(config, t, objective, include_baseline)
-                assert rngs[-1].calls == {"random": 1}
-                assert calls == {"point_inverse_sq": K,
-                                 "leg_average_inverse_sq": legs}
+                if repeat == 0:
+                    assert len(rngs) == drawn + 1
+                    assert rngs[-1].calls == {"random": 1}
+                    assert calls == {"point_inverse_sq": K,
+                                     "leg_average_inverse_sq": legs}
+                else:
+                    assert len(rngs) == drawn
+                    assert calls == {"point_inverse_sq": 0,
+                                     "leg_average_inverse_sq": 0}
+    # the kept draws with their baselines serve calls without one
+    drawn = len(rngs)
+    for t in range(5):
+        run_trial(config, t, "ttm", include_baseline=False)
+    assert len(rngs) == drawn
+
+
+def _bits(result):
+    return (result.ours.hex(),
+            None if result.baseline is None else result.baseline.hex())
+
+
+@pytest.mark.parametrize("param,values", [("pt_db", (0.0, 4.0, 8.0)),
+                                          ("v_max", (8.0, 10.0, 14.0)),
+                                          ("I_nats", (1.0, 10.0, 30.0))])
+def test_kept_draws_give_the_bits_of_fresh_ones(param, values):
+    # a sweep's later points read the draws its first point kept; each
+    # result must be the one a fresh draw gives, to the last bit
+    points = [apply_sweep_value(ScenarioConfig(), param, v) for v in values]
+    for objective in ("stm", "ttm"):
+        for include_baseline in (True, False):
+            calls = [(pc, t, objective, include_baseline)
+                     for pc in points for t in range(30)]
+            warm = [_bits(run_trial(*c)) for c in calls]
+            cold = []
+            for c in calls:
+                experiments._DRAWS.clear()
+                cold.append(_bits(run_trial(*c)))
+            assert warm == cold
+
+
+# one other valid value of every ScenarioConfig field; moving the flight
+# row changes results only through rounding, so it moves far
+_FIELD_CHANGES = {
+    "k0_db": -29.0, "sigma2_dbm": -69.0, "A_m": 11.0, "eta": 0.6, "M": 4,
+    "delta_m": 0.2, "v_max_mps": 12.0, "T_s": 900.0,
+    "D_range_m": (21.0, 31.0), "ytilde_range_m": (100.0, 105.0), "K": 24,
+    "N": 5, "pt_db": 5.0, "I_nats": 12.0, "d_max_m": 40.0, "trials": 10,
+    "seed": 2,
+}
+
+
+def test_a_kept_draw_serves_only_configs_that_draw_it():
+    # warm the memo under the defaults, then change one field: the
+    # result must be a fresh draw's, so a field the draw reads that the
+    # memo's key misses fails here
+    assert set(_FIELD_CHANGES) == {
+        f.name for f in dataclasses.fields(ScenarioConfig)}
+    base = ScenarioConfig()
+    for name, value in _FIELD_CHANGES.items():
+        changed = dataclasses.replace(base, **{name: value})
+        for objective in ("stm", "ttm"):
+            for t in range(3):
+                experiments._DRAWS.clear()
+                cold = _bits(run_trial(changed, t, objective))
+                experiments._DRAWS.clear()
+                run_trial(base, t, objective)
+                assert _bits(run_trial(changed, t, objective)) == cold, name
+
+
+def test_kept_trial_still_checks_its_index():
+    run_trial(SMALL, 1)
+    for t in (1.0, -1):
+        with pytest.raises(ConfigError, match="trial index"):
+            run_trial(SMALL, t)
+
+
+def test_failed_draw_excluded_at_every_point(monkeypatch):
+    # a draw that runs out of redraws is not kept: each point draws the
+    # trial again and excludes it, while the other trials are drawn once
+    real_rng, real_draw = experiments.trial_rng, experiments.generate_trial
+    drawn = []
+
+    def recorded_rng(seed, t):
+        drawn.append(t)
+        return real_rng(seed, t)
+
+    def draw(config, rng):
+        with monkeypatch.context() as m:
+            if drawn[-1] == 2:
+                m.setattr(experiments, "SCATTER_SPAN", (0.0, 0.05))
+            return real_draw(config, rng)
+
+    monkeypatch.setattr(experiments, "trial_rng", recorded_rng)
+    monkeypatch.setattr(experiments, "generate_trial", draw)
+    sweep = SweepSpec(param="pt_db", values=(0.0, 4.0, 8.0), trials=4,
+                      objective="stm")
+    results, failures = run_sweep(SMALL, sweep)
+    assert [r.exclusions for r in results] == [1, 1, 1]
+    assert [r.trials for r in results] == [3, 3, 3]
+    assert len(failures) == 3
+    assert all("redraws" in f for f in failures)
+    assert drawn == [0, 1, 2, 3, 2, 2]
+
+
+def test_memo_keeps_the_latest_key_only_up_to_its_cap(monkeypatch):
+    monkeypatch.setattr(experiments, "_TRIAL_MEMO", 3)
+    for t in range(5):
+        run_trial(SMALL, t)
+    (kept,) = experiments._DRAWS.values()
+    assert sorted(kept) == [0, 1, 2]
+    run_trial(dataclasses.replace(SMALL, seed=4), 7)
+    (kept,) = experiments._DRAWS.values()
+    assert list(kept) == [7]
 
 
 def test_trial_coefficients_match_reference_bitwise():

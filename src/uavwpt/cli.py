@@ -132,7 +132,7 @@ def cmd_plan(args) -> int:
 def cmd_solve(args) -> int:
     config, out = _load(args)
     geo = generate_trial(config, trial_rng(config.seed, 0))
-    problem = build_problem(config, geo.plan, geo.coeffs, args.problem)
+    problem = build_problem(config, geo, args.problem)
     if args.problem == "stm":
         alloc, diag = solve_stm(problem)
         print("problem: stm")

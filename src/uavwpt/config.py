@@ -12,6 +12,7 @@ import configparser
 import functools
 import math
 from dataclasses import dataclass, fields, replace
+from numbers import Real
 
 from .channel import ChannelParams
 from .errors import ConfigError
@@ -46,13 +47,16 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            # type(...) is int: a bool is an int, but not a count
             if f.type is int:
-                if not isinstance(value, int):
-                    raise ConfigError(
-                        f"{f.name} must be an integer, got {value!r}")
-            elif not all(map(math.isfinite,
-                             value if f.type is tuple else (value,))):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+                ok, kind = type(value) is int, "an integer"
+            elif f.type is tuple:
+                ok = isinstance(value, tuple) and all(map(_finite, value))
+                kind = "a tuple of finite numbers"
+            else:
+                ok, kind = _finite(value), "a finite number"
+            if not ok:
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
 
         def positive(name, value):
             if not value > 0:
@@ -96,6 +100,12 @@ class ScenarioConfig:
         """The config, which was checked when it was built.  Kept for
         bench/run.py, which calls it on every config it builds."""
         return self
+
+
+def _finite(value) -> bool:
+    """A finite real number; a bool is not one."""
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _parse_range(raw: str) -> tuple:

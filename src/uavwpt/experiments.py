@@ -17,10 +17,11 @@ plan and its sums are built on first read.  No sum depends on the
 transmit power or the noise, and trial t draws the same stream at every
 sweep point (common random numbers).  So `run_trial` keeps what the
 solves read of each trial it draws (both plans' leg lengths, member
-counts and sums) and scales the sums by each point's SNR: a pt_db,
-v_max or I_nats sweep draws each trial once, with every bit kept.  It
-keeps only the latest (seed, geometry) key's trials, at most
-`_TRIAL_MEMO`, and no failed draw.
+counts and sums): a pt_db, v_max or I_nats sweep draws each trial once,
+with every bit kept.  It keeps only the latest (seed, geometry) key's
+trials, at most `_TRIAL_MEMO`, and no failed draw.  `run_trial` and
+`build_problem` make a plan's problem in one function, which scales its
+sums at the radio of the config being solved.
 """
 
 import functools
@@ -77,17 +78,8 @@ class TrialGeometry:
     config: ScenarioConfig
 
     @functools.cached_property
-    def coeffs(self) -> GroupCoefficients:
-        return GroupCoefficients.scaled(self.sums, self.config.radio)
-
-    @functools.cached_property
     def baseline_plan(self) -> GroupPlan:
         return singleton_plan(self.plan.sensors, self.plan.start_point)
-
-    @functools.cached_property
-    def baseline_coeffs(self) -> GroupCoefficients:
-        return GroupCoefficients.scaled(self.baseline_sums,
-                                        self.config.baseline_radio)
 
     @functools.cached_property
     def baseline_sums(self) -> tuple:
@@ -128,7 +120,7 @@ class SweepSpec:
         for lo, hi in zip(self.values, self.values[1:]):
             if not hi > lo:
                 raise ConfigError("sweep values must be strictly increasing")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if type(self.trials) is not int or self.trials < 1:
             raise ConfigError(f"per-point trial count must be an integer "
                               f"of at least 1, got {self.trials!r}")
         if self.objective not in ("stm", "ttm"):
@@ -152,7 +144,7 @@ class AggregateResult:
 
 
 def _check_index(name: str, value) -> None:
-    if not isinstance(value, int) or value < 0:
+    if type(value) is not int or value < 0:
         raise ConfigError(f"{name} must be a nonnegative integer, "
                           f"got {value!r}")
 
@@ -247,16 +239,24 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
         config=config)
 
 
-def build_problem(config: ScenarioConfig, plan: GroupPlan,
-                  coeffs: GroupCoefficients, objective: str):
-    """A plan's coefficients wrapped as an StmProblem under the config's
-    budget (objective "stm"), or as a TtmProblem demanding I_nats per
-    member sensor (objective "ttm")."""
-    return _problem(config, plan.D, map(len, plan.groups), coeffs, objective)
+def build_problem(config: ScenarioConfig, geo: TrialGeometry,
+                  objective: str, baseline: bool = False):
+    """Trial `geo`'s grouped plan, or with `baseline` its baseline plan, as
+    an StmProblem under the config's budget ("stm") or a TtmProblem
+    demanding I_nats per member sensor ("ttm"), its sums scaled at the
+    config's radio or baseline radio.  `config` may differ from the one
+    `geo` was drawn under in any field the draw does not read (see
+    `run_trial`'s key)."""
+    plan, sums = ((geo.baseline_plan, geo.baseline_sums) if baseline
+                  else (geo.plan, geo.sums))
+    return _problem(config, objective, baseline, plan.D,
+                    map(len, plan.groups), sums)
 
 
-def _problem(config: ScenarioConfig, D, counts, coeffs: GroupCoefficients,
-             objective: str):
+def _problem(config: ScenarioConfig, objective: str, baseline: bool, D,
+             counts, sums):
+    coeffs = GroupCoefficients.scaled(
+        sums, config.baseline_radio if baseline else config.radio)
     if objective == "stm":
         return StmProblem(coeffs=coeffs, D=D, T=config.T_s,
                           v_max=config.v_max_mps)
@@ -266,10 +266,9 @@ def _problem(config: ScenarioConfig, D, counts, coeffs: GroupCoefficients,
     raise ConfigError(f"unknown objective {objective!r}")
 
 
-def _solve_for(config: ScenarioConfig, radio, objective: str, D, counts,
-               sums) -> float:
-    coeffs = GroupCoefficients.scaled(sums, radio)
-    problem = _problem(config, D, counts, coeffs, objective)
+def _solve_for(config: ScenarioConfig, objective: str, baseline: bool, D,
+               counts, sums) -> float:
+    problem = _problem(config, objective, baseline, D, counts, sums)
     if objective == "stm":
         return solve_stm(problem)[1].objective
     return solve_ttm(problem)[1]
@@ -295,8 +294,8 @@ def run_trial(config: ScenarioConfig, trial_index: int,
         if len(draws) < _TRIAL_MEMO:
             draws[trial_index] = ours, base
     return TrialResult(
-        ours=_solve_for(config, config.radio, objective, *ours),
-        baseline=(_solve_for(config, config.baseline_radio, objective, *base)
+        ours=_solve_for(config, objective, False, *ours),
+        baseline=(_solve_for(config, objective, True, *base)
                   if include_baseline else None))
 
 

@@ -18,6 +18,8 @@ _INV_E = math.exp(-1.0)
 # Halley iteration: relative step tolerance and iteration cap
 _W_STEP_TOL = 1e-12
 _W_MAX_ITER = 200
+# integrate_adaptive: integrand evaluations allowed per integral
+_QUAD_MAX_EVALS = 200_000
 
 
 def lambert_w0(x: float) -> float:
@@ -120,8 +122,7 @@ def bracketed_newton(fdf, lo: float, hi: float, tol: float) -> float:
             lo, flo = x, fx
 
 
-def integrate_adaptive(f, a: float, b: float, rel_tol: float = 1e-9,
-                       max_evals: int = 200_000) -> float:
+def integrate_adaptive(f, a: float, b: float, rel_tol: float = 1e-9) -> float:
     """Adaptive Simpson quadrature of f over [a, b].
 
     The error target is relative to a rough magnitude estimate of the
@@ -141,7 +142,7 @@ def integrate_adaptive(f, a: float, b: float, rel_tol: float = 1e-9,
 
     def feval(x):
         evals[0] += 1
-        if evals[0] > max_evals:
+        if evals[0] > _QUAD_MAX_EVALS:
             raise AccuracyError(
                 "integrate_adaptive: evaluation budget exhausted")
         return f(x)

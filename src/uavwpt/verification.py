@@ -33,6 +33,9 @@ TOLERANCES = {
     "concavity_slack": 1e-9,     # midpoint concavity slack floor
 }
 
+# local zoom passes of ttm_grid_oracle after its coarse grid
+_GRID_REFINEMENTS = 2
+
 ORACLE_CSV_HEADER = "oracle,instance_seed,oracle_value,solver_value,rel_gap,pass"
 
 
@@ -99,7 +102,7 @@ def _ttm_total_grid(problem: TtmProblem, taus):
     return total
 
 
-def ttm_grid_oracle(problem: TtmProblem, refinements: int = 2):
+def ttm_grid_oracle(problem: TtmProblem):
     """Exhaustive search over hover times for the time-minimization
     problem, N <= 2; flight times follow analytically."""
     if problem.N > 2:
@@ -114,7 +117,7 @@ def ttm_grid_oracle(problem: TtmProblem, refinements: int = 2):
         axes.append(np.geomspace(lo, hi, 61))
     best_val = math.inf
     best_tau = None
-    for _ in range(refinements + 1):
+    for _ in range(_GRID_REFINEMENTS + 1):
         mesh = np.meshgrid(*axes, indexing="ij")
         taus = [m.ravel() for m in mesh]
         vals = _ttm_total_grid(problem, taus)
@@ -222,9 +225,8 @@ def run_verification(config: ScenarioConfig):
         for j in range(5):
             inst = seed * 7919 + j
             geo = generate_trial(sized, trial_rng(inst, 0))
-            for plan, coeffs in ((geo.plan, geo.coeffs),
-                                 (geo.baseline_plan, geo.baseline_coeffs)):
-                problem = build_problem(sized, plan, coeffs, "stm")
+            for baseline in (False, True):
+                problem = build_problem(sized, geo, "stm", baseline)
                 _, diag = solve_stm(problem)
                 bound = diag.objective + diag.optimality_gap
                 ok = (diag.objective
@@ -240,7 +242,7 @@ def run_verification(config: ScenarioConfig):
     for j in range(5):
         inst = seed * 104729 + j
         geo = generate_trial(desk, trial_rng(inst, 0))
-        problem = build_problem(desk, geo.plan, geo.coeffs, "ttm")
+        problem = build_problem(desk, geo, "ttm")
         _, oracle_total = ttm_grid_oracle(problem)
         alloc, total = solve_ttm(problem)
         info = delivered_information(problem.coeffs, alloc)
@@ -253,7 +255,7 @@ def run_verification(config: ScenarioConfig):
 
     # concavity of the per-group throughput term
     geo = generate_trial(desk, trial_rng(seed * 31 + 7, 0))
-    problem = build_problem(desk, geo.plan, geo.coeffs, "stm")
+    problem = build_problem(desk, geo, "stm")
     conc = concavity_suite(problem.coeffs, trials=100_000, seed=seed)
     reports.append(OracleReport(
         oracle="concavity", instance_seed=seed,

@@ -41,7 +41,7 @@ def _desk(N: int) -> ScenarioConfig:
 def _desk_instance(inst_seed: int, objective: str):
     desk = _desk(2)
     geo = generate_trial(desk, trial_rng(inst_seed, 0))
-    return build_problem(desk, geo.plan, geo.coeffs, objective)
+    return build_problem(desk, geo, objective)
 
 
 def _serpentine_plan(rng):

@@ -6,7 +6,7 @@ import pytest
 
 from uavwpt.config import ScenarioConfig, load_config
 from uavwpt.errors import ConfigError
-from uavwpt.experiments import run_trial
+from uavwpt.experiments import SweepSpec, run_trial, trial_rng
 
 # one bad value each; every entry must be refused wherever a config is
 # built, so no library call can solve what `load_config` rejects (a
@@ -105,6 +105,33 @@ def test_validation_failures():
             ScenarioConfig(**kw)
         with pytest.raises(ConfigError):
             dataclasses.replace(good, **kw)
+
+
+# a non-numeric value or a bool, where a number or a count belongs
+_NOT_A_NUMBER = {
+    "pt_db_str": lambda: ScenarioConfig(pt_db="4"),
+    "pt_db_none": lambda: ScenarioConfig(pt_db=None),
+    "pt_db_bool": lambda: ScenarioConfig(pt_db=True),
+    "range_scalar": lambda: ScenarioConfig(D_range_m=5.0),
+    "range_str": lambda: ScenarioConfig(D_range_m=("a", "b")),
+    "range_bool": lambda: ScenarioConfig(ytilde_range_m=(False, True)),
+    "seed_bool": lambda: ScenarioConfig(seed=True),
+    "K_bool": lambda: ScenarioConfig(K=True),
+    "M_str": lambda: ScenarioConfig(M="3"),
+    "sweep_trials_bool": lambda: SweepSpec(param="pt_db", values=(4.0,),
+                                           trials=True, objective="stm"),
+    "sweep_trials_str": lambda: SweepSpec(param="pt_db", values=(4.0,),
+                                          trials="3", objective="stm"),
+    "trial_index_bool": lambda: run_trial(ScenarioConfig(), True),
+    "rng_seed_bool": lambda: trial_rng(True, 0),
+    "rng_index_str": lambda: trial_rng(1, "0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_A_NUMBER))
+def test_non_numeric_values_raise_config_error(case):
+    with pytest.raises(ConfigError, match="must be"):
+        _NOT_A_NUMBER[case]()
 
 
 @pytest.mark.parametrize("include_baseline", [True, False])

@@ -18,8 +18,11 @@ from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError
 from uavwpt.geometry import GroupPlan, singleton_plan
 from uavwpt.experiments import (AggregateResult, SweepSpec, SWEEP_HEADER,
-                                apply_sweep_value, generate_trial, run_sweep,
-                                run_trial, trial_rng, write_sweep_csv)
+                                apply_sweep_value, build_problem,
+                                generate_trial, run_sweep, run_trial,
+                                trial_rng, write_sweep_csv)
+from uavwpt.stm import StmProblem, solve_stm
+from uavwpt.ttm import solve_ttm
 
 CFG = ScenarioConfig(K=20, N=4, pt_db=4.0, T_s=1000.0, seed=1)
 SMALL = ScenarioConfig(K=8, N=2, pt_db=4.0, T_s=800.0, seed=3)
@@ -67,9 +70,10 @@ def test_flight_harvest_dominates_hover_harvest():
 
 def test_sensor_energies_sum_to_group_aggregates():
     geo = generate_trial(CFG, trial_rng(1, 3))
-    for params, plan, coeffs in (
-            (CFG.radio, geo.plan, geo.coeffs),
-            (CFG.baseline_radio, geo.baseline_plan, geo.baseline_coeffs)):
+    for params, plan, baseline in (
+            (CFG.radio, geo.plan, False),
+            (CFG.baseline_radio, geo.baseline_plan, True)):
+        coeffs = build_problem(CFG, geo, "stm", baseline).coeffs
         tau_prev, zeta = 7.25, 3.5
         for n in range(1, plan.N + 1):
             total = sum(harvested_energy(plan, params, n, i, tau_prev, zeta)
@@ -88,7 +92,7 @@ def test_baseline_plan_structure():
     xs = [p[0] for p in plan.hover_points]
     assert xs == sorted(xs)
     params = CFG.baseline_radio
-    coeffs = geo.baseline_coeffs
+    coeffs = build_problem(CFG, geo, "stm", baseline=True).coeffs
     for n in range(20):
         assert coeffs.a[n] == pytest.approx(1.0 / CFG.A_m ** 2, rel=1e-12)
         # single receive antenna: gamma_n is antenna 2's gain alone
@@ -172,8 +176,9 @@ def test_block_draw_matches_scalar_stream(case, monkeypatch):
         assert geo.plan == expect.plan
         assert geo.baseline_plan == expect.baseline_plan
         # redrawn members leave no trace in the coefficients
-        assert geo.coeffs == expect.coeffs
-        assert geo.baseline_coeffs == expect.baseline_coeffs
+        assert build_problem(config, geo, "stm").coeffs == expect.coeffs
+        assert (build_problem(config, geo, "stm", baseline=True).coeffs
+                == expect.baseline_coeffs)
         # the block draws leave the generator where scalar calls would
         assert (block_rng.bit_generator.state
                 == scalar_rng.bit_generator.state)
@@ -286,6 +291,44 @@ def test_kept_draws_give_the_bits_of_fresh_ones(param, values):
             assert warm == cold
 
 
+def _solve_bits(problem):
+    if isinstance(problem, StmProblem):
+        return solve_stm(problem)[1].objective.hex()
+    return solve_ttm(problem)[1].hex()
+
+
+def _coeff_bits(problem):
+    c = problem.coeffs
+    return [v.hex() for v in (*c.a, *c.b, *c.gamma, *problem.D)]
+
+
+@pytest.mark.parametrize("objective", ["stm", "ttm"])
+def test_run_trial_agrees_with_build_problem(objective, monkeypatch):
+    # the contract the memo relies on: a trial drawn once under the
+    # defaults, built under another point's config, is the problem
+    # run_trial solves there, and the one a fresh draw at that point gives
+    monkeypatch.setattr(experiments, "_DRAWS", {})
+    base = ScenarioConfig()
+    geos = [generate_trial(base, trial_rng(base.seed, t)) for t in range(5)]
+    points = [dataclasses.replace(base, pt_db=v) for v in (0.0, 8.0)]
+    points += [dataclasses.replace(base, I_nats=v) for v in (1.0, 30.0)]
+    for pc in points:
+        for t, geo in enumerate(geos):
+            ours = _solve_bits(build_problem(pc, geo, objective))
+            base_bits = _solve_bits(
+                build_problem(pc, geo, objective, baseline=True))
+            assert _bits(run_trial(pc, t, objective, False)) == (ours, None)
+            assert _bits(run_trial(pc, t, objective)) == (ours, base_bits)
+    for pc in points[:2]:
+        for t, geo in enumerate(geos):
+            fresh = generate_trial(pc, trial_rng(pc.seed, t))
+            for baseline in (False, True):
+                assert (_coeff_bits(build_problem(pc, geo, objective,
+                                                  baseline))
+                        == _coeff_bits(build_problem(pc, fresh, objective,
+                                                     baseline)))
+
+
 # one other valid value of every ScenarioConfig field; moving the flight
 # row changes results only through rounding, so it moves far
 _FIELD_CHANGES = {
@@ -375,9 +418,10 @@ def test_trial_coefficients_match_reference_bitwise():
         base_params = config.baseline_radio
         for t in range(1000):
             geo = generate_trial(config, trial_rng(config.seed, t))
-            assert geo.coeffs == group_coefficients(geo.plan, params)
-            assert geo.baseline_coeffs == group_coefficients(
-                geo.baseline_plan, base_params)
+            assert (build_problem(config, geo, "stm").coeffs
+                    == group_coefficients(geo.plan, params))
+            assert (build_problem(config, geo, "stm", baseline=True).coeffs
+                    == group_coefficients(geo.baseline_plan, base_params))
 
 
 def test_sweep_rejects_fewer_than_one_worker(monkeypatch):

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import lambertw as scipy_lambertw
 
-from uavwpt.errors import BracketingError, NumericDomainError
+from uavwpt import numerics
+from uavwpt.errors import AccuracyError, BracketingError, NumericDomainError
 from uavwpt.numerics import bracketed_newton, integrate_adaptive, lambert_w0
 
 
@@ -164,6 +165,15 @@ def test_bisect_no_root_raises():
 def test_integrate_constant_and_linear():
     assert integrate_adaptive(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0)
     assert integrate_adaptive(lambda x: x, 0.0, 1.0) == pytest.approx(0.5)
+
+
+def test_integrate_budget_exhausted_raises(monkeypatch):
+    # sqrt's endpoint cusp needs deep refinement at the default tolerance
+    got = integrate_adaptive(math.sqrt, 0.0, 1.0)
+    assert got == pytest.approx(2.0 / 3.0, rel=1e-9)
+    monkeypatch.setattr(numerics, "_QUAD_MAX_EVALS", 100)
+    with pytest.raises(AccuracyError, match="evaluation budget exhausted"):
+        integrate_adaptive(math.sqrt, 0.0, 1.0)
 
 
 def test_integrate_arctan_antiderivative():

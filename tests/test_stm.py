@@ -73,10 +73,7 @@ def _swept_problem(config, trial, baseline=False):
     """Trial `trial` of master seed 7 as an StmProblem: the grouped plan,
     or the hover-and-fly baseline's one-sensor groups."""
     geo = generate_trial(config, trial_rng(7, trial))
-    plan = geo.baseline_plan if baseline else geo.plan
-    coeffs = geo.baseline_coeffs if baseline else geo.coeffs
-    return StmProblem(coeffs=coeffs, D=plan.D, T=config.T_s,
-                      v_max=config.v_max_mps)
+    return experiments.build_problem(config, geo, "stm", baseline)
 
 
 def _mu_from_point(problem, alloc):
@@ -243,10 +240,9 @@ def _memo_trial_problems():
     for cfg in configs:
         for t in range(4):
             geo = generate_trial(cfg, trial_rng(cfg.seed, t))
-            problems.append(experiments.build_problem(
-                cfg, geo.plan, geo.coeffs, "stm"))
-            problems.append(experiments.build_problem(
-                cfg, geo.baseline_plan, geo.baseline_coeffs, "stm"))
+            for baseline in (False, True):
+                problems.append(experiments.build_problem(
+                    cfg, geo, "stm", baseline))
     return problems
 
 
@@ -280,7 +276,7 @@ def test_lead_price_memo_serves_baselines(monkeypatch):
     for t in range(5):
         geo = generate_trial(cfg, trial_rng(cfg.seed, t))
         baselines.append(experiments.build_problem(
-            cfg, geo.baseline_plan, geo.baseline_coeffs, "stm"))
+            cfg, geo, "stm", baseline=True))
     calls = {"chain": 0, "before_structure_test": None}
 
     def counted_chain(*args):

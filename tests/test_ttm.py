@@ -181,7 +181,7 @@ def test_total_within_grid_oracle_factor():
     for seed in range(12):
         problem = ttm_instance(seed, N=2)
         _, total = solve_ttm(problem)
-        _, oracle = ttm_grid_oracle(problem, refinements=2)
+        _, oracle = ttm_grid_oracle(problem)
         assert total <= 1.05 * oracle
         assert total >= oracle * (1.0 - 1e-6)
 
@@ -265,10 +265,9 @@ def test_solve_allocations_pinned_bitwise():
                    ScenarioConfig(pt_db=30.0, I_nats=0.02)):
         for t in range(50):
             geo = generate_trial(config, trial_rng(config.seed, t))
-            for plan, coeffs in ((geo.plan, geo.coeffs),
-                                 (geo.baseline_plan, geo.baseline_coeffs)):
+            for baseline in (False, True):
                 alloc, _ = solve_ttm(
-                    build_problem(config, plan, coeffs, "ttm"))
+                    build_problem(config, geo, "ttm", baseline))
                 times = (*alloc.tau, *alloc.zeta)
                 digest.update(
                     (" ".join(v.hex() for v in times) + "\n").encode())

@@ -89,7 +89,7 @@ def test_grid_value_within_certified_bound():
     desk = apply_sweep_value(ScenarioConfig(), "N", 2)
     for j in range(50):
         geo = generate_trial(desk, trial_rng(3000 + j, 0))
-        problem = build_problem(desk, geo.plan, geo.coeffs, "stm")
+        problem = build_problem(desk, geo, "stm")
         _, diag = solve_stm(problem)
         _, oracle_val = stm_grid_oracle(problem)
         assert oracle_val <= (diag.objective + diag.optimality_gap) * (
@@ -113,7 +113,7 @@ def test_stm_oracle_zero_slack():
 
 def test_ttm_oracle_meets_demands():
     problem = ttm_instance(5, N=2)
-    alloc, total = ttm_grid_oracle(problem, refinements=2)
+    alloc, total = ttm_grid_oracle(problem)
     info = delivered_information(problem.coeffs, alloc)
     for got, want in zip(info, problem.I):
         assert got >= want - 1e-8

@@ -10,6 +10,7 @@ stdout and CSV files; error diagnostics go to stderr.
 """
 
 import argparse
+import platform
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -17,6 +18,9 @@ from functools import reduce
 from operator import add
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from .config import load_config
 from .errors import (ConfigError, InfeasiblePlanError, NumericDomainError,
                      UavWptError)
@@ -97,6 +101,12 @@ def _load(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return config, out
+
+
+def _versions() -> str:
+    """What made an output: the interpreter, numpy and this package."""
+    return (f"python {platform.python_version()}  numpy {np.__version__}  "
+            f"uavwpt {__version__}")
 
 
 def _fmt_vec(values) -> str:
@@ -180,6 +190,7 @@ def cmd_sweep(args) -> int:
         f"objective {objective}  baseline {args.baseline}  "
         f"seed {config.seed}  trials/point {trials}",
         f"excluded trials: {sum(r.exclusions for r in results)}",
+        _versions(),
     ]
     path = out / f"sweep_{args.param}.csv"
     write_sweep_csv(path, results, metadata)
@@ -198,6 +209,7 @@ def cmd_verify(args) -> int:
     reports, ok = run_verification(config)
     path = out / "verification.csv"
     write_verification_csv(path, reports)
+    print(_versions())
     by_oracle = {}
     for r in reports:
         good, total = by_oracle.get(r.oracle, (0, 0))

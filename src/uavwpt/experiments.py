@@ -34,7 +34,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 from . import channel        # read per call, so a patched primitive is seen
 from .channel import GroupCoefficients
-from .config import ScenarioConfig
+from .config import ScenarioConfig, _finite
 from .errors import ConfigError, NumericDomainError, UavWptError
 from .geometry import GroupPlan, group_sizes, singleton_plan
 from .stm import StmProblem, solve_stm
@@ -117,6 +117,10 @@ class SweepSpec:
                 f"got {self.param!r}")
         if len(self.values) < 1:
             raise ConfigError("sweep needs at least one value")
+        for v in self.values:
+            if not _finite(v):
+                raise ConfigError(f"sweep values must be finite numbers, "
+                                  f"got {v!r}")
         for lo, hi in zip(self.values, self.values[1:]):
             if not hi > lo:
                 raise ConfigError("sweep values must be strictly increasing")
@@ -299,13 +303,23 @@ def run_trial(config: ScenarioConfig, trial_index: int,
                   if include_baseline else None))
 
 
-def _trial_task(args):
-    config, trial_index, objective, include_baseline = args
+def _outcome(config, trial_index, objective, include_baseline):
     try:
         r = run_trial(config, trial_index, objective, include_baseline)
         return ("ok", r.ours, r.baseline)
     except UavWptError as exc:
         return ("err", f"{type(exc).__name__}: {exc}", None)
+
+
+def _trial_task(args):
+    """A block of trial indices solved at every sweep point, point by
+    point: each trial is drawn at the first point and reused at the
+    later ones, and each point's baselines share one price search (a
+    task per trial index would cycle the points trial by trial, and
+    past 16 points every baseline would miss `stm`'s price memo)."""
+    point_configs, trials, objective, include_baseline = args
+    return [[_outcome(pc, t, objective, include_baseline) for t in trials]
+            for pc in point_configs]
 
 
 def apply_sweep_value(config: ScenarioConfig, param: str,
@@ -341,22 +355,24 @@ def run_sweep(config: ScenarioConfig, sweep: SweepSpec, workers: int = 1,
     include_baseline = baseline == "hf-eh"
     point_configs = [apply_sweep_value(config, sweep.param, v)
                      for v in sweep.values]
-    tasks = [(pc, t, sweep.objective, include_baseline)
-             for pc in point_configs
-             for t in range(sweep.trials)]
     if workers > 1:
         # imported here: a one-process run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        chunk = max(1, len(tasks) // (8 * workers))
+        block = max(1, sweep.trials // (8 * workers))
+        tasks = [(point_configs, range(t, min(t + block, sweep.trials)),
+                  sweep.objective, include_baseline)
+                 for t in range(0, sweep.trials, block)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial_task, tasks, chunksize=chunk))
+            # each block's outcomes per point, joined point by point
+            outcomes = [list(itertools.chain.from_iterable(parts))
+                        for parts in zip(*pool.map(_trial_task, tasks))]
     else:
-        outcomes = [_trial_task(t) for t in tasks]
+        outcomes = _trial_task((point_configs, range(sweep.trials),
+                                sweep.objective, include_baseline))
 
     results = []
     failures = []
-    for p, value in enumerate(sweep.values):
-        chunk = outcomes[p * sweep.trials:(p + 1) * sweep.trials]
+    for value, chunk in zip(sweep.values, outcomes):
         ours = [o[1] for o in chunk if o[0] == "ok"]
         bases = [o[2] for o in chunk if o[0] == "ok"]
         failures.extend(

@@ -35,14 +35,19 @@ diagnostics.method names the outcome; optimality_gap, the Frank-Wolfe
 duality gap (Jaggi 2013), certifies it without a solver when
 diagnostics.optimality_gap is first read.
 
-The first search reads only gamma, a and c = gamma_1 lead / 2.  Plans
-whose hover coefficients a_n are all equal memoize it on those exact
-tuples (a small LRU, _lead_price): a hit returns the same bits a fresh
-search would.  The hover-and-fly baselines of one sweep point share one
-key: each sensor is hovered directly overhead with one receive antenna,
-so every link has a = 1/A^2 and the same gamma whatever the draw.  A
-grouped plan's key never recurs, so it bypasses the memo and evicts no
-baseline key.  The pinned search reads b and D too; it is not memoized.
+The first search reads only gamma, a and c = gamma_1 lead / 2, and so
+does the price state the free structure reads at mu+: q_n, each
+group's hover time per unit of harvested energy rho_n and the budget
+weights S_n (_lead_price).  Plans whose hover coefficients a_n are all
+equal memoize both on those exact tuples (a small LRU): a hit returns
+the same bits a fresh search would.  The hover-and-fly baselines of
+one sweep point share one key: each sensor is hovered directly
+overhead with one receive antenna, so every link has a = 1/A^2 and the
+same gamma whatever the draw.  So a point's baselines build the state
+once, and each later solve evaluates no chain: two forward passes of
+the energy chain close its budget.  A grouped plan's key never recurs,
+so it bypasses the memo and evicts no baseline key.  The pinned search
+reads b and D too; it is not memoized.
 """
 
 import functools
@@ -194,12 +199,17 @@ def _chain_q(gamma, a, mu: float):
 @functools.lru_cache(maxsize=_LEAD_PRICE_MEMO)
 def _lead_price(gamma, a, c: float):
     """The price mu+ at which the lead first-phase variable, worth
-    c q_1 with c = gamma_1 lead / 2, is worth mu, and the chain at the
-    last price evaluated (tuples q, dq, or None outside the domain).
+    c q_1 with c = gamma_1 lead / 2, is worth mu, and the price state at
+    the last price evaluated, or None outside the chain's domain.
 
-    A pure function of the exact tuples it reads, memoized on them, so
-    a hit returns the bits a fresh search would; the chain is stored as
-    tuples so that no caller can alter an entry.
+    The state is what the free structure reads at that price, tuples
+    (q, rho, S): q_n from the chain; rho_n = tau_n/E_n =
+    gamma_n q_n/(1 - q_n), group n's hover time per unit of harvested
+    energy; and S_n, the budget weight of one second of hover n through
+    the downstream energy chain, S_N = 1, S_m = 1 + a_{m+1} rho_{m+1}
+    S_{m+1}.  A pure function of the exact tuples it reads, memoized on
+    them, so a hit returns the bits a fresh search would; the state is
+    stored as tuples so that no caller can alter an entry.
     """
     chain = None      # the chain at the last price searched
 
@@ -219,56 +229,43 @@ def _lead_price(gamma, a, c: float):
     lo = c * math.exp(-1.0 - lambert_w0((2.0 * c - 1.0) / math.e))
     hi = 1.0 + max([c] + [0.5 * g * an for g, an in zip(gamma[1:], a[1:])])
     mu = bracketed_newton(lead_gap, lo, hi, tol=_ROOT_TOL)
-    return mu, None if chain is None else tuple(map(tuple, chain))
+    if chain is None:
+        return mu, None
+    q = chain[0]
+    rho = [g * qn / (1.0 - qn) for g, qn in zip(gamma, q)]
+    S = [1.0] * len(q)
+    for m in range(len(q) - 1, 0, -1):
+        S[m - 1] = 1.0 + a[m] * rho[m] * S[m]
+    return mu, (tuple(q), tuple(rho), tuple(S))
 
 
-def _mission(problem: StmProblem, chain, tau0: float, zeta1: float):
-    """Hover and flight times at the chain's price for given tau_0 and
-    zeta_1, flight times at the cap from leg 2 on.
-
-    Runs the energy chain forward, tau_n = rho_n (a_n tau_{n-1} +
-    b_n zeta_n), where rho_n = tau_n/E_n = gamma_n q_n/(1 - q_n) is group
-    n's hover time per unit of harvested energy.  Returns (rho, taus,
-    zetas, excess, slope): excess is the mission time minus T, exactly
-    rounded, and slope its derivative in mu at fixed tau_0 and zeta_1.
-    """
-    a_ = problem.coeffs.a
-    b_ = problem.coeffs.b
-    zetas = [zeta1, *problem.floors[1:]]
-    rho = []
+def _hovers(rho, a, b, tau0: float, zetas) -> list:
+    """The energy chain forward from the first phase (tau_0, zeta_1):
+    tau_n = rho_n (a_n tau_{n-1} + b_n zeta_n) for n = 1..N."""
     taus = []
-    prev, dprev, slope = tau0, 0.0, 0.0
-    for g, an, bn, qn, dqn, zn in zip(problem.coeffs.gamma, a_, b_,
-                                       *chain, zetas):
-        rho.append(g * qn / (1.0 - qn))
+    prev = tau0
+    for r, an, bn, zn in zip(rho, a, b, zetas):
+        prev = r * (an * prev + bn * zn)
+        taus.append(prev)
+    return taus
+
+
+def _mission(problem: StmProblem, chain):
+    """The pinned mission at the chain's price: tau_0 = 0 and every leg
+    at the cap.  Returns its hovers (as `_hovers` gives them from the
+    chain's rho) and their total's derivative in mu."""
+    taus = []
+    prev, dprev, slope = 0.0, 0.0, 0.0
+    for g, an, bn, qn, dqn, zn in zip(problem.coeffs.gamma, problem.coeffs.a,
+                                       problem.coeffs.b, *chain,
+                                       problem.floors):
+        rho = g * qn / (1.0 - qn)
         energy = an * prev + bn * zn
-        dprev = g * dqn / (1.0 - qn) ** 2 * energy + rho[-1] * an * dprev
-        prev = rho[-1] * energy
+        dprev = g * dqn / (1.0 - qn) ** 2 * energy + rho * an * dprev
+        prev = rho * energy
         taus.append(prev)
         slope += dprev
-    excess = math.fsum((tau0, *taus, *zetas, -problem.T))
-    return rho, taus, zetas, excess, slope
-
-
-def _budget_closure(problem: StmProblem, rho, free_first_hover: bool,
-                    excess: float) -> float:
-    """Value of the free first-phase variable that closes the budget.
-
-    With every other flight time pinned at D_n/v_max, total mission time
-    is affine in the single free variable (zeta_1, or tau_0 when the
-    start hover is the free one): it overruns T by `excess` at the
-    variable's bound and grows by F2 >= 1 per second above it.  S_m is
-    the accumulated budget weight of one second of hover m through the
-    downstream energy chain: S_N = 1, S_m = 1 + a_{m+1} rho_{m+1} S_{m+1},
-    and F2 = 1 + lead rho_1 S_1 with lead = a_1 or b_1.
-    """
-    a_ = problem.coeffs.a
-    S = 1.0
-    for m in range(problem.N - 1, 0, -1):
-        S = 1.0 + a_[m] * rho[m] * S
-    lead = a_[0] if free_first_hover else problem.coeffs.b[0]
-    floor = 0.0 if free_first_hover else problem.floors[0]
-    return floor - excess / (1.0 + lead * rho[0] * S)
+    return taus, slope
 
 
 def _close_budget(tau0: float, taus, zetas, T: float) -> TimeAllocation:
@@ -314,36 +311,39 @@ def solve_stm(problem: StmProblem):
     a_ = problem.coeffs.a
     b_ = problem.coeffs.b
     g_ = problem.coeffs.gamma
-    cap1 = problem.floors[0]
+    floors = problem.floors
     free_first_hover = a_[0] > b_[0]
-    c = 0.5 * g_[0] * (a_[0] if free_first_hover else b_[0])
+    lead = a_[0] if free_first_hover else b_[0]
     recurs = a_.count(a_[0]) == len(a_)    # one hover coefficient
-    mu, chain = (_lead_price if recurs else _lead_price.__wrapped__)(g_, a_, c)
-    if chain is not None:
-        rho, _, zetas, excess, _ = _mission(problem, chain, 0.0, cap1)
+    mu, state = (_lead_price if recurs else _lead_price.__wrapped__)(
+        g_, a_, 0.5 * g_[0] * lead)
+    if state is not None:
+        _, rho, S = state
+        excess = math.fsum((0.0, *_hovers(rho, a_, b_, 0.0, floors),
+                            *floors, -problem.T))
         if excess <= 0.0:
-            lead = _budget_closure(problem, rho, free_first_hover, excess)
-            tau0, zetas[0] = (lead, cap1) if free_first_hover else (0.0, lead)
-            # the energy chain forward again from the closed first phase
-            taus = []
-            prev = tau0
-            for r, an, bn, zn in zip(rho, a_, b_, zetas):
-                prev = r * (an * prev + bn * zn)
-                taus.append(prev)
-            alloc = _close_budget(tau0, taus, zetas, problem.T)
+            # mission time is affine in the free first-phase variable:
+            # it overruns T by `excess` at the variable's bound and grows
+            # by 1 + lead rho_1 S_1 per second above it
+            floor = 0.0 if free_first_hover else floors[0]
+            first = floor - excess / (1.0 + lead * rho[0] * S[0])
+            tau0, zetas = ((first, floors) if free_first_hover
+                           else (0.0, (first, *floors[1:])))
+            alloc = _close_budget(tau0, _hovers(rho, a_, b_, tau0, zetas),
+                                  zetas, problem.T)
             method = "free-tau0" if free_first_hover else "free-zeta1"
             return alloc, _diagnostics(problem, alloc, mu, method)
 
     slack = problem.slack
-    pinned = None     # (mu, taus, zetas) at the last in-domain price
+    pinned = None     # (mu, taus) at the last in-domain price
 
     def hover_gap(mu):
         nonlocal pinned
         chain = _chain_q(g_, a_, mu)
         if chain is None:
             return math.inf, math.nan
-        _, taus, zetas, _, slope = _mission(problem, chain, 0.0, cap1)
-        pinned = mu, taus, zetas
+        taus, slope = _mission(problem, chain)
+        pinned = mu, taus
         hover = math.fsum(taus)
         if hover == 0.0:
             return -math.inf, math.nan
@@ -354,8 +354,8 @@ def solve_stm(problem: StmProblem):
     while hover_gap(hi)[0] > 0.0:
         hi += hi - mu
     bracketed_newton(hover_gap, mu, hi, tol=_ROOT_TOL)
-    mu, taus, zetas = pinned
-    alloc = _close_budget(0.0, taus, zetas, problem.T)
+    mu, taus = pinned
+    alloc = _close_budget(0.0, taus, floors, problem.T)
     return alloc, _diagnostics(problem, alloc, mu, "pinned")
 
 

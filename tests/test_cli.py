@@ -1,10 +1,15 @@
 import hashlib
+import platform
 import re
 
+import numpy as np
 import pytest
 
+import uavwpt
 from uavwpt.cli import main
-from uavwpt.experiments import SWEEP_PARAMS
+from uavwpt.config import load_config
+from uavwpt.experiments import (SWEEP_PARAMS, SweepSpec, run_sweep,
+                                write_sweep_csv)
 
 BASE_INI = """\
 [scenario]
@@ -332,6 +337,26 @@ def test_verify_passes_and_is_reproducible(cfg_path, tmp_path, capsys):
     # pinned with glibc's libm on x86-64 Linux under CPython 3.11
     assert hashlib.sha256((a / "verification.csv").read_bytes()).hexdigest() \
         == "f684317361bca89d01b43f73b8f0097c6660959a8bafc8768bd1de262d8ef0e5"
+
+
+def test_outputs_record_versions(cfg_path, tmp_path, capsys):
+    versions = (f"python {platform.python_version()}  numpy "
+                f"{np.__version__}  uavwpt {uavwpt.__version__}")
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+                 "--param", "pt_db", "--values", "0,4"]) == 0
+    lines = (tmp_path / "sweep_pt_db.csv").read_text().splitlines()
+    assert f"# {versions}" in lines
+    # the metadata adds a comment line and leaves every data row alone
+    results, _ = run_sweep(load_config(cfg_path), SweepSpec(
+        param="pt_db", values=(0.0, 4.0), trials=3, objective="stm"))
+    bare = tmp_path / "bare.csv"
+    write_sweep_csv(bare, results)
+    assert [l for l in lines if not l.startswith("#")] \
+        == bare.read_text().splitlines()
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg_path),
+                 "--out", str(tmp_path)]) == 0
+    assert versions in capsys.readouterr().out.splitlines()
 
 
 def test_verify_catches_tampering(cfg_path, tmp_path, capsys, monkeypatch):

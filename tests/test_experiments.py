@@ -579,7 +579,10 @@ def test_sweep_spec_validation():
     SweepSpec(**good)
     for kw in ({"param": "k0_db"}, {"values": ()},
                {"values": (2.0, 2.0)}, {"values": (4.0, 2.0)},
-               {"trials": 0}, {"trials": 1.5}, {"objective": "both"}):
+               {"trials": 0}, {"trials": 1.5}, {"objective": "both"},
+               {"values": ("a", "b")}, {"values": (False, True)},
+               {"values": (math.nan,)}, {"values": (0.0, math.inf)},
+               {"values": (-math.inf,)}, {"values": (None,)}):
         with pytest.raises(ConfigError):
             SweepSpec(**{**good, **kw})
 
@@ -613,6 +616,19 @@ def test_sweep_deterministic_and_worker_invariant():
     pooled, _ = run_sweep(SMALL, sweep, workers=2)
     assert first == again
     assert first == pooled
+
+
+def test_pooled_sweep_keeps_failures_in_order():
+    # half the drawn missions outfly a 10 s budget: real exclusions,
+    # which the pool must report as one process does, in the same order
+    sweep = SweepSpec(param="pt_db", values=(0.0, 8.0), trials=12,
+                      objective="stm")
+    config = ScenarioConfig(T_s=10.0)
+    results, failures = run_sweep(config, sweep, workers=1)
+    assert [r.exclusions for r in results] == [6, 6]
+    assert len(failures) == 12
+    assert all("InfeasiblePlanError" in f for f in failures)
+    assert run_sweep(config, sweep, workers=2) == (results, failures)
 
 
 def test_sweep_without_baseline():

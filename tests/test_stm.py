@@ -264,10 +264,10 @@ def test_lead_price_memo_changes_no_bit():
         assert walloc == alloc
         assert wdiag == diag
     hits = stm._lead_price.cache_info().hits
-    _, chain = stm._lead_price(*_lead_key(problems[1]))
+    _, state = stm._lead_price(*_lead_key(problems[1]))
     assert stm._lead_price.cache_info().hits == hits + 1
-    assert isinstance(chain, tuple)
-    assert all(isinstance(part, tuple) for part in chain)
+    assert isinstance(state, tuple) and len(state) == 3
+    assert all(isinstance(part, tuple) for part in state)
 
 
 def test_lead_price_memo_serves_baselines(monkeypatch):
@@ -277,27 +277,20 @@ def test_lead_price_memo_serves_baselines(monkeypatch):
         geo = generate_trial(cfg, trial_rng(cfg.seed, t))
         baselines.append(experiments.build_problem(
             cfg, geo, "stm", baseline=True))
-    calls = {"chain": 0, "before_structure_test": None}
+    calls = {"chain": 0}
 
     def counted_chain(*args):
         calls["chain"] += 1
         return _chain_q(*args)
 
-    def first_mission(*args):
-        if calls["before_structure_test"] is None:
-            calls["before_structure_test"] = calls["chain"]
-        return mission(*args)
-
-    mission = stm._mission
     monkeypatch.setattr(stm, "_chain_q", counted_chain)
-    monkeypatch.setattr(stm, "_mission", first_mission)
     solve_stm(baselines[0])
-    assert calls["before_structure_test"] > 0
+    assert calls["chain"] > 0
+    # the point's price state comes from the memo: no chain at all
     for problem in baselines[1:]:
         calls["chain"] = 0
-        calls["before_structure_test"] = None
         solve_stm(problem)
-        assert calls["before_structure_test"] == 0
+        assert calls["chain"] == 0
 
 
 def test_lead_price_memo_stays_bounded():

@@ -18,8 +18,11 @@ transmit power or the noise, and trial t draws the same stream at every
 sweep point (common random numbers).  So `run_trial` keeps what the
 solves read of each trial it draws (both plans' leg lengths, member
 counts and sums): a pt_db, v_max or I_nats sweep draws each trial once,
-with every bit kept.  It keeps only the latest (seed, geometry) key's
-trials, at most `_TRIAL_MEMO`, and no failed draw.  `run_trial` and
+with every bit kept.  It keeps only the latest (seed, `_draw_fields`)
+key's trials and no failed draw; once it holds `_TRIAL_MEMO` trials, each
+new one evicts the oldest.  `run_sweep` runs every sweep, in one process
+or in a pool, as whole-trial blocks no larger than that store, so each
+block is drawn once per sweep at any trial count.  `run_trial` and
 `build_problem` make a plan's problem in one function, which scales its
 sums at the radio of the config being solved.
 """
@@ -243,14 +246,25 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
         config=config)
 
 
+def _draw_fields(config: ScenarioConfig) -> tuple:
+    """The fields a trial's draw and coefficient sums read, besides the
+    seed that `trial_rng` takes."""
+    return (config.N, config.K, config.A_m, config.D_range_m,
+            config.ytilde_range_m, config.k0_db, config.M, config.delta_m)
+
+
 def build_problem(config: ScenarioConfig, geo: TrialGeometry,
                   objective: str, baseline: bool = False):
     """Trial `geo`'s grouped plan, or with `baseline` its baseline plan, as
     an StmProblem under the config's budget ("stm") or a TtmProblem
     demanding I_nats per member sensor ("ttm"), its sums scaled at the
     config's radio or baseline radio.  `config` may differ from the one
-    `geo` was drawn under in any field the draw does not read (see
-    `run_trial`'s key)."""
+    `geo` was drawn under in any field the draw does not read
+    (`_draw_fields`); a config that would draw another trial raises
+    `ConfigError`."""
+    if _draw_fields(config) != _draw_fields(geo.config):
+        raise ConfigError("the trial was drawn under another N, K, A_m, "
+                          "D_range_m, ytilde_range_m, k0_db, M or delta_m")
     plan, sums = ((geo.baseline_plan, geo.baseline_sums) if baseline
                   else (geo.plan, geo.sums))
     return _problem(config, objective, baseline, plan.D,
@@ -284,8 +298,7 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     """Solve one realization for the proposed scheme and the baseline,
     drawn now or kept from an earlier call (see the module docstring)."""
     _check_index("trial index", trial_index)
-    key = (config.seed, config.N, config.K, config.A_m, config.D_range_m,
-           config.ytilde_range_m, config.k0_db, config.M, config.delta_m)
+    key = (config.seed, *_draw_fields(config))
     if key not in _DRAWS:
         _DRAWS.clear()
     draws = _DRAWS.setdefault(key, {})
@@ -295,8 +308,9 @@ def run_trial(config: ScenarioConfig, trial_index: int,
         ours = (geo.plan.D, tuple(map(len, geo.plan.groups)), geo.sums)
         if include_baseline:
             base = (geo.baseline_plan.D, (1,) * config.K, geo.baseline_sums)
-        if len(draws) < _TRIAL_MEMO:
-            draws[trial_index] = ours, base
+        if len(draws) >= _TRIAL_MEMO and trial_index not in draws:
+            del draws[next(iter(draws))]    # the oldest kept trial
+        draws[trial_index] = ours, base
     return TrialResult(
         ours=_solve_for(config, objective, False, *ours),
         baseline=(_solve_for(config, objective, True, *base)
@@ -314,9 +328,11 @@ def _outcome(config, trial_index, objective, include_baseline):
 def _trial_task(args):
     """A block of trial indices solved at every sweep point, point by
     point: each trial is drawn at the first point and reused at the
-    later ones, and each point's baselines share one price search (a
-    task per trial index would cycle the points trial by trial, and
-    past 16 points every baseline would miss `stm`'s price memo)."""
+    later ones, since `run_sweep` makes no block larger than
+    `run_trial`'s store, and each point's baselines share one price
+    search (a task per trial index would cycle the points trial by
+    trial, and past 16 points every baseline would miss `stm`'s price
+    memo).  Every sweep runs as such blocks, in one process or a pool."""
     point_configs, trials, objective, include_baseline = args
     return [[_outcome(pc, t, objective, include_baseline) for t in trials]
             for pc in point_configs]
@@ -350,25 +366,28 @@ def run_sweep(config: ScenarioConfig, sweep: SweepSpec, workers: int = 1,
     """
     if baseline not in ("hf-eh", "none"):
         raise ConfigError(f"unknown baseline mode {baseline!r}")
-    if workers < 1:
-        raise ConfigError(f"need at least 1 worker, got {workers}")
+    if type(workers) is not int or workers < 1:
+        raise ConfigError(f"need an integer count of at least 1 worker, "
+                          f"got {workers!r}")
     include_baseline = baseline == "hf-eh"
     point_configs = [apply_sweep_value(config, sweep.param, v)
                      for v in sweep.values]
+    # whole-trial blocks that fit run_trial's store, so each is drawn once
+    block = min(_TRIAL_MEMO, sweep.trials if workers == 1
+                else max(1, sweep.trials // (8 * workers)))
+    tasks = [(point_configs, range(t, min(t + block, sweep.trials)),
+              sweep.objective, include_baseline)
+             for t in range(0, sweep.trials, block)]
     if workers > 1:
         # imported here: a one-process run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        block = max(1, sweep.trials // (8 * workers))
-        tasks = [(point_configs, range(t, min(t + block, sweep.trials)),
-                  sweep.objective, include_baseline)
-                 for t in range(0, sweep.trials, block)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            # each block's outcomes per point, joined point by point
-            outcomes = [list(itertools.chain.from_iterable(parts))
-                        for parts in zip(*pool.map(_trial_task, tasks))]
+            blocks = list(pool.map(_trial_task, tasks))
     else:
-        outcomes = _trial_task((point_configs, range(sweep.trials),
-                                sweep.objective, include_baseline))
+        blocks = map(_trial_task, tasks)
+    # each block's outcomes per point, joined point by point
+    outcomes = [list(itertools.chain.from_iterable(parts))
+                for parts in zip(*blocks)]
 
     results = []
     failures = []

@@ -108,9 +108,13 @@ def load_field(path) -> tuple[Point, ...]:
                     raise ConfigError(
                         f"{path}:{lineno}: expected 'x y', got {raw.strip()!r}")
                 try:
-                    sensors.append((float(parts[0]), float(parts[1])))
+                    x, y = float(parts[0]), float(parts[1])
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ConfigError(f"{path}:{lineno}: coordinates must "
+                                      f"be finite, got {raw.strip()!r}")
+                sensors.append((x, y))
     except OSError as exc:
         raise ConfigError(f"cannot read field file {path}: {exc}") from exc
     if not sensors:

@@ -381,8 +381,15 @@ def test_bad_invocations(cfg_path, tmp_path, capsys):
     assert main([]) == 4
     assert main(["solve", "stm", "--config", str(cfg_path),
                  "--seed", "-1"]) == 4
+    # a field coordinate of inf or nan is a configuration error
+    field = tmp_path / "field.txt"
+    for line in ("inf 0", "nan 0"):
+        field.write_text(f"0 1\n{line}\n")
+        assert main(["plan", "--config", str(cfg_path), "--out",
+                     str(tmp_path), "--field", str(field)]) == 4
     err = capsys.readouterr().err
     assert "config error" in err
+    assert err.count(f"{field}:2: coordinates must be finite") == 2
 
 
 def test_workers_only_where_trials_run(cfg_path, tmp_path, capsys):

@@ -358,6 +358,28 @@ def test_a_kept_draw_serves_only_configs_that_draw_it():
                 assert _bits(run_trial(changed, t, objective)) == cold, name
 
 
+# the fields a trial's draw reads, besides the seed its rng takes
+_DRAW_FIELDS = {"N", "K", "A_m", "D_range_m", "ytilde_range_m", "k0_db",
+                "M", "delta_m"}
+
+
+def test_build_problem_refuses_a_config_that_draws_another_trial():
+    # a trial drawn under the defaults builds under a changed config only
+    # when the change leaves the draw alone; the seed is not compared,
+    # since the rng comes from outside the config
+    base = ScenarioConfig()
+    geo = generate_trial(base, trial_rng(base.seed, 0))
+    for name, value in _FIELD_CHANGES.items():
+        changed = dataclasses.replace(base, **{name: value})
+        for objective in ("stm", "ttm"):
+            for baseline in (False, True):
+                if name in _DRAW_FIELDS:
+                    with pytest.raises(ConfigError, match="drawn under"):
+                        build_problem(changed, geo, objective, baseline)
+                else:
+                    build_problem(changed, geo, objective, baseline)
+
+
 def test_kept_trial_still_checks_its_index():
     run_trial(SMALL, 1)
     for t in (1.0, -1):
@@ -394,11 +416,12 @@ def test_failed_draw_excluded_at_every_point(monkeypatch):
 
 
 def test_memo_keeps_the_latest_key_only_up_to_its_cap(monkeypatch):
+    # a full store evicts its oldest kept trial for each new one
     monkeypatch.setattr(experiments, "_TRIAL_MEMO", 3)
     for t in range(5):
         run_trial(SMALL, t)
     (kept,) = experiments._DRAWS.values()
-    assert sorted(kept) == [0, 1, 2]
+    assert list(kept) == [2, 3, 4]
     run_trial(dataclasses.replace(SMALL, seed=4), 7)
     (kept,) = experiments._DRAWS.values()
     assert list(kept) == [7]
@@ -435,7 +458,7 @@ def test_sweep_rejects_fewer_than_one_worker(monkeypatch):
     monkeypatch.setattr(experiments, "run_trial", no_trial)
     sweep = SweepSpec(param="pt_db", values=(4.0,), trials=2,
                       objective="stm")
-    for workers in (0, -1):
+    for workers in (0, -1, 1.5, "2", True):
         with pytest.raises(ConfigError, match="at least 1 worker"):
             run_sweep(SMALL, sweep, workers=workers)
 
@@ -618,9 +641,34 @@ def test_sweep_deterministic_and_worker_invariant():
     assert first == pooled
 
 
-def test_pooled_sweep_keeps_failures_in_order():
+def test_sweep_past_the_store_draws_each_trial_once(monkeypatch):
+    # one process runs a sweep longer than run_trial's store as blocks
+    # that fit it, so each trial is drawn once, not again at each point
+    monkeypatch.setattr(experiments, "_TRIAL_MEMO", 8)
+    real_rng = experiments.trial_rng
+    drawn = []
+
+    def recorded_rng(seed, t):
+        drawn.append(t)
+        return real_rng(seed, t)
+
+    monkeypatch.setattr(experiments, "trial_rng", recorded_rng)
+    sweep = SweepSpec(param="pt_db", values=(0.0, 4.0, 8.0), trials=20,
+                      objective="stm")
+    results, failures = run_sweep(SMALL, sweep, workers=1)
+    assert drawn == list(range(20))
+    assert failures == []
+    assert [r.trials for r in results] == [20, 20, 20]
+
+
+@pytest.mark.parametrize("memo", [None, 4], ids=["store", "store-of-4"])
+def test_pooled_sweep_keeps_failures_in_order(memo, monkeypatch):
     # half the drawn missions outfly a 10 s budget: real exclusions,
-    # which the pool must report as one process does, in the same order
+    # which the pool must report as one process does, in the same order,
+    # also when the store is smaller than the sweep (forked pool workers
+    # see the patched store size too)
+    if memo is not None:
+        monkeypatch.setattr(experiments, "_TRIAL_MEMO", memo)
     sweep = SweepSpec(param="pt_db", values=(0.0, 8.0), trials=12,
                       objective="stm")
     config = ScenarioConfig(T_s=10.0)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,12 @@ def test_load_field_rejects_garbage(tmp_path):
     bad.write_text("1.0 2.0 3.0\n")
     with pytest.raises(ConfigError):
         load_field(bad)
+    for line in ("inf 0", "nan 0"):
+        bad.write_text(f"0 0\n{line}\n")
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{bad}:2: coordinates must be "
+                                           f"finite")):
+            load_field(bad)
 
 
 def test_position_range_checked():

@@ -106,6 +106,11 @@ class ChannelParams:
         """eta * P_t * k0, the joules-per-(coefficient*second) factor."""
         return self.eta * self.P_t * self.k0
 
+    @property
+    def snr(self) -> float:
+        """energy_scale / sigma2, the SNR scale of every uplink gain."""
+        return self.energy_scale / self.sigma2
+
 
 def point_inverse_sq(p: Point, w: Point, A: float) -> float:
     """1 / (|p - w|^2 + A^2) for ground points p (UAV) and w (sensor)."""
@@ -191,7 +196,7 @@ class GroupCoefficients:
         """`aggregate_coefficients`' sums (a, b, h) under radio `params`:
         gamma_n = snr * h_n, with snr = eta P_t k0 / sigma2."""
         a, b, h = sums
-        snr = params.energy_scale / params.sigma2
+        snr = params.snr
         return cls(a=a, b=b, gamma=tuple([snr * h_n for h_n in h]))
 
 

@@ -18,9 +18,13 @@ transmit power or the noise, and trial t draws the same stream at every
 sweep point (common random numbers).  So `run_trial` keeps what the
 solves read of each trial it draws (both plans' leg lengths, member
 counts and sums): a pt_db, v_max or I_nats sweep draws each trial once,
-with every bit kept.  It keeps only the latest (seed, `_draw_fields`)
-key's trials and no failed draw; once it holds `_TRIAL_MEMO` trials, each
-new one evicts the oldest.  `run_sweep` runs every sweep, in one process
+with every bit kept.  Each kept plan also holds the coefficients it
+last scaled and the SNR scale it scaled them at (`_KeptPlan`): a point
+at the same SNR (v_max, T_s, I_nats) reuses the object, and with it
+the TTM hover denominators `ttm` keeps for it; a pt_db point rebuilds
+them.  `run_trial` keeps only the latest (seed, `_draw_fields`) key's
+trials and no failed draw; once it holds `_TRIAL_MEMO` trials, each new
+one evicts the oldest.  `run_sweep` runs every sweep, in one process
 or in a pool, as whole-trial blocks no larger than that store, so each
 block is drawn once per sweep at any trial count.  `run_trial` and
 `build_problem` make a plan's problem in one function, which scales its
@@ -56,7 +60,7 @@ REDRAW_CAP = 25
 # trials run_trial keeps: a default-config sweep's per-point count
 _TRIAL_MEMO = 1000
 # {(seed, fields the draw reads): {trial index: (ours, baseline)}}, each
-# plan as (D, member counts, sums); baseline None until first solved
+# plan a _KeptPlan; baseline None until first solved
 _DRAWS = {}
 
 SWEEP_HEADER = ("param,value,trials,mean_ours,se_ours,"
@@ -95,6 +99,28 @@ class TrialGeometry:
             plan, params, [1.0 / (A * A)] * len(stops),
             list(map(channel.leg_average_inverse_sq, (plan.start_point,)
                      + stops, stops, stops, itertools.repeat(A))))
+
+
+class _KeptPlan:
+    """What one plan's problems read of a trial: its leg lengths D,
+    member counts and coefficient sums, and the coefficients last scaled
+    from the sums with the SNR scale they were scaled at, the one radio
+    number `GroupCoefficients.scaled` reads."""
+
+    __slots__ = ("D", "counts", "sums", "snr", "coeffs")
+
+    def __init__(self, D, counts, sums):
+        self.D, self.counts, self.sums = D, counts, sums
+        self.snr = self.coeffs = None
+
+    def coefficients(self, params):
+        """The sums scaled at radio `params`: the kept coefficients
+        object when its SNR scale matches, else a new one, kept."""
+        snr = params.snr
+        if snr != self.snr:
+            self.coeffs = GroupCoefficients.scaled(self.sums, params)
+            self.snr = snr
+        return self.coeffs
 
 
 @dataclass(frozen=True)
@@ -267,26 +293,26 @@ def build_problem(config: ScenarioConfig, geo: TrialGeometry,
                           "D_range_m, ytilde_range_m, k0_db, M or delta_m")
     plan, sums = ((geo.baseline_plan, geo.baseline_sums) if baseline
                   else (geo.plan, geo.sums))
-    return _problem(config, objective, baseline, plan.D,
-                    map(len, plan.groups), sums)
+    return _problem(config, objective, baseline,
+                    _KeptPlan(plan.D, tuple(map(len, plan.groups)), sums))
 
 
-def _problem(config: ScenarioConfig, objective: str, baseline: bool, D,
-             counts, sums):
-    coeffs = GroupCoefficients.scaled(
-        sums, config.baseline_radio if baseline else config.radio)
+def _problem(config: ScenarioConfig, objective: str, baseline: bool,
+             kept: _KeptPlan):
+    coeffs = kept.coefficients(
+        config.baseline_radio if baseline else config.radio)
     if objective == "stm":
-        return StmProblem(coeffs=coeffs, D=D, T=config.T_s,
+        return StmProblem(coeffs=coeffs, D=kept.D, T=config.T_s,
                           v_max=config.v_max_mps)
     if objective == "ttm":
-        return TtmProblem(coeffs=coeffs, D=D, v_max=config.v_max_mps,
-                          I=tuple(config.I_nats * n for n in counts))
+        return TtmProblem(coeffs=coeffs, D=kept.D, v_max=config.v_max_mps,
+                          I=tuple(config.I_nats * n for n in kept.counts))
     raise ConfigError(f"unknown objective {objective!r}")
 
 
-def _solve_for(config: ScenarioConfig, objective: str, baseline: bool, D,
-               counts, sums) -> float:
-    problem = _problem(config, objective, baseline, D, counts, sums)
+def _solve_for(config: ScenarioConfig, objective: str, baseline: bool,
+               kept: _KeptPlan) -> float:
+    problem = _problem(config, objective, baseline, kept)
     if objective == "stm":
         return solve_stm(problem)[1].objective
     return solve_ttm(problem)[1]
@@ -305,15 +331,17 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     ours, base = draws.get(trial_index, (None, None))
     if ours is None or (include_baseline and base is None):
         geo = generate_trial(config, trial_rng(config.seed, trial_index))
-        ours = (geo.plan.D, tuple(map(len, geo.plan.groups)), geo.sums)
+        ours = _KeptPlan(geo.plan.D, tuple(map(len, geo.plan.groups)),
+                         geo.sums)
         if include_baseline:
-            base = (geo.baseline_plan.D, (1,) * config.K, geo.baseline_sums)
+            base = _KeptPlan(geo.baseline_plan.D, (1,) * config.K,
+                             geo.baseline_sums)
         if len(draws) >= _TRIAL_MEMO and trial_index not in draws:
             del draws[next(iter(draws))]    # the oldest kept trial
         draws[trial_index] = ours, base
     return TrialResult(
-        ours=_solve_for(config, objective, False, *ours),
-        baseline=(_solve_for(config, objective, True, *base)
+        ours=_solve_for(config, objective, False, ours),
+        baseline=(_solve_for(config, objective, True, base)
                   if include_baseline else None))
 
 

@@ -293,7 +293,7 @@ def check_feasibility(plan: GroupPlan, v_max: float,
                       T: float) -> tuple[bool, float]:
     """Can the mission fit in T seconds at top speed v_max?  Returns
     (feasible, travel time at top speed)."""
-    if v_max <= 0.0 or T <= 0.0:
+    if not v_max > 0.0 or not T > 0.0:
         raise ConfigError("v_max and T must be positive")
     travel = travel_time(plan.D, v_max)
     return travel <= T, travel

@@ -15,9 +15,19 @@ cap.  A forward pass then flies each leg for `_flight_need`, the exact
 inverse of the rate formula, floored at the speed cap, and re-tightens
 the hover on a clamped leg so every group's delivery matches its demand
 exactly instead of overshooting.
+
+The denominator W + 1 reads the coefficients, not the demand I_n.  So
+each one, at full cost or with the credit, is computed where a solve
+first needs it and kept in `_DENOMS`, keyed weakly on the coefficients,
+so an entry lives as long as they do; a denominator that fails its
+domain check raises and is not kept.  `experiments.run_trial` keeps
+each plan's coefficients across sweep points at one SNR, so the later
+points of an I_nats or v_max sweep make no Lambert call; a pt_db point
+builds new coefficients and prices its hovers anew.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from math import expm1
@@ -32,6 +42,8 @@ TTM_DIAG_HEADER = "N,Pt_dB,v_max,I_total,total_time,clamped_legs"
 
 _DEMAND_TOL = 1e-12   # residual tolerance when re-tightening a hover
 _EXP_LIMIT = 700.0    # beyond this, exp overflows; treat demand as inf
+# {coefficients: {n: full-cost W + 1 of group n, -n: its credit W + 1}}
+_DENOMS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -59,8 +71,9 @@ class TtmProblem:
         return self.coeffs.N
 
 
-def _tau_opt(I_n: float, gamma_b_eff: float, n: int) -> float:
-    """Cost-minimizing hover 2I/(W((gamma_b_eff - 1)/e) + 1).
+def _hover_denom(gamma_b_eff: float, n: int) -> float:
+    """W((gamma_b_eff - 1)/e) + 1, the denominator of group n's
+    cost-minimizing hover 2 I_n / (W + 1).
 
     gamma_b_eff is kappa * gamma_n * b_n; it must be positive or the
     Lambert argument falls off the principal branch.
@@ -75,7 +88,7 @@ def _tau_opt(I_n: float, gamma_b_eff: float, n: int) -> float:
     if denom <= 0.0:
         raise NumericDomainError(
             f"group {n}: hover closed form denominator W+1 = {denom:.6g}")
-    return 2.0 * I_n / denom
+    return denom
 
 
 def _flight_need(problem: TtmProblem, n: int, tau_prev: float,
@@ -131,16 +144,24 @@ def solve_ttm(problem: TtmProblem):
     # backward pass over taus = tau_0..tau_N (no start hover): the credit
     # probe checks that leg n+1, which reads only hovers n and n+1, is
     # still free
+    denoms = _DENOMS.setdefault(coeffs, {})
     taus = [0.0] * (N + 1)
     for n in range(N, 0, -1):
+        I_n = problem.I[n - 1]
         if n < N and a_[n] < b_[n]:
-            kappa = 1.0 - a_[n] / b_[n]
-            taus[n] = _tau_opt(problem.I[n - 1],
-                               kappa * g_[n - 1] * b_[n - 1], n)
+            denom = denoms.get(-n)
+            if denom is None:
+                kappa = 1.0 - a_[n] / b_[n]
+                denom = denoms[-n] = _hover_denom(
+                    kappa * g_[n - 1] * b_[n - 1], n)
+            taus[n] = 2.0 * I_n / denom
             if (_flight_need(problem, n + 1, taus[n], taus[n + 1])
                     > problem.floors[n] * (1.0 + 1e-12)):
                 continue
-        taus[n] = _tau_opt(problem.I[n - 1], g_[n - 1] * b_[n - 1], n)
+        denom = denoms.get(n)
+        if denom is None:
+            denom = denoms[n] = _hover_denom(g_[n - 1] * b_[n - 1], n)
+        taus[n] = 2.0 * I_n / denom
 
     # forward pass: flight times from the final hovers; on clamped legs
     # the hover is re-tightened to demand equality

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from uavwpt import experiments, stm
+from uavwpt import experiments, stm, ttm
 
 settings.register_profile(
     "suite",
@@ -12,9 +12,10 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-# what empties each memo the package keeps: the budget-price searches
-# and run_trial's kept trial draws
-_MEMOS = (stm._lead_price.cache_clear, experiments._DRAWS.clear)
+# what empties each memo the package keeps: the budget-price searches,
+# run_trial's kept trial draws and the TTM hover denominators
+_MEMOS = (stm._lead_price.cache_clear, experiments._DRAWS.clear,
+          ttm._DENOMS.clear)
 
 
 @pytest.fixture(autouse=True)

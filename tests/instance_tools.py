@@ -32,7 +32,7 @@ from uavwpt.geometry import GroupPlan
 from uavwpt.stm import (StmDiagnostics, StmProblem, TimeAllocation,
                         _close_budget, _degenerate_allocation,
                         sum_throughput, throughput_gradient)
-from uavwpt.ttm import TtmProblem, _tau_opt
+from uavwpt.ttm import TtmProblem, _hover_denom
 
 _MIN_HOVER = 1e-9         # lower bound on the reference's hover times
 
@@ -294,9 +294,9 @@ def tau_closed_form(problem: TtmProblem, n: int) -> float:
     g_ = problem.coeffs.gamma[n - 1]
     b_ = problem.coeffs.b[n - 1]
     if n == problem.N:
-        return _tau_opt(problem.I[n - 1], g_ * b_, n)
+        return 2.0 * problem.I[n - 1] / _hover_denom(g_ * b_, n)
     kappa = 1.0 - problem.coeffs.a[n] / problem.coeffs.b[n]
-    return _tau_opt(problem.I[n - 1], kappa * g_ * b_, n)
+    return 2.0 * problem.I[n - 1] / _hover_denom(kappa * g_ * b_, n)
 
 
 def coeff_a(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:

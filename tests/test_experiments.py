@@ -12,8 +12,10 @@ import pytest
 
 import uavwpt.channel as channel
 import uavwpt.experiments as experiments
+import uavwpt.ttm as ttm
+from conftest import _MEMOS
 from instance_tools import coeff_a, group_coefficients, harvested_energy
-from uavwpt.channel import coeff_b
+from uavwpt.channel import GroupCoefficients, coeff_b
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError
 from uavwpt.geometry import GroupPlan, singleton_plan
@@ -276,8 +278,9 @@ def _bits(result):
                                           ("v_max", (8.0, 10.0, 14.0)),
                                           ("I_nats", (1.0, 10.0, 30.0))])
 def test_kept_draws_give_the_bits_of_fresh_ones(param, values):
-    # a sweep's later points read the draws its first point kept; each
-    # result must be the one a fresh draw gives, to the last bit
+    # a sweep's later points read the draws, coefficients and prices its
+    # first point kept; each result must be the one a fresh solve with
+    # every memo empty gives, to the last bit
     points = [apply_sweep_value(ScenarioConfig(), param, v) for v in values]
     for objective in ("stm", "ttm"):
         for include_baseline in (True, False):
@@ -286,7 +289,8 @@ def test_kept_draws_give_the_bits_of_fresh_ones(param, values):
             warm = [_bits(run_trial(*c)) for c in calls]
             cold = []
             for c in calls:
-                experiments._DRAWS.clear()
+                for clear in _MEMOS:
+                    clear()
                 cold.append(_bits(run_trial(*c)))
             assert warm == cold
 
@@ -659,6 +663,52 @@ def test_sweep_past_the_store_draws_each_trial_once(monkeypatch):
     assert drawn == list(range(20))
     assert failures == []
     assert [r.trials for r in results] == [20, 20, 20]
+
+
+@pytest.mark.parametrize("param,values,reuse", [
+    ("I_nats", (1.0, 10.0, 30.0), True),
+    ("v_max", (8.0, 10.0, 14.0), True),
+    ("pt_db", (0.0, 4.0, 8.0), False)], ids=["I_nats", "v_max", "pt_db"])
+def test_ttm_sweep_prices_each_radio_once(param, values, reuse,
+                                          monkeypatch):
+    # a plan's coefficients and hover denominators read the radio only
+    # through its SNR scale: a demand or speed sweep scales each plan's
+    # sums once per trial and makes its Lambert calls at the first point
+    # only; a power sweep moves the SNR, so each point computes its own
+    lambert, scaled = [], []
+    real_w, real_scaled = ttm.lambert_w0, GroupCoefficients.scaled
+
+    def counted_w(x):
+        lambert.append(x)
+        return real_w(x)
+
+    def counted_scaled(cls, sums, params):
+        scaled.append(sums)
+        return real_scaled(sums, params)
+
+    monkeypatch.setattr(ttm, "lambert_w0", counted_w)
+    monkeypatch.setattr(GroupCoefficients, "scaled",
+                        classmethod(counted_scaled))
+    trials = 10
+
+    def counts(vals):
+        for clear in _MEMOS:
+            clear()
+        lambert.clear()
+        scaled.clear()
+        _, failures = run_sweep(CFG, SweepSpec(param=param, values=vals,
+                                               trials=trials,
+                                               objective="ttm"))
+        assert failures == []
+        return len(lambert), len(scaled)
+
+    alone = [counts(values[p:p + 1]) for p in range(len(values))]
+    assert all(w > 0 and s == 2 * trials for w, s in alone)
+    if reuse:
+        assert counts(values) == alone[0]
+    else:
+        assert counts(values) == (sum(w for w, _ in alone),
+                                  2 * trials * len(values))
 
 
 @pytest.mark.parametrize("memo", [None, 4], ids=["store", "store-of-4"])

@@ -243,6 +243,14 @@ def test_feasible_with_huge_budget():
     assert ok
 
 
+def test_feasibility_rejects_a_speed_or_budget_that_is_not_positive():
+    # nan compares false both ways, so it must fail a test for positive
+    for v_max, T in ((math.nan, 100.0), (10.0, math.nan), (0.0, 100.0),
+                     (10.0, -1.0)):
+        with pytest.raises(ConfigError, match="must be positive"):
+            check_feasibility(_simple_plan(), v_max, T)
+
+
 def test_infeasible_when_travel_exceeds_budget():
     plan = _simple_plan()
     ok, travel = check_feasibility(plan, v_max=10.0, T=1.0)

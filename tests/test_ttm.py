@@ -8,12 +8,13 @@ from scipy.optimize import minimize_scalar
 from scipy.special import lambertw
 
 from instance_tools import synthetic_coeffs, tau_closed_form, ttm_instance
+from uavwpt import ttm
 from uavwpt.channel import GroupCoefficients
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError
 from uavwpt.experiments import build_problem, generate_trial, trial_rng
 from uavwpt.stm import delivered_information
-from uavwpt.ttm import (TtmProblem, _flight_need, _tau_opt, solve_ttm,
+from uavwpt.ttm import (TtmProblem, _flight_need, _hover_denom, solve_ttm,
                         ttm_diag_row, TTM_DIAG_HEADER)
 from uavwpt.verification import ttm_grid_oracle
 
@@ -150,10 +151,24 @@ def test_solve_takes_closed_form_hovers():
             if n < 3 and alloc.tau[n] == tau_closed_form(problem, n):
                 kinds.add("credit")
             else:
-                assert alloc.tau[n] == _tau_opt(
-                    problem.I[n - 1], c.gamma[n - 1] * c.b[n - 1], n)
+                assert alloc.tau[n] == 2.0 * problem.I[n - 1] / _hover_denom(
+                    c.gamma[n - 1] * c.b[n - 1], n)
                 kinds.add("full")
     assert kinds == {"credit", "full"}
+
+
+def test_failed_hover_denominator_raises_again_and_is_not_kept():
+    # gamma * b = 1e-18 puts the Lambert argument at -1/e to the float,
+    # where W + 1 is 0: the error is raised before anything is stored,
+    # so each later solve of the same coefficients raises it again
+    coeffs = GroupCoefficients(a=(1e-3,), b=(1e-9,), gamma=(1e-9,))
+    for I_ in (1.0, 1.0, 30.0):
+        problem = TtmProblem(coeffs=coeffs, D=(20.0,), v_max=10.0, I=(I_,))
+        with pytest.raises(NumericDomainError) as err:
+            solve_ttm(problem)
+        assert str(err.value) == ("group 1: hover closed form "
+                                  "denominator W+1 = 0")
+        assert not ttm._DENOMS.get(coeffs)
 
 
 # -------------------------------------------------- full solve

@@ -1,4 +1,4 @@
-"""Channel gains, harvested-energy coefficients, and the group uplink rate.
+"""Channel gains and harvested-energy coefficients.
 
 The downlink (power) and uplink (data) channels follow a free-space
 inverse-square law with gain k0 at 1 m: gain = k0 / (dist^2 + A^2) for a
@@ -12,8 +12,9 @@ and the group uplink rate during its hover is
 
     R_n = 0.5 * ln(1 + gamma_n * (a_n * tau_prev + b_n * zeta_n) / tau_n)
 
-in nats/s/Hz, where a_n and b_n sum the members' a_i and b_i and
-gamma_n sums their uplink gains.  The solvers see a group only through
+in nats/s/Hz (`stm.delivered_information` evaluates it), where a_n
+and b_n sum the members' a_i and b_i and gamma_n sums their uplink
+gains.  The solvers see a group only through
 these three aggregates.  `experiments.generate_trial` computes each
 grouped member's a_i and b_i once, from `point_inverse_sq` and
 `leg_average_inverse_sq`, and a trial's baseline computes its members'
@@ -34,7 +35,7 @@ power-transfer constants.
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from math import atan2, hypot, inf, log1p, sqrt
+from math import atan2, hypot, inf, sqrt
 
 from .errors import ConfigError, NumericDomainError, PlanError
 from .geometry import GroupPlan, Point
@@ -150,18 +151,6 @@ def coeff_b(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:
     p0, p1 = plan.leg(n)
     w = plan.position(i)
     return leg_average_inverse_sq(p0, p1, w, params.A)
-
-
-def group_rate(coeffs: "GroupCoefficients", n: int, tau_prev: float,
-               zeta_n: float, tau_n: float) -> float:
-    """Uplink rate of group n (nats/s/Hz) during a hover of length tau_n,
-    after harvesting for tau_prev (hover) and zeta_n (flight) seconds."""
-    if tau_n <= 0.0:
-        raise NumericDomainError(f"tau_n={tau_n} must be positive")
-    energy = (coeffs.a[n - 1] * tau_prev + coeffs.b[n - 1] * zeta_n)
-    if energy < 0.0:
-        raise NumericDomainError("negative harvested-energy term")
-    return 0.5 * log1p(coeffs.gamma[n - 1] * energy / tau_n)
 
 
 @dataclass(frozen=True)

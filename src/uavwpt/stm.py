@@ -31,9 +31,11 @@ Vandenberghe, ch. 5) then settles the solve:
   finds the mu > mu+ at which that mission takes exactly T;
 - degenerate: there is no slack to hover in.
 
-diagnostics.method names the outcome; optimality_gap, the Frank-Wolfe
-duality gap (Jaggi 2013), certifies it without a solver when
-diagnostics.optimality_gap is first read.
+diagnostics.method names the outcome and diagnostics.objective is
+sum_throughput, the left fold of delivered_information.  The budget
+residual and optimality_gap, the Frank-Wolfe duality gap (Jaggi 2013)
+that certifies the outcome without a solver, are computed when the
+diagnostics first read them.
 
 The first search reads only gamma, a and c = gamma_1 lead / 2, and so
 does the price state the free structure reads at mu+: q_n, each
@@ -52,9 +54,10 @@ reads b and D too; it is not memoized.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
-from .channel import GroupCoefficients, group_rate
+from .channel import GroupCoefficients
 from .errors import (AccuracyError, ConfigError, InfeasiblePlanError,
                      NumericDomainError)
 from .numerics import bracketed_newton, lambert_w0
@@ -133,7 +136,7 @@ class TimeAllocation:
         if len(self.tau) != len(self.zeta) + 1:
             raise NumericDomainError("need exactly one more hover than legs")
         for v in (*self.tau, *self.zeta):
-            if v < 0.0 or not math.isfinite(v):
+            if not 0.0 <= v < math.inf:
                 raise NumericDomainError(f"negative or non-finite time {v}")
 
     @property
@@ -145,18 +148,17 @@ class TimeAllocation:
 class StmDiagnostics:
     """How a solve came out.
 
-    mu is the budget's shadow price, objective the summed throughput in
-    nats/Hz and budget_residual the budget closure error at the returned
-    times.  method names the structure solved: "free-tau0" or
+    mu is the budget's shadow price and objective the summed throughput
+    in nats/Hz.  method names the structure solved: "free-tau0" or
     "free-zeta1" (that variable takes up the slack), "pinned" (tau_0 = 0
     and every leg at the cap) or "degenerate" (no slack at all).
-    optimality_gap, the certificate at `alloc`, is computed on first
-    read (no sweep reads it).
+    budget_residual, the budget closure error at `alloc`, and
+    optimality_gap, the certificate there, are computed on first read
+    (no sweep reads them).
     """
 
     mu: float
     objective: float
-    budget_residual: float
     method: str
     problem: StmProblem = field(repr=False, compare=False)
     alloc: TimeAllocation = field(repr=False, compare=False)
@@ -164,6 +166,10 @@ class StmDiagnostics:
     def __post_init__(self):
         if self.mu < 0.0:
             raise NumericDomainError("budget price must be nonnegative")
+
+    @functools.cached_property
+    def budget_residual(self) -> float:
+        return abs(self.alloc.total - self.problem.T)
 
     @functools.cached_property
     def optimality_gap(self) -> float:
@@ -276,7 +282,7 @@ def _close_budget(tau0: float, taus, zetas, T: float) -> TimeAllocation:
     drift = T - math.fsum((tau0, *taus, *zetas))
     if abs(drift) > _BUDGET_SLOP * max(T, 1.0):
         raise AccuracyError(f"allocation misses the budget by {drift:.3e} s")
-    j = max(range(len(taus)), key=taus.__getitem__)
+    j = taus.index(max(taus))
     taus[j] += drift
     return TimeAllocation(tau=(tau0, *taus), zeta=tuple(zetas))
 
@@ -284,8 +290,7 @@ def _close_budget(tau0: float, taus, zetas, T: float) -> TimeAllocation:
 def _diagnostics(problem, alloc, mu, method):
     return StmDiagnostics(
         mu=mu, objective=sum_throughput(problem.coeffs, alloc),
-        budget_residual=abs(alloc.total - problem.T), method=method,
-        problem=problem, alloc=alloc)
+        method=method, problem=problem, alloc=alloc)
 
 
 def _degenerate_allocation(problem: StmProblem):
@@ -361,31 +366,34 @@ def solve_stm(problem: StmProblem):
 
 def delivered_information(coeffs: GroupCoefficients,
                           alloc: TimeAllocation) -> tuple[float, ...]:
-    """Per-group delivered information tau_n * R_n in nats per hertz.
+    """Per-group delivered information tau_n R_n in nats per hertz, with
+    R_n = log(1 + gamma_n (a_n tau_{n-1} + b_n zeta_n) / tau_n) / 2 the
+    uplink rate after harvesting over the previous hover and leg n.
 
     Groups with zero hover time deliver zero (the tau*R limit).
     """
+    if len(alloc.zeta) != coeffs.N:
+        raise NumericDomainError("allocation does not match the group count")
+    tau = alloc.tau
     out = []
-    for n in range(1, coeffs.N + 1):
-        tau_n = alloc.tau[n]
+    for g, an, bn, tau_prev, zn, tau_n in zip(coeffs.gamma, coeffs.a,
+                                              coeffs.b, tau[:-1], alloc.zeta,
+                                              tau[1:]):
         if tau_n == 0.0:
             out.append(0.0)
             continue
-        rate = group_rate(coeffs, n, alloc.tau[n - 1], alloc.zeta[n - 1],
-                          tau_n)
-        out.append(tau_n * rate)
+        energy = an * tau_prev + bn * zn
+        if energy < 0.0:
+            raise NumericDomainError("negative harvested-energy term")
+        out.append(tau_n * (0.5 * math.log1p(g * energy / tau_n)))
     return tuple(out)
 
 
 def sum_throughput(coeffs: GroupCoefficients, alloc: TimeAllocation) -> float:
-    """Total delivered information Sigma tau_n R_n in nats per hertz,
-    summed over the groups in order."""
-    if len(alloc.zeta) != coeffs.N:
-        raise NumericDomainError("allocation does not match the group count")
-    total = 0.0
-    for info in delivered_information(coeffs, alloc):
-        total += info
-    return total
+    """Total delivered information Sigma tau_n R_n in nats per hertz: the
+    left fold of delivered_information, group by group in order."""
+    return functools.reduce(operator.add,
+                            delivered_information(coeffs, alloc), 0.0)
 
 
 def throughput_gradient(coeffs: GroupCoefficients, tau, zeta) -> list:

@@ -10,6 +10,8 @@ stm_grid_oracle is an exhaustive refined grid search over the same
 model at N <= 3, and full_variable_gap the Frank-Wolfe gap with every
 leg free, the problem the model narrows (ROADMAP item 2).
 hover_moved_to_start makes a feasible, off-optimum allocation.
+group_information writes out one group's delivered information
+tau_n R_n, the bitwise reference for `stm.delivered_information`.
 group_coefficients rebuilds a plan's aggregates from the plan alone,
 the bitwise reference for the coefficients a trial is drawn with;
 coeff_a and harvested_energy give one sensor's hover coefficient and
@@ -159,12 +161,23 @@ def stm_sqp_reference(problem: StmProblem):
     mu_hat = 0.5 * (math.log(Y_last) - 1.0 + 1.0 / Y_last)
     diag = StmDiagnostics(
         mu=mu_hat, objective=sum_throughput(problem.coeffs, alloc),
-        budget_residual=abs(alloc.total - problem.T), method="sqp",
-        problem=problem, alloc=alloc)
+        method="sqp", problem=problem, alloc=alloc)
     if not converged and kkt_residuals(problem, alloc, mu_hat) > 1e-3:
         raise AccuracyError(
             "numeric throughput solve failed: " + "; ".join(messages[:2]))
     return alloc, diag
+
+
+def group_information(coeffs: GroupCoefficients, n: int, tau_prev: float,
+                      zeta_n: float, tau_n: float) -> float:
+    """tau_n R_n of group n (nats/Hz) over a hover of tau_n seconds,
+    after harvesting for tau_prev (hover) and zeta_n (flight) seconds,
+    with the rate R_n = 0.5 ln(1 + gamma_n E_n / tau_n); 0 for no hover."""
+    if tau_n == 0.0:
+        return 0.0
+    energy = coeffs.a[n - 1] * tau_prev + coeffs.b[n - 1] * zeta_n
+    rate = 0.5 * math.log1p(coeffs.gamma[n - 1] * energy / tau_n)
+    return tau_n * rate
 
 
 def kkt_residuals(problem: StmProblem, alloc: TimeAllocation,

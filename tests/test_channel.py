@@ -7,13 +7,14 @@ import pytest
 import uavwpt.channel as channel
 from instance_tools import coeff_a, group_coefficients, harvested_energy
 from uavwpt.channel import (ChannelParams, GroupCoefficients,
-                            aggregate_coefficients, coeff_b, group_rate,
+                            aggregate_coefficients, coeff_b,
                             leg_average_inverse_sq, point_inverse_sq)
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError, PlanError
 from uavwpt.experiments import generate_trial, trial_rng
 from uavwpt.geometry import GroupPlan
 from uavwpt.numerics import integrate_adaptive
+from uavwpt.stm import TimeAllocation, delivered_information
 
 PARAMS = ChannelParams(k0=1e-3, sigma2=1e-10, eta=0.5, P_t=2.0, A=10.0,
                        M=3, delta=0.1)
@@ -231,15 +232,23 @@ def test_group_gamma_antenna_additivity():
     assert g3 == pytest.approx(g2 + k3_term, rel=1e-12)
 
 
+def _information(coeffs, tau_prev, zeta_n, tau_n):
+    """tau_n R_n of a one-group allocation."""
+    alloc = TimeAllocation(tau=(tau_prev, tau_n), zeta=(zeta_n,))
+    return delivered_information(coeffs, alloc)[0]
+
+
 def test_rate_zero_energy():
-    assert group_rate(_unit_coeffs(), 1, 0.0, 0.0, 5.0) == 0.0
+    assert _information(_unit_coeffs(), 0.0, 0.0, 5.0) == 0.0
+    # no hover, no delivery: the tau*R limit
+    assert _information(_unit_coeffs(), 1.0, 1.0, 0.0) == 0.0
 
 
 def test_rate_constructed_inverse():
     # gamma * (a*tau_prev + b*zeta)/tau_n == e^2 - 1  =>  rate of 1
     gamma = (math.e ** 2 - 1.0) / 0.005
     coeffs = _unit_coeffs(a=0.01, b=0.005, gamma=gamma)
-    assert group_rate(coeffs, 1, 0.0, 1.0, 1.0) == pytest.approx(1.0)
+    assert _information(coeffs, 0.0, 1.0, 1.0) == pytest.approx(1.0)
 
 
 def test_rate_monotone_in_harvest_times():
@@ -250,14 +259,9 @@ def test_rate_monotone_in_harvest_times():
         gamma = float(rng.uniform(1.0, 1e4))
         coeffs = _unit_coeffs(a=a, b=b, gamma=gamma)
         tp, z, tn = (float(v) for v in rng.uniform(0.1, 50.0, 3))
-        base = group_rate(coeffs, 1, tp, z, tn)
-        assert group_rate(coeffs, 1, tp * 1.07, z, tn) > base
-        assert group_rate(coeffs, 1, tp, z * 1.07, tn) > base
-
-
-def test_rate_requires_positive_hover():
-    with pytest.raises(NumericDomainError):
-        group_rate(_unit_coeffs(), 1, 1.0, 1.0, 0.0)
+        base = _information(coeffs, tp, z, tn)
+        assert _information(coeffs, tp * 1.07, z, tn) > base
+        assert _information(coeffs, tp, z * 1.07, tn) > base
 
 
 # ---------------------------------------------------------------- aggregation

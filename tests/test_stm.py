@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
-from instance_tools import (full_variable_gap, hover_moved_to_start,
-                            stm_grid_oracle, stm_instance, stm_sqp_reference,
-                            synthetic_coeffs)
+from instance_tools import (full_variable_gap, group_information,
+                            hover_moved_to_start, stm_grid_oracle,
+                            stm_instance, stm_sqp_reference, synthetic_coeffs)
 from uavwpt.channel import GroupCoefficients
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, InfeasiblePlanError, NumericDomainError
@@ -321,6 +321,31 @@ def test_lead_price_memo_keeps_only_recurring_keys():
     assert stm._lead_price.cache_info() == info
 
 
+def test_delivered_information_is_the_rate_formula_bitwise():
+    # the swept allocations of both plans at stm-power's end points
+    for seed in (1, 9):
+        for pt_db in (0.0, 8.0):
+            cfg = experiments.apply_sweep_value(
+                ScenarioConfig(seed=seed), "pt_db", pt_db)
+            for t in range(50):
+                geo = generate_trial(cfg, trial_rng(cfg.seed, t))
+                for baseline in (False, True):
+                    problem = experiments.build_problem(cfg, geo, "stm",
+                                                        baseline)
+                    alloc, diag = solve_stm(problem)
+                    coeffs, tau, zeta = problem.coeffs, alloc.tau, alloc.zeta
+                    want = [group_information(coeffs, n, tau[n - 1],
+                                              zeta[n - 1], tau[n])
+                            for n in range(1, problem.N + 1)]
+                    got = stm.delivered_information(coeffs, alloc)
+                    assert [v.hex() for v in got] == [v.hex() for v in want]
+                    total = 0.0
+                    for v in want:
+                        total += v
+                    assert (sum_throughput(coeffs, alloc).hex()
+                            == diag.objective.hex() == total.hex())
+
+
 def test_optimality_gap_computed_on_first_read(monkeypatch):
     calls = []
 
@@ -328,21 +353,37 @@ def test_optimality_gap_computed_on_first_read(monkeypatch):
         calls.append(args)
         return optimality_gap(*args)
 
+    diags = []
+
+    def kept(problem):
+        solved = solve_stm(problem)
+        diags.append(solved[1])
+        return solved
+
     monkeypatch.setattr(stm, "optimality_gap", counted)
+    monkeypatch.setattr(experiments, "solve_stm", kept)
     config = ScenarioConfig()
     experiments.run_trial(config, 0, "stm")
     run_sweep(config, SweepSpec(param="pt_db", values=(0.0, 8.0),
                                 trials=5, objective="stm"))
-    assert calls == []
+    assert calls == [] and len(diags) == 2 + 2 * 2 * 5
+    # no sweep computes either derived diagnostic
+    for diag in diags:
+        assert not {"budget_residual", "optimality_gap"} & set(diag.__dict__)
     for problem in _memo_trial_problems():
         calls.clear()
         alloc, diag = solve_stm(problem)
         assert calls == []
+        assert "budget_residual" not in diag.__dict__
+        residual = diag.budget_residual
+        assert residual.hex() == abs(alloc.total - problem.T).hex()
+        assert diag.__dict__["budget_residual"] is residual
         first = diag.optimality_gap
         assert len(calls) == 1
         assert diag.optimality_gap == first and len(calls) == 1
         assert first.hex() == optimality_gap(problem, alloc).hex()
         assert "gap" not in repr(diag) and "problem" not in repr(diag)
+        assert "residual" not in repr(diag)
     # a solve with no slack has nothing to optimize
     problem = stm_instance(4, N=2)
     tight = StmProblem(coeffs=problem.coeffs, D=problem.D,
@@ -587,6 +628,11 @@ def test_zero_hover_zero_throughput():
     problem = stm_instance(2, N=2)
     alloc = TimeAllocation(tau=(0.0, 0.0, 0.0), zeta=(10.0, 10.0))
     assert sum_throughput(problem.coeffs, alloc) == 0.0
+    # an allocation for another group count is refused, not cut short
+    one_group = TimeAllocation(tau=(1.0, 2.0), zeta=(10.0,))
+    for measure in (stm.delivered_information, sum_throughput):
+        with pytest.raises(NumericDomainError, match="group count"):
+            measure(problem.coeffs, one_group)
 
 
 def test_single_group_concave_in_hover():
@@ -674,6 +720,17 @@ def test_allocation_validation():
         TimeAllocation(tau=(1.0, 2.0), zeta=(math.nan,))
     with pytest.raises(NumericDomainError):
         TimeAllocation(tau=(1.0,), zeta=(1.0,))
+    # each end of the check 0 <= v < inf, in a hover and in a leg
+    for bad in (math.inf, -math.inf, -5e-324):
+        with pytest.raises(NumericDomainError):
+            TimeAllocation(tau=(1.0, bad), zeta=(3.0,))
+        with pytest.raises(NumericDomainError):
+            TimeAllocation(tau=(1.0, 2.0), zeta=(bad,))
+    for zero in (-0.0, 0.0):
+        alloc = TimeAllocation(tau=(zero, zero), zeta=(zero,))
+        assert alloc.total == 0.0
+    assert TimeAllocation(tau=(0.0, 1.7976931348623157e308),
+                          zeta=(5e-324,)).zeta == (5e-324,)
 
 
 def test_diag_row_matches_header():

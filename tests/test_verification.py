@@ -198,8 +198,7 @@ def test_off_optimum_stm_solve_is_caught(monkeypatch):
         alloc, diag = solve_stm(problem)
         bad = hover_moved_to_start(alloc, 0.5 * max(alloc.tau[1:]))
         return bad, dataclasses.replace(
-            diag, objective=sum_throughput(problem.coeffs, bad),
-            budget_residual=abs(bad.total - problem.T), alloc=bad)
+            diag, objective=sum_throughput(problem.coeffs, bad), alloc=bad)
 
     monkeypatch.setattr(verification, "solve_stm", faulty)
     reports, ok = run_verification(CFG)

@@ -32,9 +32,7 @@ holds the whole radio: the array's M and delta, the altitude and the
 power-transfer constants.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from math import atan2, hypot, inf, sqrt
 
 from .errors import ConfigError, NumericDomainError, PlanError
@@ -197,22 +195,15 @@ def aggregate_coefficients(plan: GroupPlan, params: ChannelParams,
     antennas 2..M.
 
     Each a_i and b_i must lie in (0, 1/A^2], the value right under the
-    UAV; the first member outside, in plan order, is reported.  Sums
-    run over members in plan order, and over antennas 2..M inside each
-    member.
+    UAV; the summing pass reports the first member outside, in plan
+    order, hover before flight.  Sums run over members in plan order,
+    and over antennas 2..M inside each member.
     """
     A = params.A
     A2 = A * A
     bound = 1.0 / A2 * (1.0 + 1e-12)
-    sizes = list(map(len, plan.groups))
-    if not len(a_i) == len(b_i) == sum(sizes):
+    if not len(a_i) == len(b_i) == sum(map(len, plan.groups)):
         raise PlanError("need one hover and one flight coefficient per member")
-    for j, (av, bv) in enumerate(zip(a_i, b_i)):
-        if not (0.0 < av <= bound and 0.0 < bv <= bound):
-            n = bisect_right(list(accumulate(sizes)), j) + 1
-            phase, v = ("flight", bv) if 0.0 < av <= bound else ("hover", av)
-            raise NumericDomainError(
-                f"group {n}: {phase} coefficient {v} outside (0, 1/A^2]")
     k0 = params.k0
     offsets = [(k - 1) * params.delta for k in range(2, params.M + 1)]
     sensors = plan.sensors
@@ -220,10 +211,16 @@ def aggregate_coefficients(plan: GroupPlan, params: ChannelParams,
     hover_i, flight_i = iter(a_i), iter(b_i)
     # explicit left folds: from CPython 3.12 sum() of floats is
     # compensated and would change the bits
-    for members, (hx, hy) in zip(plan.groups, plan.hover_points):
+    for n, (members, (hx, hy)) in enumerate(
+            zip(plan.groups, plan.hover_points), 1):
         a_n = b_n = h_n = 0.0
         # members first: zip stops on it without drawing one more a_i
         for i, av, bv in zip(members, hover_i, flight_i):
+            if not (0.0 < av <= bound and 0.0 < bv <= bound):
+                phase, v = (("flight", bv) if 0.0 < av <= bound
+                            else ("hover", av))
+                raise NumericDomainError(
+                    f"group {n}: {phase} coefficient {v} outside (0, 1/A^2]")
             a_n += av
             b_n += bv
             x, y = sensors[i - 1]

@@ -15,20 +15,18 @@ The pass that draws a trial sums the grouped plan's coefficients
 (`channel.aggregate_coefficients`), each member's once; the baseline
 plan and its sums are built on first read.  No sum depends on the
 transmit power or the noise, and trial t draws the same stream at every
-sweep point (common random numbers).  So `run_trial` keeps what the
-solves read of each trial it draws (both plans' leg lengths, member
-counts and sums): a pt_db, v_max or I_nats sweep draws each trial once,
-with every bit kept.  Each kept plan also holds the coefficients it
-last scaled and the SNR scale it scaled them at (`_KeptPlan`): a point
-at the same SNR (v_max, T_s, I_nats) reuses the object, and with it
-the TTM hover denominators `ttm` keeps for it; a pt_db point rebuilds
-them.  `run_trial` keeps only the latest (seed, `_draw_fields`) key's
-trials and no failed draw; once it holds `_TRIAL_MEMO` trials, each new
-one evicts the oldest.  `run_sweep` runs every sweep, in one process
-or in a pool, as whole-trial blocks no larger than that store, so each
-block is drawn once per sweep at any trial count.  `run_trial` and
-`build_problem` make a plan's problem in one function, which scales its
-sums at the radio of the config being solved.
+sweep point (common random numbers).  So a drawn trial takes one path
+to its values: each plan becomes a `_KeptPlan` (leg lengths, member
+counts, sums, radio), whose `problem` scales the sums at the config's
+radio, reusing the last coefficients, and with them `ttm`'s kept hover
+denominators, while the SNR is unchanged (v_max, T_s, I_nats points).
+`build_problem` makes one; `run_trial` keeps both plans of each trial
+it draws, so a pt_db, v_max or I_nats sweep draws each trial once,
+every bit kept.  It keeps only the latest (seed, `_draw_fields`) key's
+trials and no failed draw; past `_TRIAL_MEMO` trials each new one
+evicts the oldest.  `run_sweep` runs every sweep as whole-trial blocks
+no larger than that store, in one process or a pool, and reads each
+trial's `TrialResult` or error text.
 """
 
 import functools
@@ -102,25 +100,33 @@ class TrialGeometry:
 
 
 class _KeptPlan:
-    """What one plan's problems read of a trial: its leg lengths D,
-    member counts and coefficient sums, and the coefficients last scaled
-    from the sums with the SNR scale they were scaled at, the one radio
-    number `GroupCoefficients.scaled` reads."""
+    """What a plan's problems read of a trial (leg lengths D, member
+    counts, sums, and `baseline` for the radio), and the coefficients
+    last scaled from the sums with the SNR scale they were scaled at."""
 
-    __slots__ = ("D", "counts", "sums", "snr", "coeffs")
+    __slots__ = ("D", "counts", "sums", "baseline", "snr", "coeffs")
 
-    def __init__(self, D, counts, sums):
-        self.D, self.counts, self.sums = D, counts, sums
+    def __init__(self, plan: GroupPlan, sums, baseline: bool):
+        self.D, self.counts = plan.D, tuple(map(len, plan.groups))
+        self.sums, self.baseline = sums, baseline
         self.snr = self.coeffs = None
 
-    def coefficients(self, params):
-        """The sums scaled at radio `params`: the kept coefficients
-        object when its SNR scale matches, else a new one, kept."""
+    def problem(self, config: ScenarioConfig, objective: str):
+        """The plan's StmProblem ("stm") or TtmProblem ("ttm") under
+        `config`, reusing the kept coefficients while the SNR matches."""
+        params = config.baseline_radio if self.baseline else config.radio
         snr = params.snr
         if snr != self.snr:
             self.coeffs = GroupCoefficients.scaled(self.sums, params)
             self.snr = snr
-        return self.coeffs
+        if objective == "stm":
+            return StmProblem(coeffs=self.coeffs, D=self.D, T=config.T_s,
+                              v_max=config.v_max_mps)
+        if objective == "ttm":
+            return TtmProblem(coeffs=self.coeffs, D=self.D,
+                              v_max=config.v_max_mps,
+                              I=tuple(config.I_nats * n for n in self.counts))
+        raise ConfigError(f"unknown objective {objective!r}")
 
 
 @dataclass(frozen=True)
@@ -293,29 +299,7 @@ def build_problem(config: ScenarioConfig, geo: TrialGeometry,
                           "D_range_m, ytilde_range_m, k0_db, M or delta_m")
     plan, sums = ((geo.baseline_plan, geo.baseline_sums) if baseline
                   else (geo.plan, geo.sums))
-    return _problem(config, objective, baseline,
-                    _KeptPlan(plan.D, tuple(map(len, plan.groups)), sums))
-
-
-def _problem(config: ScenarioConfig, objective: str, baseline: bool,
-             kept: _KeptPlan):
-    coeffs = kept.coefficients(
-        config.baseline_radio if baseline else config.radio)
-    if objective == "stm":
-        return StmProblem(coeffs=coeffs, D=kept.D, T=config.T_s,
-                          v_max=config.v_max_mps)
-    if objective == "ttm":
-        return TtmProblem(coeffs=coeffs, D=kept.D, v_max=config.v_max_mps,
-                          I=tuple(config.I_nats * n for n in kept.counts))
-    raise ConfigError(f"unknown objective {objective!r}")
-
-
-def _solve_for(config: ScenarioConfig, objective: str, baseline: bool,
-               kept: _KeptPlan) -> float:
-    problem = _problem(config, objective, baseline, kept)
-    if objective == "stm":
-        return solve_stm(problem)[1].objective
-    return solve_ttm(problem)[1]
+    return _KeptPlan(plan, sums, baseline).problem(config, objective)
 
 
 def run_trial(config: ScenarioConfig, trial_index: int,
@@ -331,36 +315,39 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     ours, base = draws.get(trial_index, (None, None))
     if ours is None or (include_baseline and base is None):
         geo = generate_trial(config, trial_rng(config.seed, trial_index))
-        ours = _KeptPlan(geo.plan.D, tuple(map(len, geo.plan.groups)),
-                         geo.sums)
+        ours = _KeptPlan(geo.plan, geo.sums, False)
         if include_baseline:
-            base = _KeptPlan(geo.baseline_plan.D, (1,) * config.K,
-                             geo.baseline_sums)
+            base = _KeptPlan(geo.baseline_plan, geo.baseline_sums, True)
         if len(draws) >= _TRIAL_MEMO and trial_index not in draws:
             del draws[next(iter(draws))]    # the oldest kept trial
         draws[trial_index] = ours, base
-    return TrialResult(
-        ours=_solve_for(config, objective, False, ours),
-        baseline=(_solve_for(config, objective, True, base)
-                  if include_baseline else None))
+
+    def solve(kept):
+        problem = kept.problem(config, objective)
+        if objective == "stm":
+            return solve_stm(problem)[1].objective
+        return solve_ttm(problem)[1]
+
+    return TrialResult(ours=solve(ours),
+                       baseline=solve(base) if include_baseline else None)
 
 
 def _outcome(config, trial_index, objective, include_baseline):
+    """`run_trial`'s `TrialResult`, or the text of its typed error."""
     try:
-        r = run_trial(config, trial_index, objective, include_baseline)
-        return ("ok", r.ours, r.baseline)
+        return run_trial(config, trial_index, objective, include_baseline)
     except UavWptError as exc:
-        return ("err", f"{type(exc).__name__}: {exc}", None)
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _trial_task(args):
     """A block of trial indices solved at every sweep point, point by
-    point: each trial is drawn at the first point and reused at the
-    later ones, since `run_sweep` makes no block larger than
-    `run_trial`'s store, and each point's baselines share one price
+    point, as each point's list of `_outcome`s: each trial is drawn at
+    the first point and reused at the later ones (no block outgrows
+    `run_trial`'s store), and each point's baselines share one price
     search (a task per trial index would cycle the points trial by
     trial, and past 16 points every baseline would miss `stm`'s price
-    memo).  Every sweep runs as such blocks, in one process or a pool."""
+    memo)."""
     point_configs, trials, objective, include_baseline = args
     return [[_outcome(pc, t, objective, include_baseline) for t in trials]
             for pc in point_configs]
@@ -420,18 +407,17 @@ def run_sweep(config: ScenarioConfig, sweep: SweepSpec, workers: int = 1,
     results = []
     failures = []
     for value, chunk in zip(sweep.values, outcomes):
-        ours = [o[1] for o in chunk if o[0] == "ok"]
-        bases = [o[2] for o in chunk if o[0] == "ok"]
-        failures.extend(
-            f"{sweep.param}={value}: {o[1]}" for o in chunk if o[0] != "ok")
-        if not ours:
+        solved = [o for o in chunk if isinstance(o, TrialResult)]
+        failures.extend(f"{sweep.param}={value}: {o}"
+                        for o in chunk if isinstance(o, str))
+        if not solved:
             raise NumericDomainError(
                 f"sweep point {sweep.param}={value}: all "
                 f"{sweep.trials} trials failed")
-        n = len(ours)
-        mean_ours, se_ours = _mean_se(ours)
+        n = len(solved)
+        mean_ours, se_ours = _mean_se([r.ours for r in solved])
         if include_baseline:
-            mean_base, se_base = _mean_se(bases)
+            mean_base, se_base = _mean_se([r.baseline for r in solved])
             improvement = (mean_ours - mean_base) / mean_base
         else:
             mean_base = se_base = improvement = math.nan

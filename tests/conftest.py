@@ -18,6 +18,28 @@ _MEMOS = (stm._lead_price.cache_clear, experiments._DRAWS.clear,
           ttm._DENOMS.clear)
 
 
+def fail_draws(monkeypatch, failing):
+    """Make every draw of a trial index in `failing` run out of redraws
+    (its members scattered onto their hover point); returns the trial
+    indices drawn, in order."""
+    real_rng, real_draw = experiments.trial_rng, experiments.generate_trial
+    drawn = []
+
+    def recorded_rng(seed, t):
+        drawn.append(t)
+        return real_rng(seed, t)
+
+    def draw(config, rng):
+        with monkeypatch.context() as m:
+            if drawn[-1] in failing:
+                m.setattr(experiments, "SCATTER_SPAN", (0.0, 0.05))
+            return real_draw(config, rng)
+
+    monkeypatch.setattr(experiments, "trial_rng", recorded_rng)
+    monkeypatch.setattr(experiments, "generate_trial", draw)
+    return drawn
+
+
 @pytest.fixture(autouse=True)
 def cold_memos():
     """Every test starts and ends with empty memos, so no test's outcome

@@ -306,6 +306,17 @@ def test_group_coefficients_range_checks(monkeypatch):
         with pytest.raises(NumericDomainError,
                            match=f"^group 2: {phase} coefficient"):
             aggregate_coefficients(plan, PARAMS, a_i, b_i)
+    # the first faulty member in plan order is reported, and of one
+    # member's two faults its hover one; nan lies outside the range too
+    for report, a_i, b_i in (("group 1: flight", [a[0], too_big],
+                              [too_big, b[1]]),
+                             ("group 1: hover", [too_big, a[1]],
+                              [too_big, b[1]]),
+                             ("group 1: hover", [math.nan, a[1]], b),
+                             ("group 2: flight", a, [b[0], math.nan])):
+        with pytest.raises(NumericDomainError,
+                           match=f"^{report} coefficient"):
+            aggregate_coefficients(plan, PARAMS, a_i, b_i)
     # the same faults in the primitives a trial is drawn with; the
     # flight one stays above the hover one, so no member is redrawn
     config = ScenarioConfig(A_m=PARAMS.A)
@@ -318,6 +329,23 @@ def test_group_coefficients_range_checks(monkeypatch):
             with pytest.raises(NumericDomainError,
                                match=f"^group 1: {phase} coefficient"):
                 generate_trial(config, trial_rng(config.seed, 0))
+
+
+@pytest.mark.parametrize("a, b, gamma, error, message", [
+    ((1.0,), (1.0, 2.0), (1.0,), PlanError,
+     "coefficient sequences disagree in length"),
+    ((1.0,), (1.0,), (), PlanError, "coefficient sequences disagree in length"),
+    ((), (), (), PlanError, "need at least one group"),
+    ((1.0, 0.0), (1.0, 1.0), (1.0, 1.0), NumericDomainError,
+     "coefficient a must be positive, got 0.0"),
+    ((1.0,), (-1.0,), (1.0,), NumericDomainError,
+     "coefficient b must be positive, got -1.0"),
+    ((1.0,), (1.0,), (math.nan,), NumericDomainError,
+     "coefficient gamma must be positive, got nan"),
+])
+def test_group_coefficients_guards(a, b, gamma, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        GroupCoefficients(a=a, b=b, gamma=gamma)
 
 
 def test_params_validation():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import uavwpt
+from conftest import fail_draws
 from uavwpt.cli import main
 from uavwpt.config import load_config
 from uavwpt.experiments import (SWEEP_PARAMS, SweepSpec, run_sweep,
@@ -308,6 +309,30 @@ def test_sweep_rejects_bad_values(cfg_path, tmp_path, capsys):
         assert "at least 1 worker" in capsys.readouterr().err
     assert not (tmp_path / "sweep_pt_db.csv").exists()
     capsys.readouterr()
+
+
+def test_sweep_excludes_a_failed_draw(cfg_path, tmp_path, capsys,
+                                      monkeypatch):
+    fail_draws(monkeypatch, {1})
+    rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+               "--param", "pt_db", "--values", "4", "--trials", "3"])
+    assert rc == 0
+    assert "1 trial(s) excluded" in capsys.readouterr().err.splitlines()
+    text = (tmp_path / "sweep_pt_db.csv").read_text()
+    assert "# excluded trials: 1" in text.splitlines()
+    assert text.splitlines()[-1].split(",")[2] == "2"   # trials kept
+
+
+def test_sweep_exits_numeric_when_every_draw_fails(cfg_path, tmp_path, capsys,
+                                                   monkeypatch):
+    fail_draws(monkeypatch, range(3))
+    rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+               "--param", "pt_db", "--values", "4", "--trials", "3"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: sweep point pt_db=4.0: all 3 "
+                          "trials failed")
+    assert not (tmp_path / "sweep_pt_db.csv").exists()
 
 
 def test_solve_rejects_level_too_large_for_a_float(tmp_path, capsys):

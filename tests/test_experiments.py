@@ -13,7 +13,7 @@ import pytest
 import uavwpt.channel as channel
 import uavwpt.experiments as experiments
 import uavwpt.ttm as ttm
-from conftest import _MEMOS
+from conftest import _MEMOS, fail_draws
 from instance_tools import coeff_a, group_coefficients, harvested_energy
 from uavwpt.channel import GroupCoefficients, coeff_b
 from uavwpt.config import ScenarioConfig
@@ -394,21 +394,7 @@ def test_kept_trial_still_checks_its_index():
 def test_failed_draw_excluded_at_every_point(monkeypatch):
     # a draw that runs out of redraws is not kept: each point draws the
     # trial again and excludes it, while the other trials are drawn once
-    real_rng, real_draw = experiments.trial_rng, experiments.generate_trial
-    drawn = []
-
-    def recorded_rng(seed, t):
-        drawn.append(t)
-        return real_rng(seed, t)
-
-    def draw(config, rng):
-        with monkeypatch.context() as m:
-            if drawn[-1] == 2:
-                m.setattr(experiments, "SCATTER_SPAN", (0.0, 0.05))
-            return real_draw(config, rng)
-
-    monkeypatch.setattr(experiments, "trial_rng", recorded_rng)
-    monkeypatch.setattr(experiments, "generate_trial", draw)
+    drawn = fail_draws(monkeypatch, {2})
     sweep = SweepSpec(param="pt_db", values=(0.0, 4.0, 8.0), trials=4,
                       objective="stm")
     results, failures = run_sweep(SMALL, sweep)

@@ -55,6 +55,64 @@ def test_load_field_rejects_garbage(tmp_path):
             load_field(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read field file {path}: "),
+    ("", "field file {path} contains no sensors"),
+    ("# no sensors\n\n", "field file {path} contains no sensors"),
+    ("0 0\n1.0 north\n",
+     "{path}:2: could not convert string to float: 'north'"),
+])
+def test_load_field_refuses_what_holds_no_positions(text, message, tmp_path):
+    path = tmp_path / "field.txt"
+    if text is not None:        # None: no file at all
+        path.write_text(text)
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(message.format(path=path))}"):
+        load_field(path)
+
+
+_PLAN = dict(sensors=((0.0, 0.0), (5.0, 0.0)), groups=((1,), (2,)),
+             hover_points=((0.0, 0.0), (5.0, 0.0)), D=(5.0, 5.0),
+             row_of_group=(1, 1), start_point=(-5.0, 0.0))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"groups": ()}, "plan needs at least one group"),
+    ({"D": (5.0,)}, "per-group sequences disagree in length"),
+    ({"row_of_group": (1, 1, 1)}, "per-group sequences disagree in length"),
+    ({"groups": ((1,), ())}, "group 2 is empty"),
+    ({"groups": ((1,), (3,))}, "group 2 references unknown sensor 3"),
+    ({"groups": ((0,), (2,))}, "group 1 references unknown sensor 0"),
+    ({"groups": ((1,), (1,))}, "sensor 1 appears in more than one group"),
+    ({"D": (5.0, 0.0)}, "leg 2 has non-positive length 0.0"),
+    ({"D": (math.nan, 5.0)}, "leg 1 has non-positive length nan"),
+])
+def test_plan_guards(change, message):
+    with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
+        GroupPlan(**{**_PLAN, **change})
+
+
+@pytest.mark.parametrize("method", ["members", "hover", "leg", "row_parity"])
+def test_group_index_range_checked(method):
+    plan = GroupPlan(**_PLAN)
+    for n in (0, 3):
+        with pytest.raises(PlanError,
+                           match=f"^group index {n} out of range 1..2$"):
+            getattr(plan, method)(n)
+
+
+@pytest.mark.parametrize("sensors, N, rows, message", [
+    (_row_field([0.0, 5.0]), 0, [0.0], "need at least one group"),
+    (_row_field([0.0, 5.0]), 3, [0.0], "cannot form 3 groups from 2 sensors"),
+    (_row_field([0.0, 5.0]), 1, [], "need at least one row"),
+    (_row_field([0.0, 0.0]), 2, [0.0],
+     "group 2: coincident hover points (duplicate sensors?)"),
+])
+def test_plan_groups_guards(sensors, N, rows, message):
+    with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
+        plan_groups(sensors, A, D_MAX, N, row_ys=rows)
+
+
 def test_position_range_checked():
     plan = plan_groups(_row_field([0.0, 1.0]), A, D_MAX, 1, row_ys=[0.0])
     assert plan.position(2) == (1.0, 0.0)

@@ -38,6 +38,16 @@ def test_lambert_below_branch_raises():
         lambert_w0(-1.0 / math.e - 1e-6)
 
 
+def test_lambert_domain_edges():
+    with pytest.raises(NumericDomainError, match="argument is NaN"):
+        lambert_w0(math.nan)
+    # within 1e-15 below -1/e is the branch point itself
+    for x in (math.nextafter(-numerics._INV_E, -1.0),
+              -numerics._INV_E - 9e-16):
+        assert x < -numerics._INV_E
+        assert lambert_w0(x) == -1.0
+
+
 @given(st.floats(min_value=-0.999, max_value=700.0))
 def test_lambert_inverse_identity(w):
     # W(w e^w) = w on the principal branch for w >= -1
@@ -142,6 +152,26 @@ def test_newton_stops_at_an_end_within_tol():
     assert seen == [0.0]
 
 
+def test_newton_stops_at_the_upper_end_within_tol():
+    seen = []
+
+    def fdf(x):
+        seen.append(x)
+        return x - 1.0 + 1e-13, 1.0
+
+    assert bracketed_newton(fdf, 0.0, 1.0, tol=1e-12) == 1.0
+    assert seen == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, 0.0)])
+def test_newton_needs_an_ordered_bracket(lo, hi):
+    def fdf(x):
+        raise AssertionError("f evaluated on an empty bracket")
+
+    with pytest.raises(ValueError, match="need hi > lo"):
+        bracketed_newton(fdf, lo, hi, tol=1e-12)
+
+
 def test_newton_stops_when_its_step_cannot_move_x():
     # so steep that one float step of x jumps over |f| <= tol; bisecting
     # on would take some fifty more evaluations to the same point
@@ -165,6 +195,15 @@ def test_bisect_no_root_raises():
 def test_integrate_constant_and_linear():
     assert integrate_adaptive(lambda x: 1.0, 0.0, 1.0) == pytest.approx(1.0)
     assert integrate_adaptive(lambda x: x, 0.0, 1.0) == pytest.approx(0.5)
+
+
+def test_integrate_interval_edges():
+    def f(x):
+        raise AssertionError("integrand evaluated on an empty interval")
+
+    assert integrate_adaptive(f, 2.0, 2.0) == 0.0
+    with pytest.raises(NumericDomainError, match="need a <= b"):
+        integrate_adaptive(f, 1.0, 0.0)
 
 
 def test_integrate_budget_exhausted_raises(monkeypatch):

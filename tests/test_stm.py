@@ -14,7 +14,7 @@ from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, InfeasiblePlanError, NumericDomainError
 from uavwpt import experiments, stm
 from uavwpt.experiments import SweepSpec, generate_trial, run_sweep, trial_rng
-from uavwpt.stm import (StmProblem, TimeAllocation, _chain_q, optimality_gap,
+from uavwpt.stm import (StmDiagnostics, StmProblem, TimeAllocation, _chain_q, optimality_gap,
                         solve_stm, stm_diag_row, sum_throughput,
                         throughput_gradient, STM_DIAG_HEADER)
 from uavwpt.ttm import TtmProblem
@@ -731,6 +731,16 @@ def test_allocation_validation():
         assert alloc.total == 0.0
     assert TimeAllocation(tau=(0.0, 1.7976931348623157e308),
                           zeta=(5e-324,)).zeta == (5e-324,)
+
+
+@pytest.mark.parametrize("mu", [-1.0, -5e-324, -math.inf])
+def test_diagnostics_refuse_a_negative_price(mu):
+    problem = stm_instance(1, N=2)
+    alloc, diag = solve_stm(problem)
+    with pytest.raises(NumericDomainError,
+                       match="^budget price must be nonnegative$"):
+        StmDiagnostics(mu=mu, objective=diag.objective, method=diag.method,
+                       problem=problem, alloc=alloc)
 
 
 def test_diag_row_matches_header():

@@ -303,6 +303,18 @@ def test_problem_validation():
         TtmProblem(coeffs=coeffs, D=(25.0, 25.0), v_max=10.0, I=(1.0, 0.0))
 
 
+@pytest.mark.parametrize("I, message", [
+    ((1.0,), "need one demand per group"),
+    ((1.0, 1.0, 1.0), "need one demand per group"),
+    ((1.0, 0.0), "group 2 demand must be positive"),
+    ((math.nan, 1.0), "group 1 demand must be positive"),
+])
+def test_problem_demand_guards(I, message):
+    coeffs = synthetic_coeffs(np.random.default_rng(0), 2)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        TtmProblem(coeffs=coeffs, D=(25.0, 25.0), v_max=10.0, I=I)
+
+
 def test_diag_row_matches_header():
     for problem in (ttm_instance(3, N=2),
                     ttm_instance(2, N=3, I_each=1e-8)):

@@ -73,6 +73,9 @@ class ChannelParams:
         if not (self.M >= 2 and self.M % 1 == 0):
             raise ConfigError(f"need an integer M >= 2 antennas "
                               f"(1 transmit + receive), got {self.M}")
+        if not 0.0 < self.snr < inf:
+            raise ConfigError(f"SNR scale eta*P_t*k0/sigma2={self.snr} "
+                              f"must be positive and finite")
 
     @classmethod
     def from_db(cls, k0_db: float, sigma2_dbm: float, pt_db: float,
@@ -170,9 +173,10 @@ class GroupCoefficients:
             raise PlanError("need at least one group")
         for seq, name in ((self.a, "a"), (self.b, "b"), (self.gamma, "gamma")):
             for v in seq:
-                if not v > 0.0:
+                if not 0.0 < v < inf:
                     raise NumericDomainError(
-                        f"coefficient {name} must be positive, got {v}")
+                        f"coefficient {name} must be "
+                        f"{'finite' if v == inf else 'positive'}, got {v}")
 
     @property
     def N(self) -> int:

@@ -26,7 +26,7 @@ every bit kept.  It keeps only the latest (seed, `_draw_fields`) key's
 trials and no failed draw; past `_TRIAL_MEMO` trials each new one
 evicts the oldest.  `run_sweep` runs every sweep as whole-trial blocks
 no larger than that store, in one process or a pool, and reads each
-trial's `TrialResult` or error text.
+trial's `TrialResult` or typed error.
 """
 
 import functools
@@ -333,11 +333,11 @@ def run_trial(config: ScenarioConfig, trial_index: int,
 
 
 def _outcome(config, trial_index, objective, include_baseline):
-    """`run_trial`'s `TrialResult`, or the text of its typed error."""
+    """`run_trial`'s `TrialResult`, or its typed error (no traceback)."""
     try:
         return run_trial(config, trial_index, objective, include_baseline)
     except UavWptError as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return exc.with_traceback(None)
 
 
 def _trial_task(args):
@@ -376,8 +376,8 @@ def run_sweep(config: ScenarioConfig, sweep: SweepSpec, workers: int = 1,
     """Run every sweep point and aggregate.
 
     Returns (list of AggregateResult, list of failure messages).  A
-    point where every trial fails raises; isolated failures are
-    excluded and counted.
+    point where every trial fails raises its first failure's error type;
+    isolated failures are excluded and counted.
     """
     if baseline not in ("hf-eh", "none"):
         raise ConfigError(f"unknown baseline mode {baseline!r}")
@@ -408,12 +408,12 @@ def run_sweep(config: ScenarioConfig, sweep: SweepSpec, workers: int = 1,
     failures = []
     for value, chunk in zip(sweep.values, outcomes):
         solved = [o for o in chunk if isinstance(o, TrialResult)]
-        failures.extend(f"{sweep.param}={value}: {o}"
-                        for o in chunk if isinstance(o, str))
+        failures.extend(f"{sweep.param}={value}: {type(e).__name__}: {e}"
+                        for e in chunk if not isinstance(e, TrialResult))
         if not solved:
-            raise NumericDomainError(
+            raise type(chunk[0])(
                 f"sweep point {sweep.param}={value}: all "
-                f"{sweep.trials} trials failed")
+                f"{sweep.trials} trials failed") from chunk[0]
         n = len(solved)
         mean_ours, se_ours = _mean_se([r.ours for r in solved])
         if include_baseline:

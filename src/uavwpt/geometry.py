@@ -1,5 +1,5 @@
-"""Spatial model: serving groups of sensors along serpentine rows and
-mission feasibility checks.
+"""Spatial model: serving groups of sensors along serpentine rows, and
+`leg_floors`, the one leg-time function every feasibility check reads.
 
 Conventions used throughout the package:
 
@@ -284,18 +284,26 @@ def plan_groups(sensors: tuple[Point, ...], altitude: float, d_max: float,
     )
 
 
-def travel_time(D, v_max: float) -> float:
-    """Seconds to fly legs of lengths D at top speed v_max."""
-    return math.fsum(d / v_max for d in D)
+def leg_floors(D, v_max: float, N: int) -> tuple:
+    """Each leg's flight time at the speed cap, D_n / v_max, after
+    checking v_max, then one leg per group of N, then every leg."""
+    if not v_max > 0.0:
+        raise ConfigError("v_max must be positive")
+    if len(D) != N:
+        raise ConfigError("need one leg length per group")
+    for n, d in enumerate(D, start=1):
+        if not d > 0.0:
+            raise ConfigError(f"leg {n} has non-positive length")
+    return tuple([d / v_max for d in D])
 
 
 def check_feasibility(plan: GroupPlan, v_max: float,
                       T: float) -> tuple[bool, float]:
     """Can the mission fit in T seconds at top speed v_max?  Returns
-    (feasible, travel time at top speed)."""
+    (feasible, travel time at top speed): the fsum of `leg_floors`."""
     if not v_max > 0.0 or not T > 0.0:
         raise ConfigError("v_max and T must be positive")
-    travel = travel_time(plan.D, v_max)
+    travel = math.fsum(leg_floors(plan.D, v_max, plan.N))
     return travel <= T, travel
 
 

@@ -3,9 +3,10 @@ times under a total mission-time budget.
 
 The model: the UAV hovers tau_0 at the start, flies leg n in zeta_n and
 hovers tau_n over group n.  Legs 2..N are flown at the speed cap
-D_n/v_max; only the start hover tau_0 or the first leg's flight time
-zeta_1 may take up slack beyond the hovers over the groups.  (Freeing
-every leg is the pending model change, item 2 of ROADMAP.md.)
+D_n/v_max (`geometry.leg_floors`); only the start hover tau_0 or the
+first leg's flight time zeta_1 may take up slack beyond the hovers over
+the groups.  (Freeing every leg is the pending model change, item 2 of
+ROADMAP.md.)
 
 The solver works with the budget's shadow price mu.  Writing
 Y_n = 1 + gamma_n E_n / tau_n for group n's SNR factor and q_n = 1/Y_n,
@@ -48,8 +49,9 @@ overhead with one receive antenna, so every link has a = 1/A^2 and the
 same gamma whatever the draw.  So a point's baselines build the state
 once, and each later solve evaluates no chain: two forward passes of
 the energy chain close its budget.  A grouped plan's key never recurs,
-so it bypasses the memo and evicts no baseline key.  The pinned search
-reads b and D too; it is not memoized.
+so it bypasses the memo and evicts no baseline key.  Both structures
+walk one energy chain (`_hovers` from `_rho`); the pinned search reads
+b and the floors too, and is not memoized.
 """
 
 import functools
@@ -60,6 +62,7 @@ from dataclasses import dataclass, field
 from .channel import GroupCoefficients
 from .errors import (AccuracyError, ConfigError, InfeasiblePlanError,
                      NumericDomainError)
+from .geometry import leg_floors
 from .numerics import bracketed_newton, lambert_w0
 
 STM_DIAG_HEADER = "N,T,v_max,mu,objective,budget_residual,optimality_gap"
@@ -71,19 +74,6 @@ _BUDGET_SLOP = 1e-6
 # distinct lead-price searches kept: each sweep point's baselines share
 # one key; grouped plans, whose keys never recur, bypass the memo
 _LEAD_PRICE_MEMO = 16
-
-
-def leg_floors(coeffs: GroupCoefficients, D, v_max: float) -> tuple:
-    """Each leg's flight time at the speed cap, D_n / v_max: both problem
-    types check v_max and their legs here, one positive leg per group."""
-    if not v_max > 0.0:
-        raise ConfigError("v_max must be positive")
-    if len(D) != coeffs.N:
-        raise ConfigError("need one leg length per group")
-    for n, d in enumerate(D, start=1):
-        if not d > 0.0:
-            raise ConfigError(f"leg {n} has non-positive length")
-    return tuple([d / v_max for d in D])
 
 
 @dataclass(frozen=True)
@@ -106,7 +96,7 @@ class StmProblem:
     def __post_init__(self):
         if not self.T > 0.0:
             raise ConfigError("T must be positive")
-        floors = leg_floors(self.coeffs, self.D, self.v_max)
+        floors = leg_floors(self.D, self.v_max, self.coeffs.N)
         object.__setattr__(self, "floors", floors)
         object.__setattr__(self, "travel_time", math.fsum(floors))
         if self.travel_time > self.T:
@@ -164,7 +154,7 @@ class StmDiagnostics:
     alloc: TimeAllocation = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mu < 0.0:
+        if not self.mu >= 0.0:
             raise NumericDomainError("budget price must be nonnegative")
 
     @functools.cached_property
@@ -238,11 +228,16 @@ def _lead_price(gamma, a, c: float):
     if chain is None:
         return mu, None
     q = chain[0]
-    rho = [g * qn / (1.0 - qn) for g, qn in zip(gamma, q)]
+    rho = _rho(gamma, q)
     S = [1.0] * len(q)
     for m in range(len(q) - 1, 0, -1):
         S[m - 1] = 1.0 + a[m] * rho[m] * S[m]
     return mu, (tuple(q), tuple(rho), tuple(S))
+
+
+def _rho(gamma, q) -> list:
+    """rho_n = gamma_n q_n/(1 - q_n) at the chain's q (`_lead_price`)."""
+    return [g * qn / (1.0 - qn) for g, qn in zip(gamma, q)]
 
 
 def _hovers(rho, a, b, tau0: float, zetas) -> list:
@@ -254,24 +249,6 @@ def _hovers(rho, a, b, tau0: float, zetas) -> list:
         prev = r * (an * prev + bn * zn)
         taus.append(prev)
     return taus
-
-
-def _mission(problem: StmProblem, chain):
-    """The pinned mission at the chain's price: tau_0 = 0 and every leg
-    at the cap.  Returns its hovers (as `_hovers` gives them from the
-    chain's rho) and their total's derivative in mu."""
-    taus = []
-    prev, dprev, slope = 0.0, 0.0, 0.0
-    for g, an, bn, qn, dqn, zn in zip(problem.coeffs.gamma, problem.coeffs.a,
-                                       problem.coeffs.b, *chain,
-                                       problem.floors):
-        rho = g * qn / (1.0 - qn)
-        energy = an * prev + bn * zn
-        dprev = g * dqn / (1.0 - qn) ** 2 * energy + rho * an * dprev
-        prev = rho * energy
-        taus.append(prev)
-        slope += dprev
-    return taus, slope
 
 
 def _close_budget(tau0: float, taus, zetas, T: float) -> TimeAllocation:
@@ -347,11 +324,20 @@ def solve_stm(problem: StmProblem):
         chain = _chain_q(g_, a_, mu)
         if chain is None:
             return math.inf, math.nan
-        taus, slope = _mission(problem, chain)
+        q, dq = chain
+        rho = _rho(g_, q)
+        taus = _hovers(rho, a_, b_, 0.0, floors)
         pinned = mu, taus
         hover = math.fsum(taus)
         if hover == 0.0:
             return -math.inf, math.nan
+        # d tau_n/dmu = E_n gamma_n dq_n/(1 - q_n)^2 + rho_n a_n dtau_{n-1}
+        slope = dtau = 0.0
+        for g, an, bn, qn, dqn, r, prev, zn in zip(g_, a_, b_, q, dq, rho,
+                                                   (0.0, *taus), floors):
+            dtau = (g * dqn / (1.0 - qn) ** 2 * (an * prev + bn * zn)
+                    + r * an * dtau)
+            slope += dtau
         return math.log(hover / slack), slope / hover
 
     # the pinned hovers shrink to nothing as mu grows

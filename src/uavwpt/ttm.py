@@ -35,8 +35,9 @@ from operator import add
 
 from .channel import GroupCoefficients
 from .errors import ConfigError, NumericDomainError
+from .geometry import leg_floors
 from .numerics import bracketed_newton, lambert_w0
-from .stm import TimeAllocation, leg_floors
+from .stm import TimeAllocation
 
 TTM_DIAG_HEADER = "N,Pt_dB,v_max,I_total,total_time,clamped_legs"
 
@@ -59,7 +60,7 @@ class TtmProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "floors",
-                           leg_floors(self.coeffs, self.D, self.v_max))
+                           leg_floors(self.D, self.v_max, self.coeffs.N))
         if len(self.I) != self.coeffs.N:
             raise ConfigError("need one demand per group")
         for n, i_n in enumerate(self.I, start=1):

@@ -96,7 +96,7 @@ def _ttm_total_grid(problem: TtmProblem, taus):
         u = 2.0 * problem.I[n] / t
         with np.errstate(over="ignore"):
             need = (t / g_[n] * np.expm1(u) - a_[n] * prev) / b_[n]
-        zeta = np.maximum(need, problem.D[n] / problem.v_max)
+        zeta = np.maximum(need, problem.floors[n])
         total = total + t + zeta
         prev = t
     return total
@@ -140,7 +140,7 @@ def ttm_grid_oracle(problem: TtmProblem):
         need = (t / problem.coeffs.gamma[n] * math.expm1(
             2.0 * problem.I[n] / t)
             - problem.coeffs.a[n] * prev) / problem.coeffs.b[n]
-        zetas.append(max(need, problem.D[n] / problem.v_max))
+        zetas.append(max(need, problem.floors[n]))
         prev = t
     alloc = TimeAllocation(tau=(0.0, *best_tau), zeta=tuple(zetas))
     return alloc, float(best_val)

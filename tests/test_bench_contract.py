@@ -4,7 +4,8 @@ unit suite.
 bench/run.py replays sweep 0 of its recorded seeds and compares the
 sweep means with bench/reference.json at 1e-9 relative.  This test
 imports that script (reading it only) and makes the same replay for
-the stm-power and ttm-demand workloads, so a change that moves a sweep
+the stm-power and ttm-demand workloads and for stm-groups, the N sweep,
+whose solves include pinned ones, so a change that moves a sweep
 mean, or removes a name the benchmark calls, fails here first.  It also
 counts the trial draws of one stm-power sweep, the work `run_trial`
 saves by keeping each trial's draw across the sweep's points.
@@ -26,7 +27,8 @@ def bench():
     return module
 
 
-@pytest.mark.parametrize("workload", ["stm-power", "ttm-demand"])
+@pytest.mark.parametrize("workload",
+                         ["stm-power", "ttm-demand", "stm-groups"])
 @pytest.mark.parametrize("seed", [1, 9])
 def test_sweep_zero_matches_bench_reference(bench, workload, seed):
     uv = bench.load_uavwpt()

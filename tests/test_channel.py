@@ -342,6 +342,10 @@ def test_group_coefficients_range_checks(monkeypatch):
      "coefficient b must be positive, got -1.0"),
     ((1.0,), (1.0,), (math.nan,), NumericDomainError,
      "coefficient gamma must be positive, got nan"),
+    ((1.0,), (1.0,), (math.inf,), NumericDomainError,
+     "coefficient gamma must be finite, got inf"),
+    ((1.0,), (math.inf,), (1.0,), NumericDomainError,
+     "coefficient b must be finite, got inf"),
 ])
 def test_group_coefficients_guards(a, b, gamma, error, message):
     with pytest.raises(error, match=f"^{message}$"):
@@ -366,9 +370,21 @@ def test_params_from_db():
     assert p.P_t == pytest.approx(10.0 ** 0.4)
 
 
-@pytest.mark.parametrize("field", ("pt_db", "k0_db", "sigma2_dbm"))
-def test_level_too_large_for_a_float_is_config_error(field):
+@pytest.mark.parametrize("levels, message", [
+    pytest.param({"pt_db": 4000.0}, "overflows", id="pt_db"),
+    pytest.param({"k0_db": 4000.0}, "overflows", id="k0_db"),
+    pytest.param({"sigma2_dbm": 4000.0}, "overflows", id="sigma2_dbm"),
+    # each level fits a float, but the SNR scale overflows or underflows
+    pytest.param({"pt_db": 3000.0, "sigma2_dbm": -3000.0},
+                 r"^SNR scale eta\*P_t\*k0/sigma2=inf must be positive",
+                 id="snr-overflow"),
+    pytest.param({"pt_db": -3000.0, "sigma2_dbm": 3000.0},
+                 r"^SNR scale eta\*P_t\*k0/sigma2=0.0 must be positive",
+                 id="snr-underflow"),
+])
+def test_level_too_large_for_a_float_is_config_error(levels, message):
     # 10 ** 400 overflows a float: the level is refused where it is
-    # converted, and a config holding it is refused when it is built
-    with pytest.raises(ConfigError, match="overflows"):
-        ScenarioConfig(**{field: 4000.0})
+    # converted, the SNR scale when the radio is built, and a config
+    # holding either is refused when it is built
+    with pytest.raises(ConfigError, match=message):
+        ScenarioConfig(**levels)

@@ -335,6 +335,35 @@ def test_sweep_exits_numeric_when_every_draw_fails(cfg_path, tmp_path, capsys,
     assert not (tmp_path / "sweep_pt_db.csv").exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_exits_infeasible_when_no_mission_fits(tmp_path, capsys,
+                                                     workers):
+    # a 5 s budget is shorter than every drawn mission's travel time:
+    # exit 2 as `plan` and `solve` do, with the trials' own error type
+    path = tmp_path / "tight.ini"
+    path.write_text("[scenario]\nT_s = 5\n", encoding="utf-8")
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path),
+               "--param", "pt_db", "--values", "0", "--trials", "5",
+               "--workers", workers])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "infeasible: sweep point pt_db=0.0: all 5 trials failed\n")
+    assert not (tmp_path / "sweep_pt_db.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["plan"], ["solve", "stm"], ["solve", "ttm"],
+    ["sweep", "--param", "pt_db", "--values", "0"], ["verify"]])
+def test_every_command_refuses_an_snr_scale_beyond_a_float(
+        command, tmp_path, capsys):
+    path = tmp_path / "loud.ini"
+    path.write_text("[scenario]\npt_db = 3000\nsigma2_dbm = -3000\n",
+                    encoding="utf-8")
+    rc = main([*command, "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("config error: SNR scale")
+
+
 def test_solve_rejects_level_too_large_for_a_float(tmp_path, capsys):
     path = tmp_path / "loud.ini"
     path.write_text(BASE_INI.replace("pt_db = 4", "pt_db = 4000"),

@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 from instance_tools import group_coefficients
 from uavwpt.channel import ChannelParams
 from uavwpt.errors import ConfigError, InfeasiblePlanError, PlanError
-from uavwpt.geometry import (GroupPlan, check_feasibility, load_field,
-                             plan_groups, singleton_plan, travel_time,
+from uavwpt.geometry import (GroupPlan, check_feasibility, leg_floors,
+                             load_field, plan_groups, singleton_plan,
                              write_plan_csv)
 from uavwpt.stm import StmProblem
 
@@ -313,7 +313,7 @@ def test_infeasible_when_travel_exceeds_budget():
     plan = _simple_plan()
     ok, travel = check_feasibility(plan, v_max=10.0, T=1.0)
     assert not ok
-    assert travel == travel_time(plan.D, 10.0) > 1.0
+    assert travel == math.fsum(leg_floors(plan.D, 10.0, plan.N)) > 1.0
 
 
 def test_feasibility_boundary_is_closed():
@@ -321,7 +321,7 @@ def test_feasibility_boundary_is_closed():
     # so they agree on both sides of the boundary to the last bit
     plan = _simple_plan()
     coeffs = group_coefficients(plan, PARAMS)
-    travel = travel_time(plan.D, 10.0)
+    travel = math.fsum(leg_floors(plan.D, 10.0, plan.N))
     ok, reported = check_feasibility(plan, v_max=10.0, T=travel)
     assert ok and reported == travel
     assert StmProblem(coeffs=coeffs, D=plan.D, T=travel,

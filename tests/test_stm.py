@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -160,6 +161,32 @@ def test_pinned_search_grows_its_bracket(monkeypatch):
     assert diag.objective == pytest.approx(ref.objective, rel=1e-9)
     assert diag.optimality_gap <= 1e-9 * diag.objective
     _assert_meets_oracle(problem, diag)
+
+
+# SHA-256 over float.hex of mu and every hover and flight time of 100
+# trials, grouped and baseline, at pt_db 0 and 8 (K = 20) and at N = 9
+# (K = 45), where 3 grouped and 22 baseline solves are pinned.  Pinned
+# with glibc's libm on x86-64 Linux under CPython 3.11.
+PINNED_STM_ALLOCATION_DIGEST = (
+    "4dfedb5158023cbfbf52d636b60750d13743f7f29f7a4f32d04f2e4dddc08478")
+
+
+def test_stm_allocations_pinned_bitwise():
+    digest = hashlib.sha256()
+    methods = set()
+    for config in (ScenarioConfig(pt_db=0.0), ScenarioConfig(pt_db=8.0),
+                   ScenarioConfig(N=9, K=45)):
+        for t in range(100):
+            geo = generate_trial(config, trial_rng(config.seed, t))
+            for baseline in (False, True):
+                alloc, diag = solve_stm(
+                    experiments.build_problem(config, geo, "stm", baseline))
+                methods.add(diag.method)
+                times = (diag.mu, *alloc.tau, *alloc.zeta)
+                digest.update(
+                    (" ".join(v.hex() for v in times) + "\n").encode())
+    assert "pinned" in methods
+    assert digest.hexdigest() == PINNED_STM_ALLOCATION_DIGEST
 
 
 @pytest.mark.parametrize("trial", [9, 43])
@@ -733,7 +760,7 @@ def test_allocation_validation():
                           zeta=(5e-324,)).zeta == (5e-324,)
 
 
-@pytest.mark.parametrize("mu", [-1.0, -5e-324, -math.inf])
+@pytest.mark.parametrize("mu", [-1.0, -5e-324, -math.inf, math.nan])
 def test_diagnostics_refuse_a_negative_price(mu):
     problem = stm_instance(1, N=2)
     alloc, diag = solve_stm(problem)

@@ -2,31 +2,22 @@
 proposed-scheme and hover-and-fly baseline solves, sweeps, CSV output.
 
 Each trial draws leg lengths and the flight-row offset, scatters group
-members behind their hover points along the corridor, and solves the
-selected problem twice: once for the proposed grouped full-duplex
-scheme and once for a hover-and-fly baseline that visits every sensor
-individually with a single receive antenna.  Trials are independent
-and seeded from (master seed, trial index), so results do not depend
-on scheduling or worker count.  A trial takes its numbers from
-standard-uniform blocks, mapped to their ranges the way
-`Generator.uniform` maps them, so each trial's stream, and every
-number drawn from it, is the one per-number `uniform` calls would give.
-The pass that draws a trial sums the grouped plan's coefficients
-(`channel.aggregate_coefficients`), each member's once; the baseline
-plan and its sums are built on first read.  No sum depends on the
-transmit power or the noise, and trial t draws the same stream at every
-sweep point (common random numbers).  So a drawn trial takes one path
-to its values: each plan becomes a `_KeptPlan` (leg lengths, member
-counts, sums, radio), whose `problem` scales the sums at the config's
-radio, reusing the last coefficients, and with them `ttm`'s kept hover
-denominators, while the SNR is unchanged (v_max, T_s, I_nats points).
-`build_problem` makes one; `run_trial` keeps both plans of each trial
-it draws, so a pt_db, v_max or I_nats sweep draws each trial once,
-every bit kept.  It keeps only the latest (seed, `_draw_fields`) key's
-trials and no failed draw; past `_TRIAL_MEMO` trials each new one
-evicts the oldest.  `run_sweep` runs every sweep as whole-trial blocks
-no larger than that store, in one process or a pool, and reads each
-trial's `TrialResult` or typed error.
+members behind their hover points, and solves the selected problem for
+the proposed grouped full-duplex scheme and for a hover-and-fly
+baseline that visits every sensor with a single receive antenna.  Trial
+t is seeded from (master seed, t), so results do not depend on
+scheduling or worker count, and it reads the same stream at every sweep
+point (common random numbers): standard-uniform blocks, mapped to their
+ranges as `Generator.uniform` maps them, to the bit.  The drawing pass
+sums the grouped plan's coefficients (`channel.aggregate_coefficients`);
+the baseline's are summed on first read.  No sum reads the transmit
+power or the noise.  So each plan of a drawn trial becomes a
+`_KeptPlan`, which builds its problem at a sweep point and keeps what it
+derived for the next; `build_problem` makes one, and `run_trial` keeps
+both plans of each trial in its one store, `_DRAWS`, so a pt_db, v_max
+or I_nats sweep draws each trial once, every bit kept.  `run_sweep`
+runs every sweep as whole-trial blocks no larger than that store, in
+one process or a pool, and reads each trial's `TrialResult` or error.
 """
 
 import functools
@@ -41,8 +32,8 @@ from . import channel        # read per call, so a patched primitive is seen
 from .channel import GroupCoefficients
 from .config import ScenarioConfig, _finite
 from .errors import ConfigError, NumericDomainError, UavWptError
-from .geometry import GroupPlan, group_sizes, singleton_plan
-from .stm import StmProblem, solve_stm
+from .geometry import GroupPlan, group_sizes, leg_floors, singleton_plan
+from .stm import LeadPrice, StmProblem, solve_stm
 from .ttm import TtmProblem, solve_ttm
 
 # Group members sit behind their hover point along the inbound leg, at
@@ -55,11 +46,10 @@ from .ttm import TtmProblem, solve_ttm
 SCATTER_SPAN = (0.58, 1.08)
 Y_JITTER_M = 2.0
 REDRAW_CAP = 25
-# trials run_trial keeps: a default-config sweep's per-point count
+# trials and baseline price slots run_trial keeps: a default-config
+# sweep's per-point count, and 16 sweep points
 _TRIAL_MEMO = 1000
-# {(seed, fields the draw reads): {trial index: (ours, baseline)}}, each
-# plan a _KeptPlan; baseline None until first solved
-_DRAWS = {}
+_PRICE_SLOTS = 16
 
 SWEEP_HEADER = ("param,value,trials,mean_ours,se_ours,"
                 "mean_baseline,se_baseline,improvement")
@@ -101,32 +91,73 @@ class TrialGeometry:
 
 class _KeptPlan:
     """What a plan's problems read of a trial (leg lengths D, member
-    counts, sums, and `baseline` for the radio), and the coefficients
-    last scaled from the sums with the SNR scale they were scaled at."""
+    counts, sums, and `baseline` for the radio), and what they derived
+    at the last point: the coefficients at one SNR scale with `ttm`'s
+    hover denominators for them, and the speed-cap floors with their
+    fsum at one v_max.  Each is derived again only when its input
+    changes (a and b are checked at the first scaling, gamma at each)."""
 
-    __slots__ = ("D", "counts", "sums", "baseline", "snr", "coeffs")
+    __slots__ = ("D", "counts", "sums", "baseline", "snr", "coeffs",
+                 "denoms", "v_max", "floors", "travel_time")
 
     def __init__(self, plan: GroupPlan, sums, baseline: bool):
         self.D, self.counts = plan.D, tuple(map(len, plan.groups))
         self.sums, self.baseline = sums, baseline
-        self.snr = self.coeffs = None
+        self.snr = self.coeffs = self.v_max = None
 
     def problem(self, config: ScenarioConfig, objective: str):
         """The plan's StmProblem ("stm") or TtmProblem ("ttm") under
-        `config`, reusing the kept coefficients while the SNR matches."""
+        `config`."""
         params = config.baseline_radio if self.baseline else config.radio
-        snr = params.snr
-        if snr != self.snr:
-            self.coeffs = GroupCoefficients.scaled(self.sums, params)
-            self.snr = snr
+        if params.snr != self.snr:
+            self.coeffs = (GroupCoefficients.scaled(self.sums, params)
+                           if self.coeffs is None
+                           else self.coeffs.rescaled(self.sums[2], params))
+            self.snr, self.denoms = params.snr, {}
+        v_max = config.v_max_mps
+        if v_max != self.v_max:
+            self.floors = leg_floors(self.D, v_max, self.coeffs.N)
+            self.travel_time = math.fsum(self.floors)
+            self.v_max = v_max
         if objective == "stm":
             return StmProblem(coeffs=self.coeffs, D=self.D, T=config.T_s,
-                              v_max=config.v_max_mps)
+                              v_max=v_max, floors=self.floors,
+                              travel_time=self.travel_time)
         if objective == "ttm":
-            return TtmProblem(coeffs=self.coeffs, D=self.D,
-                              v_max=config.v_max_mps,
-                              I=tuple(config.I_nats * n for n in self.counts))
+            return TtmProblem(coeffs=self.coeffs, D=self.D, v_max=v_max,
+                              I=tuple(config.I_nats * n for n in self.counts),
+                              floors=self.floors)
         raise ConfigError(f"unknown objective {objective!r}")
+
+
+class _TrialStore:
+    """`run_trial`'s store.  `trials` maps a trial index to its (ours,
+    baseline) `_KeptPlan`s (baseline None until first solved) for one
+    seed and `_draw_fields`, never a failed draw.  `prices` maps (draw
+    fields, baseline SNR scale), all a baseline's price search reads,
+    to the `LeadPrice` slot of its baselines at any seed.  Each evicts
+    its oldest entry when full.  `config` is the last point's config."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.config = self.seed = self.fields = self.price = None
+        self.trials, self.prices = {}, {}
+
+    def enter(self, config: ScenarioConfig):
+        fields = _draw_fields(config)
+        if config.seed != self.seed or fields != self.fields:
+            self.seed, self.fields, self.trials = config.seed, fields, {}
+        key = fields, config.baseline_radio.snr
+        if key not in self.prices:
+            if len(self.prices) >= _PRICE_SLOTS:
+                del self.prices[next(iter(self.prices))]
+            self.prices[key] = LeadPrice()
+        self.config, self.price = config, self.prices[key]
+
+
+_DRAWS = _TrialStore()
 
 
 @dataclass(frozen=True)
@@ -199,20 +230,17 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
 
     Hover points are spaced by the drawn leg lengths along one row at
     offset ytilde; each group's members are scattered behind its hover
-    point.  Members are redrawn (rarely) if the flight-phase coefficient
-    fails to dominate the hover-phase one; the accepted pair is what
-    the aggregates sum.  Both plans fly in from (0, ytilde); the
-    baseline plan visits the same sensors one at a time
+    point, and redrawn (rarely) until the flight-phase coefficient
+    dominates the hover-phase one.  Both plans fly in from (0, ytilde);
+    the baseline plan visits the same sensors one at a time
     (`singleton_plan`) with the config's `baseline_radio`.
 
-    The draws come from standard-uniform blocks (`rng.random`), each
-    value mapped to its range as lo + (hi - lo) * u, the two float
-    operations `Generator.uniform` makes.  One block holds the N leg
-    lengths, ytilde and one (u, yj) pair per member; a redraw takes the
-    next pair, and only when the block runs out is another drawn, sized
-    for the members still to place.  So a trial reads the same stream
-    and gets the same bits as one `rng.uniform` call per number would,
-    and a successful draw leaves `rng` where those calls would.
+    One standard-uniform block (`rng.random`) holds the N leg lengths,
+    ytilde and one (u, yj) pair per member, each mapped to its range as
+    lo + (hi - lo) * u; a redraw takes the next pair, and a spent block
+    is followed by one sized for the members still to place.  So the
+    trial gets the bits, and leaves `rng` where, one `rng.uniform` call
+    per number would.
     """
     N, K = config.N, config.K
     A = config.A_m
@@ -289,11 +317,8 @@ def build_problem(config: ScenarioConfig, geo: TrialGeometry,
                   objective: str, baseline: bool = False):
     """Trial `geo`'s grouped plan, or with `baseline` its baseline plan, as
     an StmProblem under the config's budget ("stm") or a TtmProblem
-    demanding I_nats per member sensor ("ttm"), its sums scaled at the
-    config's radio or baseline radio.  `config` may differ from the one
-    `geo` was drawn under in any field the draw does not read
-    (`_draw_fields`); a config that would draw another trial raises
-    `ConfigError`."""
+    demanding I_nats per member sensor ("ttm").  `config` may differ
+    from `geo`'s in any field but `_draw_fields` (`ConfigError`)."""
     if _draw_fields(config) != _draw_fields(geo.config):
         raise ConfigError("the trial was drawn under another N, K, A_m, "
                           "D_range_m, ytilde_range_m, k0_db, M or delta_m")
@@ -308,10 +333,9 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     """Solve one realization for the proposed scheme and the baseline,
     drawn now or kept from an earlier call (see the module docstring)."""
     _check_index("trial index", trial_index)
-    key = (config.seed, *_draw_fields(config))
-    if key not in _DRAWS:
-        _DRAWS.clear()
-    draws = _DRAWS.setdefault(key, {})
+    if config is not _DRAWS.config:
+        _DRAWS.enter(config)
+    draws = _DRAWS.trials
     ours, base = draws.get(trial_index, (None, None))
     if ours is None or (include_baseline and base is None):
         geo = generate_trial(config, trial_rng(config.seed, trial_index))
@@ -322,14 +346,15 @@ def run_trial(config: ScenarioConfig, trial_index: int,
             del draws[next(iter(draws))]    # the oldest kept trial
         draws[trial_index] = ours, base
 
-    def solve(kept):
+    def solve(kept, price=None):
         problem = kept.problem(config, objective)
         if objective == "stm":
-            return solve_stm(problem)[1].objective
-        return solve_ttm(problem)[1]
+            return solve_stm(problem, price)[1].objective
+        return solve_ttm(problem, kept.denoms)[1]
 
-    return TrialResult(ours=solve(ours),
-                       baseline=solve(base) if include_baseline else None)
+    return TrialResult(
+        ours=solve(ours),
+        baseline=solve(base, _DRAWS.price) if include_baseline else None)
 
 
 def _outcome(config, trial_index, objective, include_baseline):
@@ -344,10 +369,8 @@ def _trial_task(args):
     """A block of trial indices solved at every sweep point, point by
     point, as each point's list of `_outcome`s: each trial is drawn at
     the first point and reused at the later ones (no block outgrows
-    `run_trial`'s store), and each point's baselines share one price
-    search (a task per trial index would cycle the points trial by
-    trial, and past 16 points every baseline would miss `stm`'s price
-    memo)."""
+    `run_trial`'s store), and a point's baselines share its price slot,
+    which a trial-by-trial order would evict past `_PRICE_SLOTS` points."""
     point_configs, trials, objective, include_baseline = args
     return [[_outcome(pc, t, objective, include_baseline) for t in trials]
             for pc in point_configs]
@@ -445,13 +468,7 @@ def write_sweep_csv(path, results, metadata=()):
             fh.write(f"# {line}\n")
         fh.write(SWEEP_HEADER + "\n")
         for r in results:
-            fh.write(",".join((
-                r.param,
-                f"{r.value:.12g}",
-                str(r.trials),
-                f"{r.mean_ours:.12g}",
-                f"{r.se_ours:.12g}",
-                f"{r.mean_baseline:.12g}",
-                f"{r.se_baseline:.12g}",
-                f"{r.improvement:.12g}",
-            )) + "\n")
+            stats = (r.mean_ours, r.se_ours, r.mean_baseline, r.se_baseline,
+                     r.improvement)
+            fh.write(",".join([r.param, f"{r.value:.12g}", str(r.trials),
+                               *(f"{v:.12g}" for v in stats)]) + "\n")

@@ -32,26 +32,18 @@ Vandenberghe, ch. 5) then settles the solve:
   finds the mu > mu+ at which that mission takes exactly T;
 - degenerate: there is no slack to hover in.
 
-diagnostics.method names the outcome and diagnostics.objective is
-sum_throughput, the left fold of delivered_information.  The budget
-residual and optimality_gap, the Frank-Wolfe duality gap (Jaggi 2013)
-that certifies the outcome without a solver, are computed when the
-diagnostics first read them.
+optimality_gap, the Frank-Wolfe duality gap (Jaggi 2013), certifies a
+solve without a solver.
 
 The first search reads only gamma, a and c = gamma_1 lead / 2, and so
-does the price state the free structure reads at mu+: q_n, each
-group's hover time per unit of harvested energy rho_n and the budget
-weights S_n (_lead_price).  Plans whose hover coefficients a_n are all
-equal memoize both on those exact tuples (a small LRU): a hit returns
-the same bits a fresh search would.  The hover-and-fly baselines of
-one sweep point share one key: each sensor is hovered directly
-overhead with one receive antenna, so every link has a = 1/A^2 and the
-same gamma whatever the draw.  So a point's baselines build the state
-once, and each later solve evaluates no chain: two forward passes of
-the energy chain close its budget.  A grouped plan's key never recurs,
-so it bypasses the memo and evicts no baseline key.  Both structures
-walk one energy chain (`_hovers` from `_rho`); the pinned search reads
-b and the floors too, and is not memoized.
+does the price state the free structure reads at mu+ (_lead_price).  So
+a caller may keep both in a `LeadPrice` slot, which `solve_stm` reads
+when its (gamma, a, c) equals the problem's and refills otherwise.  The
+hover-and-fly baselines of a sweep point share that key: each sensor is
+hovered directly overhead with one receive antenna, so every link has
+a = 1/A^2 and the same gamma whatever the draw.  A baseline solve that
+reads a kept state evaluates no chain: two forward passes of the energy
+chain (`_hovers` from `_rho`) close its budget.
 """
 
 import functools
@@ -71,9 +63,6 @@ _ROOT_TOL = 1e-12         # both searches' tolerance (dimensionless)
 # tolerated drift when closing the budget, relative to T: a pinned
 # mission can be so steep in mu that one float step of mu moves it ~1e-9 T
 _BUDGET_SLOP = 1e-6
-# distinct lead-price searches kept: each sweep point's baselines share
-# one key; grouped plans, whose keys never recur, bypass the memo
-_LEAD_PRICE_MEMO = 16
 
 
 @dataclass(frozen=True)
@@ -81,24 +70,28 @@ class StmProblem:
     """Throughput-maximization instance over one planned mission.
 
     The variables are the hovers tau_0..tau_N (at least 0) and zeta_1
-    (at least D_1/v_max); legs 2..N are pinned at the speed cap
-    D_n/v_max, and optimality_gap certifies over the variables only.
-    The cap floors and their sum, the travel time, are derived once.
+    (at least D_1/v_max); legs 2..N are pinned at the speed cap.  The
+    cap floors (`leg_floors`) and their fsum, the travel time, are
+    derived unless given, by a caller that derived them from D and
+    v_max; T is checked either way.
     """
 
     coeffs: GroupCoefficients
     D: tuple[float, ...]
     T: float
     v_max: float
-    floors: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    travel_time: float = field(init=False, repr=False, compare=False)
+    floors: tuple[float, ...] = field(default=None, repr=False,
+                                      compare=False)
+    travel_time: float = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.T > 0.0:
             raise ConfigError("T must be positive")
-        floors = leg_floors(self.D, self.v_max, self.coeffs.N)
-        object.__setattr__(self, "floors", floors)
-        object.__setattr__(self, "travel_time", math.fsum(floors))
+        if self.floors is None:
+            object.__setattr__(self, "floors",
+                               leg_floors(self.D, self.v_max, self.coeffs.N))
+        if self.travel_time is None:
+            object.__setattr__(self, "travel_time", math.fsum(self.floors))
         if self.travel_time > self.T:
             raise InfeasiblePlanError(
                 f"minimum travel time {self.travel_time:.6g} s exceeds "
@@ -192,20 +185,23 @@ def _chain_q(gamma, a, mu: float):
     return q, dq
 
 
-@functools.lru_cache(maxsize=_LEAD_PRICE_MEMO)
+class LeadPrice:
+    """A kept lead-price search: the key (gamma, a, c) it read, the price
+    mu+ and the price state there (None outside the chain's domain)."""
+
+    key = mu = state = None
+
+
 def _lead_price(gamma, a, c: float):
     """The price mu+ at which the lead first-phase variable, worth
     c q_1 with c = gamma_1 lead / 2, is worth mu, and the price state at
     the last price evaluated, or None outside the chain's domain.
 
-    The state is what the free structure reads at that price, tuples
-    (q, rho, S): q_n from the chain; rho_n = tau_n/E_n =
-    gamma_n q_n/(1 - q_n), group n's hover time per unit of harvested
-    energy; and S_n, the budget weight of one second of hover n through
-    the downstream energy chain, S_N = 1, S_m = 1 + a_{m+1} rho_{m+1}
-    S_{m+1}.  A pure function of the exact tuples it reads, memoized on
-    them, so a hit returns the bits a fresh search would; the state is
-    stored as tuples so that no caller can alter an entry.
+    The state is what the free structure reads there, tuples (q, rho,
+    S): q_n from the chain; rho_n = tau_n/E_n = gamma_n q_n/(1 - q_n),
+    group n's hover time per unit of harvested energy; and S_n, the
+    budget weight of one second of hover n through the downstream energy
+    chain, S_N = 1, S_m = 1 + a_{m+1} rho_{m+1} S_{m+1}.
     """
     chain = None      # the chain at the last price searched
 
@@ -253,9 +249,8 @@ def _hovers(rho, a, b, tau0: float, zetas) -> list:
 
 def _close_budget(tau0: float, taus, zetas, T: float) -> TimeAllocation:
     """Put the float drift into the largest hover so hover and flight
-    times sum to T.  Every hover is worth the budget price, so where the
-    drift goes matters only to second order; more than float noise
-    means the solve went wrong."""
+    times sum to T (every hover is worth the budget price, so where it
+    goes is second order); more than float noise is an error."""
     drift = T - math.fsum((tau0, *taus, *zetas))
     if abs(drift) > _BUDGET_SLOP * max(T, 1.0):
         raise AccuracyError(f"allocation misses the budget by {drift:.3e} s")
@@ -276,29 +271,31 @@ def _degenerate_allocation(problem: StmProblem):
     return alloc, _diagnostics(problem, alloc, 0.0, "degenerate")
 
 
-def solve_stm(problem: StmProblem):
+def solve_stm(problem: StmProblem, price: LeadPrice | None = None):
     """Optimal hover and flight times for a throughput-maximization
     instance.
 
-    Searches the price mu+ at which the lead first-phase variable is
-    worth the budget price, then either lets that variable close the
+    Finds mu+ (read from `price` when its key is the problem's, else
+    searched and kept there), then lets the lead variable close the
     budget (free) or keeps it at its bound and searches the price at
     which the pinned mission spends the budget exactly (pinned); see the
     module docstring.  Both searches run on gaps taken in logs, so that
-    Newton steps scale.  Returns (TimeAllocation, StmDiagnostics);
-    diagnostics.method names the structure.
+    Newton steps scale.  Returns (TimeAllocation, StmDiagnostics).
     """
     if problem.slack <= 1e-12:
         return _degenerate_allocation(problem)
-    a_ = problem.coeffs.a
-    b_ = problem.coeffs.b
-    g_ = problem.coeffs.gamma
+    coeffs = problem.coeffs
+    g_, a_, b_ = coeffs.gamma, coeffs.a, coeffs.b
     floors = problem.floors
     free_first_hover = a_[0] > b_[0]
     lead = a_[0] if free_first_hover else b_[0]
-    recurs = a_.count(a_[0]) == len(a_)    # one hover coefficient
-    mu, state = (_lead_price if recurs else _lead_price.__wrapped__)(
-        g_, a_, 0.5 * g_[0] * lead)
+    key = (g_, a_, 0.5 * g_[0] * lead)
+    if price is None or price.key != key:
+        mu, state = _lead_price(*key)
+        if price is not None:
+            price.key, price.mu, price.state = key, mu, state
+    else:
+        mu, state = price.mu, price.state
     if state is not None:
         _, rho, S = state
         excess = math.fsum((0.0, *_hovers(rho, a_, b_, 0.0, floors),
@@ -356,7 +353,9 @@ def delivered_information(coeffs: GroupCoefficients,
     R_n = log(1 + gamma_n (a_n tau_{n-1} + b_n zeta_n) / tau_n) / 2 the
     uplink rate after harvesting over the previous hover and leg n.
 
-    Groups with zero hover time deliver zero (the tau*R limit).
+    Groups with zero hover time deliver zero (the tau*R limit).  Where
+    gamma_n E_n / tau_n overflows a float, ln(1 + x) is taken as
+    ln gamma_n + ln E_n - ln tau_n, equal to float precision past 2^53.
     """
     if len(alloc.zeta) != coeffs.N:
         raise NumericDomainError("allocation does not match the group count")
@@ -371,7 +370,10 @@ def delivered_information(coeffs: GroupCoefficients,
         energy = an * tau_prev + bn * zn
         if energy < 0.0:
             raise NumericDomainError("negative harvested-energy term")
-        out.append(tau_n * (0.5 * math.log1p(g * energy / tau_n)))
+        x = g * energy / tau_n
+        log_y = (math.log1p(x) if x < math.inf else
+                 math.log(g) + math.log(energy) - math.log(tau_n))
+        out.append(tau_n * (0.5 * log_y))
     return tuple(out)
 
 
@@ -390,19 +392,21 @@ def throughput_gradient(coeffs: GroupCoefficients, tau, zeta) -> list:
     rate and 0.5 gamma_{n+1} a_{n+1} q_{n+1} from charging group n+1;
     tau_0 only charges group 1, and flight time zeta_n only charges
     group n, 0.5 gamma_n b_n q_n.  A group with no hover adds nothing
-    downstream and has an unbounded marginal gain of its own.
+    downstream and has an unbounded marginal gain of its own.  An
+    overflowing Y_n is logged as in delivered_information.
     """
-    g_ = coeffs.gamma
-    a_ = coeffs.a
-    b_ = coeffs.b
+    g_, a_, b_ = coeffs.gamma, coeffs.a, coeffs.b
     N = coeffs.N
     q = [0.0] * N
     own = [math.inf] * N
     for n in range(N):
         if tau[n + 1] > 0.0:
-            Y = 1.0 + g_[n] * (a_[n] * tau[n] + b_[n] * zeta[n]) / tau[n + 1]
+            energy = a_[n] * tau[n] + b_[n] * zeta[n]
+            Y = 1.0 + g_[n] * energy / tau[n + 1]
             q[n] = 1.0 / Y
-            own[n] = 0.5 * (math.log(Y) - 1.0 + q[n])
+            log_y = (math.log(Y) if Y < math.inf else math.log(g_[n])
+                     + math.log(energy) - math.log(tau[n + 1]))
+            own[n] = 0.5 * (log_y - 1.0 + q[n])
     d = [0.5 * g_[0] * a_[0] * q[0]]
     for n in range(N - 1):
         d.append(own[n] + 0.5 * g_[n + 1] * a_[n + 1] * q[n + 1])
@@ -417,9 +421,8 @@ def optimality_gap(problem: StmProblem, alloc: TimeAllocation) -> float:
     - d_k) over the variables x_k, their floors f_k and the gradient d.
 
     Throughput is jointly concave, so its linearization at alloc bounds
-    it, and over the shifted simplex of the variables that bound peaks
-    where the variable worth most takes all the slack.  A variable at
-    its floor adds nothing: an allocation without slack reads 0.
+    it, and over the variables' shifted simplex that bound peaks where
+    the variable worth most takes all the slack.
     """
     N = problem.N
     d = throughput_gradient(problem.coeffs, alloc.tau, alloc.zeta)[:N + 2]
@@ -432,12 +435,6 @@ def optimality_gap(problem: StmProblem, alloc: TimeAllocation) -> float:
 
 def stm_diag_row(problem: StmProblem, diag: StmDiagnostics) -> str:
     """One CSV data row matching STM_DIAG_HEADER."""
-    fields = (problem.N, problem.T, problem.v_max, diag.mu,
-              diag.objective, diag.budget_residual, diag.optimality_gap)
-    return ",".join(_fmt(v) for v in fields)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    return f"{v:.12g}"
+    fields = (problem.T, problem.v_max, diag.mu, diag.objective,
+              diag.budget_residual, diag.optimality_gap)
+    return ",".join([str(problem.N), *(f"{v:.12g}" for v in fields)])

@@ -9,25 +9,17 @@ kappa*tau + zeta(tau) subject to the demand gives
 
     tau_n = 2 I_n / (W((kappa gamma_n b_n - 1)/e) + 1)
 
-with kappa = 1 for the last group.  A backward pass prices each hover;
-its credit probe keeps the credit only while leg n+1 stays off the speed
-cap.  A forward pass then flies each leg for `_flight_need`, the exact
-inverse of the rate formula, floored at the speed cap, and re-tightens
-the hover on a clamped leg so every group's delivery matches its demand
-exactly instead of overshooting.
-
-The denominator W + 1 reads the coefficients, not the demand I_n.  So
-each one, at full cost or with the credit, is computed where a solve
-first needs it and kept in `_DENOMS`, keyed weakly on the coefficients,
-so an entry lives as long as they do; a denominator that fails its
-domain check raises and is not kept.  `experiments.run_trial` keeps
-each plan's coefficients across sweep points at one SNR, so the later
-points of an I_nats or v_max sweep make no Lambert call; a pt_db point
-builds new coefficients and prices its hovers anew.
+with kappa = 1 for the last group.  A backward pass prices each hover,
+keeping the credit only while leg n+1 stays off the speed cap.  A
+forward pass then flies each leg for `_flight_need`, the exact inverse
+of the rate formula, floored at the speed cap, and re-tightens the
+hover on a clamped leg so every delivery matches its demand exactly.
+The denominator W + 1 reads the coefficients but not the demand, so a
+caller may keep the denominators of one set of coefficients across
+solves (`solve_ttm`'s `denoms`).
 """
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from math import expm1
@@ -43,24 +35,25 @@ TTM_DIAG_HEADER = "N,Pt_dB,v_max,I_total,total_time,clamped_legs"
 
 _DEMAND_TOL = 1e-12   # residual tolerance when re-tightening a hover
 _EXP_LIMIT = 700.0    # beyond this, exp overflows; treat demand as inf
-# {coefficients: {n: full-cost W + 1 of group n, -n: its credit W + 1}}
-_DENOMS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
 class TtmProblem:
     """Time-minimization instance: per-group demands I_n in nats.  The
-    speed-cap floors D_n / v_max are derived once, when it is built."""
+    speed-cap floors are derived unless given, as in `stm.StmProblem`;
+    the demands are checked either way."""
 
     coeffs: GroupCoefficients
     D: tuple[float, ...]
     v_max: float
     I: tuple[float, ...]
-    floors: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    floors: tuple[float, ...] = field(default=None, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "floors",
-                           leg_floors(self.D, self.v_max, self.coeffs.N))
+        if self.floors is None:
+            object.__setattr__(self, "floors",
+                               leg_floors(self.D, self.v_max, self.coeffs.N))
         if len(self.I) != self.coeffs.N:
             raise ConfigError("need one demand per group")
         for n, i_n in enumerate(self.I, start=1):
@@ -130,13 +123,16 @@ def _tau_for_demand(I_n: float, gamma_n: float, energy: float,
     return bracketed_newton(excess, lo, hi, tol=_DEMAND_TOL)
 
 
-def solve_ttm(problem: TtmProblem):
+def solve_ttm(problem: TtmProblem, denoms: dict | None = None):
     """Minimal-time hover and flight schedule meeting every demand.
 
     Group n < N takes the downstream credit when the next group flies
     better than it hovers, a_{n+1} < b_{n+1}, and the next leg is not
     clamped at the speed cap; otherwise every hover second is priced at
-    full cost.  Returns (TimeAllocation, total_time).
+    full cost.  `denoms`, kept by the caller for these coefficients
+    only, holds the hover denominators computed so far ({n: full-cost
+    W + 1 of group n, -n: its credit W + 1}) and gains those this solve
+    computes.  Returns (TimeAllocation, total_time).
     """
     N = problem.N
     coeffs = problem.coeffs
@@ -145,7 +141,8 @@ def solve_ttm(problem: TtmProblem):
     # backward pass over taus = tau_0..tau_N (no start hover): the credit
     # probe checks that leg n+1, which reads only hovers n and n+1, is
     # still free
-    denoms = _DENOMS.setdefault(coeffs, {})
+    if denoms is None:
+        denoms = {}
     taus = [0.0] * (N + 1)
     for n in range(N, 0, -1):
         I_n = problem.I[n - 1]

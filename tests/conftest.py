@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from uavwpt import experiments, stm, ttm
+from uavwpt import experiments
 
 settings.register_profile(
     "suite",
@@ -11,12 +11,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
-
-# what empties each memo the package keeps: the budget-price searches,
-# run_trial's kept trial draws and the TTM hover denominators
-_MEMOS = (stm._lead_price.cache_clear, experiments._DRAWS.clear,
-          ttm._DENOMS.clear)
-
 
 def fail_draws(monkeypatch, failing):
     """Make every draw of a trial index in `failing` run out of redraws
@@ -42,10 +36,9 @@ def fail_draws(monkeypatch, failing):
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Every test starts and ends with empty memos, so no test's outcome
-    or counts depend on which tests ran before it."""
-    for clear in _MEMOS:
-        clear()
+    """Every test starts and ends with `run_trial`'s store empty, the one
+    state the package keeps between calls, so no test's outcome or
+    counts depend on which tests ran before it."""
+    experiments._DRAWS.clear()
     yield
-    for clear in _MEMOS:
-        clear()
+    experiments._DRAWS.clear()

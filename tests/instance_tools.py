@@ -18,7 +18,10 @@ coeff_a and harvested_energy give one sensor's hover coefficient and
 harvested energy.  They call the
 channel primitives through the module, so a test that patches one
 reaches them too.  tau_closed_form is one group's TTM hover closed
-form, which `solve_ttm` computes inline.
+form, which `solve_ttm` computes inline, and ttm_sqp_reference solves
+the time-minimization problem with every hover and every leg free by
+sequential quadratic programming, an oracle that shares no code with
+`solve_ttm`.
 """
 
 import math
@@ -172,12 +175,19 @@ def group_information(coeffs: GroupCoefficients, n: int, tau_prev: float,
                       zeta_n: float, tau_n: float) -> float:
     """tau_n R_n of group n (nats/Hz) over a hover of tau_n seconds,
     after harvesting for tau_prev (hover) and zeta_n (flight) seconds,
-    with the rate R_n = 0.5 ln(1 + gamma_n E_n / tau_n); 0 for no hover."""
+    with the rate R_n = 0.5 ln(1 + gamma_n E_n / tau_n); 0 for no hover.
+    Where gamma_n E_n / tau_n overflows, ln(1 + x) is taken as
+    ln gamma_n + ln E_n - ln tau_n."""
     if tau_n == 0.0:
         return 0.0
     energy = coeffs.a[n - 1] * tau_prev + coeffs.b[n - 1] * zeta_n
-    rate = 0.5 * math.log1p(coeffs.gamma[n - 1] * energy / tau_n)
-    return tau_n * rate
+    gamma = coeffs.gamma[n - 1]
+    x = gamma * energy / tau_n
+    if x == math.inf:
+        log_y = math.log(gamma) + math.log(energy) - math.log(tau_n)
+    else:
+        log_y = math.log1p(x)
+    return tau_n * (0.5 * log_y)
 
 
 def kkt_residuals(problem: StmProblem, alloc: TimeAllocation,
@@ -310,6 +320,66 @@ def tau_closed_form(problem: TtmProblem, n: int) -> float:
         return 2.0 * problem.I[n - 1] / _hover_denom(g_ * b_, n)
     kappa = 1.0 - problem.coeffs.a[n] / problem.coeffs.b[n]
     return 2.0 * problem.I[n - 1] / _hover_denom(kappa * g_ * b_, n)
+
+
+def ttm_sqp_reference(problem: TtmProblem, start: TimeAllocation):
+    """Shortest mission meeting every demand, by SLSQP over every hover
+    tau_0..tau_N and every leg zeta_1..zeta_N (each at least its speed-cap
+    floor), with the demands tau_n R_n >= I_n as constraints.
+
+    The problem is convex: the objective is linear, and each delivery is
+    the perspective of a concave function, jointly concave in (tau_{n-1},
+    zeta_n, tau_n).  SLSQP starts at `start` and at a uniform point, and
+    the shorter mission that meets every demand to 1e-9 nats is kept.
+    Returns (TimeAllocation, total time).
+    """
+    N = problem.N
+    g_ = np.asarray(problem.coeffs.gamma)
+    a_ = np.asarray(problem.coeffs.a)
+    b_ = np.asarray(problem.coeffs.b)
+    demand = np.asarray(problem.I)
+    floors = np.asarray(problem.floors)
+    rows = np.arange(N)
+
+    def parts(x):
+        tau_prev, tau, zeta = x[:N], x[1:N + 1], x[N + 1:]
+        energy = a_ * tau_prev + b_ * zeta
+        return tau, energy, g_ * energy / tau
+
+    def excess(x):
+        tau, _, ratio = parts(x)
+        return 0.5 * tau * np.log1p(ratio) - demand
+
+    def excess_jac(x):
+        tau, _, ratio = parts(x)
+        jac = np.zeros((N, 2 * N + 1))
+        per_energy = 0.5 * g_ / (1.0 + ratio)
+        jac[rows, rows] = a_ * per_energy
+        jac[rows, rows + 1] = 0.5 * (np.log1p(ratio) - ratio / (1.0 + ratio))
+        jac[rows, rows + N + 1] = b_ * per_energy
+        return jac
+
+    bounds = ([(0.0, None)] + [(_MIN_HOVER, None)] * N
+              + [(f, None) for f in floors])
+    uniform = np.concatenate(([0.0], 2.0 * demand, 2.0 * floors))
+    best, best_total = None, math.inf
+    for x0 in (np.array([*start.tau, *start.zeta]), uniform):
+        res = minimize(
+            lambda x: float(np.sum(x)), x0, jac=lambda x: np.ones(2 * N + 1),
+            method="SLSQP", bounds=bounds,
+            constraints=[{"type": "ineq", "fun": lambda x: excess(x) - 1e-9,
+                          "jac": excess_jac}],
+            options={"ftol": 1e-15, "maxiter": 1000})
+        x = np.maximum(res.x, [b[0] for b in bounds])
+        total = math.fsum(x.tolist())
+        if np.all(excess(x) >= -1e-9) and total < best_total:
+            best, best_total = x, total
+    if best is None:
+        raise AccuracyError("TTM reference found no mission meeting "
+                            "every demand")
+    alloc = TimeAllocation(tau=tuple(best[:N + 1].tolist()),
+                           zeta=tuple(best[N + 1:].tolist()))
+    return alloc, best_total
 
 
 def coeff_a(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:

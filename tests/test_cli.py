@@ -364,6 +364,28 @@ def test_every_command_refuses_an_snr_scale_beyond_a_float(
     assert capsys.readouterr().err.startswith("config error: SNR scale")
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "stm"], ["solve", "ttm"],
+    ["sweep", "--param", "pt_db", "--values", "1530", "--trials", "5"],
+    ["verify"]])
+def test_an_snr_scale_near_the_float_limit_gives_finite_numbers(
+        command, tmp_path, capsys):
+    # a scale of about 5e307 fits a float, but gamma E / tau overflows
+    # inside the rate although the rate itself is finite: every command
+    # exits 0 and prints and writes finite numbers only
+    path = tmp_path / "near.ini"
+    path.write_text("[scenario]\nk0_db = 20\npt_db = 1530\n"
+                    "sigma2_dbm = -1500\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    rc = main([*command, "--config", str(path), "--out", str(out_dir)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    written = [p.read_text() for p in sorted(out_dir.glob("*.csv"))]
+    assert written
+    for text in (out, *written):
+        assert not re.search(r"\b(inf|nan)\b", text, re.IGNORECASE), text
+
+
 def test_solve_rejects_level_too_large_for_a_float(tmp_path, capsys):
     path = tmp_path / "loud.ini"
     path.write_text(BASE_INI.replace("pt_db = 4", "pt_db = 4000"),

@@ -13,16 +13,18 @@ import pytest
 import uavwpt.channel as channel
 import uavwpt.experiments as experiments
 import uavwpt.ttm as ttm
-from conftest import _MEMOS, fail_draws
+from conftest import fail_draws
 from instance_tools import coeff_a, group_coefficients, harvested_energy
 from uavwpt.channel import GroupCoefficients, coeff_b
 from uavwpt.config import ScenarioConfig
-from uavwpt.errors import ConfigError, NumericDomainError
-from uavwpt.geometry import GroupPlan, singleton_plan
+from uavwpt.errors import (ConfigError, InfeasiblePlanError,
+                           NumericDomainError)
+from uavwpt.geometry import GroupPlan, leg_floors, singleton_plan
 from uavwpt.experiments import (AggregateResult, SweepSpec, SWEEP_HEADER,
                                 apply_sweep_value, build_problem,
                                 generate_trial, run_sweep, run_trial,
                                 trial_rng, write_sweep_csv)
+from uavwpt.cli import main
 from uavwpt.stm import StmProblem, solve_stm
 from uavwpt.ttm import solve_ttm
 
@@ -289,8 +291,7 @@ def test_kept_draws_give_the_bits_of_fresh_ones(param, values):
             warm = [_bits(run_trial(*c)) for c in calls]
             cold = []
             for c in calls:
-                for clear in _MEMOS:
-                    clear()
+                experiments._DRAWS.clear()
                 cold.append(_bits(run_trial(*c)))
             assert warm == cold
 
@@ -311,7 +312,7 @@ def test_run_trial_agrees_with_build_problem(objective, monkeypatch):
     # the contract the memo relies on: a trial drawn once under the
     # defaults, built under another point's config, is the problem
     # run_trial solves there, and the one a fresh draw at that point gives
-    monkeypatch.setattr(experiments, "_DRAWS", {})
+    monkeypatch.setattr(experiments, "_DRAWS", experiments._TrialStore())
     base = ScenarioConfig()
     geos = [generate_trial(base, trial_rng(base.seed, t)) for t in range(5)]
     points = [dataclasses.replace(base, pt_db=v) for v in (0.0, 8.0)]
@@ -331,6 +332,65 @@ def test_run_trial_agrees_with_build_problem(objective, monkeypatch):
                                                   baseline))
                         == _coeff_bits(build_problem(pc, fresh, objective,
                                                      baseline)))
+
+
+@pytest.mark.parametrize("field,values", [
+    ("v_max_mps", (8.0, 10.0, 14.0, 10.0)),
+    ("I_nats", (1.0, 10.0, 30.0)),
+    ("T_s", (1000.0, 700.0))])
+def test_kept_state_matches_fresh_problems(field, values):
+    # a kept plan re-derives its floors only when v_max changes and keeps
+    # its coefficients and hover denominators at one SNR: each solve must
+    # be the one build_problem gives at that point, to the bit
+    base = ScenarioConfig()
+    geos = [generate_trial(base, trial_rng(base.seed, t)) for t in range(8)]
+    for objective in ("stm", "ttm"):
+        experiments._DRAWS.clear()
+        for value in values:
+            pc = dataclasses.replace(base, **{field: value})
+            for t, geo in enumerate(geos):
+                fresh = [build_problem(pc, geo, objective, baseline)
+                         for baseline in (False, True)]
+                assert (_bits(run_trial(pc, t, objective))
+                        == tuple(map(_solve_bits, fresh)))
+                for kept, problem in zip(experiments._DRAWS.trials[t],
+                                         fresh):
+                    assert kept.floors == problem.floors == leg_floors(
+                        problem.D, pc.v_max_mps, problem.N)
+                    assert kept.travel_time == math.fsum(problem.floors)
+
+
+@pytest.mark.parametrize("field,value", [("T_s", 10.0),
+                                         ("v_max_mps", 0.05)])
+def test_kept_plan_still_refuses_an_infeasible_point(field, value, tmp_path,
+                                                     capsys):
+    # a budget the mission cannot fly, reached after a feasible point,
+    # raises as a fresh problem does; the point after it solves as fresh
+    base = ScenarioConfig()
+    tight = dataclasses.replace(base, **{field: value})
+    geo = generate_trial(base, trial_rng(base.seed, 0))
+    run_trial(base, 0)
+    with pytest.raises(InfeasiblePlanError):
+        run_trial(tight, 0)
+    with pytest.raises(InfeasiblePlanError):
+        build_problem(tight, geo, "stm")
+    assert _bits(run_trial(base, 0)) == tuple(
+        _solve_bits(build_problem(base, geo, "stm", baseline))
+        for baseline in (False, True))
+    with pytest.raises(ConfigError):
+        dataclasses.replace(base, **{field: 0.0})
+    if field == "v_max_mps":
+        # `sweep` on plans kept at the default speed: exit 2
+        for t in range(3):
+            run_trial(base, t)
+        path = tmp_path / "s.ini"
+        path.write_text("[scenario]\n", encoding="utf-8")
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path),
+                   "--param", "v_max", "--values", f"{value},10",
+                   "--objective", "stm", "--trials", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"infeasible: sweep point v_max={value}: all 3 trials failed\n")
 
 
 # one other valid value of every ScenarioConfig field; moving the flight
@@ -410,11 +470,9 @@ def test_memo_keeps_the_latest_key_only_up_to_its_cap(monkeypatch):
     monkeypatch.setattr(experiments, "_TRIAL_MEMO", 3)
     for t in range(5):
         run_trial(SMALL, t)
-    (kept,) = experiments._DRAWS.values()
-    assert list(kept) == [2, 3, 4]
+    assert list(experiments._DRAWS.trials) == [2, 3, 4]
     run_trial(dataclasses.replace(SMALL, seed=4), 7)
-    (kept,) = experiments._DRAWS.values()
-    assert list(kept) == [7]
+    assert list(experiments._DRAWS.trials) == [7]
 
 
 def test_trial_coefficients_match_reference_bitwise():
@@ -662,7 +720,9 @@ def test_ttm_sweep_prices_each_radio_once(param, values, reuse,
     # sums once per trial and makes its Lambert calls at the first point
     # only; a power sweep moves the SNR, so each point computes its own
     lambert, scaled = [], []
-    real_w, real_scaled = ttm.lambert_w0, GroupCoefficients.scaled
+    real_w = ttm.lambert_w0
+    real_scaled = GroupCoefficients.scaled
+    real_rescaled = GroupCoefficients.rescaled
 
     def counted_w(x):
         lambert.append(x)
@@ -672,14 +732,18 @@ def test_ttm_sweep_prices_each_radio_once(param, values, reuse,
         scaled.append(sums)
         return real_scaled(sums, params)
 
+    def counted_rescaled(self, h, params):
+        scaled.append(h)
+        return real_rescaled(self, h, params)
+
     monkeypatch.setattr(ttm, "lambert_w0", counted_w)
     monkeypatch.setattr(GroupCoefficients, "scaled",
                         classmethod(counted_scaled))
+    monkeypatch.setattr(GroupCoefficients, "rescaled", counted_rescaled)
     trials = 10
 
     def counts(vals):
-        for clear in _MEMOS:
-            clear()
+        experiments._DRAWS.clear()
         lambert.clear()
         scaled.clear()
         _, failures = run_sweep(CFG, SweepSpec(param=param, values=vals,

@@ -235,16 +235,15 @@ def test_chain_undefined_below_its_domain():
 
 def test_closed_form_chain_evaluations(monkeypatch):
     # the 40 default-config solves of test_sweep_rows_pinned's STM sweep,
-    # each from a cold memo so that the count measures the search
+    # each without a kept price so that the count measures the search
     counts = {"chain": 0, "solves": 0}
 
     def counted_chain(*args):
         counts["chain"] += 1
         return _chain_q(*args)
 
-    def counted_solve(problem):
+    def counted_solve(problem, price=None):
         counts["solves"] += 1
-        stm._lead_price.cache_clear()
         return solve_stm(problem)
 
     monkeypatch.setattr(stm, "_chain_q", counted_chain)
@@ -273,31 +272,31 @@ def _memo_trial_problems():
     return problems
 
 
-def _lead_key(problem):
-    c = problem.coeffs
-    lead = c.a[0] if c.a[0] > c.b[0] else c.b[0]
-    return c.gamma, c.a, 0.5 * c.gamma[0] * lead
-
-
-def test_lead_price_memo_changes_no_bit():
+def test_kept_lead_price_changes_no_bit(monkeypatch):
+    # one slot carried through each config's four baselines in a row,
+    # then through every plan by turns: a baseline after the first of its
+    # config reads the kept state, any other solve searches and refills
+    # the slot, and every solve has the bits of a fresh one
     problems = _memo_trial_problems()
-    cold = []
-    for p in problems:
-        stm._lead_price.cache_clear()
-        cold.append(solve_stm(p))
-    warm = [solve_stm(p) for p in reversed(problems)][::-1]
-    assert stm._lead_price.cache_info().hits > 0
-    for (alloc, diag), (walloc, wdiag) in zip(cold, warm):
-        assert walloc == alloc
-        assert wdiag == diag
-    hits = stm._lead_price.cache_info().hits
-    _, state = stm._lead_price(*_lead_key(problems[1]))
-    assert stm._lead_price.cache_info().hits == hits + 1
-    assert isinstance(state, tuple) and len(state) == 3
-    assert all(isinstance(part, tuple) for part in state)
+    cold = [solve_stm(p) for p in problems]
+    order = [*range(1, len(problems), 2), *range(len(problems))]
+    price = stm.LeadPrice()
+    searches = []
+    real = stm._lead_price
+
+    def counted(*key):
+        searches.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(stm, "_lead_price", counted)
+    warm = [solve_stm(problems[i], price) for i in order]
+    assert len(searches) == len(order) - 12
+    assert warm == [cold[i] for i in order]
+    assert isinstance(price.state, tuple) and len(price.state) == 3
+    assert all(isinstance(part, tuple) for part in price.state)
 
 
-def test_lead_price_memo_serves_baselines(monkeypatch):
+def test_lead_price_slot_serves_baselines(monkeypatch):
     cfg = ScenarioConfig()
     baselines = []
     for t in range(5):
@@ -311,41 +310,62 @@ def test_lead_price_memo_serves_baselines(monkeypatch):
         return _chain_q(*args)
 
     monkeypatch.setattr(stm, "_chain_q", counted_chain)
-    solve_stm(baselines[0])
+    price = stm.LeadPrice()
+    solve_stm(baselines[0], price)
     assert calls["chain"] > 0
-    # the point's price state comes from the memo: no chain at all
+    # the point's price state comes from the slot: no chain at all
     for problem in baselines[1:]:
         calls["chain"] = 0
-        solve_stm(problem)
+        solve_stm(problem, price)
         assert calls["chain"] == 0
+    # a direct call searches afresh
+    solve_stm(baselines[1])
+    assert calls["chain"] > 0
 
 
-def test_lead_price_memo_stays_bounded():
-    sweep = SweepSpec(param="pt_db", values=(0.0, 8.0), trials=50,
-                      objective="stm")
-    results, _ = run_sweep(ScenarioConfig(), sweep)
-    info = stm._lead_price.cache_info()
-    assert info.currsize <= info.maxsize == stm._LEAD_PRICE_MEMO
-    # every baseline after the first at each point is a hit
-    assert info.hits == sum(r.trials for r in results) - len(results)
+def _baseline_searches(monkeypatch):
+    """The keys of every lead-price search on a default-config baseline
+    (K = 20 single-sensor groups; grouped plans have N = 4)."""
+    searches = []
+    real = stm._lead_price
+
+    def counted(gamma, a, c):
+        if len(gamma) == ScenarioConfig().K:
+            searches.append((gamma, a, c))
+        return real(gamma, a, c)
+
+    monkeypatch.setattr(stm, "_lead_price", counted)
+    return searches
 
 
-def test_lead_price_memo_keeps_only_recurring_keys():
-    # two stm-power-shaped sweeps in one process: only the five baseline
-    # keys enter the memo, so grouped searches evict none of them
-    base = ScenarioConfig()
+def test_price_states_survive_a_seed_change(monkeypatch):
+    # a baseline's price search reads the radio, A_m and M, not the
+    # draw: two stm-power-shaped sweeps at two master seeds in one
+    # process search once per point in the first and never in the second
+    searches = _baseline_searches(monkeypatch)
     sweep = SweepSpec(param="pt_db", values=(0.0, 2.0, 4.0, 6.0, 8.0),
                       trials=20, objective="stm")
-    for seed in (1, 2):
-        run_sweep(dataclasses.replace(base, seed=seed), sweep)
-    info = stm._lead_price.cache_info()
-    assert info.misses == 5 and info.currsize == 5
-    assert info.hits == 2 * 5 * 20 - 5
-    grouped = [p for p in _memo_trial_problems() if len(set(p.coeffs.a)) > 1]
-    assert grouped
-    for problem in grouped:
-        solve_stm(problem)
-    assert stm._lead_price.cache_info() == info
+    run_sweep(ScenarioConfig(seed=1), sweep)
+    assert len(searches) == 5
+    run_sweep(ScenarioConfig(seed=2), sweep)
+    assert len(searches) == 5
+    # only baselines fill the slots: grouped keys (N = 4) never enter
+    slots = experiments._DRAWS.prices.values()
+    assert len(slots) == 5
+    assert all(len(slot.key[0]) == ScenarioConfig().K for slot in slots)
+
+
+def test_price_slots_stay_bounded(monkeypatch):
+    # a 40-point pt_db sweep keeps at most _PRICE_SLOTS slots, and each
+    # point's baselines still share one search
+    searches = _baseline_searches(monkeypatch)
+    sweep = SweepSpec(param="pt_db",
+                      values=tuple(0.25 * k for k in range(40)),
+                      trials=3, objective="stm")
+    results, failures = run_sweep(ScenarioConfig(), sweep)
+    assert failures == []
+    assert len(experiments._DRAWS.prices) == experiments._PRICE_SLOTS
+    assert len(searches) == 40
 
 
 def test_delivered_information_is_the_rate_formula_bitwise():
@@ -373,6 +393,41 @@ def test_delivered_information_is_the_rate_formula_bitwise():
                             == diag.objective.hex() == total.hex())
 
 
+def test_rate_past_the_float_limit_is_finite():
+    # an SNR scale of about 5e307: gamma_n E_n / tau_n overflows, so the
+    # rate is taken in logs, which equals ln(1 + x) to float precision
+    cfg = ScenarioConfig(k0_db=20.0, pt_db=1530.0, sigma2_dbm=-1500.0)
+    overflowed = 0
+    for t in range(5):
+        geo = generate_trial(cfg, trial_rng(cfg.seed, t))
+        for baseline in (False, True):
+            problem = experiments.build_problem(cfg, geo, "stm", baseline)
+            alloc, diag = solve_stm(problem)
+            coeffs, tau, zeta = problem.coeffs, alloc.tau, alloc.zeta
+            want = [group_information(coeffs, n, tau[n - 1], zeta[n - 1],
+                                      tau[n])
+                    for n in range(1, problem.N + 1)]
+            got = stm.delivered_information(coeffs, alloc)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            assert math.isfinite(diag.objective)
+            assert all(map(math.isfinite,
+                           throughput_gradient(coeffs, tau, zeta)))
+            assert math.isfinite(diag.optimality_gap)
+            overflowed += sum(
+                g * (a * tp + b * z) / tn == math.inf
+                for g, a, b, tp, z, tn in zip(coeffs.gamma, coeffs.a,
+                                              coeffs.b, tau, zeta, tau[1:]))
+    assert overflowed > 0
+    # in logs, a rate just past the limit continues the log1p branch
+    c = GroupCoefficients(a=(0.01,), b=(0.01,), gamma=(1e307,))
+    small = TimeAllocation(tau=(0.0, 1.0), zeta=(1000.0,))
+    large = TimeAllocation(tau=(0.0, 1.0), zeta=(1e5,))
+    assert stm.delivered_information(c, small)[0] == pytest.approx(
+        0.5 * (math.log(1e307) + math.log(10.0)), rel=1e-15)
+    assert stm.delivered_information(c, large)[0] == pytest.approx(
+        0.5 * (math.log(1e307) + math.log(1000.0)), rel=1e-15)
+
+
 def test_optimality_gap_computed_on_first_read(monkeypatch):
     calls = []
 
@@ -382,8 +437,8 @@ def test_optimality_gap_computed_on_first_read(monkeypatch):
 
     diags = []
 
-    def kept(problem):
-        solved = solve_stm(problem)
+    def kept(problem, price=None):
+        solved = solve_stm(problem, price)
         diags.append(solved[1])
         return solved
 

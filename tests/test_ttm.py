@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import lambertw
 
-from instance_tools import synthetic_coeffs, tau_closed_form, ttm_instance
+from instance_tools import (group_information, synthetic_coeffs,
+                            tau_closed_form, ttm_instance, ttm_sqp_reference)
 from uavwpt import ttm
 from uavwpt.channel import GroupCoefficients
 from uavwpt.config import ScenarioConfig
@@ -162,16 +163,41 @@ def test_failed_hover_denominator_raises_again_and_is_not_kept():
     # where W + 1 is 0: the error is raised before anything is stored,
     # so each later solve of the same coefficients raises it again
     coeffs = GroupCoefficients(a=(1e-3,), b=(1e-9,), gamma=(1e-9,))
+    denoms = {}
     for I_ in (1.0, 1.0, 30.0):
         problem = TtmProblem(coeffs=coeffs, D=(20.0,), v_max=10.0, I=(I_,))
         with pytest.raises(NumericDomainError) as err:
-            solve_ttm(problem)
+            solve_ttm(problem, denoms)
         assert str(err.value) == ("group 1: hover closed form "
                                   "denominator W+1 = 0")
-        assert not ttm._DENOMS.get(coeffs)
+        assert denoms == {}
 
 
 # -------------------------------------------------- full solve
+
+@pytest.mark.parametrize("K,N,baseline", [
+    (20, 4, False), (45, 9, False), (20, 4, True), (45, 9, True)],
+    ids=["N4", "N9", "20-singletons", "45-singletons"])
+def test_swept_sizes_meet_ttm_sqp_reference(K, N, baseline):
+    # the oracle frees every hover and leg; the package's mission may be
+    # longer (its baselines by about 8-18%), never shorter than the
+    # oracle's by more than rounding
+    for I_nats in (1.0, 10.0, 30.0):
+        config = ScenarioConfig(K=K, N=N, I_nats=I_nats)
+        for t in range(2):
+            geo = generate_trial(config, trial_rng(config.seed, t))
+            problem = build_problem(config, geo, "ttm", baseline)
+            assert problem.N == (K if baseline else N)
+            alloc, total = solve_ttm(problem)
+            ref, ref_total = ttm_sqp_reference(problem, alloc)
+            tau, zeta = ref.tau, ref.zeta
+            for n, want in enumerate(problem.I, start=1):
+                got = group_information(problem.coeffs, n, tau[n - 1],
+                                        zeta[n - 1], tau[n])
+                assert got >= want - 1e-8
+            assert all(z >= f for z, f in zip(zeta, problem.floors))
+            assert ref_total <= total * (1.0 + 1e-9)
+
 
 def test_delivery_meets_demand_exactly():
     for seed in range(20):

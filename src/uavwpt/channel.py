@@ -12,17 +12,24 @@ and the group uplink rate during its hover is
 
     R_n = 0.5 * ln(1 + gamma_n * (a_n * tau_prev + b_n * zeta_n) / tau_n)
 
-in nats/s/Hz (`stm.delivered_information`), where a_n and b_n sum the
-members' a_i and b_i (`point_inverse_sq`, `leg_average_inverse_sq`)
-and gamma_n = snr * h_n, h_n their summed uplink gains: the solvers see
-a group only through these aggregates (`aggregate_coefficients`,
-`GroupCoefficients.scaled`).  Everything here is a pure function of
-immutable inputs.
+in nats/s/Hz (`stm.delivered_information` evaluates it), where a_n
+and b_n sum the members' a_i and b_i and gamma_n sums their uplink
+gains.  The solvers see a group only through
+these three aggregates.  `experiments.generate_trial` computes each
+grouped member's a_i and b_i once, from `point_inverse_sq` and
+`leg_average_inverse_sq`, and a trial's baseline computes its members'
+b_i when it is first read (each a_i is 1/A^2, right overhead);
+`aggregate_coefficients` range-checks and sums them and the uplink
+gains h_n, and `GroupCoefficients.scaled` forms gamma_n = snr * h_n at
+a radio's transmit power and noise.  Everything here is a pure
+function of immutable inputs.
 
 Antenna k of M (1-based) sits (k-1)*delta from the hover point along
 +y, perpendicular to the rows; antenna 1 transmits energy and antennas
 2..M receive data, so the uplink gain from a sensor at horizontal
-distance L_k to antenna k is k0 / (L_k^2 + A^2).
+distance L_k to antenna k is k0 / (L_k^2 + A^2).  `ChannelParams`
+holds the whole radio: the array's M and delta, the altitude and the
+power-transfer constants.
 """
 
 from dataclasses import dataclass
@@ -74,8 +81,11 @@ class ChannelParams:
     def from_db(cls, k0_db: float, sigma2_dbm: float, pt_db: float,
                 eta: float, altitude: float, M: int,
                 delta: float) -> "ChannelParams":
-        """Build from k0_db in dB, sigma2_dbm in dBm and pt_db in dBW; a
-        level too large for a float is a ConfigError."""
+        """Build from the usual logarithmic units.
+
+        k0_db is dB relative to unity, sigma2_dbm is dBm, pt_db is dBW.
+        A level too large for a float is a ConfigError.
+        """
         try:
             k0, sigma2_mw, P_t = [10.0 ** (x / 10.0)
                                   for x in (k0_db, sigma2_dbm, pt_db)]
@@ -199,12 +209,15 @@ def _check_coefficients(seq, name: str) -> None:
 
 def aggregate_coefficients(plan: GroupPlan, params: ChannelParams,
                            a_i, b_i) -> tuple:
-    """A plan's per-group sums (a, b, h), length-N tuples, of its
-    members' hover and flight coefficients a_i and b_i, listed in plan
-    order, and of their uplink gains over receive antennas 2..M (h_n),
-    each a left fold in that order.  Each a_i and b_i must lie in
-    (0, 1/A^2], the value right under the UAV; the first member outside,
-    in plan order, hover before flight, is reported.
+    """A plan's per-group sums (a, b, h), length-N tuples, from its
+    members' hover and flight coefficients a_i and b_i, listed group by
+    group in plan order; h_n sums their uplink gains over receive
+    antennas 2..M.
+
+    Each a_i and b_i must lie in (0, 1/A^2], the value right under the
+    UAV; the summing pass reports the first member outside, in plan
+    order, hover before flight.  Sums run over members in plan order,
+    and over antennas 2..M inside each member.
     """
     A = params.A
     A2 = A * A

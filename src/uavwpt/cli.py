@@ -143,23 +143,28 @@ def cmd_solve(args) -> int:
     config, out = _load(args)
     geo = generate_trial(config, trial_rng(config.seed, 0))
     problem = build_problem(config, geo, args.problem)
-    print(f"problem: {args.problem}")
     if args.problem == "stm":
         alloc, diag = solve_stm(problem)
+        print("problem: stm")
         print(f"method: {diag.method}")
-        tail = [f"objective: {diag.objective:.12g} nats/Hz",
-                f"budget residual: {diag.budget_residual:.12g} s"]
-        csv = (STM_DIAG_HEADER, stm_diag_row(problem, diag))
+        print(f"tau: {_fmt_vec(alloc.tau)}")
+        print(f"zeta: {_fmt_vec(alloc.zeta)}")
+        print(f"objective: {diag.objective:.12g} nats/Hz")
+        print(f"budget residual: {diag.budget_residual:.12g} s")
+        path = out / "stm_diag.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(STM_DIAG_HEADER + "\n")
+            fh.write(stm_diag_row(problem, diag) + "\n")
     else:
         alloc, total = solve_ttm(problem)
-        tail = [f"total time: {total:.12g} s"]
-        csv = (TTM_DIAG_HEADER, ttm_diag_row(problem, config.pt_db, alloc))
-    print(f"tau: {_fmt_vec(alloc.tau)}")
-    print(f"zeta: {_fmt_vec(alloc.zeta)}")
-    print("\n".join(tail))
-    path = out / f"{args.problem}_diag.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(csv) + "\n")
+        print("problem: ttm")
+        print(f"tau: {_fmt_vec(alloc.tau)}")
+        print(f"zeta: {_fmt_vec(alloc.zeta)}")
+        print(f"total time: {total:.12g} s")
+        path = out / "ttm_diag.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(TTM_DIAG_HEADER + "\n")
+            fh.write(ttm_diag_row(problem, config.pt_db, alloc) + "\n")
     print(f"diagnostics written to {path}")
     return _EXIT_OK
 
@@ -205,9 +210,12 @@ def cmd_verify(args) -> int:
     path = out / "verification.csv"
     write_verification_csv(path, reports)
     print(_versions())
-    for oracle in dict.fromkeys(r.oracle for r in reports):
-        passed = [r.passed for r in reports if r.oracle == oracle]
-        print(f"{oracle}: {sum(passed)}/{len(passed)} passed")
+    by_oracle = {}
+    for r in reports:
+        good, total = by_oracle.get(r.oracle, (0, 0))
+        by_oracle[r.oracle] = (good + int(r.passed), total + 1)
+    for oracle, (good, total) in by_oracle.items():
+        print(f"{oracle}: {good}/{total} passed")
     print(f"report written to {path}")
     if not ok:
         failing = sorted({r.oracle for r in reports if not r.passed})

@@ -2,22 +2,32 @@
 proposed-scheme and hover-and-fly baseline solves, sweeps, CSV output.
 
 Each trial draws leg lengths and the flight-row offset, scatters group
-members behind their hover points, and solves the selected problem for
-the proposed grouped full-duplex scheme and for a hover-and-fly
-baseline that visits every sensor with a single receive antenna.  Trial
-t is seeded from (master seed, t), so results do not depend on
-scheduling or worker count, and it reads the same stream at every sweep
-point (common random numbers): standard-uniform blocks, mapped to their
-ranges as `Generator.uniform` maps them, to the bit.  The drawing pass
-sums the grouped plan's coefficients (`channel.aggregate_coefficients`);
-the baseline's are summed on first read.  No sum reads the transmit
-power or the noise.  So each plan of a drawn trial becomes a
-`_KeptPlan`, which builds its problem at a sweep point and keeps what it
-derived for the next; `build_problem` makes one, and `run_trial` keeps
-both plans of each trial in its one store, `_DRAWS`, so a pt_db, v_max
-or I_nats sweep draws each trial once, every bit kept.  `run_sweep`
-runs every sweep as whole-trial blocks no larger than that store, in
-one process or a pool, and reads each trial's `TrialResult` or error.
+members behind their hover points along the corridor, and solves the
+selected problem twice: once for the proposed grouped full-duplex
+scheme and once for a hover-and-fly baseline that visits every sensor
+individually with a single receive antenna.  Trials are independent
+and seeded from (master seed, trial index), so results do not depend
+on scheduling or worker count.  A trial takes its numbers from
+standard-uniform blocks, mapped to their ranges the way
+`Generator.uniform` maps them, so each trial's stream, and every
+number drawn from it, is the one per-number `uniform` calls would give.
+The pass that draws a trial sums the grouped plan's coefficients
+(`channel.aggregate_coefficients`), each member's once; the baseline
+plan and its sums are built on first read.  No sum depends on the
+transmit power or the noise, and trial t draws the same stream at every
+sweep point (common random numbers).  So a drawn trial takes one path
+to its values: each plan becomes a `_KeptPlan` (leg lengths, member
+counts, sums, radio), whose `problem` builds it at a sweep point and
+keeps what it derived for the next: the coefficients and `ttm`'s hover
+denominators for them while the SNR is unchanged (v_max, T_s, I_nats
+points), and the speed-cap floors while v_max is.  `build_problem`
+makes one; `run_trial` keeps both plans of each trial it draws in its
+one store, `_DRAWS`, so a pt_db, v_max or I_nats sweep draws each
+trial once, every bit kept.  It keeps only the latest (seed,
+`_draw_fields`) key's trials and no failed draw; past `_TRIAL_MEMO`
+trials each new one evicts the oldest.  `run_sweep` runs every sweep
+as whole-trial blocks no larger than that store, in one process or a
+pool, and reads each trial's `TrialResult` or typed error.
 """
 
 import functools
@@ -93,12 +103,12 @@ class _KeptPlan:
     """What a plan's problems read of a trial (leg lengths D, member
     counts, sums, and `baseline` for the radio), and what they derived
     at the last point: the coefficients at one SNR scale with `ttm`'s
-    hover denominators for them, and the speed-cap floors with their
-    fsum at one v_max.  Each is derived again only when its input
-    changes (a and b are checked at the first scaling, gamma at each)."""
+    hover denominators for them, and the speed-cap floors at one v_max.
+    Each is derived again only when its input changes (a and b are
+    checked at the first scaling, gamma at each)."""
 
     __slots__ = ("D", "counts", "sums", "baseline", "snr", "coeffs",
-                 "denoms", "v_max", "floors", "travel_time")
+                 "denoms", "v_max", "floors")
 
     def __init__(self, plan: GroupPlan, sums, baseline: bool):
         self.D, self.counts = plan.D, tuple(map(len, plan.groups))
@@ -107,7 +117,7 @@ class _KeptPlan:
 
     def problem(self, config: ScenarioConfig, objective: str):
         """The plan's StmProblem ("stm") or TtmProblem ("ttm") under
-        `config`."""
+        `config`, equal to the one its constructor would build."""
         params = config.baseline_radio if self.baseline else config.radio
         if params.snr != self.snr:
             self.coeffs = (GroupCoefficients.scaled(self.sums, params)
@@ -117,26 +127,33 @@ class _KeptPlan:
         v_max = config.v_max_mps
         if v_max != self.v_max:
             self.floors = leg_floors(self.D, v_max, self.coeffs.N)
-            self.travel_time = math.fsum(self.floors)
             self.v_max = v_max
         if objective == "stm":
-            return StmProblem(coeffs=self.coeffs, D=self.D, T=config.T_s,
-                              v_max=v_max, floors=self.floors,
-                              travel_time=self.travel_time)
-        if objective == "ttm":
-            return TtmProblem(coeffs=self.coeffs, D=self.D, v_max=v_max,
-                              I=tuple(config.I_nats * n for n in self.counts),
-                              floors=self.floors)
-        raise ConfigError(f"unknown objective {objective!r}")
+            problem = object.__new__(StmProblem)
+            object.__setattr__(problem, "T", config.T_s)
+        elif objective == "ttm":
+            problem = object.__new__(TtmProblem)
+            object.__setattr__(problem, "I", tuple(
+                config.I_nats * n for n in self.counts))
+        else:
+            raise ConfigError(f"unknown objective {objective!r}")
+        # the fields the constructor sets, then its checks on the floors
+        # kept for this v_max
+        for name, value in (("coeffs", self.coeffs), ("D", self.D),
+                            ("v_max", v_max)):
+            object.__setattr__(problem, name, value)
+        problem.__post_init__(self.floors)
+        return problem
 
 
 class _TrialStore:
     """`run_trial`'s store.  `trials` maps a trial index to its (ours,
     baseline) `_KeptPlan`s (baseline None until first solved) for one
-    seed and `_draw_fields`, never a failed draw.  `prices` maps (draw
-    fields, baseline SNR scale), all a baseline's price search reads,
-    to the `LeadPrice` slot of its baselines at any seed.  Each evicts
-    its oldest entry when full.  `config` is the last point's config."""
+    seed and `_draw_fields`, never a failed draw.  `prices` holds the
+    `LeadPrice` slots of the baselines, at any seed, keyed by what their
+    price search reads (`_price_fields`), up to `_PRICE_SLOTS` of them,
+    least recently entered evicted first.  `config` is the last point's
+    config and `price` its slot."""
 
     def __init__(self):
         self.clear()
@@ -149,12 +166,14 @@ class _TrialStore:
         fields = _draw_fields(config)
         if config.seed != self.seed or fields != self.fields:
             self.seed, self.fields, self.trials = config.seed, fields, {}
-        key = fields, config.baseline_radio.snr
-        if key not in self.prices:
+        key = _price_fields(config)
+        price = self.prices.pop(key, None)
+        if price is None:
+            price = LeadPrice()
             if len(self.prices) >= _PRICE_SLOTS:
                 del self.prices[next(iter(self.prices))]
-            self.prices[key] = LeadPrice()
-        self.config, self.price = config, self.prices[key]
+        self.prices[key] = price
+        self.config, self.price = config, price
 
 
 _DRAWS = _TrialStore()
@@ -230,17 +249,20 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
 
     Hover points are spaced by the drawn leg lengths along one row at
     offset ytilde; each group's members are scattered behind its hover
-    point, and redrawn (rarely) until the flight-phase coefficient
-    dominates the hover-phase one.  Both plans fly in from (0, ytilde);
-    the baseline plan visits the same sensors one at a time
+    point.  Members are redrawn (rarely) if the flight-phase coefficient
+    fails to dominate the hover-phase one; the accepted pair is what
+    the aggregates sum.  Both plans fly in from (0, ytilde); the
+    baseline plan visits the same sensors one at a time
     (`singleton_plan`) with the config's `baseline_radio`.
 
-    One standard-uniform block (`rng.random`) holds the N leg lengths,
-    ytilde and one (u, yj) pair per member, each mapped to its range as
-    lo + (hi - lo) * u; a redraw takes the next pair, and a spent block
-    is followed by one sized for the members still to place.  So the
-    trial gets the bits, and leaves `rng` where, one `rng.uniform` call
-    per number would.
+    The draws come from standard-uniform blocks (`rng.random`), each
+    value mapped to its range as lo + (hi - lo) * u, the two float
+    operations `Generator.uniform` makes.  One block holds the N leg
+    lengths, ytilde and one (u, yj) pair per member; a redraw takes the
+    next pair, and only when the block runs out is another drawn, sized
+    for the members still to place.  So a trial reads the same stream
+    and gets the same bits as one `rng.uniform` call per number would,
+    and a successful draw leaves `rng` where those calls would.
     """
     N, K = config.N, config.K
     A = config.A_m
@@ -306,6 +328,14 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
         config=config)
 
 
+def _price_fields(config: ScenarioConfig) -> tuple:
+    """The fields a baseline's lead-price search reads: K links, each
+    hovered overhead at altitude A_m with gain k0 to its one receive
+    antenna delta_m away, and the baseline radio's SNR scale."""
+    return (config.K, config.A_m, config.k0_db, config.delta_m,
+            config.baseline_radio.snr)
+
+
 def _draw_fields(config: ScenarioConfig) -> tuple:
     """The fields a trial's draw and coefficient sums read, besides the
     seed that `trial_rng` takes."""
@@ -317,8 +347,11 @@ def build_problem(config: ScenarioConfig, geo: TrialGeometry,
                   objective: str, baseline: bool = False):
     """Trial `geo`'s grouped plan, or with `baseline` its baseline plan, as
     an StmProblem under the config's budget ("stm") or a TtmProblem
-    demanding I_nats per member sensor ("ttm").  `config` may differ
-    from `geo`'s in any field but `_draw_fields` (`ConfigError`)."""
+    demanding I_nats per member sensor ("ttm"), its sums scaled at the
+    config's radio or baseline radio.  `config` may differ from the one
+    `geo` was drawn under in any field the draw does not read
+    (`_draw_fields`); a config that would draw another trial raises
+    `ConfigError`."""
     if _draw_fields(config) != _draw_fields(geo.config):
         raise ConfigError("the trial was drawn under another N, K, A_m, "
                           "D_range_m, ytilde_range_m, k0_db, M or delta_m")
@@ -468,7 +501,13 @@ def write_sweep_csv(path, results, metadata=()):
             fh.write(f"# {line}\n")
         fh.write(SWEEP_HEADER + "\n")
         for r in results:
-            stats = (r.mean_ours, r.se_ours, r.mean_baseline, r.se_baseline,
-                     r.improvement)
-            fh.write(",".join([r.param, f"{r.value:.12g}", str(r.trials),
-                               *(f"{v:.12g}" for v in stats)]) + "\n")
+            fh.write(",".join((
+                r.param,
+                f"{r.value:.12g}",
+                str(r.trials),
+                f"{r.mean_ours:.12g}",
+                f"{r.se_ours:.12g}",
+                f"{r.mean_baseline:.12g}",
+                f"{r.se_baseline:.12g}",
+                f"{r.improvement:.12g}",
+            )) + "\n")

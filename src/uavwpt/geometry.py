@@ -1,10 +1,13 @@
 """Spatial model: serving groups of sensors along serpentine rows, and
 `leg_floors`, the one leg-time function every feasibility check reads.
 
-Conventions used throughout the package: sensor ids and group indices
-n are 1-based, and leg n is the straight flight from the previous stop
-(the start point for n = 1) to hover point n.  Only `channel` places
-the antennas relative to a hover point.
+Conventions used throughout the package:
+
+* sensor ids are 1-based indices into a plan's sensor positions;
+* group indices n are 1-based; leg n is the straight flight from the
+  previous stop (the start point for n = 1) to hover point n;
+* where the antennas sit relative to a hover point is set out in
+  `channel`, which is the only module that places them.
 """
 
 import math
@@ -185,12 +188,13 @@ def plan_groups(sensors: tuple[Point, ...], altitude: float, d_max: float,
     """Partition sensors (id i at sensors[i-1]) into N ordered serving
     groups, for a UAV at `altitude` whose power transfer reaches d_max.
 
+    The coverage radius on the ground is sqrt(d_max^2 - altitude^2).
     Sensors are ordered by serpentine traversal and split into N
-    contiguous runs of balanced size, hovered at the mean x of each run
-    on its row.  A run whose farthest member lies beyond the ground
-    coverage radius sqrt(d_max^2 - altitude^2) sheds it to a neighbour
-    run when it sits at the run's end; if that cannot restore coverage,
-    or hover points lie farther apart than d_max, the plan is infeasible.
+    contiguous runs of balanced size; hover points sit at the mean x of
+    each run on its row.  Runs whose members fall outside the coverage
+    radius are repaired by shedding their farthest boundary member to a
+    neighbouring run; if that cannot restore coverage, or consecutive
+    hover points end up farther apart than d_max, the plan is infeasible.
     """
     if not 0.0 < altitude < d_max:
         raise ConfigError(

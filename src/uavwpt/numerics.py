@@ -1,7 +1,10 @@
-"""Scalar numeric kernels, dependency-free so that results reproduce
-bit for bit: the principal branch of the Lambert W function, the one
-bracketed Newton root finder (both STM price searches and TTM's hover
-re-tightening), and the verification oracles' adaptive Simpson rule.
+"""Scalar numeric kernels used by the closed-form solvers.
+
+Everything here is deliberately dependency-free so the solver results are
+reproducible bit-for-bit: the principal branch of the Lambert W function,
+the one bracketed, safeguarded Newton root finder (it serves both of the
+STM solver's price searches and TTM's hover re-tightening), and an
+adaptive Simpson integrator used by the verification oracles.
 """
 
 import math
@@ -73,14 +76,18 @@ def lambert_w0(x: float) -> float:
 
 def bracketed_newton(fdf, lo: float, hi: float, tol: float) -> float:
     """Root of f on [lo, hi] by Newton steps kept inside a sign-change
-    bracket; fdf(x) returns (f(x), f'(x)).
+    bracket.
 
-    Each step is the Newton step from the last point evaluated (first
-    from the end with the smaller |f|) when it is finite and lands
-    strictly inside the bracket, else the midpoint, so an f that reads
-    +inf outside its domain is bisected away.  Stops when |f| <= tol,
-    when the bracket is no wider than tol, or when no step moves x (a
-    steep f may never reach tol in floats).  Returns the last point fdf
+    fdf(x) returns (f(x), f'(x)).  Each step is the Newton step from the
+    last point evaluated (first from the end with the smaller |f|) when
+    that step is finite and lands strictly inside the bracket, and the
+    bracket's midpoint otherwise; so an f that reads +inf, as on a
+    region outside a function's domain, is simply bisected away.  Every
+    step shrinks the bracket.  Terminates when |f| <= tol at an end or
+    at the new point, when the bracket a step was taken in is no wider
+    than tol, when the Newton step is too small to move x (a steep f
+    may never reach tol in floats), or when no float lies strictly
+    inside the bracket.  The returned point is always the last one fdf
     was called at, so a caller can keep what fdf computed there.
     Raises BracketingError when f(lo) and f(hi) do not differ in sign.
     """

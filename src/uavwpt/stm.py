@@ -32,18 +32,26 @@ Vandenberghe, ch. 5) then settles the solve:
   finds the mu > mu+ at which that mission takes exactly T;
 - degenerate: there is no slack to hover in.
 
-optimality_gap, the Frank-Wolfe duality gap (Jaggi 2013), certifies a
-solve without a solver.
+diagnostics.method names the outcome and diagnostics.objective is
+sum_throughput, the left fold of delivered_information.  The budget
+residual and optimality_gap, the Frank-Wolfe duality gap (Jaggi 2013)
+that certifies the outcome without a solver, are computed when the
+diagnostics first read them.
 
 The first search reads only gamma, a and c = gamma_1 lead / 2, and so
-does the price state the free structure reads at mu+ (_lead_price).  So
-a caller may keep both in a `LeadPrice` slot, which `solve_stm` reads
-when its (gamma, a, c) equals the problem's and refills otherwise.  The
-hover-and-fly baselines of a sweep point share that key: each sensor is
-hovered directly overhead with one receive antenna, so every link has
-a = 1/A^2 and the same gamma whatever the draw.  A baseline solve that
-reads a kept state evaluates no chain: two forward passes of the energy
-chain (`_hovers` from `_rho`) close its budget.
+does the price state the free structure reads at mu+: q_n, each
+group's hover time per unit of harvested energy rho_n and the budget
+weights S_n (_lead_price).  So a caller may keep both in a `LeadPrice`
+slot, which `solve_stm` reads when its (gamma, a, c) equals the
+problem's, compared with ==, and refills otherwise: a kept state has
+the bits a fresh search would give.  The hover-and-fly baselines of
+one sweep point share one key: each sensor is hovered directly
+overhead with one receive antenna, so every link has a = 1/A^2 and the
+same gamma whatever the draw.  So a point's baselines build the state
+once, and each later solve evaluates no chain: two forward passes of
+the energy chain close its budget.  Both structures walk one energy
+chain (`_hovers` from `_rho`); the pinned search reads b and the
+floors too, and is not kept.
 """
 
 import functools
@@ -70,28 +78,29 @@ class StmProblem:
     """Throughput-maximization instance over one planned mission.
 
     The variables are the hovers tau_0..tau_N (at least 0) and zeta_1
-    (at least D_1/v_max); legs 2..N are pinned at the speed cap.  The
-    cap floors (`leg_floors`) and their fsum, the travel time, are
-    derived unless given, by a caller that derived them from D and
-    v_max; T is checked either way.
+    (at least D_1/v_max); legs 2..N are pinned at the speed cap
+    D_n/v_max, and optimality_gap certifies over the variables only.
+    The cap floors and their sum, the travel time, are derived once.
     """
 
     coeffs: GroupCoefficients
     D: tuple[float, ...]
     T: float
     v_max: float
-    floors: tuple[float, ...] = field(default=None, repr=False,
-                                      compare=False)
-    travel_time: float = field(default=None, repr=False, compare=False)
+    floors: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    travel_time: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, floors=None):
+        # floors: leg_floors(D, v_max, N) of an earlier problem, passed
+        # only by experiments' kept plans
         if not self.T > 0.0:
             raise ConfigError("T must be positive")
-        if self.floors is None:
-            object.__setattr__(self, "floors",
-                               leg_floors(self.D, self.v_max, self.coeffs.N))
-        if self.travel_time is None:
-            object.__setattr__(self, "travel_time", math.fsum(self.floors))
+        if floors is None:
+            floors = leg_floors(self.D, self.v_max, self.coeffs.N)
+        elif len(floors) != self.coeffs.N:
+            raise ConfigError("need one leg length per group")
+        object.__setattr__(self, "floors", floors)
+        object.__setattr__(self, "travel_time", math.fsum(floors))
         if self.travel_time > self.T:
             raise InfeasiblePlanError(
                 f"minimum travel time {self.travel_time:.6g} s exceeds "
@@ -197,11 +206,14 @@ def _lead_price(gamma, a, c: float):
     c q_1 with c = gamma_1 lead / 2, is worth mu, and the price state at
     the last price evaluated, or None outside the chain's domain.
 
-    The state is what the free structure reads there, tuples (q, rho,
-    S): q_n from the chain; rho_n = tau_n/E_n = gamma_n q_n/(1 - q_n),
-    group n's hover time per unit of harvested energy; and S_n, the
-    budget weight of one second of hover n through the downstream energy
-    chain, S_N = 1, S_m = 1 + a_{m+1} rho_{m+1} S_{m+1}.
+    The state is what the free structure reads at that price, tuples
+    (q, rho, S): q_n from the chain; rho_n = tau_n/E_n =
+    gamma_n q_n/(1 - q_n), group n's hover time per unit of harvested
+    energy; and S_n, the budget weight of one second of hover n through
+    the downstream energy chain, S_N = 1, S_m = 1 + a_{m+1} rho_{m+1}
+    S_{m+1}.  A pure function of the exact tuples it reads, so a kept
+    result has the bits a fresh search would give; the state is made of
+    tuples so that no caller can alter a kept one.
     """
     chain = None      # the chain at the last price searched
 
@@ -249,8 +261,9 @@ def _hovers(rho, a, b, tau0: float, zetas) -> list:
 
 def _close_budget(tau0: float, taus, zetas, T: float) -> TimeAllocation:
     """Put the float drift into the largest hover so hover and flight
-    times sum to T (every hover is worth the budget price, so where it
-    goes is second order); more than float noise is an error."""
+    times sum to T.  Every hover is worth the budget price, so where the
+    drift goes matters only to second order; more than float noise
+    means the solve went wrong."""
     drift = T - math.fsum((tau0, *taus, *zetas))
     if abs(drift) > _BUDGET_SLOP * max(T, 1.0):
         raise AccuracyError(f"allocation misses the budget by {drift:.3e} s")
@@ -275,17 +288,21 @@ def solve_stm(problem: StmProblem, price: LeadPrice | None = None):
     """Optimal hover and flight times for a throughput-maximization
     instance.
 
-    Finds mu+ (read from `price` when its key is the problem's, else
-    searched and kept there), then lets the lead variable close the
-    budget (free) or keeps it at its bound and searches the price at
-    which the pinned mission spends the budget exactly (pinned); see the
-    module docstring.  Both searches run on gaps taken in logs, so that
-    Newton steps scale.  Returns (TimeAllocation, StmDiagnostics).
+    Searches the price mu+ at which the lead first-phase variable is
+    worth the budget price (or reads it from `price` when its key is the
+    problem's, and keeps a fresh search there otherwise), then either
+    lets that variable close the budget (free) or keeps it at its bound
+    and searches the price at which the pinned mission spends the budget
+    exactly (pinned); see the module docstring.  Both searches run on
+    gaps taken in logs, so that Newton steps scale.  Returns
+    (TimeAllocation, StmDiagnostics); diagnostics.method names the
+    structure.
     """
     if problem.slack <= 1e-12:
         return _degenerate_allocation(problem)
-    coeffs = problem.coeffs
-    g_, a_, b_ = coeffs.gamma, coeffs.a, coeffs.b
+    a_ = problem.coeffs.a
+    b_ = problem.coeffs.b
+    g_ = problem.coeffs.gamma
     floors = problem.floors
     free_first_hover = a_[0] > b_[0]
     lead = a_[0] if free_first_hover else b_[0]
@@ -395,7 +412,9 @@ def throughput_gradient(coeffs: GroupCoefficients, tau, zeta) -> list:
     downstream and has an unbounded marginal gain of its own.  An
     overflowing Y_n is logged as in delivered_information.
     """
-    g_, a_, b_ = coeffs.gamma, coeffs.a, coeffs.b
+    g_ = coeffs.gamma
+    a_ = coeffs.a
+    b_ = coeffs.b
     N = coeffs.N
     q = [0.0] * N
     own = [math.inf] * N
@@ -421,8 +440,9 @@ def optimality_gap(problem: StmProblem, alloc: TimeAllocation) -> float:
     - d_k) over the variables x_k, their floors f_k and the gradient d.
 
     Throughput is jointly concave, so its linearization at alloc bounds
-    it, and over the variables' shifted simplex that bound peaks where
-    the variable worth most takes all the slack.
+    it, and over the shifted simplex of the variables that bound peaks
+    where the variable worth most takes all the slack.  A variable at
+    its floor adds nothing: an allocation without slack reads 0.
     """
     N = problem.N
     d = throughput_gradient(problem.coeffs, alloc.tau, alloc.zeta)[:N + 2]
@@ -435,6 +455,12 @@ def optimality_gap(problem: StmProblem, alloc: TimeAllocation) -> float:
 
 def stm_diag_row(problem: StmProblem, diag: StmDiagnostics) -> str:
     """One CSV data row matching STM_DIAG_HEADER."""
-    fields = (problem.T, problem.v_max, diag.mu, diag.objective,
-              diag.budget_residual, diag.optimality_gap)
-    return ",".join([str(problem.N), *(f"{v:.12g}" for v in fields)])
+    fields = (problem.N, problem.T, problem.v_max, diag.mu,
+              diag.objective, diag.budget_residual, diag.optimality_gap)
+    return ",".join(_fmt(v) for v in fields)
+
+
+def _fmt(v) -> str:
+    if isinstance(v, int):
+        return str(v)
+    return f"{v:.12g}"

@@ -9,14 +9,21 @@ kappa*tau + zeta(tau) subject to the demand gives
 
     tau_n = 2 I_n / (W((kappa gamma_n b_n - 1)/e) + 1)
 
-with kappa = 1 for the last group.  A backward pass prices each hover,
-keeping the credit only while leg n+1 stays off the speed cap.  A
-forward pass then flies each leg for `_flight_need`, the exact inverse
-of the rate formula, floored at the speed cap, and re-tightens the
-hover on a clamped leg so every delivery matches its demand exactly.
-The denominator W + 1 reads the coefficients but not the demand, so a
-caller may keep the denominators of one set of coefficients across
-solves (`solve_ttm`'s `denoms`).
+with kappa = 1 for the last group.  A backward pass prices each hover;
+its credit probe keeps the credit only while leg n+1 stays off the speed
+cap.  A forward pass then flies each leg for `_flight_need`, the exact
+inverse of the rate formula, floored at the speed cap, and re-tightens
+the hover on a clamped leg so every group's delivery matches its demand
+exactly instead of overshooting.
+
+The denominator W + 1 reads the coefficients, not the demand I_n.  So
+each one, at full cost or with the credit, is computed where a solve
+first needs it and kept in the `denoms` dict a caller may pass to
+`solve_ttm` for one set of coefficients; a denominator that fails its
+domain check raises and is not kept.  `experiments.run_trial` keeps
+each plan's coefficients, and their dict, across sweep points at one
+SNR, so the later points of an I_nats or v_max sweep make no Lambert
+call; a pt_db point scales new coefficients and prices its hovers anew.
 """
 
 import math
@@ -40,20 +47,21 @@ _EXP_LIMIT = 700.0    # beyond this, exp overflows; treat demand as inf
 @dataclass(frozen=True)
 class TtmProblem:
     """Time-minimization instance: per-group demands I_n in nats.  The
-    speed-cap floors are derived unless given, as in `stm.StmProblem`;
-    the demands are checked either way."""
+    speed-cap floors D_n / v_max are derived once, when it is built."""
 
     coeffs: GroupCoefficients
     D: tuple[float, ...]
     v_max: float
     I: tuple[float, ...]
-    floors: tuple[float, ...] = field(default=None, repr=False,
-                                      compare=False)
+    floors: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.floors is None:
-            object.__setattr__(self, "floors",
-                               leg_floors(self.D, self.v_max, self.coeffs.N))
+    def __post_init__(self, floors=None):
+        # floors: as in stm.StmProblem.__post_init__
+        if floors is None:
+            floors = leg_floors(self.D, self.v_max, self.coeffs.N)
+        elif len(floors) != self.coeffs.N:
+            raise ConfigError("need one leg length per group")
+        object.__setattr__(self, "floors", floors)
         if len(self.I) != self.coeffs.N:
             raise ConfigError("need one demand per group")
         for n, i_n in enumerate(self.I, start=1):

@@ -1,11 +1,12 @@
 """Independent oracles for the closed forms and solvers.
 
 Nothing in here reuses the formulas it checks: flight energy is
-re-derived by adaptive quadrature along the leg; the throughput solver
-is held to `stm.optimality_gap`, which reads the objective's gradient,
-not the dual chain; the time solver is compared against a refined grid
-search at desk scale.  Every tolerance lives in TOLERANCES, so solver
-and oracle cannot drift apart silently.
+re-derived by adaptive quadrature along the actual leg; the throughput
+solver is held to `stm.optimality_gap`, which reads the objective's
+gradient, not the solver's dual chain; the time solver is compared
+against an exhaustive grid search with local refinement at desk scale.
+Every acceptance tolerance lives in the TOLERANCES table so solver and
+oracle cannot drift apart silently.
 """
 
 import math
@@ -85,8 +86,9 @@ def flight_energy_numeric(plan: GroupPlan, params, n: int, i: int,
 def _ttm_total_grid(problem: TtmProblem, taus):
     """Vectorized minimal total time for fixed hover arrays: each leg's
     flight time is the exact demand inverse, floored at the speed cap."""
-    coeffs = problem.coeffs
-    g_, a_, b_ = coeffs.gamma, coeffs.a, coeffs.b
+    g_ = problem.coeffs.gamma
+    a_ = problem.coeffs.a
+    b_ = problem.coeffs.b
     total = 0.0
     prev = 0.0
     for n in range(problem.N):
@@ -162,7 +164,9 @@ def concavity_suite(coeffs, trials: int, seed: int) -> ConcavityReport:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     N = coeffs.N
-    g_, a_, b_ = map(np.asarray, (coeffs.gamma, coeffs.a, coeffs.b))
+    g_ = np.asarray(coeffs.gamma)
+    a_ = np.asarray(coeffs.a)
+    b_ = np.asarray(coeffs.b)
     idx = rng.integers(0, N, size=trials)
 
     def H(tau_prev, zeta, tau):

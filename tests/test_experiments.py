@@ -357,7 +357,28 @@ def test_kept_state_matches_fresh_problems(field, values):
                                          fresh):
                     assert kept.floors == problem.floors == leg_floors(
                         problem.D, pc.v_max_mps, problem.N)
-                    assert kept.travel_time == math.fsum(problem.floors)
+                    # the kept route builds what the constructor builds
+                    made = kept.problem(pc, objective)
+                    public = dataclasses.replace(made)
+                    assert made == public and made.floors == public.floors
+                    if objective == "stm":
+                        assert made.travel_time == public.travel_time
+
+
+def test_problem_floors_come_only_from_leg_floors():
+    # the constructors take no floors, so no caller can give a problem
+    # floors that disagree with its D and v_max; floors kept from an
+    # earlier point must still have one leg per group
+    cfg = ScenarioConfig()
+    geo = generate_trial(cfg, trial_rng(cfg.seed, 0))
+    problem = build_problem(cfg, geo, "stm")
+    with pytest.raises(TypeError):
+        StmProblem(coeffs=problem.coeffs, D=problem.D, T=100.0, v_max=-5.0,
+                   floors=problem.floors)
+    for objective in ("stm", "ttm"):
+        problem = build_problem(cfg, geo, objective)
+        with pytest.raises(ConfigError, match="one leg length per group"):
+            problem.__post_init__(problem.floors[:-1])
 
 
 @pytest.mark.parametrize("field,value", [("T_s", 10.0),

@@ -339,8 +339,8 @@ def _baseline_searches(monkeypatch):
 
 
 def test_price_states_survive_a_seed_change(monkeypatch):
-    # a baseline's price search reads the radio, A_m and M, not the
-    # draw: two stm-power-shaped sweeps at two master seeds in one
+    # a baseline's price search reads K, A_m, k0, delta_m and its SNR
+    # scale, not the draw: two stm-power-shaped sweeps at two master seeds in one
     # process search once per point in the first and never in the second
     searches = _baseline_searches(monkeypatch)
     sweep = SweepSpec(param="pt_db", values=(0.0, 2.0, 4.0, 6.0, 8.0),
@@ -353,6 +353,21 @@ def test_price_states_survive_a_seed_change(monkeypatch):
     slots = experiments._DRAWS.prices.values()
     assert len(slots) == 5
     assert all(len(slot.key[0]) == ScenarioConfig().K for slot in slots)
+
+
+def test_draw_fields_a_baseline_ignores_share_its_price_slot(monkeypatch):
+    # N at a fixed K, the leg and row ranges and the UAV's own array do
+    # not change what a baseline's price search reads, so configs that
+    # differ only there draw other trials but share one slot and search
+    searches = _baseline_searches(monkeypatch)
+    base = ScenarioConfig()
+    for change in ({}, {"N": 5}, {"D_range_m": (15.0, 25.0)},
+                   {"ytilde_range_m": (6.0, 8.0)}, {"M": 4}):
+        cfg = dataclasses.replace(base, **change)
+        for t in range(3):
+            experiments.run_trial(cfg, t)
+    assert len(searches) == 1
+    assert len(experiments._DRAWS.prices) == 1
 
 
 def test_price_slots_stay_bounded(monkeypatch):

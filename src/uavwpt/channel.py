@@ -19,9 +19,10 @@ these three aggregates.  `experiments.generate_trial` computes each
 grouped member's a_i and b_i once, from `point_inverse_sq` and
 `leg_average_inverse_sq`, and a trial's baseline computes its members'
 b_i when it is first read (each a_i is 1/A^2, right overhead);
-`aggregate_coefficients` range-checks and sums them and the uplink
-gains h_n, and `GroupCoefficients.scaled` forms gamma_n = snr * h_n at
-a radio's transmit power and noise.  Everything here is a pure
+`member_step` range-checks each accepted member's pair and adds it, and
+the member's uplink gains, to its group's running sums (a_n, b_n, h_n),
+and `GroupCoefficients.scaled` forms gamma_n = snr * h_n at a radio's
+transmit power and noise.  Everything here is a pure
 function of immutable inputs.
 
 Antenna k of M (1-based) sits (k-1)*delta from the hover point along
@@ -180,8 +181,8 @@ class GroupCoefficients:
 
     @classmethod
     def scaled(cls, sums, params: ChannelParams) -> "GroupCoefficients":
-        """`aggregate_coefficients`' sums (a, b, h) under radio `params`:
-        gamma_n = snr * h_n, with snr = eta P_t k0 / sigma2."""
+        """A plan's per-group sums (a, b, h) (`member_step`) under radio
+        `params`: gamma_n = snr * h_n, with snr = eta P_t k0 / sigma2."""
         a, b, h = sums
         snr = params.snr
         return cls(a=a, b=b, gamma=tuple([snr * h_n for h_n in h]))
@@ -207,48 +208,34 @@ def _check_coefficients(seq, name: str) -> None:
                 f"{'finite' if v == inf else 'positive'}, got {v}")
 
 
-def aggregate_coefficients(plan: GroupPlan, params: ChannelParams,
-                           a_i, b_i) -> tuple:
-    """A plan's per-group sums (a, b, h), length-N tuples, from its
-    members' hover and flight coefficients a_i and b_i, listed group by
-    group in plan order; h_n sums their uplink gains over receive
-    antennas 2..M.
+def member_step(params: ChannelParams):
+    """The step that adds one member to its group's running sums under
+    radio `params`.  step(n, a_n, b_n, h_n, av, bv, w, hover) returns
+    group n's sums with the member at w added: its hover and flight
+    coefficients av and bv, then its uplink gain from `hover` at each
+    receive antenna 2..M in turn.
 
-    Each a_i and b_i must lie in (0, 1/A^2], the value right under the
-    UAV; the summing pass reports the first member outside, in plan
-    order, hover before flight.  Sums run over members in plan order,
-    and over antennas 2..M inside each member.
+    av and bv must lie in (0, 1/A^2], the value right under the UAV; a
+    member with both outside is reported by its hover one.
     """
     A = params.A
     A2 = A * A
     bound = 1.0 / A2 * (1.0 + 1e-12)
-    if not len(a_i) == len(b_i) == sum(map(len, plan.groups)):
-        raise PlanError("need one hover and one flight coefficient per member")
     k0 = params.k0
     offsets = [(k - 1) * params.delta for k in range(2, params.M + 1)]
-    sensors = plan.sensors
-    a, b, h = [], [], []
-    hover_i, flight_i = iter(a_i), iter(b_i)
-    # explicit left folds: from CPython 3.12 sum() of floats is
-    # compensated and would change the bits
-    for n, (members, (hx, hy)) in enumerate(
-            zip(plan.groups, plan.hover_points), 1):
-        a_n = b_n = h_n = 0.0
-        # members first: zip stops on it without drawing one more a_i
-        for i, av, bv in zip(members, hover_i, flight_i):
-            if not (0.0 < av <= bound and 0.0 < bv <= bound):
-                phase, v = (("flight", bv) if 0.0 < av <= bound
-                            else ("hover", av))
-                raise NumericDomainError(
-                    f"group {n}: {phase} coefficient {v} outside (0, 1/A^2]")
-            a_n += av
-            b_n += bv
-            x, y = sensors[i - 1]
-            dx = hx - x
-            for off in offsets:
-                L = hypot(dx, hy + off - y)
-                h_n += k0 / (L * L + A2)
-        a.append(a_n)
-        b.append(b_n)
-        h.append(h_n)
-    return tuple(a), tuple(b), tuple(h)
+
+    def step(n, a_n, b_n, h_n, av, bv, w, hover):
+        if not (0.0 < av <= bound and 0.0 < bv <= bound):
+            phase, v = (("flight", bv) if 0.0 < av <= bound
+                        else ("hover", av))
+            raise NumericDomainError(
+                f"group {n}: {phase} coefficient {v} outside (0, 1/A^2]")
+        x, y = w
+        hx, hy = hover
+        dx = hx - x
+        for off in offsets:
+            L = hypot(dx, hy + off - y)
+            h_n += k0 / (L * L + A2)
+        return a_n + av, b_n + bv, h_n
+
+    return step

@@ -11,9 +11,10 @@ on scheduling or worker count.  A trial takes its numbers from
 standard-uniform blocks, mapped to their ranges the way
 `Generator.uniform` maps them, so each trial's stream, and every
 number drawn from it, is the one per-number `uniform` calls would give.
-The pass that draws a trial sums the grouped plan's coefficients
-(`channel.aggregate_coefficients`), each member's once; the baseline
-plan and its sums are built on first read.  No sum depends on the
+The pass that draws a trial adds each grouped member's coefficients to
+its group's sums as it places the member (`channel.member_step`); the
+baseline's leg lengths and sums come from one walk over its stops, on
+first read, and its `GroupPlan` only when read.  No sum depends on the
 transmit power or the noise, and trial t draws the same stream at every
 sweep point (common random numbers).  So a drawn trial takes one path
 to its values: each plan becomes a `_KeptPlan` (leg lengths, member
@@ -42,7 +43,8 @@ from . import channel        # read per call, so a patched primitive is seen
 from .channel import GroupCoefficients
 from .config import ScenarioConfig, _finite
 from .errors import ConfigError, NumericDomainError, UavWptError
-from .geometry import GroupPlan, group_sizes, leg_floors, singleton_plan
+from .geometry import (GroupPlan, group_sizes, leg_floors, singleton_legs,
+                       singleton_plan)
 from .stm import LeadPrice, StmProblem, solve_stm
 from .ttm import TtmProblem, solve_ttm
 
@@ -75,8 +77,9 @@ SWEEP_PARAMS = {
 @dataclass(frozen=True)
 class TrialGeometry:
     """One realization drawn under `config`: the proposed plan with its
-    coefficient sums, and the baseline plan over the same tuple of sensor
-    positions and start point, with its own, built on first read."""
+    coefficient sums, and the baseline over the same sensors and start
+    point: its legs and sums (`baseline`) and its plan (`baseline_plan`),
+    each built on first read."""
 
     plan: GroupPlan
     sums: tuple
@@ -87,33 +90,45 @@ class TrialGeometry:
         return singleton_plan(self.plan.sensors, self.plan.start_point)
 
     @functools.cached_property
-    def baseline_sums(self) -> tuple:
-        plan = self.baseline_plan
+    def baseline(self) -> tuple:
+        """(D, member counts, sums) of the baseline plan, from one walk
+        over its stops."""
         params = self.config.baseline_radio
         A = params.A
-        stops = plan.hover_points
-        # each leg ends over its sensor, where point_inverse_sq is 1/(A*A)
-        return channel.aggregate_coefficients(
-            plan, params, [1.0 / (A * A)] * len(stops),
-            list(map(channel.leg_average_inverse_sq, (plan.start_point,)
-                     + stops, stops, stops, itertools.repeat(A))))
+        a_i = 1.0 / (A * A)   # each leg ends over its sensor
+        step = channel.member_step(params)
+        leg_average = channel.leg_average_inverse_sq
+        start = self.plan.start_point
+        _, stops, D = singleton_legs(self.plan.sensors, start)
+        sums = [step(n, 0.0, 0.0, 0.0, a_i, leg_average(p0, w, w, A), w, w)
+                for n, (p0, w) in enumerate(zip([start] + stops, stops), 1)]
+        return D, (1,) * len(D), tuple(map(tuple, zip(*sums)))
 
 
 class _KeptPlan:
     """What a plan's problems read of a trial (leg lengths D, member
-    counts, sums, and `baseline` for the radio), and what they derived
-    at the last point: the coefficients at one SNR scale with `ttm`'s
-    hover denominators for them, and the speed-cap floors at one v_max.
-    Each is derived again only when its input changes (a and b are
-    checked at the first scaling, gamma at each)."""
+    counts, sums, and `baseline` for the radio; `kept` takes them from a
+    `TrialGeometry`), and what they derived at the last point: the
+    coefficients at one SNR scale with `ttm`'s hover denominators for
+    them, and the speed-cap floors at one v_max.  Each is derived again
+    only when its input changes (a and b are checked at the first
+    scaling, gamma at each)."""
 
     __slots__ = ("D", "counts", "sums", "baseline", "snr", "coeffs",
                  "denoms", "v_max", "floors")
 
-    def __init__(self, plan: GroupPlan, sums, baseline: bool):
-        self.D, self.counts = plan.D, tuple(map(len, plan.groups))
-        self.sums, self.baseline = sums, baseline
+    def __init__(self, D, counts, sums, baseline: bool):
+        self.D, self.counts, self.sums = D, counts, sums
+        self.baseline = baseline
         self.snr = self.coeffs = self.v_max = None
+
+    @classmethod
+    def kept(cls, geo: TrialGeometry, baseline: bool) -> "_KeptPlan":
+        """Trial `geo`'s grouped plan, or with `baseline` its baseline."""
+        if baseline:
+            return cls(*geo.baseline, True)
+        plan = geo.plan
+        return cls(plan.D, tuple(map(len, plan.groups)), geo.sums, False)
 
     def problem(self, config: ScenarioConfig, objective: str):
         """The plan's StmProblem ("stm") or TtmProblem ("ttm") under
@@ -250,10 +265,10 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     Hover points are spaced by the drawn leg lengths along one row at
     offset ytilde; each group's members are scattered behind its hover
     point.  Members are redrawn (rarely) if the flight-phase coefficient
-    fails to dominate the hover-phase one; the accepted pair is what
-    the aggregates sum.  Both plans fly in from (0, ytilde); the
-    baseline plan visits the same sensors one at a time
-    (`singleton_plan`) with the config's `baseline_radio`.
+    fails to dominate the hover-phase one; only the accepted pair is
+    added to the group's sums.  Both plans fly in from (0, ytilde); the
+    baseline visits the same sensors one at a time (`singleton_legs`)
+    with the config's `baseline_radio`.
 
     The draws come from standard-uniform blocks (`rng.random`), each
     value mapped to its range as lo + (hi - lo) * u, the two float
@@ -282,14 +297,17 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     j_span = Y_JITTER_M - j_lo
     anchors = list(itertools.accumulate(D))
 
+    step = channel.member_step(config.radio)
     start = (0.0, ytilde)
     sensors = []
     groups = []
-    hover_a, flight_b = [], []
+    sums = []
     leg_start = start
-    for g, (hx, d_g, size) in enumerate(zip(anchors, D, group_sizes(K, N))):
+    for g, (hx, d_g, size) in enumerate(
+            zip(anchors, D, group_sizes(K, N)), 1):
         hover = (hx, ytilde)
         first = len(sensors) + 1
+        a_n = b_n = h_n = 0.0
         for _ in range(size):
             for attempt in range(REDRAW_CAP + 1):
                 if pos == len(block):
@@ -305,11 +323,11 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
                     break
             else:
                 raise NumericDomainError(
-                    f"group {g + 1}: could not place a member with "
+                    f"group {g}: could not place a member with "
                     f"flight-dominant harvesting in {REDRAW_CAP} redraws")
             sensors.append(w)
-            hover_a.append(a_i)
-            flight_b.append(b_i)
+            a_n, b_n, h_n = step(g, a_n, b_n, h_n, a_i, b_i, w, hover)
+        sums.append((a_n, b_n, h_n))
         groups.append(tuple(range(first, len(sensors) + 1)))
         leg_start = hover
 
@@ -321,11 +339,8 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
         row_of_group=(1,) * N,
         start_point=start,
     )
-    return TrialGeometry(
-        plan=plan,
-        sums=channel.aggregate_coefficients(
-            plan, config.radio, hover_a, flight_b),
-        config=config)
+    return TrialGeometry(plan=plan, sums=tuple(map(tuple, zip(*sums))),
+                         config=config)
 
 
 def _price_fields(config: ScenarioConfig) -> tuple:
@@ -355,9 +370,7 @@ def build_problem(config: ScenarioConfig, geo: TrialGeometry,
     if _draw_fields(config) != _draw_fields(geo.config):
         raise ConfigError("the trial was drawn under another N, K, A_m, "
                           "D_range_m, ytilde_range_m, k0_db, M or delta_m")
-    plan, sums = ((geo.baseline_plan, geo.baseline_sums) if baseline
-                  else (geo.plan, geo.sums))
-    return _KeptPlan(plan, sums, baseline).problem(config, objective)
+    return _KeptPlan.kept(geo, baseline).problem(config, objective)
 
 
 def run_trial(config: ScenarioConfig, trial_index: int,
@@ -372,9 +385,9 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     ours, base = draws.get(trial_index, (None, None))
     if ours is None or (include_baseline and base is None):
         geo = generate_trial(config, trial_rng(config.seed, trial_index))
-        ours = _KeptPlan(geo.plan, geo.sums, False)
+        ours = _KeptPlan.kept(geo, False)
         if include_baseline:
-            base = _KeptPlan(geo.baseline_plan, geo.baseline_sums, True)
+            base = _KeptPlan.kept(geo, True)
         if len(draws) >= _TRIAL_MEMO and trial_index not in draws:
             del draws[next(iter(draws))]    # the oldest kept trial
         draws[trial_index] = ours, base

@@ -307,20 +307,28 @@ def check_feasibility(plan: GroupPlan, v_max: float,
     return travel <= T, travel
 
 
-def singleton_plan(sensors: tuple[Point, ...],
-                   start_point: Point) -> GroupPlan:
-    """One group per sensor, hovering directly over each sensor, visited
-    in x order after flying in from start_point.  Used by the
-    single-receive-antenna comparison scheme."""
+def singleton_legs(sensors: tuple[Point, ...], start_point: Point):
+    """The one-sensor stops of the comparison scheme, visited in x order
+    after flying in from start_point: (sensor ids, stops, leg lengths),
+    each stop directly over its sensor."""
     order = sorted(zip([w[0] for w in sensors], range(1, len(sensors) + 1)))
     ids = [i for _, i in order]
-    hovers = [sensors[i - 1] for i in ids]
+    stops = [sensors[i - 1] for i in ids]
     # dist(h, prev) is hypot(h[0] - prev[0], h[1] - prev[1]), to the bit
+    return ids, stops, tuple(map(math.dist, stops, [start_point] + stops))
+
+
+def singleton_plan(sensors: tuple[Point, ...],
+                   start_point: Point) -> GroupPlan:
+    """One group per sensor, hovering directly over each sensor
+    (`singleton_legs`).  Used by the single-receive-antenna comparison
+    scheme."""
+    ids, stops, D = singleton_legs(sensors, start_point)
     return GroupPlan(
         sensors=tuple(sensors),
         groups=tuple(zip(ids)),
-        hover_points=tuple(hovers),
-        D=tuple(map(math.dist, hovers, [start_point] + hovers)),
+        hover_points=tuple(stops),
+        D=D,
         row_of_group=(1,) * len(ids),
         start_point=start_point,
     )

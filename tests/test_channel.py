@@ -6,12 +6,12 @@ import pytest
 
 import uavwpt.channel as channel
 from instance_tools import coeff_a, group_coefficients, harvested_energy
-from uavwpt.channel import (ChannelParams, GroupCoefficients,
-                            aggregate_coefficients, coeff_b,
-                            leg_average_inverse_sq, point_inverse_sq)
+from uavwpt.channel import (ChannelParams, GroupCoefficients, coeff_b,
+                            leg_average_inverse_sq, member_step,
+                            point_inverse_sq)
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError, PlanError
-from uavwpt.experiments import generate_trial, trial_rng
+from uavwpt.experiments import generate_trial, run_trial, trial_rng
 from uavwpt.geometry import GroupPlan
 from uavwpt.numerics import integrate_adaptive
 from uavwpt.stm import TimeAllocation, delivered_information
@@ -57,11 +57,27 @@ def _uplink_sum(plan, n):
     return total
 
 
+def _plan_sums(plan, params, a_i, b_i):
+    """A plan's sums (a, b, h): its members' hover and flight
+    coefficients a_i and b_i, listed in plan order, and their uplink
+    gains, folded in by `member_step`."""
+    step = member_step(params)
+    pairs = iter(zip(a_i, b_i))
+    sums = []
+    for n, (members, hover) in enumerate(
+            zip(plan.groups, plan.hover_points), 1):
+        group = 0.0, 0.0, 0.0
+        for i, (av, bv) in zip(members, pairs):
+            group = step(n, *group, av, bv, plan.sensors[i - 1], hover)
+        sums.append(group)
+    return tuple(map(tuple, zip(*sums)))
+
+
 def _gamma(plan, params):
-    # one-sensor plans: the aggregate pass handed that sensor's a and b,
-    # its uplink sum then scaled by the radio's SNR
-    sums = aggregate_coefficients(plan, params, [coeff_a(plan, params, 1, 1)],
-                                  [coeff_b(plan, params, 1, 1)])
+    # one-sensor plans: the member step adds that sensor's a and b and
+    # its uplink gains, the sum then scaled by the radio's SNR
+    sums = _plan_sums(plan, params, [coeff_a(plan, params, 1, 1)],
+                      [coeff_b(plan, params, 1, 1)])
     return GroupCoefficients.scaled(sums, params).gamma[0]
 
 
@@ -294,18 +310,14 @@ def test_group_coefficients_range_checks(monkeypatch):
     too_big = 2.0 / PARAMS.A ** 2
     a = [coeff_a(plan, PARAMS, n, n) for n in (1, 2)]
     b = [coeff_b(plan, PARAMS, n, n) for n in (1, 2)]
-    sums = aggregate_coefficients(plan, PARAMS, a, b)
+    sums = _plan_sums(plan, PARAMS, a, b)
     assert GroupCoefficients.scaled(sums, PARAMS).N == 2
-    # one hover and one flight coefficient per member, no more, no less
-    for a_i, b_i in ((a[:1], b), (a, b + b[:1])):
-        with pytest.raises(PlanError, match="one hover and one flight"):
-            aggregate_coefficients(plan, PARAMS, a_i, b_i)
     # fault only group 2's
     for phase, a_i, b_i in (("hover", [a[0], too_big], b),
                             ("flight", a, [b[0], too_big])):
         with pytest.raises(NumericDomainError,
                            match=f"^group 2: {phase} coefficient"):
-            aggregate_coefficients(plan, PARAMS, a_i, b_i)
+            _plan_sums(plan, PARAMS, a_i, b_i)
     # the first faulty member in plan order is reported, and of one
     # member's two faults its hover one; nan lies outside the range too
     for report, a_i, b_i in (("group 1: flight", [a[0], too_big],
@@ -316,7 +328,7 @@ def test_group_coefficients_range_checks(monkeypatch):
                              ("group 2: flight", a, [b[0], math.nan])):
         with pytest.raises(NumericDomainError,
                            match=f"^{report} coefficient"):
-            aggregate_coefficients(plan, PARAMS, a_i, b_i)
+            _plan_sums(plan, PARAMS, a_i, b_i)
     # the same faults in the primitives a trial is drawn with; the
     # flight one stays above the hover one, so no member is redrawn
     config = ScenarioConfig(A_m=PARAMS.A)
@@ -329,6 +341,22 @@ def test_group_coefficients_range_checks(monkeypatch):
             with pytest.raises(NumericDomainError,
                                match=f"^group 1: {phase} coefficient"):
                 generate_trial(config, trial_rng(config.seed, 0))
+    # a flight fault in the baseline's walk alone, whose legs each end
+    # over their sensor: the grouped plan draws, and the baseline's
+    # first stop is reported when the baseline is read or solved
+    leg_average = channel.leg_average_inverse_sq
+    with monkeypatch.context() as m:
+        m.setattr(channel, "leg_average_inverse_sq",
+                  lambda p0, p1, w, A: (too_big if w == p1
+                                        else leg_average(p0, p1, w, A)))
+        geo = generate_trial(config, trial_rng(config.seed, 0))
+        with pytest.raises(NumericDomainError,
+                           match="^group 1: flight coefficient"):
+            geo.baseline
+        run_trial(config, 0, "stm", include_baseline=False)
+        with pytest.raises(NumericDomainError,
+                           match="^group 1: flight coefficient"):
+            run_trial(config, 0, "stm")
 
 
 @pytest.mark.parametrize("a, b, gamma, error, message", [

@@ -12,6 +12,7 @@ import pytest
 
 import uavwpt.channel as channel
 import uavwpt.experiments as experiments
+import uavwpt.geometry as geometry
 import uavwpt.ttm as ttm
 from conftest import fail_draws
 from instance_tools import coeff_a, group_coefficients, harvested_energy
@@ -161,6 +162,8 @@ _STREAM_CASES = {
     "odd_ranges": (ScenarioConfig(D_range_m=(20.3, 31.7),
                                   ytilde_range_m=(-1.3, 4.9)), None),
     "forced_redraws": (ScenarioConfig(), (0.0, 0.4)),
+    # five receive antennas, 3 m apart, on the grouped plan
+    "M6_delta3": (ScenarioConfig(M=6, delta_m=3.0), None),
 }
 
 
@@ -269,6 +272,23 @@ def test_trial_draw_and_coefficient_counts(monkeypatch):
     for t in range(5):
         run_trial(config, t, "ttm", include_baseline=False)
     assert len(rngs) == drawn
+    # the baseline's legs and sums come from one walk over its stops, and
+    # no fresh draw builds its GroupPlan; one built afterwards flies the
+    # same legs, to the bit
+    experiments._DRAWS.clear()
+    plans = []
+    for module in (experiments, geometry):
+        monkeypatch.setattr(module, "singleton_plan",
+                            lambda *args: plans.append(args))
+    for t in range(5):
+        run_trial(config, t, "stm", include_baseline=True)
+    assert plans == []
+    monkeypatch.undo()
+    for t in range(5):
+        geo = generate_trial(config, trial_rng(config.seed, t))
+        kept = experiments._DRAWS.trials[t][1]
+        assert ([d.hex() for d in geo.baseline_plan.D]
+                == [d.hex() for d in kept.D])
 
 
 def _bits(result):
@@ -571,7 +591,7 @@ def test_baseline_scenario_derivation(monkeypatch):
 # SHA-256 over float.hex of both results of every trial below, so the
 # last bit of any result shows (the sweep pins print 12 digits of
 # means).  Pinned with glibc's libm on x86-64 Linux under CPython 3.11.
-# channel.aggregate_coefficients adds with explicit left folds, not
+# channel.member_step adds with explicit left folds, not
 # sum(), which is compensated from 3.12 (sum([0.1] * 10) == 1.0 there,
 # 0.9999999999999999 on 3.11), so no CPython version should move the
 # pin; only 3.11 has been run.

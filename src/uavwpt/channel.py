@@ -34,6 +34,7 @@ power-transfer constants.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import atan2, hypot, inf, sqrt
 
 from .errors import ConfigError, NumericDomainError, PlanError
@@ -109,7 +110,7 @@ class ChannelParams:
         """eta * P_t * k0, the joules-per-(coefficient*second) factor."""
         return self.eta * self.P_t * self.k0
 
-    @property
+    @cached_property
     def snr(self) -> float:
         """energy_scale / sigma2, the SNR scale of every uplink gain."""
         return self.energy_scale / self.sigma2

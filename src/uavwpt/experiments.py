@@ -11,29 +11,32 @@ on scheduling or worker count.  A trial takes its numbers from
 standard-uniform blocks, mapped to their ranges the way
 `Generator.uniform` maps them, so each trial's stream, and every
 number drawn from it, is the one per-number `uniform` calls would give.
-The pass that draws a trial adds each grouped member's coefficients to
-its group's sums as it places the member (`channel.member_step`); the
-baseline's leg lengths and sums come from one walk over its stops, on
-first read, and its `GroupPlan` only when read.  No sum depends on the
-transmit power or the noise, and trial t draws the same stream at every
-sweep point (common random numbers).  So a drawn trial takes one path
-to its values: each plan becomes a `_KeptPlan` (leg lengths, member
-counts, sums, radio), whose `problem` builds it at a sweep point and
-keeps what it derived for the next: the coefficients and `ttm`'s hover
-denominators for them while the SNR is unchanged (v_max, T_s, I_nats
-points), and the speed-cap floors while v_max is.  `build_problem`
-makes one; `run_trial` keeps both plans of each trial it draws in its
-one store, `_DRAWS`, so a pt_db, v_max or I_nats sweep draws each
-trial once, every bit kept.  It keeps only the latest (seed,
-`_draw_fields`) key's trials and no failed draw; past `_TRIAL_MEMO`
-trials each new one evicts the oldest.  `run_sweep` runs every sweep
-as whole-trial blocks no larger than that store, in one process or a
-pool, and reads each trial's `TrialResult` or typed error.
+The pass that draws a trial keeps the grouped plan's legs, group sizes,
+sensors and start point, and adds each member's coefficients to its
+group's sums as it places it (`channel.member_step`); the baseline's
+legs and sums come from one walk over its stops, on first read, and
+each `GroupPlan` only when read.  No sum depends on the transmit power
+or the noise, and trial t draws the same stream at every sweep point
+(common random numbers).  So a drawn trial takes one path to its
+values: each plan becomes a `_KeptPlan` (legs, member counts, sums,
+radio), whose `solve` runs a solver kernel at a sweep point with the
+constructors' checks, building no problem or result, and keeps what it
+derived for the next: the coefficients and `ttm`'s hover denominators
+while the SNR is unchanged (v_max, T_s, I_nats points), and the floors
+while v_max is; `solve_*` on `build_problem`'s problem gives its bits.
+`run_trial` keeps both plans of each trial it draws in its one store,
+`_DRAWS`, so a pt_db, v_max or I_nats sweep draws each trial once.  It
+keeps only the latest (seed, `_draw_fields`) key's trials and no failed
+draw; past `_TRIAL_MEMO` trials each new one evicts the oldest.
+`run_sweep` runs every sweep as whole-trial blocks no larger than that
+store, in one process or a pool, and reads each trial's `TrialResult`
+or typed error.
 """
 
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,8 +48,9 @@ from .config import ScenarioConfig, _finite
 from .errors import ConfigError, NumericDomainError, UavWptError
 from .geometry import (GroupPlan, group_sizes, leg_floors, singleton_legs,
                        singleton_plan)
-from .stm import LeadPrice, StmProblem, solve_stm
-from .ttm import TtmProblem, solve_ttm
+from .stm import (LeadPrice, StmProblem, _check_budget, _check_price,
+                  _check_times, _information, _stm_allocation)
+from .ttm import TtmProblem, _check_demands, _ttm_allocation
 
 # Group members sit behind their hover point along the inbound leg, at
 # this fraction of the leg length, with a little cross-row jitter.  The
@@ -76,18 +80,30 @@ SWEEP_PARAMS = {
 
 @dataclass(frozen=True)
 class TrialGeometry:
-    """One realization drawn under `config`: the proposed plan with its
-    coefficient sums, and the baseline over the same sensors and start
-    point: its legs and sums (`baseline`) and its plan (`baseline_plan`),
-    each built on first read."""
+    """One realization drawn under `config`: the proposed plan's leg
+    lengths D, group sizes, sensors, start point and coefficient sums;
+    the baseline's legs and sums (`baseline`) and each `GroupPlan`
+    (`plan`, `baseline_plan`) are built on first read."""
 
-    plan: GroupPlan
+    D: tuple
+    sizes: tuple
+    sensors: tuple
+    start_point: tuple
     sums: tuple
     config: ScenarioConfig
 
     @functools.cached_property
+    def plan(self) -> GroupPlan:
+        ids, y = itertools.count(1), self.start_point[1]
+        return GroupPlan(
+            self.sensors, tuple(tuple(itertools.islice(ids, n))
+                                for n in self.sizes),
+            tuple((x, y) for x in itertools.accumulate(self.D)), self.D,
+            (1,) * len(self.D), self.start_point)
+
+    @functools.cached_property
     def baseline_plan(self) -> GroupPlan:
-        return singleton_plan(self.plan.sensors, self.plan.start_point)
+        return singleton_plan(self.sensors, self.start_point)
 
     @functools.cached_property
     def baseline(self) -> tuple:
@@ -98,8 +114,8 @@ class TrialGeometry:
         a_i = 1.0 / (A * A)   # each leg ends over its sensor
         step = channel.member_step(params)
         leg_average = channel.leg_average_inverse_sq
-        start = self.plan.start_point
-        _, stops, D = singleton_legs(self.plan.sensors, start)
+        start = self.start_point
+        _, stops, D = singleton_legs(self.sensors, start)
         sums = [step(n, 0.0, 0.0, 0.0, a_i, leg_average(p0, w, w, A), w, w)
                 for n, (p0, w) in enumerate(zip([start] + stops, stops), 1)]
         return D, (1,) * len(D), tuple(map(tuple, zip(*sums)))
@@ -107,58 +123,53 @@ class TrialGeometry:
 
 class _KeptPlan:
     """What a plan's problems read of a trial (leg lengths D, member
-    counts, sums, and `baseline` for the radio; `kept` takes them from a
-    `TrialGeometry`), and what they derived at the last point: the
-    coefficients at one SNR scale with `ttm`'s hover denominators for
-    them, and the speed-cap floors at one v_max.  Each is derived again
-    only when its input changes (a and b are checked at the first
-    scaling, gamma at each)."""
+    counts, sums, and `baseline` for the radio), and what they derived
+    at the last point: the coefficients at one SNR scale with `ttm`'s
+    hover denominators for them, and the speed-cap floors and their sum
+    at one v_max.  Each is derived again only when its input changes (a
+    and b are checked at the first scaling, gamma at each)."""
 
     __slots__ = ("D", "counts", "sums", "baseline", "snr", "coeffs",
-                 "denoms", "v_max", "floors")
+                 "denoms", "v_max", "floors", "travel")
 
     def __init__(self, D, counts, sums, baseline: bool):
         self.D, self.counts, self.sums = D, counts, sums
         self.baseline = baseline
         self.snr = self.coeffs = self.v_max = None
 
-    @classmethod
-    def kept(cls, geo: TrialGeometry, baseline: bool) -> "_KeptPlan":
-        """Trial `geo`'s grouped plan, or with `baseline` its baseline."""
-        if baseline:
-            return cls(*geo.baseline, True)
-        plan = geo.plan
-        return cls(plan.D, tuple(map(len, plan.groups)), geo.sums, False)
-
-    def problem(self, config: ScenarioConfig, objective: str):
-        """The plan's StmProblem ("stm") or TtmProblem ("ttm") under
-        `config`, equal to the one its constructor would build."""
+    def solve(self, config: ScenarioConfig, objective: str,
+              price: LeadPrice | None = None) -> float:
+        """The plan's throughput ("stm", `price` as in `solve_stm`) or
+        total time ("ttm") under `config`, as `solve_stm` or `solve_ttm`
+        gives it on `build_problem`'s problem, building neither."""
         params = config.baseline_radio if self.baseline else config.radio
         if params.snr != self.snr:
             self.coeffs = (GroupCoefficients.scaled(self.sums, params)
                            if self.coeffs is None
                            else self.coeffs.rescaled(self.sums[2], params))
             self.snr, self.denoms = params.snr, {}
-        v_max = config.v_max_mps
-        if v_max != self.v_max:
-            self.floors = leg_floors(self.D, v_max, self.coeffs.N)
-            self.v_max = v_max
+        c = self.coeffs
+        if config.v_max_mps != self.v_max:
+            self.floors = leg_floors(self.D, config.v_max_mps, c.N)
+            self.travel = math.fsum(self.floors)
+            self.v_max = config.v_max_mps
         if objective == "stm":
-            problem = object.__new__(StmProblem)
-            object.__setattr__(problem, "T", config.T_s)
-        elif objective == "ttm":
-            problem = object.__new__(TtmProblem)
-            object.__setattr__(problem, "I", tuple(
-                config.I_nats * n for n in self.counts))
-        else:
-            raise ConfigError(f"unknown objective {objective!r}")
-        # the fields the constructor sets, then its checks on the floors
-        # kept for this v_max
-        for name, value in (("coeffs", self.coeffs), ("D", self.D),
-                            ("v_max", v_max)):
-            object.__setattr__(problem, name, value)
-        problem.__post_init__(self.floors)
-        return problem
+            T = config.T_s
+            _check_budget(T, self.travel)
+            tau, zeta, mu, _ = _stm_allocation(
+                c.gamma, c.a, c.b, self.floors, T, T - self.travel, price)
+            _check_times(tau, zeta)
+            _check_price(mu)
+            return functools.reduce(
+                operator.add, _information(c.gamma, c.a, c.b, tau, zeta), 0.0)
+        if objective == "ttm":
+            demands = [config.I_nats * n for n in self.counts]
+            _check_demands(demands, c.N)
+            tau, zeta = _ttm_allocation(c.gamma, c.a, c.b, demands,
+                                        self.floors, self.denoms)
+            _check_times(tau, zeta)
+            return math.fsum(tau) + math.fsum(zeta)
+        raise ConfigError(f"unknown objective {objective!r}")
 
 
 class _TrialStore:
@@ -256,7 +267,10 @@ def _check_index(name: str, value) -> None:
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     _check_index("master seed", master_seed)
     _check_index("trial index", trial_index)
-    return Generator(PCG64(SeedSequence([master_seed, trial_index])))
+    # the uint32 words SeedSequence makes of [master_seed, trial_index]
+    words = [n >> s & 0xFFFFFFFF for n in (master_seed, trial_index)
+             for s in range(0, max(n.bit_length(), 1), 32)]
+    return Generator(PCG64(SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
@@ -295,18 +309,16 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     s_span = s_hi - s_lo
     j_lo = -Y_JITTER_M
     j_span = Y_JITTER_M - j_lo
-    anchors = list(itertools.accumulate(D))
 
+    sizes = tuple(group_sizes(K, N))
     step = channel.member_step(config.radio)
     start = (0.0, ytilde)
     sensors = []
-    groups = []
     sums = []
     leg_start = start
     for g, (hx, d_g, size) in enumerate(
-            zip(anchors, D, group_sizes(K, N)), 1):
+            zip(itertools.accumulate(D), D, sizes), 1):
         hover = (hx, ytilde)
-        first = len(sensors) + 1
         a_n = b_n = h_n = 0.0
         for _ in range(size):
             for attempt in range(REDRAW_CAP + 1):
@@ -328,19 +340,10 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
             sensors.append(w)
             a_n, b_n, h_n = step(g, a_n, b_n, h_n, a_i, b_i, w, hover)
         sums.append((a_n, b_n, h_n))
-        groups.append(tuple(range(first, len(sensors) + 1)))
         leg_start = hover
 
-    plan = GroupPlan(
-        sensors=tuple(sensors),
-        groups=tuple(groups),
-        hover_points=tuple((x, ytilde) for x in anchors),
-        D=tuple(D),
-        row_of_group=(1,) * N,
-        start_point=start,
-    )
-    return TrialGeometry(plan=plan, sums=tuple(map(tuple, zip(*sums))),
-                         config=config)
+    return TrialGeometry(tuple(D), sizes, tuple(sensors), start,
+                         tuple(map(tuple, zip(*sums))), config)
 
 
 def _price_fields(config: ScenarioConfig) -> tuple:
@@ -370,7 +373,17 @@ def build_problem(config: ScenarioConfig, geo: TrialGeometry,
     if _draw_fields(config) != _draw_fields(geo.config):
         raise ConfigError("the trial was drawn under another N, K, A_m, "
                           "D_range_m, ytilde_range_m, k0_db, M or delta_m")
-    return _KeptPlan.kept(geo, baseline).problem(config, objective)
+    D, counts, sums = (geo.baseline if baseline
+                       else (geo.D, geo.sizes, geo.sums))
+    coeffs = GroupCoefficients.scaled(
+        sums, config.baseline_radio if baseline else config.radio)
+    if objective == "stm":
+        return StmProblem(coeffs=coeffs, D=D, T=config.T_s,
+                          v_max=config.v_max_mps)
+    if objective == "ttm":
+        return TtmProblem(coeffs=coeffs, D=D, v_max=config.v_max_mps,
+                          I=tuple([config.I_nats * n for n in counts]))
+    raise ConfigError(f"unknown objective {objective!r}")
 
 
 def run_trial(config: ScenarioConfig, trial_index: int,
@@ -385,22 +398,16 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     ours, base = draws.get(trial_index, (None, None))
     if ours is None or (include_baseline and base is None):
         geo = generate_trial(config, trial_rng(config.seed, trial_index))
-        ours = _KeptPlan.kept(geo, False)
+        ours = _KeptPlan(geo.D, geo.sizes, geo.sums, False)
         if include_baseline:
-            base = _KeptPlan.kept(geo, True)
+            base = _KeptPlan(*geo.baseline, True)
         if len(draws) >= _TRIAL_MEMO and trial_index not in draws:
             del draws[next(iter(draws))]    # the oldest kept trial
         draws[trial_index] = ours, base
-
-    def solve(kept, price=None):
-        problem = kept.problem(config, objective)
-        if objective == "stm":
-            return solve_stm(problem, price)[1].objective
-        return solve_ttm(problem, kept.denoms)[1]
-
     return TrialResult(
-        ours=solve(ours),
-        baseline=solve(base, _DRAWS.price) if include_baseline else None)
+        ours=ours.solve(config, objective),
+        baseline=(base.solve(config, objective, _DRAWS.price)
+                  if include_baseline else None))
 
 
 def _outcome(config, trial_index, objective, include_baseline):

@@ -51,13 +51,15 @@ same gamma whatever the draw.  So a point's baselines build the state
 once, and each later solve evaluates no chain: two forward passes of
 the energy chain close its budget.  Both structures walk one energy
 chain (`_hovers` from `_rho`); the pinned search reads b and the
-floors too, and is not kept.
+floors too, and is not kept.  `solve_stm` and `delivered_information`
+wrap kernels on tuples, which `experiments.run_trial` calls directly.
 """
 
 import functools
 import math
 import operator
 from dataclasses import dataclass, field
+from math import inf
 
 from .channel import GroupCoefficients
 from .errors import (AccuracyError, ConfigError, InfeasiblePlanError,
@@ -90,21 +92,11 @@ class StmProblem:
     floors: tuple[float, ...] = field(init=False, repr=False, compare=False)
     travel_time: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, floors=None):
-        # floors: leg_floors(D, v_max, N) of an earlier problem, passed
-        # only by experiments' kept plans
-        if not self.T > 0.0:
-            raise ConfigError("T must be positive")
-        if floors is None:
-            floors = leg_floors(self.D, self.v_max, self.coeffs.N)
-        elif len(floors) != self.coeffs.N:
-            raise ConfigError("need one leg length per group")
+    def __post_init__(self):
+        floors = leg_floors(self.D, self.v_max, self.coeffs.N)
         object.__setattr__(self, "floors", floors)
         object.__setattr__(self, "travel_time", math.fsum(floors))
-        if self.travel_time > self.T:
-            raise InfeasiblePlanError(
-                f"minimum travel time {self.travel_time:.6g} s exceeds "
-                f"the budget T={self.T:.6g} s")
+        _check_budget(self.T, self.travel_time)
 
     @property
     def N(self) -> int:
@@ -125,11 +117,7 @@ class TimeAllocation:
     zeta: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.tau) != len(self.zeta) + 1:
-            raise NumericDomainError("need exactly one more hover than legs")
-        for v in (*self.tau, *self.zeta):
-            if not 0.0 <= v < math.inf:
-                raise NumericDomainError(f"negative or non-finite time {v}")
+        _check_times(self.tau, self.zeta)
 
     @property
     def total(self) -> float:
@@ -156,8 +144,7 @@ class StmDiagnostics:
     alloc: TimeAllocation = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.mu >= 0.0:
-            raise NumericDomainError("budget price must be nonnegative")
+        _check_price(self.mu)
 
     @functools.cached_property
     def budget_residual(self) -> float:
@@ -166,6 +153,30 @@ class StmDiagnostics:
     @functools.cached_property
     def optimality_gap(self) -> float:
         return optimality_gap(self.problem, self.alloc)
+
+
+def _check_budget(T: float, travel_time: float) -> None:
+    """StmProblem's checks on a budget T with legs flown in travel_time."""
+    if not T > 0.0:
+        raise ConfigError("T must be positive")
+    if travel_time > T:
+        raise InfeasiblePlanError(f"minimum travel time {travel_time:.6g} s "
+                                  f"exceeds the budget T={T:.6g} s")
+
+
+def _check_times(tau, zeta) -> None:
+    """TimeAllocation's checks on hover times tau and flight times zeta."""
+    if len(tau) != len(zeta) + 1:
+        raise NumericDomainError("need exactly one more hover than legs")
+    for v in (*tau, *zeta):
+        if not 0.0 <= v < inf:
+            raise NumericDomainError(f"negative or non-finite time {v}")
+
+
+def _check_price(mu: float) -> None:
+    """StmDiagnostics' check on the budget price mu."""
+    if not mu >= 0.0:
+        raise NumericDomainError("budget price must be nonnegative")
 
 
 def _chain_q(gamma, a, mu: float):
@@ -259,29 +270,78 @@ def _hovers(rho, a, b, tau0: float, zetas) -> list:
     return taus
 
 
-def _close_budget(tau0: float, taus, zetas, T: float) -> TimeAllocation:
+def _close_budget(tau0: float, taus, zetas, T: float):
     """Put the float drift into the largest hover so hover and flight
-    times sum to T.  Every hover is worth the budget price, so where the
-    drift goes matters only to second order; more than float noise
-    means the solve went wrong."""
+    times sum to T, as (tau, zeta).  Every hover is worth the budget
+    price, so where the drift goes matters only to second order; more
+    than float noise means the solve went wrong."""
     drift = T - math.fsum((tau0, *taus, *zetas))
     if abs(drift) > _BUDGET_SLOP * max(T, 1.0):
         raise AccuracyError(f"allocation misses the budget by {drift:.3e} s")
     j = taus.index(max(taus))
     taus[j] += drift
-    return TimeAllocation(tau=(tau0, *taus), zeta=tuple(zetas))
+    return (tau0, *taus), tuple(zetas)
 
 
-def _diagnostics(problem, alloc, mu, method):
-    return StmDiagnostics(
-        mu=mu, objective=sum_throughput(problem.coeffs, alloc),
-        method=method, problem=problem, alloc=alloc)
+def _stm_allocation(gamma, a, b, floors, T, slack, price):
+    """`solve_stm` on plain tuples: (tau, zeta, mu, method)."""
+    if slack <= 1e-12:
+        return (0.0,) * (len(floors) + 1), floors, 0.0, "degenerate"
+    free_first_hover = a[0] > b[0]
+    lead = a[0] if free_first_hover else b[0]
+    key = (gamma, a, 0.5 * gamma[0] * lead)
+    if price is None or price.key != key:
+        mu, state = _lead_price(*key)
+        if price is not None:
+            price.key, price.mu, price.state = key, mu, state
+    else:
+        mu, state = price.mu, price.state
+    if state is not None:
+        _, rho, S = state
+        excess = math.fsum((0.0, *_hovers(rho, a, b, 0.0, floors),
+                            *floors, -T))
+        if excess <= 0.0:
+            # mission time is affine in the free first-phase variable:
+            # it overruns T by `excess` at the variable's bound and grows
+            # by 1 + lead rho_1 S_1 per second above it
+            floor = 0.0 if free_first_hover else floors[0]
+            first = floor - excess / (1.0 + lead * rho[0] * S[0])
+            tau0, zetas = ((first, floors) if free_first_hover
+                           else (0.0, (first, *floors[1:])))
+            return (*_close_budget(tau0, _hovers(rho, a, b, tau0, zetas),
+                                   zetas, T),
+                    mu, "free-tau0" if free_first_hover else "free-zeta1")
 
+    pinned = None     # (mu, taus) at the last in-domain price
 
-def _degenerate_allocation(problem: StmProblem):
-    """Zero slack: every second goes to flying, nothing is transmitted."""
-    alloc = TimeAllocation(tau=(0.0,) * (problem.N + 1), zeta=problem.floors)
-    return alloc, _diagnostics(problem, alloc, 0.0, "degenerate")
+    def hover_gap(mu):
+        nonlocal pinned
+        chain = _chain_q(gamma, a, mu)
+        if chain is None:
+            return math.inf, math.nan
+        q, dq = chain
+        rho = _rho(gamma, q)
+        taus = _hovers(rho, a, b, 0.0, floors)
+        pinned = mu, taus
+        hover = math.fsum(taus)
+        if hover == 0.0:
+            return -math.inf, math.nan
+        # d tau_n/dmu = E_n gamma_n dq_n/(1 - q_n)^2 + rho_n a_n dtau_{n-1}
+        slope = dtau = 0.0
+        for g, an, bn, qn, dqn, r, prev, zn in zip(gamma, a, b, q, dq, rho,
+                                                   (0.0, *taus), floors):
+            dtau = (g * dqn / (1.0 - qn) ** 2 * (an * prev + bn * zn)
+                    + r * an * dtau)
+            slope += dtau
+        return math.log(hover / slack), slope / hover
+
+    # the pinned hovers shrink to nothing as mu grows
+    hi = mu + 1.0
+    while hover_gap(hi)[0] > 0.0:
+        hi += hi - mu
+    bracketed_newton(hover_gap, mu, hi, tol=_ROOT_TOL)
+    mu, taus = pinned
+    return (*_close_budget(0.0, taus, floors, T), mu, "pinned")
 
 
 def solve_stm(problem: StmProblem, price: LeadPrice | None = None):
@@ -298,70 +358,31 @@ def solve_stm(problem: StmProblem, price: LeadPrice | None = None):
     (TimeAllocation, StmDiagnostics); diagnostics.method names the
     structure.
     """
-    if problem.slack <= 1e-12:
-        return _degenerate_allocation(problem)
-    a_ = problem.coeffs.a
-    b_ = problem.coeffs.b
-    g_ = problem.coeffs.gamma
-    floors = problem.floors
-    free_first_hover = a_[0] > b_[0]
-    lead = a_[0] if free_first_hover else b_[0]
-    key = (g_, a_, 0.5 * g_[0] * lead)
-    if price is None or price.key != key:
-        mu, state = _lead_price(*key)
-        if price is not None:
-            price.key, price.mu, price.state = key, mu, state
-    else:
-        mu, state = price.mu, price.state
-    if state is not None:
-        _, rho, S = state
-        excess = math.fsum((0.0, *_hovers(rho, a_, b_, 0.0, floors),
-                            *floors, -problem.T))
-        if excess <= 0.0:
-            # mission time is affine in the free first-phase variable:
-            # it overruns T by `excess` at the variable's bound and grows
-            # by 1 + lead rho_1 S_1 per second above it
-            floor = 0.0 if free_first_hover else floors[0]
-            first = floor - excess / (1.0 + lead * rho[0] * S[0])
-            tau0, zetas = ((first, floors) if free_first_hover
-                           else (0.0, (first, *floors[1:])))
-            alloc = _close_budget(tau0, _hovers(rho, a_, b_, tau0, zetas),
-                                  zetas, problem.T)
-            method = "free-tau0" if free_first_hover else "free-zeta1"
-            return alloc, _diagnostics(problem, alloc, mu, method)
+    c = problem.coeffs
+    tau, zeta, mu, method = _stm_allocation(
+        c.gamma, c.a, c.b, problem.floors, problem.T, problem.slack, price)
+    alloc = TimeAllocation(tau=tau, zeta=zeta)
+    return alloc, StmDiagnostics(
+        mu=mu, objective=sum_throughput(c, alloc), method=method,
+        problem=problem, alloc=alloc)
 
-    slack = problem.slack
-    pinned = None     # (mu, taus) at the last in-domain price
 
-    def hover_gap(mu):
-        nonlocal pinned
-        chain = _chain_q(g_, a_, mu)
-        if chain is None:
-            return math.inf, math.nan
-        q, dq = chain
-        rho = _rho(g_, q)
-        taus = _hovers(rho, a_, b_, 0.0, floors)
-        pinned = mu, taus
-        hover = math.fsum(taus)
-        if hover == 0.0:
-            return -math.inf, math.nan
-        # d tau_n/dmu = E_n gamma_n dq_n/(1 - q_n)^2 + rho_n a_n dtau_{n-1}
-        slope = dtau = 0.0
-        for g, an, bn, qn, dqn, r, prev, zn in zip(g_, a_, b_, q, dq, rho,
-                                                   (0.0, *taus), floors):
-            dtau = (g * dqn / (1.0 - qn) ** 2 * (an * prev + bn * zn)
-                    + r * an * dtau)
-            slope += dtau
-        return math.log(hover / slack), slope / hover
-
-    # the pinned hovers shrink to nothing as mu grows
-    hi = mu + 1.0
-    while hover_gap(hi)[0] > 0.0:
-        hi += hi - mu
-    bracketed_newton(hover_gap, mu, hi, tol=_ROOT_TOL)
-    mu, taus = pinned
-    alloc = _close_budget(0.0, taus, floors, problem.T)
-    return alloc, _diagnostics(problem, alloc, mu, "pinned")
+def _information(gamma, a, b, tau, zeta) -> list:
+    """`delivered_information` on plain tuples, as a list."""
+    out = []
+    for g, an, bn, tau_prev, zn, tau_n in zip(gamma, a, b, tau[:-1], zeta,
+                                              tau[1:]):
+        if tau_n == 0.0:
+            out.append(0.0)
+            continue
+        energy = an * tau_prev + bn * zn
+        if energy < 0.0:
+            raise NumericDomainError("negative harvested-energy term")
+        x = g * energy / tau_n
+        log_y = (math.log1p(x) if x < inf else
+                 math.log(g) + math.log(energy) - math.log(tau_n))
+        out.append(tau_n * (0.5 * log_y))
+    return out
 
 
 def delivered_information(coeffs: GroupCoefficients,
@@ -376,22 +397,8 @@ def delivered_information(coeffs: GroupCoefficients,
     """
     if len(alloc.zeta) != coeffs.N:
         raise NumericDomainError("allocation does not match the group count")
-    tau = alloc.tau
-    out = []
-    for g, an, bn, tau_prev, zn, tau_n in zip(coeffs.gamma, coeffs.a,
-                                              coeffs.b, tau[:-1], alloc.zeta,
-                                              tau[1:]):
-        if tau_n == 0.0:
-            out.append(0.0)
-            continue
-        energy = an * tau_prev + bn * zn
-        if energy < 0.0:
-            raise NumericDomainError("negative harvested-energy term")
-        x = g * energy / tau_n
-        log_y = (math.log1p(x) if x < math.inf else
-                 math.log(g) + math.log(energy) - math.log(tau_n))
-        out.append(tau_n * (0.5 * log_y))
-    return tuple(out)
+    return tuple(_information(coeffs.gamma, coeffs.a, coeffs.b, alloc.tau,
+                              alloc.zeta))
 
 
 def sum_throughput(coeffs: GroupCoefficients, alloc: TimeAllocation) -> float:

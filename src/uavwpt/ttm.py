@@ -18,12 +18,12 @@ exactly instead of overshooting.
 
 The denominator W + 1 reads the coefficients, not the demand I_n.  So
 each one, at full cost or with the credit, is computed where a solve
-first needs it and kept in the `denoms` dict a caller may pass to
-`solve_ttm` for one set of coefficients; a denominator that fails its
-domain check raises and is not kept.  `experiments.run_trial` keeps
-each plan's coefficients, and their dict, across sweep points at one
-SNR, so the later points of an I_nats or v_max sweep make no Lambert
-call; a pt_db point scales new coefficients and prices its hovers anew.
+first needs it and kept in the `denoms` dict a caller may pass for one
+set of coefficients; one that fails its domain check raises and is not
+kept.  `experiments.run_trial` keeps each plan's coefficients and dict
+across sweep points at one SNR, and calls `solve_ttm`'s kernel on them,
+so the later points of an I_nats or v_max sweep make no Lambert call;
+a pt_db point scales new coefficients and prices its hovers anew.
 """
 
 import math
@@ -55,22 +55,23 @@ class TtmProblem:
     I: tuple[float, ...]
     floors: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, floors=None):
-        # floors: as in stm.StmProblem.__post_init__
-        if floors is None:
-            floors = leg_floors(self.D, self.v_max, self.coeffs.N)
-        elif len(floors) != self.coeffs.N:
-            raise ConfigError("need one leg length per group")
-        object.__setattr__(self, "floors", floors)
-        if len(self.I) != self.coeffs.N:
-            raise ConfigError("need one demand per group")
-        for n, i_n in enumerate(self.I, start=1):
-            if not i_n > 0.0:
-                raise ConfigError(f"group {n} demand must be positive")
+    def __post_init__(self):
+        object.__setattr__(self, "floors",
+                           leg_floors(self.D, self.v_max, self.coeffs.N))
+        _check_demands(self.I, self.coeffs.N)
 
     @property
     def N(self) -> int:
         return self.coeffs.N
+
+
+def _check_demands(I, N: int) -> None:
+    """TtmProblem's checks on the demands I of N groups."""
+    if len(I) != N:
+        raise ConfigError("need one demand per group")
+    for n, i_n in enumerate(I, start=1):
+        if not i_n > 0.0:
+            raise ConfigError(f"group {n} demand must be positive")
 
 
 def _hover_denom(gamma_b_eff: float, n: int) -> float:
@@ -93,17 +94,16 @@ def _hover_denom(gamma_b_eff: float, n: int) -> float:
     return denom
 
 
-def _flight_need(problem: TtmProblem, n: int, tau_prev: float,
-                 tau_n: float) -> float:
-    """Flight time of leg n after which tau_n seconds of hover deliver
-    exactly I_n nats, given tau_prev at group n-1: the inverse of the rate
-    formula, not floored at the speed cap; inf where exp would overflow."""
-    u = 2.0 * problem.I[n - 1] / tau_n
+def _flight_need(I_n: float, g: float, a: float, b: float,
+                 tau_prev: float, tau_n: float) -> float:
+    """Flight time of a leg after which tau_n seconds of hover deliver
+    exactly I_n nats to a group of coefficients (g, a, b), given tau_prev
+    at the group before: the inverse of the rate formula, not floored at
+    the speed cap; inf where exp would overflow."""
+    u = 2.0 * I_n / tau_n
     if u > _EXP_LIMIT:
         return math.inf
-    coeffs = problem.coeffs
-    return (tau_n / coeffs.gamma[n - 1] * expm1(u)
-            - coeffs.a[n - 1] * tau_prev) / coeffs.b[n - 1]
+    return (tau_n / g * expm1(u) - a * tau_prev) / b
 
 
 def _tau_for_demand(I_n: float, gamma_n: float, energy: float,
@@ -131,6 +131,47 @@ def _tau_for_demand(I_n: float, gamma_n: float, energy: float,
     return bracketed_newton(excess, lo, hi, tol=_DEMAND_TOL)
 
 
+def _ttm_allocation(gamma, a, b, I, floors, denoms: dict):
+    """`solve_ttm` on plain tuples: (tau, zeta)."""
+    # backward pass over taus = tau_0..tau_N (no start hover): the credit
+    # probe checks that leg n+1, which reads only hovers n and n+1, is
+    # still free
+    N = len(I)
+    taus = [0.0] * (N + 1)
+    for n in range(N, 0, -1):
+        I_n = I[n - 1]
+        if n < N and a[n] < b[n]:
+            denom = denoms.get(-n)
+            if denom is None:
+                kappa = 1.0 - a[n] / b[n]
+                denom = denoms[-n] = _hover_denom(
+                    kappa * gamma[n - 1] * b[n - 1], n)
+            taus[n] = 2.0 * I_n / denom
+            if (_flight_need(I[n], gamma[n], a[n], b[n], taus[n],
+                             taus[n + 1]) > floors[n] * (1.0 + 1e-12)):
+                continue
+        try:
+            denom = denoms[n]
+        except KeyError:
+            denom = denoms[n] = _hover_denom(gamma[n - 1] * b[n - 1], n)
+        taus[n] = 2.0 * I_n / denom
+
+    # forward pass: flight times from the final hovers; on clamped legs
+    # the hover is re-tightened to demand equality
+    zetas = []
+    prev = 0.0
+    for n, (I_n, g, an, bn, floor, tau_n) in enumerate(
+            zip(I, gamma, a, b, floors, taus[1:]), start=1):
+        zeta = _flight_need(I_n, g, an, bn, prev, tau_n)
+        if zeta <= floor:
+            zeta = floor
+            tau_n = taus[n] = _tau_for_demand(I_n, g, an * prev + bn * floor,
+                                              tau_n)
+        zetas.append(zeta)
+        prev = tau_n
+    return tuple(taus), tuple(zetas)
+
+
 def solve_ttm(problem: TtmProblem, denoms: dict | None = None):
     """Minimal-time hover and flight schedule meeting every demand.
 
@@ -142,46 +183,10 @@ def solve_ttm(problem: TtmProblem, denoms: dict | None = None):
     W + 1 of group n, -n: its credit W + 1}) and gains those this solve
     computes.  Returns (TimeAllocation, total_time).
     """
-    N = problem.N
-    coeffs = problem.coeffs
-    g_, a_, b_ = coeffs.gamma, coeffs.a, coeffs.b
-
-    # backward pass over taus = tau_0..tau_N (no start hover): the credit
-    # probe checks that leg n+1, which reads only hovers n and n+1, is
-    # still free
-    if denoms is None:
-        denoms = {}
-    taus = [0.0] * (N + 1)
-    for n in range(N, 0, -1):
-        I_n = problem.I[n - 1]
-        if n < N and a_[n] < b_[n]:
-            denom = denoms.get(-n)
-            if denom is None:
-                kappa = 1.0 - a_[n] / b_[n]
-                denom = denoms[-n] = _hover_denom(
-                    kappa * g_[n - 1] * b_[n - 1], n)
-            taus[n] = 2.0 * I_n / denom
-            if (_flight_need(problem, n + 1, taus[n], taus[n + 1])
-                    > problem.floors[n] * (1.0 + 1e-12)):
-                continue
-        denom = denoms.get(n)
-        if denom is None:
-            denom = denoms[n] = _hover_denom(g_[n - 1] * b_[n - 1], n)
-        taus[n] = 2.0 * I_n / denom
-
-    # forward pass: flight times from the final hovers; on clamped legs
-    # the hover is re-tightened to demand equality
-    zetas = []
-    for n, floor in enumerate(problem.floors, start=1):
-        zeta = _flight_need(problem, n, taus[n - 1], taus[n])
-        if zeta <= floor:
-            zeta = floor
-            energy = a_[n - 1] * taus[n - 1] + b_[n - 1] * floor
-            taus[n] = _tau_for_demand(
-                problem.I[n - 1], g_[n - 1], energy, taus[n])
-        zetas.append(zeta)
-
-    alloc = TimeAllocation(tau=tuple(taus), zeta=tuple(zetas))
+    c = problem.coeffs
+    alloc = TimeAllocation(*_ttm_allocation(
+        c.gamma, c.a, c.b, problem.I, problem.floors,
+        {} if denoms is None else denoms))
     return alloc, alloc.total
 
 

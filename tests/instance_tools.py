@@ -35,8 +35,8 @@ from uavwpt.errors import (AccuracyError, NumericDomainError, PlanError,
                            UnsupportedScaleError)
 from uavwpt.geometry import GroupPlan
 from uavwpt.stm import (StmDiagnostics, StmProblem, TimeAllocation,
-                        _close_budget, _degenerate_allocation,
-                        sum_throughput, throughput_gradient)
+                        _close_budget, solve_stm, sum_throughput,
+                        throughput_gradient)
 from uavwpt.ttm import TtmProblem, _hover_denom
 
 _MIN_HOVER = 1e-9         # lower bound on the reference's hover times
@@ -94,7 +94,7 @@ def stm_sqp_reference(problem: StmProblem):
     N = problem.N
     B = problem.slack
     if B <= 1e-12:
-        return _degenerate_allocation(problem)
+        return solve_stm(problem)     # the degenerate allocation
     g_ = np.asarray(problem.coeffs.gamma)
     a_ = np.asarray(problem.coeffs.a)
     b_ = np.asarray(problem.coeffs.b)
@@ -152,7 +152,7 @@ def stm_sqp_reference(problem: StmProblem):
     zetas = [float(zeta_floor[0] + best_u[N] * B)]
     zetas += [float(z) for z in zeta_floor[1:]]
     tau0 = B - float(np.sum(best_u)) * B
-    alloc = _close_budget(tau0, taus, zetas, problem.T)
+    alloc = TimeAllocation(*_close_budget(tau0, taus, zetas, problem.T))
 
     # recover the budget price from the last group's SNR factor
     if taus[-1] > 0.0:

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.random import PCG64, Generator, SeedSequence
 
 import uavwpt.channel as channel
 import uavwpt.experiments as experiments
@@ -26,8 +27,8 @@ from uavwpt.experiments import (AggregateResult, SweepSpec, SWEEP_HEADER,
                                 generate_trial, run_sweep, run_trial,
                                 trial_rng, write_sweep_csv)
 from uavwpt.cli import main
-from uavwpt.stm import StmProblem, solve_stm
-from uavwpt.ttm import solve_ttm
+from uavwpt.stm import StmDiagnostics, StmProblem, TimeAllocation, solve_stm
+from uavwpt.ttm import TtmProblem, solve_ttm
 
 CFG = ScenarioConfig(K=20, N=4, pt_db=4.0, T_s=1000.0, seed=1)
 SMALL = ScenarioConfig(K=8, N=2, pt_db=4.0, T_s=800.0, seed=3)
@@ -204,6 +205,41 @@ def test_block_draw_exhausted_redraws_same_error(monkeypatch):
     assert str(block.value) == str(scalar.value)
 
 
+def _plan_bits(plan):
+    """Every field of `plan`, with each float as its hex string."""
+    def bits(v):
+        if isinstance(v, float):
+            return v.hex()
+        return tuple(map(bits, v)) if isinstance(v, tuple) else v
+
+    return {f.name: bits(getattr(plan, f.name))
+            for f in dataclasses.fields(plan)}
+
+
+def test_fresh_trials_build_no_group_plan(monkeypatch):
+    # run_trial reads a draw's legs, group sizes, sensors and start point;
+    # its GroupPlan is built, and checked, only when read, and is then the
+    # plan the scalar stream gives, to the bit
+    config = ScenarioConfig()
+    geos = []
+    real_draw = experiments.generate_trial
+
+    def recorded(*args):
+        geos.append(real_draw(*args))
+        return geos[-1]
+
+    monkeypatch.setattr(experiments, "generate_trial", recorded)
+    built = _count_builds(monkeypatch, GroupPlan)
+    for t in range(5):
+        run_trial(config, t, "stm")
+    assert built == [] and len(geos) == 5
+    for t, geo in enumerate(geos):
+        expect, _ = _scalar_trial(config, trial_rng(config.seed, t))
+        built.clear()
+        assert _plan_bits(geo.plan) == _plan_bits(expect.plan)
+        assert built == ["GroupPlan"]
+
+
 class _CountingRng:
     """A Generator stand-in that counts each method call it forwards."""
 
@@ -377,28 +413,54 @@ def test_kept_state_matches_fresh_problems(field, values):
                                          fresh):
                     assert kept.floors == problem.floors == leg_floors(
                         problem.D, pc.v_max_mps, problem.N)
-                    # the kept route builds what the constructor builds
-                    made = kept.problem(pc, objective)
-                    public = dataclasses.replace(made)
-                    assert made == public and made.floors == public.floors
-                    if objective == "stm":
-                        assert made.travel_time == public.travel_time
+
+
+def _count_builds(monkeypatch, *classes):
+    """Record the class of every instance of `classes` built from now on."""
+    built = []
+    for cls in classes:
+        def counted(self, *args, real=cls.__post_init__):
+            built.append(type(self).__name__)
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("param,values", [("I_nats", (1.0, 30.0)),
+                                          ("pt_db", (0.0, 8.0))])
+def test_kept_point_builds_no_problem_or_result(param, values, monkeypatch):
+    # at a kept point run_trial solves on the kept plan's tuples: it
+    # builds no problem, allocation or diagnostics, and gives the bits of
+    # solve_stm or solve_ttm on build_problem's problems
+    first, later = (apply_sweep_value(ScenarioConfig(), param, v)
+                    for v in values)
+    for objective in ("stm", "ttm"):
+        experiments._DRAWS.clear()
+        for t in range(5):
+            run_trial(first, t, objective)
+        with monkeypatch.context() as m:
+            built = _count_builds(m, StmProblem, TtmProblem, TimeAllocation,
+                                  StmDiagnostics)
+            results = [_bits(run_trial(later, t, objective))
+                       for t in range(5)]
+            assert built == []
+        for t, result in enumerate(results):
+            geo = generate_trial(later, trial_rng(later.seed, t))
+            assert result == tuple(
+                _solve_bits(build_problem(later, geo, objective, baseline))
+                for baseline in (False, True))
 
 
 def test_problem_floors_come_only_from_leg_floors():
     # the constructors take no floors, so no caller can give a problem
-    # floors that disagree with its D and v_max; floors kept from an
-    # earlier point must still have one leg per group
+    # floors that disagree with its D and v_max
     cfg = ScenarioConfig()
     geo = generate_trial(cfg, trial_rng(cfg.seed, 0))
     problem = build_problem(cfg, geo, "stm")
     with pytest.raises(TypeError):
         StmProblem(coeffs=problem.coeffs, D=problem.D, T=100.0, v_max=-5.0,
                    floors=problem.floors)
-    for objective in ("stm", "ttm"):
-        problem = build_problem(cfg, geo, objective)
-        with pytest.raises(ConfigError, match="one leg length per group"):
-            problem.__post_init__(problem.floors[:-1])
 
 
 @pytest.mark.parametrize("field,value", [("T_s", 10.0),
@@ -634,6 +696,17 @@ def test_trial_rng_rejects_bad_master_seed():
     for seed in (-1, 1.5, None):
         with pytest.raises(ConfigError, match="master seed"):
             trial_rng(seed, 0)
+
+
+@pytest.mark.parametrize("seed,index", [(0, 0), (2**32 - 1, 7), (2**32, 3),
+                                        (2**70 + 5, 2**33 + 1)])
+def test_trial_rng_draws_numpys_stream_for_the_pair(seed, index):
+    # the seed words trial_rng hands SeedSequence are those numpy makes
+    # of the list [seed, index], one or more 32-bit words per int
+    got = trial_rng(seed, index)
+    want = Generator(PCG64(SeedSequence([seed, index])))
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.random(64).tobytes() == want.random(64).tobytes()
 
 
 def test_throughput_monotone_in_power_per_trial():

@@ -242,12 +242,12 @@ def test_closed_form_chain_evaluations(monkeypatch):
         counts["chain"] += 1
         return _chain_q(*args)
 
-    def counted_solve(problem, price=None):
+    def counted_solve(*args):
         counts["solves"] += 1
-        return solve_stm(problem)
+        return stm._stm_allocation(*args[:-1], None)
 
     monkeypatch.setattr(stm, "_chain_q", counted_chain)
-    monkeypatch.setattr(experiments, "solve_stm", counted_solve)
+    monkeypatch.setattr(experiments, "_stm_allocation", counted_solve)
     sweep = SweepSpec(param="pt_db", values=(0.0, 8.0), trials=10,
                       objective="stm")
     run_sweep(ScenarioConfig(), sweep)
@@ -450,23 +450,20 @@ def test_optimality_gap_computed_on_first_read(monkeypatch):
         calls.append(args)
         return optimality_gap(*args)
 
-    diags = []
+    solves = []
 
-    def kept(problem, price=None):
-        solved = solve_stm(problem, price)
-        diags.append(solved[1])
-        return solved
+    def kept(*args):
+        solves.append(args)
+        return stm._stm_allocation(*args)
 
     monkeypatch.setattr(stm, "optimality_gap", counted)
-    monkeypatch.setattr(experiments, "solve_stm", kept)
+    monkeypatch.setattr(experiments, "_stm_allocation", kept)
     config = ScenarioConfig()
     experiments.run_trial(config, 0, "stm")
     run_sweep(config, SweepSpec(param="pt_db", values=(0.0, 8.0),
                                 trials=5, objective="stm"))
-    assert calls == [] and len(diags) == 2 + 2 * 2 * 5
-    # no sweep computes either derived diagnostic
-    for diag in diags:
-        assert not {"budget_residual", "optimality_gap"} & set(diag.__dict__)
+    # no sweep computes the gap
+    assert calls == [] and len(solves) == 2 + 2 * 2 * 5
     for problem in _memo_trial_problems():
         calls.clear()
         alloc, diag = solve_stm(problem)

@@ -104,12 +104,19 @@ def test_credit_out_of_domain_raises():
 
 # -------------------------------------------------- flight inversion
 
+def _need(problem, n, tau_prev, tau_n):
+    """`_flight_need` of leg n of `problem`."""
+    c = problem.coeffs
+    return _flight_need(problem.I[n - 1], c.gamma[n - 1], c.a[n - 1],
+                        c.b[n - 1], tau_prev, tau_n)
+
+
 def test_flight_inverts_rate_exactly():
     problem = ttm_instance(3, N=2)
     taus = [tau_closed_form(problem, n) for n in (1, 2)]
     for n in (1, 2):
         prev = 0.0 if n == 1 else taus[n - 2]
-        z = _flight_need(problem, n, prev, taus[n - 1])
+        z = _need(problem, n, prev, taus[n - 1])
         floor = problem.D[n - 1] / problem.v_max
         if z > floor:
             E = (problem.coeffs.a[n - 1] * prev
@@ -123,7 +130,7 @@ def test_flight_floored_at_speed_cap():
     # the need falls below the cap, so the solve flies the leg at it
     problem = _single_group(gamma=5e4, a=0.004, b=0.006, I=5.0)
     tau = tau_closed_form(problem, 1)
-    assert _flight_need(problem, 1, 0.0, tau) < 2.5
+    assert _need(problem, 1, 0.0, tau) < 2.5
     alloc, _ = solve_ttm(problem)
     assert alloc.zeta == (2.5,)
 
@@ -131,7 +138,7 @@ def test_flight_floored_at_speed_cap():
 def test_flight_guards():
     problem = ttm_instance(3, N=2)
     # past exp's range the demand cannot be met by any flight
-    assert _flight_need(problem, 1, 0.0, 1e-3 * problem.I[0]) == math.inf
+    assert _need(problem, 1, 0.0, 1e-3 * problem.I[0]) == math.inf
     with pytest.raises(NumericDomainError):
         tau_closed_form(problem, 0)
 

@@ -74,7 +74,8 @@ def lambert_w0(x: float) -> float:
     raise AccuracyError(f"lambert_w0: no convergence for argument {x!r}")
 
 
-def bracketed_newton(fdf, lo: float, hi: float, tol: float) -> float:
+def bracketed_newton(fdf, lo: float, hi: float, tol: float,
+                     f_hi_max: float | None = None) -> float:
     """Root of f on [lo, hi] by Newton steps kept inside a sign-change
     bracket.
 
@@ -90,20 +91,30 @@ def bracketed_newton(fdf, lo: float, hi: float, tol: float) -> float:
     inside the bracket.  The returned point is always the last one fdf
     was called at, so a caller can keep what fdf computed there.
     Raises BracketingError when f(lo) and f(hi) do not differ in sign.
+
+    f_hi_max, when given, is a proven upper bound on f(hi).  Where
+    0 < f(lo) < -f_hi_max, f(hi) is below zero and larger in size than
+    f(lo), so the sign check passes and the first step is taken from lo
+    whatever f(hi) is: hi is not evaluated.
     """
     if not hi > lo:
         raise ValueError("bracketed_newton: need hi > lo")
     flo, dlo = fdf(lo)
     if abs(flo) <= tol:
         return lo
-    fhi, dhi = fdf(hi)
-    if abs(fhi) <= tol:
-        return hi
-    if not flo * fhi < 0.0:
-        raise BracketingError(
-            f"bracketed_newton: no sign change in [{lo!r}, {hi!r}]")
-    last = hi
-    x, fx, dx = (lo, flo, dlo) if abs(flo) < abs(fhi) else (hi, fhi, dhi)
+    if f_hi_max is not None and 0.0 < flo < -f_hi_max:
+        last = lo
+        x, fx, dx = lo, flo, dlo
+    else:
+        fhi, dhi = fdf(hi)
+        if abs(fhi) <= tol:
+            return hi
+        if not flo * fhi < 0.0:
+            raise BracketingError(
+                f"bracketed_newton: no sign change in [{lo!r}, {hi!r}]")
+        last = hi
+        x, fx, dx = ((lo, flo, dlo) if abs(flo) < abs(fhi)
+                     else (hi, fhi, dhi))
     while True:
         new = x - fx / dx if dx != 0.0 else math.nan
         if new == x:

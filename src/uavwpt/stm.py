@@ -17,11 +17,16 @@ worth to mu gives a backward chain of explicit Lambert W expressions,
     q_N = -W0(-exp(-(2 mu + 1))),
     q_n = -W0(-exp(-(2 r_n + 1))),  r_n = mu - gamma_{n+1} a_{n+1} q_{n+1}/2,
 
-defined where every r_n > 0, with an analytic slope dq_n/dmu.  The
+defined where every r_n > 0, with an analytic slope dq_n/dmu.  Each
+level solves its W0 in place (`_chain_q`, with lambert_w0's seeds,
+Halley step and stopping rule, so with its bits) over the coupling
+weights gamma_n a_n / 2, which each search forms once.  The
 first-phase variable that harvests better ("lead": tau_0 when a_1 > b_1,
 else zeta_1) is worth gamma_1 lead q_1 / 2, which falls as mu rises, so
 one bracketed Newton search (numerics.bracketed_newton) finds the price
-mu+ at which it is worth exactly mu.  A KKT structure test (Boyd &
+mu+ at which it is worth exactly mu; its gap is provably below -2.9 at
+the bracket's upper end (`_lead_bracket`), which is evaluated only when
+the search's start rule needs it.  A KKT structure test (Boyd &
 Vandenberghe, ch. 5) then settles the solve:
 
 - free: the mission with tau_0 = 0 and every leg at the cap fits the
@@ -65,11 +70,13 @@ from .channel import GroupCoefficients
 from .errors import (AccuracyError, ConfigError, InfeasiblePlanError,
                      NumericDomainError)
 from .geometry import leg_floors
-from .numerics import bracketed_newton, lambert_w0
+from .numerics import (_INV_E, _W_MAX_ITER, _W_STEP_TOL, bracketed_newton,
+                       lambert_w0)
 
 STM_DIAG_HEADER = "N,T,v_max,mu,objective,budget_residual,optimality_gap"
 
 _ROOT_TOL = 1e-12         # both searches' tolerance (dimensionless)
+_LEAD_GAP_AT_HI = -2.9    # proven bound on the lead gap at its upper end
 # tolerated drift when closing the budget, relative to T: a pinned
 # mission can be so steep in mu that one float step of mu moves it ~1e-9 T
 _BUDGET_SLOP = 1e-6
@@ -179,28 +186,70 @@ def _check_price(mu: float) -> None:
         raise NumericDomainError("budget price must be nonnegative")
 
 
-def _chain_q(gamma, a, mu: float):
-    """Backward dual chain at budget price mu: q_n = 1/Y_n for n = N..1
+def _halves(gamma, a) -> list:
+    """The chain's coupling weights gamma_n a_n / 2, formed once per
+    search (`_chain_q`)."""
+    return [0.5 * g * an for g, an in zip(gamma, a)]
+
+
+def _chain_q(halves, mu: float):
+    """Backward dual chain at budget price mu over the coupling weights
+    halves[n] = gamma_n a_n / 2 (`_halves`): q_n = 1/Y_n for n = N..1
     and the slopes dq_n/dmu, or None where the chain is undefined (some
     r_n <= 0, or q_n rounds to 1: no finite hover is worth mu).
 
     own(1/q) = r reads q exp(-q) = exp(-(2r + 1)), so
     q = -W0(-exp(-(2r + 1))), and W0's derivative gives
-    dq/dmu = -2q/(1 - q) dr/dmu.
+    dq/dmu = -2q/(1 - q) dr/dmu.  Each level solves its W0 in place with
+    `numerics.lambert_w0`'s seeds, Halley step, stopping rule and
+    errors, restricted to the chain's arguments x in [-1/e, 0], so q_n
+    has the bits -lambert_w0(x) gives and no call is made per level.
     """
-    N = len(gamma)
+    N = len(halves)
     q = [0.0] * N
     dq = [0.0] * N
     r, dr = mu, 1.0
     for n in range(N - 1, -1, -1):
         if r <= 0.0:
             return None
-        w = lambert_w0(-math.exp(-2.0 * r - 1.0))
+        x = -math.exp(-2.0 * r - 1.0)
+        if x < -0.3243:
+            if x < -_INV_E:
+                if x >= -_INV_E - 1e-15:
+                    return None         # W0 = -1: q_n = 1
+                raise NumericDomainError(
+                    f"lambert_w0: argument {x!r} lies below -1/e")
+            # series about the branch point; it is the answer for p < 1e-4
+            p = math.sqrt(max(0.0, 2.0 * (math.e * x + 1.0)))
+            w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
+            left = _W_MAX_ITER if p >= 1e-4 else -1
+        elif x < 0.0:
+            w = x / (1.0 + x)
+            left = _W_MAX_ITER
+        elif x == 0.0:
+            w, left = 0.0, -1
+        else:
+            raise NumericDomainError("lambert_w0: argument is NaN")
+        # Halley steps left to take; -1 where the seed is W0 already
+        while left > 0:
+            ew = math.exp(w)
+            res = w * ew - x
+            if res == 0.0:
+                break
+            w1 = w + 1.0
+            step = res / (ew * w1 - (w + 2.0) * res / (2.0 * w1))
+            w -= step
+            if abs(step) <= _W_STEP_TOL * (1.0 + abs(w)):
+                break
+            left -= 1
+        if left == 0:
+            raise AccuracyError(
+                f"lambert_w0: no convergence for argument {x!r}")
         if w <= -1.0:
             return None
         q[n] = -w
         dq[n] = 2.0 * w / (1.0 + w) * dr
-        half = 0.5 * gamma[n] * a[n]
+        half = halves[n]
         r, dr = mu - half * q[n], 1.0 - half * dq[n]
     return q, dq
 
@@ -227,23 +276,19 @@ def _lead_price(gamma, a, c: float):
     tuples so that no caller can alter a kept one.
     """
     chain = None      # the chain at the last price searched
+    halves = _halves(gamma, a)
 
     def lead_gap(mu):
         nonlocal chain
-        chain = _chain_q(gamma, a, mu)
+        chain = _chain_q(halves, mu)
         if chain is None:
             return math.inf, math.nan
         q, dq = chain
-        if q[0] == 0.0:
-            return -math.inf, math.nan
         return math.log(c * q[0] / mu), dq[0] / q[0] - 1.0 / mu
 
-    # q_1 is at least group 1's link with nothing downstream, so the gap
-    # is >= 0 where that link alone prices the lead at mu (a closed
-    # form); q_n <= 1 puts every r_n >= 1 and the gap below 0 at hi
-    lo = c * math.exp(-1.0 - lambert_w0((2.0 * c - 1.0) / math.e))
-    hi = 1.0 + max([c] + [0.5 * g * an for g, an in zip(gamma[1:], a[1:])])
-    mu = bracketed_newton(lead_gap, lo, hi, tol=_ROOT_TOL)
+    lo, hi = _lead_bracket(halves, c)
+    mu = bracketed_newton(lead_gap, lo, hi, tol=_ROOT_TOL,
+                          f_hi_max=_LEAD_GAP_AT_HI)
     if chain is None:
         return mu, None
     q = chain[0]
@@ -252,6 +297,35 @@ def _lead_price(gamma, a, c: float):
     for m in range(len(q) - 1, 0, -1):
         S[m - 1] = 1.0 + a[m] * rho[m] * S[m]
     return mu, (tuple(q), tuple(rho), tuple(S))
+
+
+def _lead_bracket(halves, c: float):
+    """The lead search's bracket (lo, hi) on mu: the gap is >= 0 at lo
+    and below _LEAD_GAP_AT_HI = -2.9 at hi, so the search need evaluate
+    hi only when its start rule asks for it.
+
+    lo: q_1 is at least group 1's link with nothing downstream, so the
+    gap is >= 0 where that link alone prices the lead at mu, a closed
+    form.
+
+    hi: let top be the largest of c and the downstream weights
+    halves[1:].  At 1 + top, q_n <= 1 puts every r_n >= 1, so q_1 <=
+    -W0(-e^-3) = 0.05247 and, as c < hi, the gap is below
+    ln 0.05247 = -2.948.  Past the float limit of exp (1 + top above
+    about 372) the chain reads q = 0 there, and a search would halve
+    its way down; hi is then 1.55 + ln(top)/2.  As q <= e^(-2r), every
+    r_n stays >= R = 1.5 + ln(top)/2 (a weight times e^(-2R) is at most
+    e^-3 < 0.05), so q_1 <= e^-3/top, the gap is below -3 - ln hi, and
+    every q_n in the bracket reads above 0.  That end is valid
+    everywhere, but 1 + top is kept below the float limit so that those
+    searches keep their bits.
+    """
+    lo = c * math.exp(-1.0 - lambert_w0((2.0 * c - 1.0) / math.e))
+    top = max([c] + halves[1:])
+    hi = 1.0 + top
+    if math.exp(-2.0 * hi - 1.0) == 0.0:
+        hi = 1.55 + 0.5 * math.log(top)
+    return lo, hi
 
 
 def _rho(gamma, q) -> list:
@@ -313,10 +387,11 @@ def _stm_allocation(gamma, a, b, floors, T, slack, price):
                     mu, "free-tau0" if free_first_hover else "free-zeta1")
 
     pinned = None     # (mu, taus) at the last in-domain price
+    halves = _halves(gamma, a)
 
     def hover_gap(mu):
         nonlocal pinned
-        chain = _chain_q(gamma, a, mu)
+        chain = _chain_q(halves, mu)
         if chain is None:
             return math.inf, math.nan
         q, dq = chain
@@ -417,7 +492,10 @@ def throughput_gradient(coeffs: GroupCoefficients, tau, zeta) -> list:
     tau_0 only charges group 1, and flight time zeta_n only charges
     group n, 0.5 gamma_n b_n q_n.  A group with no hover adds nothing
     downstream and has an unbounded marginal gain of its own.  An
-    overflowing Y_n is logged as in delivered_information.
+    overflowing Y_n is logged as in delivered_information, and its q_n
+    taken as tau_n / (gamma_n E_n), equal to 1/Y_n to float precision
+    there: 1/inf would read 0 and drop the downstream worth
+    0.5 gamma_n a_n q_n, which stays of order a_n tau_n / E_n.
     """
     g_ = coeffs.gamma
     a_ = coeffs.a
@@ -429,9 +507,13 @@ def throughput_gradient(coeffs: GroupCoefficients, tau, zeta) -> list:
         if tau[n + 1] > 0.0:
             energy = a_[n] * tau[n] + b_[n] * zeta[n]
             Y = 1.0 + g_[n] * energy / tau[n + 1]
-            q[n] = 1.0 / Y
-            log_y = (math.log(Y) if Y < math.inf else math.log(g_[n])
-                     + math.log(energy) - math.log(tau[n + 1]))
+            if Y < math.inf:
+                q[n] = 1.0 / Y
+                log_y = math.log(Y)
+            else:
+                q[n] = tau[n + 1] / energy / g_[n]
+                log_y = (math.log(g_[n]) + math.log(energy)
+                         - math.log(tau[n + 1]))
             own[n] = 0.5 * (log_y - 1.0 + q[n])
     d = [0.5 * g_[0] * a_[0] * q[0]]
     for n in range(N - 1):

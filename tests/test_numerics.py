@@ -186,6 +186,53 @@ def test_newton_stops_when_its_step_cannot_move_x():
     assert len(seen) <= 5
 
 
+def test_bounded_upper_end_is_not_evaluated():
+    # f = ln(3/x) on [1, 30]: f(lo) = 1.10 and f(hi) = -2.30 <= -2, so
+    # with that bound the search takes the same steps from lo, minus hi
+    def search(**bound):
+        seen = []
+
+        def fdf(x):
+            seen.append(x)
+            return math.log(3.0 / x), -1.0 / x
+
+        return bracketed_newton(fdf, 1.0, 30.0, tol=1e-12, **bound), seen
+
+    root, seen = search()
+    bounded, seen_bounded = search(f_hi_max=-2.0)
+    assert seen[:2] == [1.0, 30.0] and len(seen) > 3
+    assert seen_bounded == [seen[0], *seen[2:]]
+    assert bounded.hex() == root.hex() == seen_bounded[-1].hex()
+
+
+@pytest.mark.parametrize("flo", [-1.0, 2.0, 3.0])
+def test_bounded_upper_end_evaluated_outside_its_range(flo):
+    # the skip needs 0 < f(lo) < -f_hi_max; otherwise hi is evaluated
+    # and a bracket without a sign change still raises
+    seen = []
+
+    def fdf(x):
+        seen.append(x)
+        return flo + x if flo > 0.0 else flo - x, 1.0
+
+    with pytest.raises(BracketingError):
+        bracketed_newton(fdf, 0.0, 1.0, tol=1e-12, f_hi_max=-2.0)
+    assert seen == [0.0, 1.0]
+
+
+def test_bounded_upper_end_on_adjacent_floats_returns_lo():
+    # no float lies inside [lo, hi]: the last point evaluated is lo
+    seen = []
+
+    def fdf(x):
+        seen.append(x)
+        return 1.0, -1.0
+
+    lo, hi = 1.0, math.nextafter(1.0, 2.0)
+    assert bracketed_newton(fdf, lo, hi, tol=1e-12, f_hi_max=-2.0) == lo
+    assert seen == [lo]
+
+
 def test_bisect_no_root_raises():
     with pytest.raises(BracketingError):
         bracketed_newton(_with_slope(lambda x: x * x + 1.0,

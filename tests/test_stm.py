@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,12 +14,14 @@ from instance_tools import (full_variable_gap, group_information,
                             stm_instance, stm_sqp_reference, synthetic_coeffs)
 from uavwpt.channel import GroupCoefficients
 from uavwpt.config import ScenarioConfig
-from uavwpt.errors import ConfigError, InfeasiblePlanError, NumericDomainError
-from uavwpt import experiments, stm
+from uavwpt.errors import (AccuracyError, ConfigError, InfeasiblePlanError,
+                           NumericDomainError)
+from uavwpt import experiments, numerics, stm
 from uavwpt.experiments import SweepSpec, generate_trial, run_sweep, trial_rng
-from uavwpt.stm import (StmDiagnostics, StmProblem, TimeAllocation, _chain_q, optimality_gap,
-                        solve_stm, stm_diag_row, sum_throughput,
-                        throughput_gradient, STM_DIAG_HEADER)
+from uavwpt.numerics import lambert_w0
+from uavwpt.stm import (StmDiagnostics, StmProblem, TimeAllocation, _chain_q,
+                        _halves, optimality_gap, solve_stm, stm_diag_row,
+                        sum_throughput, throughput_gradient, STM_DIAG_HEADER)
 from uavwpt.ttm import TtmProblem
 
 METHODS = {"free-tau0", "free-zeta1", "pinned", "degenerate"}
@@ -209,15 +213,16 @@ def test_chain_slope_matches_central_difference(N, K, baseline):
     for trial in range(12):
         problem = _swept_problem(config, trial, baseline)
         c = problem.coeffs
+        halves = _halves(c.gamma, c.a)
         root = solve_stm(problem)[1].mu
         for mu in (root, root + 0.3, root + 2.0):
             # fourth-order stencil: baseline roots sit close enough to the
             # chain's square-root edge to spoil a two-point difference
             h = 1e-6 * (1.0 + abs(mu))
-            q, dq = _chain_q(c.gamma, c.a, mu)
+            q, dq = _chain_q(halves, mu)
             assert q == pytest.approx(_oracle_chain_q(c.gamma, c.a, mu),
                                       rel=1e-12)
-            qs = [_chain_q(c.gamma, c.a, mu + k * h)[0]
+            qs = [_chain_q(halves, mu + k * h)[0]
                   for k in (-2, -1, 1, 2)]
             for n in range(problem.N):
                 fd = (qs[0][n] - 8.0 * qs[1][n] + 8.0 * qs[2][n]
@@ -227,10 +232,196 @@ def test_chain_slope_matches_central_difference(N, K, baseline):
 
 def test_chain_undefined_below_its_domain():
     c = stm_instance(3, N=3).coeffs
-    assert _chain_q(c.gamma, c.a, 0.0) is None
+    halves = _halves(c.gamma, c.a)
+    assert _chain_q(halves, 0.0) is None
     # with q_N <= 1, r_{N-1} >= 1 once mu exceeds every downstream weight
     mu = 1.0 + max(0.5 * g * a for g, a in zip(c.gamma, c.a))
-    assert _chain_q(c.gamma, c.a, mu) is not None
+    assert _chain_q(halves, mu) is not None
+
+
+def test_chain_solves_w0_in_place_bit_for_bit():
+    # one level: q_1 = -W0(-exp(-2 mu - 1)) at mu from the branch point
+    # band (mu < 0.063, the series seed; below 2.5e-9 the series is the
+    # answer) to the underflow of the argument to -0.0 (mu > 372.1)
+    kinds = collections.Counter()
+    for mu in map(float, np.logspace(-17.0, math.log10(400.0), 100_000)):
+        x = -math.exp(-2.0 * mu - 1.0)
+        w = lambert_w0(x)
+        chain = _chain_q((1.0,), mu)
+        if w <= -1.0:
+            assert chain is None
+            kinds["branch point"] += 1
+            continue
+        assert chain[0][0].hex() == (-w).hex()
+        if x == 0.0:
+            kinds["zero"] += 1
+        elif x >= -0.3243:
+            kinds["identity seed"] += 1
+        elif math.sqrt(2.0 * (math.e * x + 1.0)) < 1e-4:
+            kinds["series"] += 1
+        else:
+            kinds["series seed"] += 1
+    assert len(kinds) == 5 and min(kinds.values()) >= 100
+
+
+def test_chain_w0_in_place_raises_as_lambert_w0(monkeypatch):
+    # a NaN price reaches W0 as a NaN argument
+    for solve in (lambda: lambert_w0(math.nan),
+                  lambda: _chain_q((1.0,), math.nan)):
+        with pytest.raises(NumericDomainError, match="argument is NaN"):
+            solve()
+    # below -1/e: a rounded exp is the only way there, so patch it in
+    for over in (5e-16, 1e-9):
+        e = numerics._INV_E + over
+        monkeypatch.setattr(stm, "math", types.SimpleNamespace(
+            exp=lambda y, e=e: e, sqrt=math.sqrt, e=math.e))
+        if over < 1e-15:
+            assert lambert_w0(-e) == -1.0
+            assert _chain_q((1.0,), 0.5) is None
+        else:
+            for solve in (lambda: lambert_w0(-e),
+                          lambda: _chain_q((1.0,), 0.5)):
+                with pytest.raises(NumericDomainError, match="below -1/e"):
+                    solve()
+    monkeypatch.undo()
+    # no convergence within the iteration cap: one Halley step allowed
+    monkeypatch.setattr(numerics, "_W_MAX_ITER", 1)
+    monkeypatch.setattr(stm, "_W_MAX_ITER", 1)
+    raised = 0
+    for mu in (1e-6, 0.01, 0.3, 2.0, 30.0):
+        x = -math.exp(-2.0 * mu - 1.0)
+        try:
+            want = -lambert_w0(x)
+        except AccuracyError:
+            raised += 1
+            with pytest.raises(AccuracyError, match="no convergence"):
+                _chain_q((1.0,), mu)
+        else:
+            assert _chain_q((1.0,), mu)[0][0].hex() == want.hex()
+    assert raised > 0
+
+
+def _lead_key(problem):
+    """The (gamma, a, c) a lead-price search of `problem` reads."""
+    c = problem.coeffs
+    lead = c.a[0] if c.a[0] > c.b[0] else c.b[0]
+    return c.gamma, c.a, 0.5 * c.gamma[0] * lead
+
+
+def _lead_searches(trials):
+    """The lead-price searches of stm-power-shaped sweeps (pt_db 0..8),
+    stm-groups-shaped ones (N = 6 and 9) at master seeds 1 and 9, and
+    K = 45 baselines over pt_db 0..8, as (shape, trial, key): a point's
+    baselines search once, as their shared price slot does (trial None)."""
+    searches = {}
+    for seed in (1, 9):
+        base = ScenarioConfig(seed=seed)
+        shaped = [("stm-power", experiments.apply_sweep_value(
+            base, "pt_db", v)) for v in (0.0, 2.0, 4.0, 6.0, 8.0)]
+        shaped += [("stm-groups", experiments.apply_sweep_value(
+            base, "N", v)) for v in (6, 9)]
+        for shape, cfg in shaped:
+            for t in range(trials):
+                geo = generate_trial(cfg, trial_rng(seed, t))
+                for baseline in (False, True):
+                    key = _lead_key(experiments.build_problem(
+                        cfg, geo, "stm", baseline))
+                    searches[key] = shape, None if baseline else t, key
+    nine = experiments.apply_sweep_value(ScenarioConfig(), "N", 9)
+    geo = generate_trial(nine, trial_rng(1, 0))
+    for pt_db in np.arange(0.0, 8.01, 0.25):
+        cfg = dataclasses.replace(nine, pt_db=float(pt_db))
+        key = _lead_key(experiments.build_problem(cfg, geo, "stm", True))
+        searches[key] = "K=45 baseline", None, key
+    return list(searches.values())
+
+
+def _state_hex(result):
+    mu, state = result
+    return mu.hex(), state and [[v.hex() for v in part] for part in state]
+
+
+def test_lead_search_skips_its_bounded_upper_end(monkeypatch):
+    # every search gives the bits of one that evaluates both ends, and
+    # where lo lies in the chain's domain, 0 < f(lo) < 2.9, so hi is
+    # never evaluated.  The grouped searches of the stm-power workload's
+    # sweep (20 trials a point) at both seeds average at most 8.1 chain
+    # evaluations (8.29 when hi is evaluated too)
+    searches = _lead_searches(trials=70)
+    assert len(searches) >= 1000
+    seen = []
+
+    def recorded_chain(halves, mu):
+        seen.append(mu)
+        return _chain_q(halves, mu)
+
+    monkeypatch.setattr(stm, "_chain_q", recorded_chain)
+    monkeypatch.setattr(stm, "bracketed_newton",
+                        lambda f, lo, hi, tol, f_hi_max: (
+                            numerics.bracketed_newton(f, lo, hi, tol)))
+    both_ends = [_state_hex(stm._lead_price(*key))
+                 for _, _, key in searches]
+    monkeypatch.setattr(stm, "bracketed_newton", numerics.bracketed_newton)
+    evals = collections.Counter()
+    skipped = 0
+    for (shape, trial, (gamma, a, c)), want in zip(searches, both_ends):
+        seen.clear()
+        assert _state_hex(stm._lead_price(gamma, a, c)) == want
+        halves = _halves(gamma, a)
+        lo, hi = stm._lead_bracket(halves, c)
+        assert seen[0] == lo
+        chain = _chain_q(halves, lo)
+        if chain is not None:
+            assert 0.0 < math.log(c * chain[0][0] / lo) < 2.9
+            assert hi not in seen
+            skipped += 1
+        if shape == "stm-power" and trial is not None and trial < 20:
+            evals["searches"] += 1
+            evals["chain"] += len(seen)
+    assert skipped >= len(searches) // 3
+    assert evals["searches"] == 200
+    assert evals["chain"] / evals["searches"] <= 8.1
+
+
+_LOG_UNIFORM = st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0 ** e)
+
+
+@given(st.lists(st.tuples(_LOG_UNIFORM, _LOG_UNIFORM), min_size=1,
+                max_size=9), _LOG_UNIFORM)
+def test_lead_gap_at_its_upper_end_is_below_the_bound(links, c):
+    # weights up to 5e11 put 1 + top past the float limit of exp, where
+    # hi is 1.55 + ln(top)/2; below it, hi = 1 + top.  Either way the
+    # chain is defined at hi, q_1 reads above 0 and the gap is <= -2.9
+    gamma, a = map(tuple, zip(*links))
+    halves = _halves(gamma, a)
+    lo, hi = stm._lead_bracket(halves, c)
+    assert 0.0 < lo < hi
+    q, _ = _chain_q(halves, hi)
+    assert q[0] > 0.0
+    assert math.log(c * q[0] / hi) <= stm._LEAD_GAP_AT_HI
+
+
+def test_float_limit_searches_are_short(monkeypatch):
+    # an SNR scale of about 5e307 makes c and the weights about 1e306:
+    # from 1 + top, where the chain reads q = 0, a lead search would
+    # halve its way down to mu ~ 352 in about 1,030 chain evaluations
+    cfg = ScenarioConfig(k0_db=20.0, pt_db=1530.0, sigma2_dbm=-1500.0)
+    q1 = []
+
+    def recorded_chain(halves, mu):
+        chain = _chain_q(halves, mu)
+        q1.append(chain and chain[0][0])
+        return chain
+
+    monkeypatch.setattr(stm, "_chain_q", recorded_chain)
+    for t in range(5):
+        geo = generate_trial(cfg, trial_rng(cfg.seed, t))
+        problem = experiments.build_problem(cfg, geo, "stm", False)
+        q1.clear()
+        _, diag = solve_stm(problem)
+        assert diag.method == "pinned"
+        assert len(q1) <= 40
+        assert 0.0 not in q1
 
 
 def test_closed_form_chain_evaluations(monkeypatch):
@@ -428,6 +619,9 @@ def test_rate_past_the_float_limit_is_finite():
             assert all(map(math.isfinite,
                            throughput_gradient(coeffs, tau, zeta)))
             assert math.isfinite(diag.optimality_gap)
+            # the certificate keeps the downstream worth of an
+            # overflowing Y_n: each solve is optimal to float precision
+            assert diag.optimality_gap <= 1e-12 * diag.objective
             overflowed += sum(
                 g * (a * tp + b * z) / tn == math.inf
                 for g, a, b, tp, z, tn in zip(coeffs.gamma, coeffs.a,
@@ -512,8 +706,9 @@ def test_coupling_identity_against_oracle_chain():
 def test_last_coupling_ratio_rises_with_dual():
     # finite-difference sign probe on f_N = (1 - q_N)/(gamma_N q_N)
     c = stm_instance(7, N=2).coeffs
-    q0 = _chain_q(c.gamma, c.a, 0.8)[0][-1]
-    q1 = _chain_q(c.gamma, c.a, 0.8 + 1e-5)[0][-1]
+    halves = _halves(c.gamma, c.a)
+    q0 = _chain_q(halves, 0.8)[0][-1]
+    q1 = _chain_q(halves, 0.8 + 1e-5)[0][-1]
     assert (1.0 - q1) / q1 > (1.0 - q0) / q0
 
 

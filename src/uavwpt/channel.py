@@ -16,14 +16,14 @@ in nats/s/Hz (`stm.delivered_information` evaluates it), where a_n
 and b_n sum the members' a_i and b_i and gamma_n sums their uplink
 gains.  The solvers see a group only through
 these three aggregates.  `experiments.generate_trial` computes each
-grouped member's a_i and b_i once, from `point_inverse_sq` and
-`leg_average_inverse_sq`, and a trial's baseline computes its members'
-b_i when it is first read (each a_i is 1/A^2, right overhead);
-`member_step` range-checks each accepted member's pair and adds it, and
-the member's uplink gains, to its group's running sums (a_n, b_n, h_n),
-and `GroupCoefficients.scaled` forms gamma_n = snr * h_n at a radio's
-transmit power and noise.  Everything here is a pure
-function of immutable inputs.
+grouped member's a_i and b_i once, with the arithmetic of
+`point_inverse_sq` and `leg_average_inverse_sq` written inline, and a
+trial's baseline computes its members' b_i when it is first read (each
+a_i is 1/A^2, right overhead); each accepted member's pair is
+range-checked and added, with the member's uplink gains, to its group's
+running sums (a_n, b_n, h_n), and `GroupCoefficients.scaled` forms
+gamma_n = snr * h_n at a radio's transmit power and noise.  Everything
+here is a pure function of immutable inputs.
 
 Antenna k of M (1-based) sits (k-1)*delta from the hover point along
 +y, perpendicular to the rows; antenna 1 transmits energy and antennas
@@ -182,7 +182,7 @@ class GroupCoefficients:
 
     @classmethod
     def scaled(cls, sums, params: ChannelParams) -> "GroupCoefficients":
-        """A plan's per-group sums (a, b, h) (`member_step`) under radio
+        """A plan's per-group sums (a, b, h) (see the module) under radio
         `params`: gamma_n = snr * h_n, with snr = eta P_t k0 / sigma2."""
         a, b, h = sums
         snr = params.snr
@@ -207,36 +207,3 @@ def _check_coefficients(seq, name: str) -> None:
             raise NumericDomainError(
                 f"coefficient {name} must be "
                 f"{'finite' if v == inf else 'positive'}, got {v}")
-
-
-def member_step(params: ChannelParams):
-    """The step that adds one member to its group's running sums under
-    radio `params`.  step(n, a_n, b_n, h_n, av, bv, w, hover) returns
-    group n's sums with the member at w added: its hover and flight
-    coefficients av and bv, then its uplink gain from `hover` at each
-    receive antenna 2..M in turn.
-
-    av and bv must lie in (0, 1/A^2], the value right under the UAV; a
-    member with both outside is reported by its hover one.
-    """
-    A = params.A
-    A2 = A * A
-    bound = 1.0 / A2 * (1.0 + 1e-12)
-    k0 = params.k0
-    offsets = [(k - 1) * params.delta for k in range(2, params.M + 1)]
-
-    def step(n, a_n, b_n, h_n, av, bv, w, hover):
-        if not (0.0 < av <= bound and 0.0 < bv <= bound):
-            phase, v = (("flight", bv) if 0.0 < av <= bound
-                        else ("hover", av))
-            raise NumericDomainError(
-                f"group {n}: {phase} coefficient {v} outside (0, 1/A^2]")
-        x, y = w
-        hx, hy = hover
-        dx = hx - x
-        for off in offsets:
-            L = hypot(dx, hy + off - y)
-            h_n += k0 / (L * L + A2)
-        return a_n + av, b_n + bv, h_n
-
-    return step

@@ -12,18 +12,19 @@ standard-uniform blocks, mapped to their ranges the way
 `Generator.uniform` maps them, so each trial's stream, and every
 number drawn from it, is the one per-number `uniform` calls would give.
 The pass that draws a trial keeps the grouped plan's legs, group sizes,
-sensors and start point, and adds each member's coefficients to its
-group's sums as it places it (`channel.member_step`); the baseline's
-legs and sums come from one walk over its stops, on first read, and
-each `GroupPlan` only when read.  No sum depends on the transmit power
-or the noise, and trial t draws the same stream at every sweep point
-(common random numbers).  So a drawn trial takes one path to its
-values: each plan becomes a `_KeptPlan` (legs, member counts, sums,
-radio), whose `solve` runs a solver kernel at a sweep point with the
-constructors' checks, building no problem or result, and keeps what it
-derived for the next: the coefficients and `ttm`'s hover denominators
-while the SNR is unchanged (v_max, T_s, I_nats points), and the floors
-while v_max is; `solve_*` on `build_problem`'s problem gives its bits.
+sensors and start point, and adds each member's coefficients, computed
+inline as `channel`'s primitives compute them, to its group's sums as
+it places it; the baseline's legs and sums come from one walk over its
+stops, on first read, and each `GroupPlan` only when read.  No sum
+depends on the transmit power or the noise, and trial t draws the same
+stream at every sweep point (common random numbers).  So a drawn
+trial takes one path to its values: each plan becomes a `_KeptPlan`
+(legs, member counts, sums, radio), whose `solve` runs a solver kernel
+at a sweep point with the constructors' checks, building no problem or
+result, and keeps what it derived for the next: the coefficients and
+`ttm`'s hover denominators while the SNR is unchanged (v_max, T_s,
+I_nats points), and the floors while v_max is; `solve_*` on
+`build_problem`'s problem gives its bits.
 `run_trial` keeps both plans of each trial it draws in its one store,
 `_DRAWS`, so a pt_db, v_max or I_nats sweep draws each trial once.  It
 keeps only the latest (seed, `_draw_fields`) key's trials and no failed
@@ -38,11 +39,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
+from math import atan2, hypot, sqrt
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-from . import channel        # read per call, so a patched primitive is seen
 from .channel import GroupCoefficients
 from .config import ScenarioConfig, _finite
 from .errors import ConfigError, NumericDomainError, UavWptError
@@ -108,17 +109,41 @@ class TrialGeometry:
     @functools.cached_property
     def baseline(self) -> tuple:
         """(D, member counts, sums) of the baseline plan, from one walk
-        over its stops."""
+        over its stops: each leg ends over its sensor, so a_i is 1/A^2
+        and b_i is the leg average with the sensor at the leg's end."""
         params = self.config.baseline_radio
         A = params.A
-        a_i = 1.0 / (A * A)   # each leg ends over its sensor
-        step = channel.member_step(params)
-        leg_average = channel.leg_average_inverse_sq
-        start = self.start_point
-        _, stops, D = singleton_legs(self.sensors, start)
-        sums = [step(n, 0.0, 0.0, 0.0, a_i, leg_average(p0, w, w, A), w, w)
-                for n, (p0, w) in enumerate(zip([start] + stops, stops), 1)]
-        return D, (1,) * len(D), tuple(map(tuple, zip(*sums)))
+        A2 = A * A
+        a_i = 1.0 / A2
+        bound = a_i * (1.0 + 1e-12)
+        k0 = params.k0
+        offsets = [(k - 1) * params.delta for k in range(2, params.M + 1)]
+        px, py = self.start_point
+        _, stops, D = singleton_legs(self.sensors, self.start_point)
+        b, h = [], []
+        for n, ((x, y), d) in enumerate(zip(stops, D), 1):
+            dx = x - px
+            dy = y - py
+            if d == 0.0:
+                b_i = a_i     # the point value at the leg's start, w
+            else:
+                sq = dx * dx + dy * dy     # the sensor ends the leg
+                s_w = sq / d
+                perp_sq = sq - s_w * s_w
+                if perp_sq < 0.0:
+                    perp_sq = 0.0
+                c = sqrt(A2 + perp_sq)
+                b_i = (atan2(d - s_w, c) - atan2(-s_w, c)) / (d * c)
+            if not 0.0 < b_i <= bound:
+                raise _coefficient_error(n, a_i, b_i, bound)
+            h_n = 0.0
+            for off in offsets:
+                L = hypot(0.0, y + off - y)     # hovering over the sensor
+                h_n += k0 / (L * L + A2)
+            b.append(b_i)
+            h.append(h_n)
+            px, py = x, y
+        return D, (1,) * len(D), ((a_i,) * len(D), tuple(b), tuple(h))
 
 
 class _KeptPlan:
@@ -163,12 +188,22 @@ class _KeptPlan:
             return functools.reduce(
                 operator.add, _information(c.gamma, c.a, c.b, tau, zeta), 0.0)
         if objective == "ttm":
-            demands = [config.I_nats * n for n in self.counts]
-            _check_demands(demands, c.N)
+            I_nats = config.I_nats
+            demands = [I_nats * n for n in self.counts]
+            if not I_nats > 0.0:      # each count is at least 1
+                _check_demands(demands, c.N)
             tau, zeta = _ttm_allocation(c.gamma, c.a, c.b, demands,
                                         self.floors, self.denoms)
-            _check_times(tau, zeta)
-            return math.fsum(tau) + math.fsum(zeta)
+            # no time the kernel returns is negative, so one outside
+            # [0, inf) makes the sum inf or nan, or its partials overflow
+            try:
+                total = math.fsum(tau) + math.fsum(zeta)
+            except OverflowError:
+                total = math.nan
+            if not total < math.inf:
+                _check_times(tau, zeta)
+                return math.fsum(tau) + math.fsum(zeta)
+            return total
         raise ConfigError(f"unknown objective {objective!r}")
 
 
@@ -294,11 +329,12 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     and a successful draw leaves `rng` where those calls would.
     """
     N, K = config.N, config.K
-    A = config.A_m
-    # read once per trial, through the module, so a patched primitive
-    # is seen
-    point_inverse_sq = channel.point_inverse_sq
-    leg_average_inverse_sq = channel.leg_average_inverse_sq
+    params = config.radio
+    A = params.A
+    A2 = A * A
+    bound = 1.0 / A2 * (1.0 + 1e-12)
+    k0 = params.k0
+    offsets = [(k - 1) * params.delta for k in range(2, params.M + 1)]
     block = rng.random(N + 1 + 2 * K).tolist()
     d_lo, d_hi = config.D_range_m
     D = [d_lo + (d_hi - d_lo) * v for v in block[:N]]
@@ -311,14 +347,15 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
     j_span = Y_JITTER_M - j_lo
 
     sizes = tuple(group_sizes(K, N))
-    step = channel.member_step(config.radio)
-    start = (0.0, ytilde)
     sensors = []
     sums = []
-    leg_start = start
+    px, py = start = (0.0, ytilde)
     for g, (hx, d_g, size) in enumerate(
             zip(itertools.accumulate(D), D, sizes), 1):
-        hover = (hx, ytilde)
+        # the inbound leg (px, py) -> (hx, ytilde), of length d
+        lx = hx - px
+        ly = ytilde - py
+        d = hypot(lx, ly)
         a_n = b_n = h_n = 0.0
         for _ in range(size):
             for attempt in range(REDRAW_CAP + 1):
@@ -328,22 +365,50 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
                 u = s_lo + s_span * block[pos]
                 yj = j_lo + j_span * block[pos + 1]
                 pos += 2
-                w = (hx - u * d_g, ytilde + yj)
-                a_i = point_inverse_sq(hover, w, A)
-                b_i = leg_average_inverse_sq(leg_start, hover, w, A)
+                x = hx - u * d_g
+                y = ytilde + yj
+                dx = hx - x
+                dy = ytilde - y
+                a_i = 1.0 / (dx * dx + dy * dy + A2)
+                if d == 0.0:
+                    b_i = a_i     # the point value at the leg's start
+                else:
+                    wx = x - px
+                    wy = y - py
+                    s_w = (wx * lx + wy * ly) / d
+                    perp_sq = wx * wx + wy * wy - s_w * s_w
+                    if perp_sq < 0.0:
+                        perp_sq = 0.0
+                    c = sqrt(A2 + perp_sq)
+                    b_i = (atan2(d - s_w, c) - atan2(-s_w, c)) / (d * c)
                 if b_i > a_i:
                     break
             else:
                 raise NumericDomainError(
                     f"group {g}: could not place a member with "
                     f"flight-dominant harvesting in {REDRAW_CAP} redraws")
-            sensors.append(w)
-            a_n, b_n, h_n = step(g, a_n, b_n, h_n, a_i, b_i, w, hover)
+            if not (0.0 < a_i <= bound and 0.0 < b_i <= bound):
+                raise _coefficient_error(g, a_i, b_i, bound)
+            sensors.append((x, y))
+            a_n += a_i
+            b_n += b_i
+            for off in offsets:
+                L = hypot(dx, ytilde + off - y)
+                h_n += k0 / (L * L + A2)
         sums.append((a_n, b_n, h_n))
-        leg_start = hover
+        px, py = hx, ytilde
 
     return TrialGeometry(tuple(D), sizes, tuple(sensors), start,
                          tuple(map(tuple, zip(*sums))), config)
+
+
+def _coefficient_error(n: int, a_i: float, b_i: float,
+                       bound: float) -> NumericDomainError:
+    """The error for a member of group n whose hover or flight coefficient
+    lies outside (0, bound], 1/A^2 to within 1e-12: its hover one first."""
+    phase, v = ("flight", b_i) if 0.0 < a_i <= bound else ("hover", a_i)
+    return NumericDomainError(
+        f"group {n}: {phase} coefficient {v} outside (0, 1/A^2]")
 
 
 def _price_fields(config: ScenarioConfig) -> tuple:

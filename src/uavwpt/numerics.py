@@ -118,6 +118,8 @@ def bracketed_newton(fdf, lo: float, hi: float, tol: float,
     while True:
         new = x - fx / dx if dx != 0.0 else math.nan
         if new == x:
+            if x != last:     # the first step, from lo, after hi
+                fdf(x)
             return x
         if not lo < new < hi:
             new = 0.5 * (lo + hi)

@@ -11,10 +11,10 @@ kappa*tau + zeta(tau) subject to the demand gives
 
 with kappa = 1 for the last group.  A backward pass prices each hover;
 its credit probe keeps the credit only while leg n+1 stays off the speed
-cap.  A forward pass then flies each leg for `_flight_need`, the exact
+cap.  A forward pass then flies each leg for its flight need, the exact
 inverse of the rate formula, floored at the speed cap, and re-tightens
 the hover on a clamped leg so every group's delivery matches its demand
-exactly instead of overshooting.
+exactly instead of overshooting.  Both passes compute the need inline.
 
 The denominator W + 1 reads the coefficients, not the demand I_n.  So
 each one, at full cost or with the credit, is computed where a solve
@@ -94,18 +94,6 @@ def _hover_denom(gamma_b_eff: float, n: int) -> float:
     return denom
 
 
-def _flight_need(I_n: float, g: float, a: float, b: float,
-                 tau_prev: float, tau_n: float) -> float:
-    """Flight time of a leg after which tau_n seconds of hover deliver
-    exactly I_n nats to a group of coefficients (g, a, b), given tau_prev
-    at the group before: the inverse of the rate formula, not floored at
-    the speed cap; inf where exp would overflow."""
-    u = 2.0 * I_n / tau_n
-    if u > _EXP_LIMIT:
-        return math.inf
-    return (tau_n / g * expm1(u) - a * tau_prev) / b
-
-
 def _tau_for_demand(I_n: float, gamma_n: float, energy: float,
                     hi: float) -> float:
     """Smallest hover delivering I_n nats on fixed harvested energy.
@@ -146,23 +134,29 @@ def _ttm_allocation(gamma, a, b, I, floors, denoms: dict):
                 kappa = 1.0 - a[n] / b[n]
                 denom = denoms[-n] = _hover_denom(
                     kappa * gamma[n - 1] * b[n - 1], n)
-            taus[n] = 2.0 * I_n / denom
-            if (_flight_need(I[n], gamma[n], a[n], b[n], taus[n],
-                             taus[n + 1]) > floors[n] * (1.0 + 1e-12)):
+            tau_n = taus[n] = 2.0 * I_n / denom
+            # leg n+1's flight need (see the forward pass) off the cap
+            tau_next = taus[n + 1]
+            u = 2.0 * I[n] / tau_next
+            need = (math.inf if u > _EXP_LIMIT else
+                    (tau_next / gamma[n] * expm1(u) - a[n] * tau_n) / b[n])
+            if need > floors[n] * (1.0 + 1e-12):
                 continue
-        try:
-            denom = denoms[n]
-        except KeyError:
+        denom = denoms.get(n)
+        if denom is None:
             denom = denoms[n] = _hover_denom(gamma[n - 1] * b[n - 1], n)
         taus[n] = 2.0 * I_n / denom
 
-    # forward pass: flight times from the final hovers; on clamped legs
-    # the hover is re-tightened to demand equality
+    # forward pass: each leg's flight need, the rate formula inverted (inf
+    # where exp would overflow); a leg under its speed-cap floor flies at
+    # the floor, and its hover is re-tightened to demand equality
     zetas = []
     prev = 0.0
     for n, (I_n, g, an, bn, floor, tau_n) in enumerate(
             zip(I, gamma, a, b, floors, taus[1:]), start=1):
-        zeta = _flight_need(I_n, g, an, bn, prev, tau_n)
+        u = 2.0 * I_n / tau_n
+        zeta = (math.inf if u > _EXP_LIMIT else
+                (tau_n / g * expm1(u) - an * prev) / bn)
         if zeta <= floor:
             zeta = floor
             tau_n = taus[n] = _tau_for_demand(I_n, g, an * prev + bn * floor,

@@ -13,7 +13,8 @@ hover_moved_to_start makes a feasible, off-optimum allocation.
 group_information writes out one group's delivered information
 tau_n R_n, the bitwise reference for `stm.delivered_information`.
 group_coefficients rebuilds a plan's aggregates from the plan alone,
-the bitwise reference for the coefficients a trial is drawn with;
+the bitwise reference for the coefficients a trial is drawn with, and
+plan_sums the range checks and left folds it adds them with;
 coeff_a and harvested_energy give one sensor's hover coefficient and
 harvested energy.  They call the
 channel primitives through the module, so a test that patches one
@@ -21,7 +22,10 @@ reaches them too.  tau_closed_form is one group's TTM hover closed
 form, which `solve_ttm` computes inline, and ttm_sqp_reference solves
 the time-minimization problem with every hover and every leg free by
 sequential quadratic programming, an oracle that shares no code with
-`solve_ttm`.
+`solve_ttm`.  flight_need is a leg's TTM flight time, the inverse of the
+rate formula, and ttm_allocation_reference the TTM kernel calling it per
+group, the bitwise reference for `ttm._ttm_allocation`, which computes
+it inline.
 """
 
 import math
@@ -37,7 +41,7 @@ from uavwpt.geometry import GroupPlan
 from uavwpt.stm import (StmDiagnostics, StmProblem, TimeAllocation,
                         _close_budget, solve_stm, sum_throughput,
                         throughput_gradient)
-from uavwpt.ttm import TtmProblem, _hover_denom
+from uavwpt.ttm import _EXP_LIMIT, TtmProblem, _hover_denom, _tau_for_demand
 
 _MIN_HOVER = 1e-9         # lower bound on the reference's hover times
 
@@ -402,32 +406,26 @@ def harvested_energy(plan: GroupPlan, params: ChannelParams, n: int, i: int,
         + channel.coeff_b(plan, params, n, i) * zeta_n)
 
 
-def group_coefficients(plan: GroupPlan,
-                       params: ChannelParams) -> GroupCoefficients:
-    """Every coefficient the solvers need for a plan, from the plan alone.
-
-    Sums are left folds over members in plan order, and over antennas
-    2..M inside each member.  Each leg starts where the previous one ended.  The
-    float operations and their order are those of the trial's own
-    coefficient pass, so the two agree bit for bit.
+def plan_sums(plan: GroupPlan, params: ChannelParams, a_i, b_i):
+    """A plan's sums (a, b, h) under radio `params`, given its members'
+    hover and flight coefficients a_i and b_i listed in plan order: each
+    pair is range-checked and added, and the member's uplink gains over
+    receive antennas 2..M are added to h, in left folds.  A member with
+    both coefficients outside (0, 1/A^2] is reported by its hover one.
     """
     A = params.A
     A2 = A * A
     bound = 1.0 / A2 * (1.0 + 1e-12)
     k0 = params.k0
-    snr = params.energy_scale / params.sigma2
     offsets = [(k - 1) * params.delta for k in range(2, params.M + 1)]
     sensors = plan.sensors
-    a, b, gamma = [], [], []
-    p0 = plan.start_point
+    pairs = iter(zip(a_i, b_i))
+    a, b, h = [], [], []
     for n, (members, hover) in enumerate(
             zip(plan.groups, plan.hover_points), start=1):
         hx, hy = hover
         a_n = b_n = h_n = 0.0
-        for i in members:
-            w = sensors[i - 1]
-            av = channel.point_inverse_sq(hover, w, A)
-            bv = channel.leg_average_inverse_sq(p0, hover, w, A)
+        for i, (av, bv) in zip(members, pairs):
             if not 0.0 < av <= bound:
                 raise NumericDomainError(
                     f"group {n}: hover coefficient {av} outside (0, 1/A^2]")
@@ -436,12 +434,82 @@ def group_coefficients(plan: GroupPlan,
                     f"group {n}: flight coefficient {bv} outside (0, 1/A^2]")
             a_n += av
             b_n += bv
-            x, y = w
+            x, y = sensors[i - 1]
             for off in offsets:
                 L = math.hypot(hx - x, hy + off - y)
                 h_n += k0 / (L * L + A2)
         a.append(a_n)
         b.append(b_n)
-        gamma.append(snr * h_n)
+        h.append(h_n)
+    return tuple(a), tuple(b), tuple(h)
+
+
+def group_coefficients(plan: GroupPlan,
+                       params: ChannelParams) -> GroupCoefficients:
+    """Every coefficient the solvers need for a plan, from the plan alone:
+    each member's a_i and b_i from the channel primitives (each leg
+    starting where the previous one ended), summed by `plan_sums`, and
+    gamma = snr * h.  The float operations and their order are those of
+    the trial's own coefficient pass, so the two agree bit for bit.
+    """
+    A = params.A
+    a_i, b_i = [], []
+    p0 = plan.start_point
+    for members, hover in zip(plan.groups, plan.hover_points):
+        for i in members:
+            w = plan.sensors[i - 1]
+            a_i.append(channel.point_inverse_sq(hover, w, A))
+            b_i.append(channel.leg_average_inverse_sq(p0, hover, w, A))
         p0 = hover
-    return GroupCoefficients(a=tuple(a), b=tuple(b), gamma=tuple(gamma))
+    a, b, h = plan_sums(plan, params, a_i, b_i)
+    snr = params.energy_scale / params.sigma2
+    return GroupCoefficients(a=a, b=b, gamma=tuple([snr * h_n for h_n in h]))
+
+
+def flight_need(I_n: float, g: float, a: float, b: float,
+                tau_prev: float, tau_n: float) -> float:
+    """Flight time of a leg after which tau_n seconds of hover deliver
+    exactly I_n nats to a group of coefficients (g, a, b), given tau_prev
+    at the group before: the inverse of the rate formula, not floored at
+    the speed cap; inf where exp would overflow."""
+    u = 2.0 * I_n / tau_n
+    if u > _EXP_LIMIT:
+        return math.inf
+    return (tau_n / g * math.expm1(u) - a * tau_prev) / b
+
+
+def ttm_allocation_reference(gamma, a, b, I, floors, denoms: dict):
+    """`ttm._ttm_allocation` written with one `flight_need` call per
+    group, in both passes: the bitwise reference for the kernel, which
+    computes each flight need inline."""
+    N = len(I)
+    taus = [0.0] * (N + 1)
+    for n in range(N, 0, -1):
+        I_n = I[n - 1]
+        if n < N and a[n] < b[n]:
+            denom = denoms.get(-n)
+            if denom is None:
+                kappa = 1.0 - a[n] / b[n]
+                denom = denoms[-n] = _hover_denom(
+                    kappa * gamma[n - 1] * b[n - 1], n)
+            taus[n] = 2.0 * I_n / denom
+            if (flight_need(I[n], gamma[n], a[n], b[n], taus[n],
+                            taus[n + 1]) > floors[n] * (1.0 + 1e-12)):
+                continue
+        try:
+            denom = denoms[n]
+        except KeyError:
+            denom = denoms[n] = _hover_denom(gamma[n - 1] * b[n - 1], n)
+        taus[n] = 2.0 * I_n / denom
+    zetas = []
+    prev = 0.0
+    for n, (I_n, g, an, bn, floor, tau_n) in enumerate(
+            zip(I, gamma, a, b, floors, taus[1:]), start=1):
+        zeta = flight_need(I_n, g, an, bn, prev, tau_n)
+        if zeta <= floor:
+            zeta = floor
+            tau_n = taus[n] = _tau_for_demand(I_n, g, an * prev + bn * floor,
+                                              tau_n)
+        zetas.append(zeta)
+        prev = tau_n
+    return tuple(taus), tuple(zetas)

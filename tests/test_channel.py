@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-import uavwpt.channel as channel
-from instance_tools import coeff_a, group_coefficients, harvested_energy
+import uavwpt.experiments as experiments
+from instance_tools import (coeff_a, group_coefficients, harvested_energy,
+                            plan_sums)
 from uavwpt.channel import (ChannelParams, GroupCoefficients, coeff_b,
-                            leg_average_inverse_sq, member_step,
-                            point_inverse_sq)
+                            leg_average_inverse_sq, point_inverse_sq)
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError, PlanError
 from uavwpt.experiments import generate_trial, run_trial, trial_rng
@@ -57,27 +57,11 @@ def _uplink_sum(plan, n):
     return total
 
 
-def _plan_sums(plan, params, a_i, b_i):
-    """A plan's sums (a, b, h): its members' hover and flight
-    coefficients a_i and b_i, listed in plan order, and their uplink
-    gains, folded in by `member_step`."""
-    step = member_step(params)
-    pairs = iter(zip(a_i, b_i))
-    sums = []
-    for n, (members, hover) in enumerate(
-            zip(plan.groups, plan.hover_points), 1):
-        group = 0.0, 0.0, 0.0
-        for i, (av, bv) in zip(members, pairs):
-            group = step(n, *group, av, bv, plan.sensors[i - 1], hover)
-        sums.append(group)
-    return tuple(map(tuple, zip(*sums)))
-
-
 def _gamma(plan, params):
-    # one-sensor plans: the member step adds that sensor's a and b and
-    # its uplink gains, the sum then scaled by the radio's SNR
-    sums = _plan_sums(plan, params, [coeff_a(plan, params, 1, 1)],
-                      [coeff_b(plan, params, 1, 1)])
+    # one-sensor plans: plan_sums adds that sensor's a and b and its
+    # uplink gains, the sum then scaled by the radio's SNR
+    sums = plan_sums(plan, params, [coeff_a(plan, params, 1, 1)],
+                     [coeff_b(plan, params, 1, 1)])
     return GroupCoefficients.scaled(sums, params).gamma[0]
 
 
@@ -310,14 +294,14 @@ def test_group_coefficients_range_checks(monkeypatch):
     too_big = 2.0 / PARAMS.A ** 2
     a = [coeff_a(plan, PARAMS, n, n) for n in (1, 2)]
     b = [coeff_b(plan, PARAMS, n, n) for n in (1, 2)]
-    sums = _plan_sums(plan, PARAMS, a, b)
+    sums = plan_sums(plan, PARAMS, a, b)
     assert GroupCoefficients.scaled(sums, PARAMS).N == 2
     # fault only group 2's
     for phase, a_i, b_i in (("hover", [a[0], too_big], b),
                             ("flight", a, [b[0], too_big])):
         with pytest.raises(NumericDomainError,
                            match=f"^group 2: {phase} coefficient"):
-            _plan_sums(plan, PARAMS, a_i, b_i)
+            plan_sums(plan, PARAMS, a_i, b_i)
     # the first faulty member in plan order is reported, and of one
     # member's two faults its hover one; nan lies outside the range too
     for report, a_i, b_i in (("group 1: flight", [a[0], too_big],
@@ -328,28 +312,37 @@ def test_group_coefficients_range_checks(monkeypatch):
                              ("group 2: flight", a, [b[0], math.nan])):
         with pytest.raises(NumericDomainError,
                            match=f"^{report} coefficient"):
-            _plan_sums(plan, PARAMS, a_i, b_i)
-    # the same faults in the primitives a trial is drawn with; the
-    # flight one stays above the hover one, so no member is redrawn
+            plan_sums(plan, PARAMS, a_i, b_i)
+    # the same faults in the pass that draws a trial, injected through
+    # the names it reads.  A member 1e200 m off the row harvests 0.0 in
+    # hover, and a sqrt that reads its infinite offset as 1 gives it a
+    # flight coefficient above 1/A^2 too: its hover one is reported.  An
+    # atan2 a million times too large faults the flight one alone, and
+    # keeps it above the hover one, so no member is redrawn.
     config = ScenarioConfig(A_m=PARAMS.A)
-    for phase, hover, flight in (("hover", too_big, 2.0 * too_big),
-                                 ("flight", None, too_big)):
+    sqrt, atan2 = math.sqrt, math.atan2
+    for phase, patches in (
+            ("hover", {"Y_JITTER_M": 1e200,
+                       "sqrt": lambda v: sqrt(v) if v < math.inf else 1.0}),
+            ("flight", {"atan2": lambda y, x: 1e6 * atan2(y, x)})):
         with monkeypatch.context() as m:
-            if hover is not None:
-                m.setattr(channel, "point_inverse_sq", lambda *_: hover)
-            m.setattr(channel, "leg_average_inverse_sq", lambda *_: flight)
+            for name, value in patches.items():
+                m.setattr(experiments, name, value)
             with pytest.raises(NumericDomainError,
                                match=f"^group 1: {phase} coefficient"):
                 generate_trial(config, trial_rng(config.seed, 0))
-    # a flight fault in the baseline's walk alone, whose legs each end
-    # over their sensor: the grouped plan draws, and the baseline's
-    # first stop is reported when the baseline is read or solved
-    leg_average = channel.leg_average_inverse_sq
+    # a flight fault in the baseline's walk alone: its legs each end over
+    # their sensor, so only there does atan2 read y = d - s_w = 0 to
+    # rounding (a grouped member sits 0.58-1.08 legs behind its hover
+    # point).  The grouped plan draws, and the baseline's first stop is
+    # reported when the baseline is read or solved
+    grouped = generate_trial(config, trial_rng(config.seed, 0)).sums
     with monkeypatch.context() as m:
-        m.setattr(channel, "leg_average_inverse_sq",
-                  lambda p0, p1, w, A: (too_big if w == p1
-                                        else leg_average(p0, p1, w, A)))
+        m.setattr(experiments, "atan2",
+                  lambda y, x: atan2(y, x) + (100.0 if abs(y) < 1e-9
+                                              else 0.0))
         geo = generate_trial(config, trial_rng(config.seed, 0))
+        assert geo.sums == grouped
         with pytest.raises(NumericDomainError,
                            match="^group 1: flight coefficient"):
             geo.baseline

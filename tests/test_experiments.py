@@ -260,18 +260,21 @@ class _CountingRng:
 def test_trial_draw_and_coefficient_counts(monkeypatch):
     # guards the lean trial path: a fresh draw makes one block draw and
     # no scalar uniform draw when no member is redrawn, and computes each
-    # coefficient once: a hover and a flight coefficient per grouped
-    # member, a flight coefficient per baseline member (its hover one is
-    # 1/A^2), and no baseline coefficient at all when the baseline is not
-    # solved.  Every later call at the same trial, under either objective,
-    # reads the kept draw and draws nothing, until a call first asks for
-    # the baseline the kept draw lacks.
+    # coefficient once, counted through the math functions the draw
+    # reads: two atan2 calls per flight coefficient, one per grouped
+    # member and one per baseline member (its hover one is 1/A^2), and
+    # one hypot call per grouped leg and per uplink gain, M - 1 of them
+    # per grouped member and one per baseline member (whose leg lengths
+    # the stops give); none of the baseline's when it is not solved.
+    # Every later call at the same trial, under either objective, reads
+    # the kept draw and draws nothing, until a call first asks for the
+    # baseline the kept draw lacks.
     config = ScenarioConfig()
-    K = config.K
+    N, K, M = config.N, config.K, config.M
     calls = {}
 
     def counted(name):
-        real = getattr(channel, name)
+        real = getattr(experiments, name)
 
         def primitive(*args):
             calls[name] += 1
@@ -286,23 +289,23 @@ def test_trial_draw_and_coefficient_counts(monkeypatch):
         return rngs[-1]
 
     monkeypatch.setattr(experiments, "trial_rng", counted_rng)
-    for name in ("point_inverse_sq", "leg_average_inverse_sq"):
-        monkeypatch.setattr(channel, name, counted(name))
-    for include_baseline, legs in ((False, K), (True, 2 * K)):
+    for name in ("atan2", "hypot"):
+        monkeypatch.setattr(experiments, name, counted(name))
+    for include_baseline, flights, gains in ((False, K, (M - 1) * K),
+                                             (True, 2 * K, M * K)):
         for t in range(5):
             for repeat, objective in enumerate(("stm", "ttm", "stm", "ttm")):
-                calls.update(point_inverse_sq=0, leg_average_inverse_sq=0)
+                calls.update(atan2=0, hypot=0)
                 drawn = len(rngs)
                 run_trial(config, t, objective, include_baseline)
                 if repeat == 0:
                     assert len(rngs) == drawn + 1
                     assert rngs[-1].calls == {"random": 1}
-                    assert calls == {"point_inverse_sq": K,
-                                     "leg_average_inverse_sq": legs}
+                    assert calls == {"atan2": 2 * flights,
+                                     "hypot": N + gains}
                 else:
                     assert len(rngs) == drawn
-                    assert calls == {"point_inverse_sq": 0,
-                                     "leg_average_inverse_sq": 0}
+                    assert calls == {"atan2": 0, "hypot": 0}
     # the kept draws with their baselines serve calls without one
     drawn = len(rngs)
     for t in range(5):
@@ -330,6 +333,53 @@ def test_trial_draw_and_coefficient_counts(monkeypatch):
 def _bits(result):
     return (result.ours.hex(),
             None if result.baseline is None else result.baseline.hex())
+
+
+def _kept_plan(N):
+    return experiments._KeptPlan(
+        (20.0,) * N, (1,) * N,
+        ((0.005,) * N, (0.008,) * N, (1e-6,) * N), False)
+
+
+@pytest.mark.parametrize("tau, zeta", [
+    ((0.0, 1.0, math.inf), (2.0, 3.0)),
+    ((0.0, math.nan, 1.0), (2.0, 3.0)),
+    ((0.0, 1.0, 2.0), (math.nan, math.inf)),
+    # a hover out of range is reported before an earlier leg
+    ((0.0, 1.0, math.inf), (math.nan, 3.0)),
+    # the finite hovers' partial sums overflow before the infinite one
+    ((0.0, 1e308, 1e308, math.inf), (1.0, 2.0, 3.0)),
+    # every time finite, their sum too large
+    ((0.0, 1e308, 1e308), (1.0, 2.0)),
+    ((0.0, 1.0, 2.0), (3.0, 4.0)),
+])
+def test_kept_time_solve_checks_times_as_its_constructor(tau, zeta,
+                                                         monkeypatch):
+    # a kept plan checks the time kernel's result through its total: it
+    # raises what TimeAllocation's checks and then the fsum total raise,
+    # and otherwise returns that total
+    def outcome(f):
+        try:
+            return f()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    def constructor():
+        experiments._check_times(tau, zeta)
+        return math.fsum(tau) + math.fsum(zeta)
+
+    monkeypatch.setattr(experiments, "_ttm_allocation",
+                        lambda *args: (tau, zeta))
+    got = outcome(lambda: _kept_plan(len(zeta)).solve(CFG, "ttm"))
+    assert got == outcome(constructor)
+
+
+def test_kept_time_solve_checks_demands_as_its_constructor():
+    config = dataclasses.replace(CFG)
+    object.__setattr__(config, "I_nats", 0.0)   # no config can hold it
+    with pytest.raises(ConfigError,
+                       match="^group 1 demand must be positive$"):
+        _kept_plan(3).solve(config, "ttm")
 
 
 @pytest.mark.parametrize("param,values", [("pt_db", (0.0, 4.0, 8.0)),
@@ -598,6 +648,36 @@ def test_trial_coefficients_match_reference_bitwise():
                     == group_coefficients(geo.baseline_plan, base_params))
 
 
+def test_trial_draw_matches_reference_bitwise_seed_9():
+    # the pass that draws a trial against its per-number reference on a
+    # seed no pin reads: leg lengths, sensors and both plans' sums, each
+    # compared by float.hex
+    def hexes(values):
+        return [v.hex() for v in values]
+
+    for config in (ScenarioConfig(seed=9), ScenarioConfig(seed=9, N=9, K=45),
+                   ScenarioConfig(seed=9, M=6, delta_m=3.0),
+                   ScenarioConfig(seed=9, A_m=20.0, d_max_m=40.0)):
+        params = config.radio
+        base_params = config.baseline_radio
+        for t in range(200):
+            geo = generate_trial(config, trial_rng(config.seed, t))
+            expect, _ = _scalar_trial(config, trial_rng(config.seed, t))
+            assert hexes(geo.D) == hexes(expect.plan.D)
+            assert ([hexes(w) for w in geo.sensors]
+                    == [hexes(w) for w in expect.plan.sensors])
+            D, counts, sums = geo.baseline
+            assert hexes(D) == hexes(expect.baseline_plan.D)
+            assert counts == (1,) * config.K
+            for got, radio, want in (
+                    (geo.sums, params, expect.coeffs),
+                    (sums, base_params, expect.baseline_coeffs)):
+                got = GroupCoefficients.scaled(got, radio)
+                for name in ("a", "b", "gamma"):
+                    assert (hexes(getattr(got, name))
+                            == hexes(getattr(want, name)))
+
+
 def test_sweep_rejects_fewer_than_one_worker(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
@@ -653,8 +733,8 @@ def test_baseline_scenario_derivation(monkeypatch):
 # SHA-256 over float.hex of both results of every trial below, so the
 # last bit of any result shows (the sweep pins print 12 digits of
 # means).  Pinned with glibc's libm on x86-64 Linux under CPython 3.11.
-# channel.member_step adds with explicit left folds, not
-# sum(), which is compensated from 3.12 (sum([0.1] * 10) == 1.0 there,
+# generate_trial adds with explicit left folds, not sum(), which is
+# compensated from 3.12 (sum([0.1] * 10) == 1.0 there,
 # 0.9999999999999999 on 3.11), so no CPython version should move the
 # pin; only 3.11 has been run.
 PINNED_TRIAL_DIGEST = (

@@ -186,6 +186,21 @@ def test_newton_stops_when_its_step_cannot_move_x():
     assert len(seen) <= 5
 
 
+def test_newton_returns_the_last_point_it_evaluated():
+    # the first step, taken from lo after hi was evaluated, cannot move
+    # x: the search evaluates lo again, so a caller keeping what fdf
+    # computed at the returned point reads it at lo, not at hi
+    seen = []
+
+    def fdf(x):
+        seen.append(x)
+        return 1e-10 - 1e10 * (x - 1.0), -1e10
+
+    root = bracketed_newton(fdf, 1.0, 2.0, tol=1e-12)
+    assert root == 1.0
+    assert seen == [1.0, 2.0, 1.0]
+
+
 def test_bounded_upper_end_is_not_evaluated():
     # f = ln(3/x) on [1, 30]: f(lo) = 1.10 and f(hi) = -2.30 <= -2, so
     # with that bound the search takes the same steps from lo, minus hi

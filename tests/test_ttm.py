@@ -7,16 +7,18 @@ from hypothesis import given, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import lambertw
 
-from instance_tools import (group_information, synthetic_coeffs,
-                            tau_closed_form, ttm_instance, ttm_sqp_reference)
+from instance_tools import (flight_need, group_information, synthetic_coeffs,
+                            tau_closed_form, ttm_allocation_reference,
+                            ttm_instance, ttm_sqp_reference)
 from uavwpt import ttm
 from uavwpt.channel import GroupCoefficients
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError
 from uavwpt.experiments import build_problem, generate_trial, trial_rng
+from uavwpt.geometry import leg_floors
 from uavwpt.stm import delivered_information
-from uavwpt.ttm import (TtmProblem, _flight_need, _hover_denom, solve_ttm,
-                        ttm_diag_row, TTM_DIAG_HEADER)
+from uavwpt.ttm import (TtmProblem, _hover_denom, solve_ttm, ttm_diag_row,
+                        TTM_DIAG_HEADER)
 from uavwpt.verification import ttm_grid_oracle
 
 
@@ -105,10 +107,10 @@ def test_credit_out_of_domain_raises():
 # -------------------------------------------------- flight inversion
 
 def _need(problem, n, tau_prev, tau_n):
-    """`_flight_need` of leg n of `problem`."""
+    """`flight_need` of leg n of `problem`."""
     c = problem.coeffs
-    return _flight_need(problem.I[n - 1], c.gamma[n - 1], c.a[n - 1],
-                        c.b[n - 1], tau_prev, tau_n)
+    return flight_need(problem.I[n - 1], c.gamma[n - 1], c.a[n - 1],
+                       c.b[n - 1], tau_prev, tau_n)
 
 
 def test_flight_inverts_rate_exactly():
@@ -320,6 +322,48 @@ def test_solve_allocations_pinned_bitwise():
                 digest.update(
                     (" ".join(v.hex() for v in times) + "\n").encode())
     assert digest.hexdigest() == PINNED_ALLOCATION_DIGEST
+
+
+def test_kernel_matches_reference_bitwise(monkeypatch):
+    # the kernel computes each leg's flight need inline; a copy calling
+    # `flight_need` per group gives every tau and zeta to the last bit,
+    # with each plan's denominators kept across its demand points.  At
+    # 4 m/s some legs are clamped, so the credit probe drops a credit
+    # and hovers are re-tightened
+    retightened = []
+    tau_for_demand = ttm._tau_for_demand
+    monkeypatch.setattr(ttm, "_tau_for_demand",
+                        lambda *args: retightened.append(args)
+                        or tau_for_demand(*args))
+    credits = dropped = 0
+    for seed in (1, 9):
+        for N in (4, 9):
+            config = ScenarioConfig(seed=seed, N=N, K=5 * N, pt_db=2.0)
+            for t in range(10):
+                geo = generate_trial(config, trial_rng(seed, t))
+                for D, counts, sums, radio in (
+                        (geo.D, geo.sizes, geo.sums, config.radio),
+                        (*geo.baseline, config.baseline_radio)):
+                    c = GroupCoefficients.scaled(sums, radio)
+                    for v_max in (10.0, 4.0):
+                        floors = leg_floors(D, v_max, c.N)
+                        kept, ref_kept = {}, {}
+                        for I_nats in (1.0, 10.0, 30.0):
+                            I = [I_nats * n for n in counts]
+                            got = ttm._ttm_allocation(c.gamma, c.a, c.b, I,
+                                                      floors, kept)
+                            want = ttm_allocation_reference(
+                                c.gamma, c.a, c.b, I, floors, ref_kept)
+                            assert ([[v.hex() for v in part] for part in got]
+                                    == [[v.hex() for v in part]
+                                        for part in want])
+                        # a group with a credit prices its hover at
+                        # full cost only where the probe dropped it
+                        credit = [n for n in range(1, c.N) if -n in kept]
+                        credits += len(credit)
+                        dropped += sum(n in kept for n in credit)
+                        assert kept == ref_kept
+    assert credits > 0 and dropped > 0 and retightened
 
 
 # -------------------------------------------------- validation and output

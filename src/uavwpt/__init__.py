@@ -9,7 +9,7 @@ hover-and-fly single-receive-antenna baseline, and a Monte-Carlo
 harness with a verification oracle suite.
 """
 
-from .channel import ChannelParams, GroupCoefficients, coeff_b
+from .channel import ChannelParams, GroupCoefficients
 from .config import ScenarioConfig, load_config
 from .errors import (AccuracyError, BracketingError, ConfigError,
                      InfeasiblePlanError, NumericDomainError, PlanError,
@@ -30,7 +30,7 @@ __all__ = [
     "GroupCoefficients", "GroupPlan", "InfeasiblePlanError",
     "NumericDomainError", "PlanError", "ScenarioConfig", "StmDiagnostics",
     "StmProblem", "SweepSpec", "TimeAllocation", "TrialResult", "TtmProblem",
-    "UavWptError", "UnsupportedScaleError", "check_feasibility", "coeff_b",
+    "UavWptError", "UnsupportedScaleError", "check_feasibility",
     "delivered_information", "generate_trial", "load_config", "load_field",
     "plan_groups", "run_sweep", "run_trial", "run_verification",
     "singleton_plan", "solve_stm", "solve_ttm", "trial_rng", "sum_throughput",

@@ -15,11 +15,11 @@ and the group uplink rate during its hover is
 in nats/s/Hz (`stm.delivered_information` evaluates it), where a_n
 and b_n sum the members' a_i and b_i and gamma_n sums their uplink
 gains.  The solvers see a group only through
-these three aggregates.  `experiments.generate_trial` computes each
-grouped member's a_i and b_i once, with the arithmetic of
-`point_inverse_sq` and `leg_average_inverse_sq` written inline, and a
-trial's baseline computes its members' b_i when it is first read (each
-a_i is 1/A^2, right overhead); each accepted member's pair is
+these three aggregates.  `leg_average_inverse_sq` is the one formula
+for b_i: `experiments.generate_trial` calls it once per grouped member
+attempt, with a_i computed inline as `point_inverse_sq` computes it,
+and a trial's baseline calls it once per stop when it is first read
+(each a_i is 1/A^2, right overhead); each accepted member's pair is
 range-checked and added, with the member's uplink gains, to its group's
 running sums (a_n, b_n, h_n), and `GroupCoefficients.scaled` forms
 gamma_n = snr * h_n at a radio's transmit power and noise.  Everything
@@ -35,10 +35,10 @@ power-transfer constants.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import atan2, hypot, inf, sqrt
+from math import atan2, inf, sqrt
 
 from .errors import ConfigError, NumericDomainError, PlanError
-from .geometry import GroupPlan, Point
+from .geometry import Point
 
 
 @dataclass(frozen=True)
@@ -123,37 +123,27 @@ def point_inverse_sq(p: Point, w: Point, A: float) -> float:
     return 1.0 / (dx * dx + dy * dy + A * A)
 
 
-def leg_average_inverse_sq(p0: Point, p1: Point, w: Point, A: float) -> float:
-    """Average of 1/(dist^2 + A^2) over a straight leg p0 -> p1.
+def leg_average_inverse_sq(lx: float, ly: float, d: float, wx: float,
+                           wy: float, A2: float) -> float:
+    """Average of 1/(dist^2 + A^2) over a straight leg of vector
+    (lx, ly) and length d, for a sensor offset (wx, wy) from its start.
 
     With s the arc length along the leg, s_w the projection of the
-    sensor onto the leg, and c^2 = A^2 + (perpendicular offset)^2, the
-    integrand is 1/((s - s_w)^2 + c^2), whose average over [0, D] is
+    sensor onto the leg, and c^2 = A2 + (perpendicular offset)^2, the
+    integrand is 1/((s - s_w)^2 + c^2), whose average over [0, d] is
 
-        [arctan((D - s_w)/c) - arctan(-s_w/c)] / (D * c).
+        [arctan((d - s_w)/c) - arctan(-s_w/c)] / (d * c).
 
-    A zero-length leg degenerates to the point value at p0.
+    A zero-length leg gives the point value 1/(wx^2 + wy^2 + A2).
     """
-    dx = p1[0] - p0[0]
-    dy = p1[1] - p0[1]
-    D = hypot(dx, dy)
-    if D == 0.0:
-        return point_inverse_sq(p0, w, A)
-    wx = w[0] - p0[0]
-    wy = w[1] - p0[1]
-    s_w = (wx * dx + wy * dy) / D
+    if d == 0.0:
+        return 1.0 / (wx * wx + wy * wy + A2)
+    s_w = (wx * lx + wy * ly) / d
     perp_sq = wx * wx + wy * wy - s_w * s_w
     if perp_sq < 0.0:
         perp_sq = 0.0
-    c = sqrt(A * A + perp_sq)
-    return (atan2(D - s_w, c) - atan2(-s_w, c)) / (D * c)
-
-
-def coeff_b(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:
-    """Flight-phase harvesting coefficient of sensor i over leg n."""
-    p0, p1 = plan.leg(n)
-    w = plan.position(i)
-    return leg_average_inverse_sq(p0, p1, w, params.A)
+    c = sqrt(A2 + perp_sq)
+    return (atan2(d - s_w, c) - atan2(-s_w, c)) / (d * c)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,12 @@ standard-uniform blocks, mapped to their ranges the way
 `Generator.uniform` maps them, so each trial's stream, and every
 number drawn from it, is the one per-number `uniform` calls would give.
 The pass that draws a trial keeps the grouped plan's legs, group sizes,
-sensors and start point, and adds each member's coefficients, computed
-inline as `channel`'s primitives compute them, to its group's sums as
-it places it; the baseline's legs and sums come from one walk over its
-stops, on first read, and each `GroupPlan` only when read.  No sum
-depends on the transmit power or the noise, and trial t draws the same
-stream at every sweep point (common random numbers).  So a drawn
+sensors and start point, and adds each member's coefficients, b_i from
+`channel`'s one leg-average formula, to its group's sums as it places
+it; the baseline's legs and sums come from one walk over its stops, with
+the same formula, on first read, and each `GroupPlan` only when read.
+No sum depends on the transmit power or the noise, and trial t draws
+the same stream at every sweep point (common random numbers).  So a drawn
 trial takes one path to its values: each plan becomes a `_KeptPlan`
 (legs, member counts, sums, radio), whose `solve` runs a solver kernel
 at a sweep point with the constructors' checks, building no problem or
@@ -39,12 +39,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
-from math import atan2, hypot, sqrt
+from math import hypot
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-from .channel import GroupCoefficients
+from .channel import GroupCoefficients, leg_average_inverse_sq
 from .config import ScenarioConfig, _finite
 from .errors import ConfigError, NumericDomainError, UavWptError
 from .geometry import (GroupPlan, group_sizes, leg_floors, singleton_legs,
@@ -110,7 +110,7 @@ class TrialGeometry:
     def baseline(self) -> tuple:
         """(D, member counts, sums) of the baseline plan, from one walk
         over its stops: each leg ends over its sensor, so a_i is 1/A^2
-        and b_i is the leg average with the sensor at the leg's end."""
+        and b_i the leg average with the leg as the sensor's offset."""
         params = self.config.baseline_radio
         A = params.A
         A2 = A * A
@@ -124,16 +124,7 @@ class TrialGeometry:
         for n, ((x, y), d) in enumerate(zip(stops, D), 1):
             dx = x - px
             dy = y - py
-            if d == 0.0:
-                b_i = a_i     # the point value at the leg's start, w
-            else:
-                sq = dx * dx + dy * dy     # the sensor ends the leg
-                s_w = sq / d
-                perp_sq = sq - s_w * s_w
-                if perp_sq < 0.0:
-                    perp_sq = 0.0
-                c = sqrt(A2 + perp_sq)
-                b_i = (atan2(d - s_w, c) - atan2(-s_w, c)) / (d * c)
+            b_i = leg_average_inverse_sq(dx, dy, d, dx, dy, A2)
             if not 0.0 < b_i <= bound:
                 raise _coefficient_error(n, a_i, b_i, bound)
             h_n = 0.0
@@ -370,17 +361,7 @@ def generate_trial(config: ScenarioConfig, rng) -> TrialGeometry:
                 dx = hx - x
                 dy = ytilde - y
                 a_i = 1.0 / (dx * dx + dy * dy + A2)
-                if d == 0.0:
-                    b_i = a_i     # the point value at the leg's start
-                else:
-                    wx = x - px
-                    wy = y - py
-                    s_w = (wx * lx + wy * ly) / d
-                    perp_sq = wx * wx + wy * wy - s_w * s_w
-                    if perp_sq < 0.0:
-                        perp_sq = 0.0
-                    c = sqrt(A2 + perp_sq)
-                    b_i = (atan2(d - s_w, c) - atan2(-s_w, c)) / (d * c)
+                b_i = leg_average_inverse_sq(lx, ly, d, x - px, y - py, A2)
                 if b_i > a_i:
                     break
             else:

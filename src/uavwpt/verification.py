@@ -60,23 +60,24 @@ class OracleReport:
                 f"{self.rel_gap:.12g},{int(self.passed)}")
 
 
-def flight_energy_numeric(plan: GroupPlan, params, n: int, i: int,
+def flight_energy_numeric(plan: GroupPlan, params, n: int,
                           zeta_n: float) -> float:
-    """Energy sensor i harvests while the UAV flies leg n in zeta_n
-    seconds, by adaptive quadrature along the actual trajectory."""
+    """Energy group n's members harvest while the UAV flies leg n in
+    zeta_n seconds, by adaptive quadrature along the actual trajectory."""
     if zeta_n < 0.0:
         raise ValueError("flight time must be nonnegative")
     if zeta_n == 0.0:
         return 0.0
     p0, p1 = plan.leg(n)
-    w = plan.position(i)
+    members = [plan.position(i) for i in plan.members(n)]
     dx = p1[0] - p0[0]
     dy = p1[1] - p0[1]
 
     def instantaneous_power(t):
         s = t / zeta_n
         pos = (p0[0] + s * dx, p0[1] + s * dy)
-        return channel.point_inverse_sq(pos, w, params.A)
+        return math.fsum([channel.point_inverse_sq(pos, w, params.A)
+                          for w in members])
 
     integral = integrate_adaptive(instantaneous_power, 0.0, zeta_n,
                                   rel_tol=1e-9)
@@ -205,19 +206,19 @@ def run_verification(config: ScenarioConfig):
     seed = config.seed
     reports = []
 
-    # closed-form flight energy vs quadrature on random geometries
+    # drawn b_n vs quadrature: a group on even j, a baseline stop on odd j
     desk = apply_sweep_value(config, "N", 2)
-    params = desk.radio
     for j in range(200):
         inst = seed * 100003 + j
         geo = generate_trial(desk, trial_rng(inst, 0))
+        plan, params, (_, b, _) = (
+            (geo.plan, desk.radio, geo.sums) if j % 2 == 0 else
+            (geo.baseline_plan, desk.baseline_radio, geo.baseline[2]))
         rng = trial_rng(inst, 1)
-        n = int(rng.integers(1, geo.plan.N + 1))
-        i = int(rng.choice(geo.plan.members(n)))
+        n = int(rng.integers(1, plan.N + 1))
         zeta = float(rng.uniform(0.5, 10.0))
-        closed = (params.energy_scale
-                  * channel.coeff_b(geo.plan, params, n, i) * zeta)
-        numeric = flight_energy_numeric(geo.plan, params, n, i, zeta)
+        closed = params.energy_scale * b[n - 1] * zeta
+        numeric = flight_energy_numeric(plan, params, n, zeta)
         gap = abs(closed - numeric) / max(abs(numeric), 1e-300)
         reports.append(OracleReport(
             oracle="flight_energy", instance_seed=inst,

@@ -14,11 +14,13 @@ group_information writes out one group's delivered information
 tau_n R_n, the bitwise reference for `stm.delivered_information`.
 group_coefficients rebuilds a plan's aggregates from the plan alone,
 the bitwise reference for the coefficients a trial is drawn with, and
-plan_sums the range checks and left folds it adds them with;
-coeff_a and harvested_energy give one sensor's hover coefficient and
-harvested energy.  They call the
-channel primitives through the module, so a test that patches one
-reaches them too.  tau_closed_form is one group's TTM hover closed
+plan_sums the range checks and left folds it adds them with.
+leg_average_inverse_sq is the flight coefficient written from a leg's
+end points, a copy of `channel`'s one formula (which takes what the draw
+holds) kept apart so that it ties every drawn b_i to a separately
+written reference; coeff_a, coeff_b and harvested_energy give one
+sensor's hover and flight coefficients and harvested energy.
+tau_closed_form is one group's TTM hover closed
 form, which `solve_ttm` computes inline, and ttm_sqp_reference solves
 the time-minimization problem with every hover and every leg free by
 sequential quadratic programming, an oracle that shares no code with
@@ -392,6 +394,41 @@ def coeff_a(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:
     return channel.point_inverse_sq(plan.hover(n), w, params.A)
 
 
+def leg_average_inverse_sq(p0, p1, w, A: float) -> float:
+    """Average of 1/(dist^2 + A^2) over a straight leg p0 -> p1 for a
+    sensor at ground point w, written from the points: the reference for
+    `channel.leg_average_inverse_sq`, which takes the leg's vector and
+    length and the sensor's offset as the draw holds them.
+
+    With s the arc length along the leg, s_w the projection of the
+    sensor onto the leg, and c^2 = A^2 + (perpendicular offset)^2, the
+    integrand is 1/((s - s_w)^2 + c^2), whose average over [0, D] is
+
+        [arctan((D - s_w)/c) - arctan(-s_w/c)] / (D * c).
+
+    A zero-length leg degenerates to the point value at p0.
+    """
+    dx = p1[0] - p0[0]
+    dy = p1[1] - p0[1]
+    D = math.hypot(dx, dy)
+    if D == 0.0:
+        return channel.point_inverse_sq(p0, w, A)
+    wx = w[0] - p0[0]
+    wy = w[1] - p0[1]
+    s_w = (wx * dx + wy * dy) / D
+    perp_sq = wx * wx + wy * wy - s_w * s_w
+    if perp_sq < 0.0:
+        perp_sq = 0.0
+    c = math.sqrt(A * A + perp_sq)
+    return (math.atan2(D - s_w, c) - math.atan2(-s_w, c)) / (D * c)
+
+
+def coeff_b(plan: GroupPlan, params: ChannelParams, n: int, i: int) -> float:
+    """Flight-phase harvesting coefficient of sensor i over leg n."""
+    p0, p1 = plan.leg(n)
+    return leg_average_inverse_sq(p0, p1, plan.position(i), params.A)
+
+
 def harvested_energy(plan: GroupPlan, params: ChannelParams, n: int, i: int,
                      tau_prev: float, zeta_n: float) -> float:
     """Energy (joules) sensor i collects before its group's hover n:
@@ -403,7 +440,7 @@ def harvested_energy(plan: GroupPlan, params: ChannelParams, n: int, i: int,
         raise PlanError(f"sensor {i} is not served by group {n}")
     return params.energy_scale * (
         coeff_a(plan, params, n, i) * tau_prev
-        + channel.coeff_b(plan, params, n, i) * zeta_n)
+        + coeff_b(plan, params, n, i) * zeta_n)
 
 
 def plan_sums(plan: GroupPlan, params: ChannelParams, a_i, b_i):
@@ -447,8 +484,9 @@ def plan_sums(plan: GroupPlan, params: ChannelParams, a_i, b_i):
 def group_coefficients(plan: GroupPlan,
                        params: ChannelParams) -> GroupCoefficients:
     """Every coefficient the solvers need for a plan, from the plan alone:
-    each member's a_i and b_i from the channel primitives (each leg
-    starting where the previous one ended), summed by `plan_sums`, and
+    each member's a_i from `channel.point_inverse_sq` and b_i from the
+    point-form `leg_average_inverse_sq` (each leg starting where the
+    previous one ended), summed by `plan_sums`, and
     gamma = snr * h.  The float operations and their order are those of
     the trial's own coefficient pass, so the two agree bit for bit.
     """
@@ -459,7 +497,7 @@ def group_coefficients(plan: GroupPlan,
         for i in members:
             w = plan.sensors[i - 1]
             a_i.append(channel.point_inverse_sq(hover, w, A))
-            b_i.append(channel.leg_average_inverse_sq(p0, hover, w, A))
+            b_i.append(leg_average_inverse_sq(p0, hover, w, A))
         p0 = hover
     a, b, h = plan_sums(plan, params, a_i, b_i)
     snr = params.energy_scale / params.sigma2

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from instance_tools import stm_grid_oracle
-from uavwpt.channel import coeff_b
+from uavwpt.channel import leg_average_inverse_sq
 from uavwpt.cli import main
 from uavwpt.config import ScenarioConfig
 from uavwpt.experiments import (SweepSpec, build_problem, generate_trial,
@@ -57,24 +57,44 @@ def _serpentine_plan(rng):
     return plan_groups(tuple(sensors), DEFAULTS.A_m, 80.0, 4, rows)
 
 
+def _flight_sums(plan, A):
+    """Each group's b_n of a plan, from the one leg-average formula."""
+    b = []
+    for n in range(1, plan.N + 1):
+        p0, p1 = plan.leg(n)
+        lx, ly = p1[0] - p0[0], p1[1] - p0[1]
+        d = math.hypot(lx, ly)
+        b.append(math.fsum(
+            leg_average_inverse_sq(lx, ly, d, x - p0[0], y - p0[1], A * A)
+            for x, y in map(plan.position, plan.members(n))))
+    return b
+
+
 def test_criterion_1_flight_energy_vs_quadrature():
+    # half the geometries are drawn trials, read as the sweep solves
+    # them (their grouped plan or their baseline, with the b_n of the
+    # trial's sums); the serpentine half flies even rows
     t0 = time.monotonic()
-    params = DEFAULTS.radio
     worst = 0.0
     parities = {"odd": 0, "even": 0}
     for j in range(1000):
         rng = np.random.default_rng(90_000 + j)
         if j % 2 == 0:
-            plan = generate_trial(_desk(2),
-                                  trial_rng(90_000 + j, 0)).plan
+            desk = _desk(2)
+            geo = generate_trial(desk, trial_rng(90_000 + j, 0))
+            if j % 4 == 0:
+                plan, params, b = geo.plan, desk.radio, geo.sums[1]
+            else:
+                plan, params = geo.baseline_plan, desk.baseline_radio
+                b = geo.baseline[2][1]
         else:
-            plan = _serpentine_plan(rng)
+            plan, params = _serpentine_plan(rng), DEFAULTS.radio
+            b = _flight_sums(plan, params.A)
         n = int(rng.integers(1, plan.N + 1))
-        i = int(rng.choice(plan.members(n)))
         zeta = float(rng.uniform(0.5, 10.0))
         parities[plan.row_parity(n)] += 1
-        closed = params.energy_scale * coeff_b(plan, params, n, i) * zeta
-        numeric = flight_energy_numeric(plan, params, n, i, zeta)
+        closed = params.energy_scale * b[n - 1] * zeta
+        numeric = flight_energy_numeric(plan, params, n, zeta)
         worst = max(worst, abs(closed - numeric) / abs(numeric))
     dt = time.monotonic() - t0
     ok = worst <= 1e-6 and dt <= 30.0 and min(parities.values()) >= 100

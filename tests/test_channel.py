@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import uavwpt.channel as channel
 import uavwpt.experiments as experiments
-from instance_tools import (coeff_a, group_coefficients, harvested_energy,
-                            plan_sums)
-from uavwpt.channel import (ChannelParams, GroupCoefficients, coeff_b,
+from instance_tools import (coeff_a, coeff_b, group_coefficients,
+                            harvested_energy, plan_sums)
+from uavwpt.channel import (ChannelParams, GroupCoefficients,
                             leg_average_inverse_sq, point_inverse_sq)
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError, PlanError
@@ -38,6 +39,15 @@ def _leg_average_oracle(p0, p1, w, A):
         return point_inverse_sq((x, y), w, A)
 
     return integrate_adaptive(f, 0.0, D, rel_tol=1e-11) / D
+
+
+def _leg_average(p0, p1, w, A):
+    """`leg_average_inverse_sq` of the leg p0 -> p1 and sensor w, given
+    as the draw gives it: the leg's vector and length, the sensor's
+    offset from the leg's start and A^2."""
+    lx, ly = p1[0] - p0[0], p1[1] - p0[1]
+    return leg_average_inverse_sq(lx, ly, math.hypot(lx, ly),
+                                  w[0] - p0[0], w[1] - p0[1], A * A)
 
 
 SNR_SCALE = PARAMS.energy_scale / PARAMS.sigma2   # 1e7
@@ -132,23 +142,23 @@ def test_flight_coefficient_general_quadrature():
         p0 = (float(rng.uniform(-40, 0)), float(rng.uniform(-5, 5)))
         p1 = (float(rng.uniform(5, 40)), float(rng.uniform(-5, 5)))
         w = (float(rng.uniform(-30, 30)), float(rng.uniform(-8, 8)))
-        got = leg_average_inverse_sq(p0, p1, w, 10.0)
+        got = _leg_average(p0, p1, w, 10.0)
         assert got == pytest.approx(_leg_average_oracle(p0, p1, w, 10.0),
                                     rel=1e-9)
 
 
 def test_flight_coefficient_zero_length_leg():
     p0 = (3.0, 1.0)
-    assert leg_average_inverse_sq(p0, p0, (7.0, 2.0), 10.0) == pytest.approx(
-        point_inverse_sq(p0, (7.0, 2.0), 10.0))
+    assert leg_average_inverse_sq(0.0, 0.0, 0.0, 4.0, 1.0, 100.0) \
+        == pytest.approx(point_inverse_sq(p0, (7.0, 2.0), 10.0))
 
 
 def test_flight_coefficient_mirror_parity():
     # reflecting the whole geometry about x = 0 swaps traversal direction
     p0, p1, w = (-12.0, 0.0), (14.0, 2.0), (3.0, 4.0)
-    mirrored = leg_average_inverse_sq(
+    mirrored = _leg_average(
         (-p0[0], p0[1]), (-p1[0], p1[1]), (-w[0], w[1]), 10.0)
-    assert leg_average_inverse_sq(p0, p1, w, 10.0) == pytest.approx(
+    assert _leg_average(p0, p1, w, 10.0) == pytest.approx(
         mirrored, rel=1e-14)
 
 
@@ -314,20 +324,23 @@ def test_group_coefficients_range_checks(monkeypatch):
                            match=f"^{report} coefficient"):
             plan_sums(plan, PARAMS, a_i, b_i)
     # the same faults in the pass that draws a trial, injected through
-    # the names it reads.  A member 1e200 m off the row harvests 0.0 in
-    # hover, and a sqrt that reads its infinite offset as 1 gives it a
-    # flight coefficient above 1/A^2 too: its hover one is reported.  An
-    # atan2 a million times too large faults the flight one alone, and
-    # keeps it above the hover one, so no member is redrawn.
+    # the names it and the one leg-average formula in `channel` read.  A
+    # member 1e200 m off the row harvests 0.0 in hover, and a sqrt that
+    # reads its infinite offset as 1 gives it a flight coefficient above
+    # 1/A^2 too: its hover one is reported.  An atan2 a million times too
+    # large faults the flight one alone, and keeps it above the hover
+    # one, so no member is redrawn.
     config = ScenarioConfig(A_m=PARAMS.A)
     sqrt, atan2 = math.sqrt, math.atan2
     for phase, patches in (
-            ("hover", {"Y_JITTER_M": 1e200,
-                       "sqrt": lambda v: sqrt(v) if v < math.inf else 1.0}),
-            ("flight", {"atan2": lambda y, x: 1e6 * atan2(y, x)})):
+            ("hover", {(experiments, "Y_JITTER_M"): 1e200,
+                       (channel, "sqrt"):
+                           lambda v: sqrt(v) if v < math.inf else 1.0}),
+            ("flight", {(channel, "atan2"):
+                            lambda y, x: 1e6 * atan2(y, x)})):
         with monkeypatch.context() as m:
-            for name, value in patches.items():
-                m.setattr(experiments, name, value)
+            for (module, name), value in patches.items():
+                m.setattr(module, name, value)
             with pytest.raises(NumericDomainError,
                                match=f"^group 1: {phase} coefficient"):
                 generate_trial(config, trial_rng(config.seed, 0))
@@ -338,7 +351,7 @@ def test_group_coefficients_range_checks(monkeypatch):
     # reported when the baseline is read or solved
     grouped = generate_trial(config, trial_rng(config.seed, 0)).sums
     with monkeypatch.context() as m:
-        m.setattr(experiments, "atan2",
+        m.setattr(channel, "atan2",
                   lambda y, x: atan2(y, x) + (100.0 if abs(y) < 1e-9
                                               else 0.0))
         geo = generate_trial(config, trial_rng(config.seed, 0))

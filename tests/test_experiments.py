@@ -16,8 +16,9 @@ import uavwpt.experiments as experiments
 import uavwpt.geometry as geometry
 import uavwpt.ttm as ttm
 from conftest import fail_draws
-from instance_tools import coeff_a, group_coefficients, harvested_energy
-from uavwpt.channel import GroupCoefficients, coeff_b
+from instance_tools import (coeff_a, coeff_b, group_coefficients,
+                            harvested_energy, leg_average_inverse_sq)
+from uavwpt.channel import GroupCoefficients
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import (ConfigError, InfeasiblePlanError,
                            NumericDomainError)
@@ -131,7 +132,7 @@ def _scalar_trial(config, rng):
                 yj = float(rng.uniform(-experiments.Y_JITTER_M,
                                        experiments.Y_JITTER_M))
                 w = (hover[0] - u * D[g], ytilde + yj)
-                if (channel.leg_average_inverse_sq(leg_start, hover, w, A)
+                if (leg_average_inverse_sq(leg_start, hover, w, A)
                         > channel.point_inverse_sq(hover, w, A)):
                     break
                 redraws += 1
@@ -261,11 +262,12 @@ def test_trial_draw_and_coefficient_counts(monkeypatch):
     # guards the lean trial path: a fresh draw makes one block draw and
     # no scalar uniform draw when no member is redrawn, and computes each
     # coefficient once, counted through the math functions the draw
-    # reads: two atan2 calls per flight coefficient, one per grouped
-    # member and one per baseline member (its hover one is 1/A^2), and
-    # one hypot call per grouped leg and per uplink gain, M - 1 of them
-    # per grouped member and one per baseline member (whose leg lengths
-    # the stops give); none of the baseline's when it is not solved.
+    # reads (atan2 in `channel`'s one leg-average formula): two atan2
+    # calls per flight coefficient, one per grouped member and one per
+    # baseline member (its hover one is 1/A^2), and one hypot call per
+    # grouped leg and per uplink gain, M - 1 of them per grouped member
+    # and one per baseline member (whose leg lengths the stops give);
+    # none of the baseline's when it is not solved.
     # Every later call at the same trial, under either objective, reads
     # the kept draw and draws nothing, until a call first asks for the
     # baseline the kept draw lacks.
@@ -273,8 +275,8 @@ def test_trial_draw_and_coefficient_counts(monkeypatch):
     N, K, M = config.N, config.K, config.M
     calls = {}
 
-    def counted(name):
-        real = getattr(experiments, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def primitive(*args):
             calls[name] += 1
@@ -289,8 +291,8 @@ def test_trial_draw_and_coefficient_counts(monkeypatch):
         return rngs[-1]
 
     monkeypatch.setattr(experiments, "trial_rng", counted_rng)
-    for name in ("atan2", "hypot"):
-        monkeypatch.setattr(experiments, name, counted(name))
+    for module, name in ((channel, "atan2"), (experiments, "hypot")):
+        monkeypatch.setattr(module, name, counted(module, name))
     for include_baseline, flights, gains in ((False, K, (M - 1) * K),
                                              (True, 2 * K, M * K)):
         for t in range(5):

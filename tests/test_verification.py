@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from instance_tools import (group_coefficients, hover_moved_to_start,
-                            stm_grid_oracle, stm_instance, synthetic_coeffs,
-                            ttm_instance)
-from uavwpt.channel import coeff_b
+from instance_tools import (coeff_b, group_coefficients,
+                            hover_moved_to_start, stm_grid_oracle,
+                            stm_instance, synthetic_coeffs, ttm_instance)
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import UnsupportedScaleError
 from uavwpt.experiments import (apply_sweep_value, build_problem,
@@ -34,18 +33,25 @@ def _one_trial(seed=11):
 
 def test_flight_energy_zero_time():
     geo, params = _one_trial()
-    assert flight_energy_numeric(geo.plan, params, 1, 1, 0.0) == 0.0
+    assert flight_energy_numeric(geo.plan, params, 1, 0.0) == 0.0
     with pytest.raises(ValueError):
-        flight_energy_numeric(geo.plan, params, 1, 1, -1.0)
+        flight_energy_numeric(geo.plan, params, 1, -1.0)
 
 
 def test_flight_energy_matches_closed_form():
+    # a group's flight energy is energy_scale * b_n * zeta, for the b_n
+    # the drawn trial's sums hold and for the members' reference b_i,
+    # on the grouped plan and on the baseline
     geo, params = _one_trial()
-    for n, i, zeta in ((1, geo.plan.members(1)[0], 3.0),
-                       (4, geo.plan.members(4)[-1], 7.5)):
-        closed = params.energy_scale * coeff_b(geo.plan, params, n, i) * zeta
-        numeric = flight_energy_numeric(geo.plan, params, n, i, zeta)
-        assert closed == pytest.approx(numeric, rel=1e-6)
+    for plan, b, cases in ((geo.plan, geo.sums[1], ((1, 3.0), (4, 7.5))),
+                           (geo.baseline_plan, geo.baseline[2][1],
+                            ((1, 3.0), (20, 7.5)))):
+        for n, zeta in cases:
+            numeric = flight_energy_numeric(plan, params, n, zeta)
+            for b_n in (b[n - 1], math.fsum(coeff_b(plan, params, n, i)
+                                            for i in plan.members(n))):
+                closed = params.energy_scale * b_n * zeta
+                assert closed == pytest.approx(numeric, rel=1e-6)
 
 
 # -------------------------------------------------- grid oracles
@@ -167,28 +173,28 @@ def test_full_suite_passes_and_is_deterministic():
 
 
 def test_fault_injection_is_caught(monkeypatch):
-    # coeff_b is the per-sensor coefficient the flight-energy oracle
-    # checks; leg_average_inverse_sq is the primitive it shares with the
-    # aggregates the solvers read, so a fault there must scale b_n too.
-    # The certificate and the TTM grid oracle read the same aggregates
-    # as the solvers, so only the flight-energy oracle can see either
-    # fault.
-    import uavwpt.channel as ch
+    # a flight coefficient 0.9 times too small, from the one leg-average
+    # formula that the draw calls, reaches the sums the solvers read.
+    # The certificate and the TTM grid oracle read those same sums, so
+    # only the flight-energy oracle, which checks them against
+    # quadrature, can see the fault
+    import uavwpt.experiments as experiments
     geo, params = _one_trial()
     clean = group_coefficients(geo.plan, params)
-    for name, b_scale in (("coeff_b", 1.0), ("leg_average_inverse_sq", 0.9)):
-        real = getattr(ch, name)
-        with monkeypatch.context() as m:
-            m.setattr(ch, name,
-                      lambda *a, real=real, **k: 0.9 * real(*a, **k))
-            faulty = group_coefficients(geo.plan, params)
-            reports, ok = run_verification(CFG)
-        assert faulty.b == pytest.approx(
-            tuple(b_scale * b for b in clean.b), rel=1e-12)
-        assert not ok
-        bad = [r for r in reports if not r.passed]
-        assert bad
-        assert all(r.oracle == "flight_energy" for r in bad)
+    assert geo.sums[1] == clean.b
+    real = experiments.leg_average_inverse_sq
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "leg_average_inverse_sq",
+                  lambda *a: 0.9 * real(*a))
+        faulty = _one_trial()[0]
+        reports, ok = run_verification(CFG)
+    assert faulty.sums[1] == pytest.approx(
+        tuple(0.9 * b for b in clean.b), rel=1e-12)
+    assert not ok
+    bad = [r for r in reports if not r.passed]
+    # every flight-energy row fails: grouped groups and baseline stops
+    assert len(bad) == 200
+    assert all(r.oracle == "flight_energy" for r in bad)
 
 
 def test_off_optimum_stm_solve_is_caught(monkeypatch):

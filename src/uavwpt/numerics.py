@@ -1,10 +1,12 @@
 """Scalar numeric kernels used by the closed-form solvers.
 
 Everything here is deliberately dependency-free so the solver results are
-reproducible bit-for-bit: the principal branch of the Lambert W function,
-the one bracketed, safeguarded Newton root finder (it serves both of the
-STM solver's price searches and TTM's hover re-tightening), and an
-adaptive Simpson integrator used by the verification oracles.
+reproducible bit-for-bit: the package's one Lambert W, the principal
+branch W_0 (each level of the STM dual chain, the lower end of the STM
+lead bracket and TTM's hover denominators call it), the one bracketed,
+safeguarded Newton root finder (it serves both of the STM solver's price
+searches and TTM's hover re-tightening), and an adaptive Simpson
+integrator used by the verification oracles.
 """
 
 import math
@@ -33,18 +35,14 @@ def lambert_w0(x: float) -> float:
     Arguments within 1e-15 below -1/e are treated as the branch point
     itself (w = -1); anything further below raises NumericDomainError.
     """
-    x = float(x)
-    if math.isnan(x):
-        raise NumericDomainError("lambert_w0: argument is NaN")
-    if x < -_INV_E:
-        if x >= -_INV_E - 1e-15:
-            return -1.0
-        raise NumericDomainError(
-            f"lambert_w0: argument {x!r} lies below -1/e")
-    if x == 0.0:
-        return 0.0
-
+    # guards in seed order, so the STM chain's x in [-1/e, 0] reaches its
+    # seed in the fewest comparisons
     if x < -0.3243:
+        if x < -_INV_E:
+            if x >= -_INV_E - 1e-15:
+                return -1.0
+            raise NumericDomainError(
+                f"lambert_w0: argument {x!r} lies below -1/e")
         # series about the branch point; p -> 0 as x -> -1/e
         p = math.sqrt(max(0.0, 2.0 * (math.e * x + 1.0)))
         w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
@@ -53,11 +51,16 @@ def lambert_w0(x: float) -> float:
             # Halley denominator degenerates with w + 1 -> 0: stop now
             return w
     elif x < 1.5:
+        if x == 0.0:
+            return 0.0
         w = x / (1.0 + x)
-    else:
+    elif x >= 1.5:
         l1 = math.log(x)
         l2 = math.log(l1)
         w = l1 - l2 + l2 / l1
+    else:
+        # NaN fails every ordered comparison above
+        raise NumericDomainError("lambert_w0: argument is NaN")
 
     for _ in range(_W_MAX_ITER):
         ew = math.exp(w)

@@ -18,11 +18,10 @@ worth to mu gives a backward chain of explicit Lambert W expressions,
     q_n = -W0(-exp(-(2 r_n + 1))),  r_n = mu - gamma_{n+1} a_{n+1} q_{n+1}/2,
 
 defined where every r_n > 0, with an analytic slope dq_n/dmu.  Each
-level solves its W0 in place (`_chain_q`, with lambert_w0's seeds,
-Halley step and stopping rule, so with its bits) over the coupling
-weights gamma_n a_n / 2, which each search forms once.  The
-first-phase variable that harvests better ("lead": tau_0 when a_1 > b_1,
-else zeta_1) is worth gamma_1 lead q_1 / 2, which falls as mu rises, so
+level calls numerics.lambert_w0 (`_chain_q`) over the coupling weights
+gamma_n a_n / 2, which each search forms once.  The first-phase
+variable that harvests better ("lead": tau_0 when a_1 > b_1, else
+zeta_1) is worth gamma_1 lead q_1 / 2, which falls as mu rises, so
 one bracketed Newton search (numerics.bracketed_newton) finds the price
 mu+ at which it is worth exactly mu; its gap is provably below -2.9 at
 the bracket's upper end (`_lead_bracket`), which is evaluated only when
@@ -70,8 +69,7 @@ from .channel import GroupCoefficients
 from .errors import (AccuracyError, ConfigError, InfeasiblePlanError,
                      NumericDomainError)
 from .geometry import leg_floors
-from .numerics import (_INV_E, _W_MAX_ITER, _W_STEP_TOL, bracketed_newton,
-                       lambert_w0)
+from .numerics import bracketed_newton, lambert_w0
 
 STM_DIAG_HEADER = "N,T,v_max,mu,objective,budget_residual,optimality_gap"
 
@@ -200,10 +198,8 @@ def _chain_q(halves, mu: float):
 
     own(1/q) = r reads q exp(-q) = exp(-(2r + 1)), so
     q = -W0(-exp(-(2r + 1))), and W0's derivative gives
-    dq/dmu = -2q/(1 - q) dr/dmu.  Each level solves its W0 in place with
-    `numerics.lambert_w0`'s seeds, Halley step, stopping rule and
-    errors, restricted to the chain's arguments x in [-1/e, 0], so q_n
-    has the bits -lambert_w0(x) gives and no call is made per level.
+    dq/dmu = -2q/(1 - q) dr/dmu.  Each level calls
+    `numerics.lambert_w0`, whose errors it raises.
     """
     N = len(halves)
     q = [0.0] * N
@@ -212,39 +208,7 @@ def _chain_q(halves, mu: float):
     for n in range(N - 1, -1, -1):
         if r <= 0.0:
             return None
-        x = -math.exp(-2.0 * r - 1.0)
-        if x < -0.3243:
-            if x < -_INV_E:
-                if x >= -_INV_E - 1e-15:
-                    return None         # W0 = -1: q_n = 1
-                raise NumericDomainError(
-                    f"lambert_w0: argument {x!r} lies below -1/e")
-            # series about the branch point; it is the answer for p < 1e-4
-            p = math.sqrt(max(0.0, 2.0 * (math.e * x + 1.0)))
-            w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
-            left = _W_MAX_ITER if p >= 1e-4 else -1
-        elif x < 0.0:
-            w = x / (1.0 + x)
-            left = _W_MAX_ITER
-        elif x == 0.0:
-            w, left = 0.0, -1
-        else:
-            raise NumericDomainError("lambert_w0: argument is NaN")
-        # Halley steps left to take; -1 where the seed is W0 already
-        while left > 0:
-            ew = math.exp(w)
-            res = w * ew - x
-            if res == 0.0:
-                break
-            w1 = w + 1.0
-            step = res / (ew * w1 - (w + 2.0) * res / (2.0 * w1))
-            w -= step
-            if abs(step) <= _W_STEP_TOL * (1.0 + abs(w)):
-                break
-            left -= 1
-        if left == 0:
-            raise AccuracyError(
-                f"lambert_w0: no convergence for argument {x!r}")
+        w = lambert_w0(-math.exp(-2.0 * r - 1.0))
         if w <= -1.0:
             return None
         q[n] = -w

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -54,6 +55,49 @@ def test_lambert_inverse_identity(w):
     x = w * math.exp(w)
     got = lambert_w0(x)
     assert got == pytest.approx(w, rel=1e-9, abs=1e-9)
+
+
+# SHA-256 over lambert_w0's result (float.hex) or error (type and
+# message) on _w0_grid(), so the last bit of any result and the wording
+# of every raise show.  Pinned with glibc's libm on x86-64 Linux under
+# CPython 3.11.
+PINNED_W0_DIGEST = (
+    "f0a7f96e7e2a559c138067f24a75dfd2c003b91cdf9f38ab369d513473b2072f")
+
+
+def _w0_grid() -> list:
+    """lambert_w0's arguments: the STM chain's band, both zeros, the
+    1e-15 band below -1/e and beyond it, and every seed's range."""
+    # the chain's x = -exp(-2 mu - 1), mu log-spaced from 1e-17 (the
+    # branch point's series) to 400 (x underflows to -0.0 past 372.1)
+    top = math.log10(400.0) + 17.0
+    xs = [-math.exp(-2.0 * 10.0 ** (-17.0 + top * k / 20_000) - 1.0)
+          for k in range(20_001)]
+    xs += [-0.0, 0.0, math.nan, math.inf, -math.inf, -0.5, -1.0]
+    # the branch point, and 1e-16 steps below it to 2e-15
+    xs += [-numerics._INV_E - k * 1e-16 for k in range(21)]
+    xs += [math.nextafter(-numerics._INV_E, -1.0),
+           math.nextafter(-numerics._INV_E, 0.0)]
+    # series and identity seeds: -1/e to 1.5 in equal steps
+    xs += [-numerics._INV_E + (numerics._INV_E + 1.5) * k / 4_000
+           for k in range(4_001)]
+    # the identity seed near zero and the log seed up to 1e8
+    xs += [10.0 ** (k / 100.0) for k in range(-3_000, 801)]
+    return xs
+
+
+def _w0_token(x: float) -> str:
+    try:
+        return lambert_w0(x).hex()
+    except (NumericDomainError, AccuracyError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_lambert_pinned_bitwise():
+    digest = hashlib.sha256()
+    for x in _w0_grid():
+        digest.update(f"{x.hex()} {_w0_token(x)}\n".encode())
+    assert digest.hexdigest() == PINNED_W0_DIGEST
 
 
 def _with_slope(f, df):

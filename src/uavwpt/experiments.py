@@ -19,12 +19,12 @@ the same formula, on first read, and each `GroupPlan` only when read.
 No sum depends on the transmit power or the noise, and trial t draws
 the same stream at every sweep point (common random numbers).  So a drawn
 trial takes one path to its values: each plan becomes a `_KeptPlan`
-(legs, member counts, sums, radio), whose `solve` runs a solver kernel
-at a sweep point with the constructors' checks, building no problem or
-result, and keeps what it derived for the next: the coefficients and
-`ttm`'s hover denominators while the SNR is unchanged (v_max, T_s,
-I_nats points), and the floors while v_max is; `solve_*` on
-`build_problem`'s problem gives its bits.
+(legs, member counts, sums, radio), whose `solve` calls its solver's
+kept entry at a sweep point, building no problem or result, and keeps
+what it derived for the next: the coefficients and `ttm`'s hover
+denominators while the SNR is unchanged (v_max, T_s, I_nats points),
+and the floors while v_max is; `solve_*` on `build_problem`'s problem
+gives its bits.
 `run_trial` keeps both plans of each trial it draws in its one store,
 `_DRAWS`, so a pt_db, v_max or I_nats sweep draws each trial once.  It
 keeps only the latest (seed, `_draw_fields`) key's trials and no failed
@@ -37,7 +37,6 @@ or typed error.
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from math import hypot
 
@@ -49,9 +48,8 @@ from .config import ScenarioConfig, _finite
 from .errors import ConfigError, NumericDomainError, UavWptError
 from .geometry import (GroupPlan, group_sizes, leg_floors, singleton_legs,
                        singleton_plan)
-from .stm import (LeadPrice, StmProblem, _check_budget, _check_price,
-                  _check_times, _information, _stm_allocation)
-from .ttm import TtmProblem, _check_demands, _ttm_allocation
+from .stm import LeadPrice, StmProblem, _kept_throughput
+from .ttm import TtmProblem, _kept_total
 
 # Group members sit behind their hover point along the inbound leg, at
 # this fraction of the leg length, with a little cross-row jitter.  The
@@ -155,8 +153,8 @@ class _KeptPlan:
 
     def solve(self, config: ScenarioConfig, objective: str,
               price: LeadPrice | None = None) -> float:
-        """The plan's throughput ("stm", `price` as in `solve_stm`) or
-        total time ("ttm") under `config`, as `solve_stm` or `solve_ttm`
+        """The plan's throughput ("stm", `price` as in `_kept_throughput`)
+        or total time ("ttm") under `config`, as `solve_stm` or `solve_ttm`
         gives it on `build_problem`'s problem, building neither."""
         params = config.baseline_radio if self.baseline else config.radio
         if params.snr != self.snr:
@@ -170,31 +168,13 @@ class _KeptPlan:
             self.travel = math.fsum(self.floors)
             self.v_max = config.v_max_mps
         if objective == "stm":
-            T = config.T_s
-            _check_budget(T, self.travel)
-            tau, zeta, mu, _ = _stm_allocation(
-                c.gamma, c.a, c.b, self.floors, T, T - self.travel, price)
-            _check_times(tau, zeta)
-            _check_price(mu)
-            return functools.reduce(
-                operator.add, _information(c.gamma, c.a, c.b, tau, zeta), 0.0)
+            return _kept_throughput(c.gamma, c.a, c.b, self.floors,
+                                    config.T_s, self.travel, price)
         if objective == "ttm":
             I_nats = config.I_nats
-            demands = [I_nats * n for n in self.counts]
-            if not I_nats > 0.0:      # each count is at least 1
-                _check_demands(demands, c.N)
-            tau, zeta = _ttm_allocation(c.gamma, c.a, c.b, demands,
-                                        self.floors, self.denoms)
-            # no time the kernel returns is negative, so one outside
-            # [0, inf) makes the sum inf or nan, or its partials overflow
-            try:
-                total = math.fsum(tau) + math.fsum(zeta)
-            except OverflowError:
-                total = math.nan
-            if not total < math.inf:
-                _check_times(tau, zeta)
-                return math.fsum(tau) + math.fsum(zeta)
-            return total
+            return _kept_total(c.gamma, c.a, c.b,
+                               [I_nats * n for n in self.counts],
+                               self.floors, self.denoms)
         raise ConfigError(f"unknown objective {objective!r}")
 
 

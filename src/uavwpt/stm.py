@@ -36,27 +36,27 @@ Vandenberghe, ch. 5) then settles the solve:
   finds the mu > mu+ at which that mission takes exactly T;
 - degenerate: there is no slack to hover in.
 
-diagnostics.method names the outcome and diagnostics.objective is
-sum_throughput, the left fold of delivered_information.  The budget
-residual and optimality_gap, the Frank-Wolfe duality gap (Jaggi 2013)
-that certifies the outcome without a solver, are computed when the
-diagnostics first read them.
+diagnostics.method names the outcome, diagnostics.objective is
+sum_throughput, the left fold of delivered_information, and
+optimality_gap the Frank-Wolfe duality gap (Jaggi 2013) that
+certifies the outcome without a solver.
 
-The first search reads only gamma, a and c = gamma_1 lead / 2, and so
-does the price state the free structure reads at mu+: q_n, each
-group's hover time per unit of harvested energy rho_n and the budget
-weights S_n (_lead_price).  So a caller may keep both in a `LeadPrice`
-slot, which `solve_stm` reads when its (gamma, a, c) equals the
-problem's, compared with ==, and refills otherwise: a kept state has
-the bits a fresh search would give.  The hover-and-fly baselines of
-one sweep point share one key: each sensor is hovered directly
-overhead with one receive antenna, so every link has a = 1/A^2 and the
-same gamma whatever the draw.  So a point's baselines build the state
-once, and each later solve evaluates no chain: two forward passes of
-the energy chain close its budget.  Both structures walk one energy
-chain (`_hovers` from `_rho`); the pinned search reads b and the
-floors too, and is not kept.  `solve_stm` and `delivered_information`
-wrap kernels on tuples, which `experiments.run_trial` calls directly.
+`solve_stm(problem)` is the reference door; a sweep's, `_kept_throughput`,
+runs the same kernel on plain tuples with the constructors' checks and
+builds no problem or result.  The first search reads only gamma, a and
+c = gamma_1 lead / 2, and so does the price state the free structure
+reads at mu+: q_n, each group's hover time per unit of harvested energy
+rho_n and the budget weights S_n (_lead_price).  So a sweep keeps both
+in a `LeadPrice` slot, read when its (gamma, a, c) equals the plan's,
+compared with ==, and refilled otherwise: a kept state has the bits a
+fresh search would give.  The hover-and-fly baselines of one sweep
+point share one key: each sensor is hovered directly overhead with one
+receive antenna, so every link has a = 1/A^2 and the same gamma
+whatever the draw.  So a point's baselines build the state once, and
+each later solve evaluates no chain: two forward passes of the energy
+chain close its budget.  Both structures walk one energy chain
+(`_hovers` from `_rho`); the pinned search reads b and the floors too,
+and is not kept.
 """
 
 import functools
@@ -137,27 +137,18 @@ class StmDiagnostics:
     in nats/Hz.  method names the structure solved: "free-tau0" or
     "free-zeta1" (that variable takes up the slack), "pinned" (tau_0 = 0
     and every leg at the cap) or "degenerate" (no slack at all).
-    budget_residual, the budget closure error at `alloc`, and
-    optimality_gap, the certificate there, are computed on first read
-    (no sweep reads them).
+    budget_residual is |total - T| in seconds and optimality_gap the
+    certificate (`optimality_gap`), both at the solved allocation.
     """
 
     mu: float
     objective: float
     method: str
-    problem: StmProblem = field(repr=False, compare=False)
-    alloc: TimeAllocation = field(repr=False, compare=False)
+    budget_residual: float
+    optimality_gap: float
 
     def __post_init__(self):
         _check_price(self.mu)
-
-    @functools.cached_property
-    def budget_residual(self) -> float:
-        return abs(self.alloc.total - self.problem.T)
-
-    @functools.cached_property
-    def optimality_gap(self) -> float:
-        return optimality_gap(self.problem, self.alloc)
 
 
 def _check_budget(T: float, travel_time: float) -> None:
@@ -219,8 +210,8 @@ def _chain_q(halves, mu: float):
 
 
 class LeadPrice:
-    """A kept lead-price search: the key (gamma, a, c) it read, the price
-    mu+ and the price state there (None outside the chain's domain)."""
+    """A sweep's kept lead-price search: the key (gamma, a, c) it read,
+    the price mu+ and the price state there (None outside the domain)."""
 
     key = mu = state = None
 
@@ -322,7 +313,8 @@ def _close_budget(tau0: float, taus, zetas, T: float):
 
 
 def _stm_allocation(gamma, a, b, floors, T, slack, price):
-    """`solve_stm` on plain tuples: (tau, zeta, mu, method)."""
+    """`solve_stm`'s kernel on plain tuples: (tau, zeta, mu, method), the
+    lead search read from and kept in the `LeadPrice` slot `price`."""
     if slack <= 1e-12:
         return (0.0,) * (len(floors) + 1), floors, 0.0, "degenerate"
     free_first_hover = a[0] > b[0]
@@ -383,27 +375,40 @@ def _stm_allocation(gamma, a, b, floors, T, slack, price):
     return (*_close_budget(0.0, taus, floors, T), mu, "pinned")
 
 
-def solve_stm(problem: StmProblem, price: LeadPrice | None = None):
+def solve_stm(problem: StmProblem):
     """Optimal hover and flight times for a throughput-maximization
     instance.
 
     Searches the price mu+ at which the lead first-phase variable is
-    worth the budget price (or reads it from `price` when its key is the
-    problem's, and keeps a fresh search there otherwise), then either
-    lets that variable close the budget (free) or keeps it at its bound
-    and searches the price at which the pinned mission spends the budget
-    exactly (pinned); see the module docstring.  Both searches run on
-    gaps taken in logs, so that Newton steps scale.  Returns
-    (TimeAllocation, StmDiagnostics); diagnostics.method names the
-    structure.
+    worth the budget price, then either lets that variable close the
+    budget (free) or keeps it at its bound and searches the price at
+    which the pinned mission spends the budget exactly (pinned); see the
+    module docstring.  Both searches run on gaps taken in logs, so that
+    Newton steps scale.  Returns (TimeAllocation, StmDiagnostics);
+    diagnostics.method names the structure.
     """
     c = problem.coeffs
     tau, zeta, mu, method = _stm_allocation(
-        c.gamma, c.a, c.b, problem.floors, problem.T, problem.slack, price)
+        c.gamma, c.a, c.b, problem.floors, problem.T, problem.slack, None)
     alloc = TimeAllocation(tau=tau, zeta=zeta)
     return alloc, StmDiagnostics(
         mu=mu, objective=sum_throughput(c, alloc), method=method,
-        problem=problem, alloc=alloc)
+        budget_residual=abs(alloc.total - problem.T),
+        optimality_gap=optimality_gap(problem, alloc))
+
+
+def _kept_throughput(gamma, a, b, floors, T, travel_time,
+                     price: LeadPrice | None) -> float:
+    """`solve_stm`'s objective on plain tuples, `price` as in
+    `_stm_allocation`, with StmProblem's, TimeAllocation's and
+    StmDiagnostics' checks in that order, building none of them."""
+    _check_budget(T, travel_time)
+    tau, zeta, mu, _ = _stm_allocation(gamma, a, b, floors, T,
+                                       T - travel_time, price)
+    _check_times(tau, zeta)
+    _check_price(mu)
+    return functools.reduce(operator.add,
+                            _information(gamma, a, b, tau, zeta), 0.0)
 
 
 def _information(gamma, a, b, tau, zeta) -> list:

@@ -16,14 +16,17 @@ inverse of the rate formula, floored at the speed cap, and re-tightens
 the hover on a clamped leg so every group's delivery matches its demand
 exactly instead of overshooting.  Both passes compute the need inline.
 
-The denominator W + 1 reads the coefficients, not the demand I_n.  So
-each one, at full cost or with the credit, is computed where a solve
-first needs it and kept in the `denoms` dict a caller may pass for one
-set of coefficients; one that fails its domain check raises and is not
-kept.  `experiments.run_trial` keeps each plan's coefficients and dict
-across sweep points at one SNR, and calls `solve_ttm`'s kernel on them,
-so the later points of an I_nats or v_max sweep make no Lambert call;
-a pt_db point scales new coefficients and prices its hovers anew.
+`solve_ttm(problem)` is the reference door; a sweep's, `_kept_total`,
+runs the same kernel on plain tuples with TimeAllocation's checks and
+builds no problem or result.  The denominator W + 1 reads the
+coefficients, not the demand I_n, so the kept door keeps each one, at
+full cost or with the credit, in a `denoms` dict for one set of
+coefficients, computed where a solve first needs it; one that fails
+its domain check raises and is not kept.  `experiments.run_trial`
+keeps each plan's coefficients and dict across sweep points at one
+SNR, so the later points of an I_nats or v_max sweep make no Lambert
+call; a pt_db point scales new coefficients and prices its hovers
+anew.
 """
 
 import math
@@ -36,7 +39,7 @@ from .channel import GroupCoefficients
 from .errors import ConfigError, NumericDomainError
 from .geometry import leg_floors
 from .numerics import bracketed_newton, lambert_w0
-from .stm import TimeAllocation
+from .stm import TimeAllocation, _check_times
 
 TTM_DIAG_HEADER = "N,Pt_dB,v_max,I_total,total_time,clamped_legs"
 
@@ -58,20 +61,15 @@ class TtmProblem:
     def __post_init__(self):
         object.__setattr__(self, "floors",
                            leg_floors(self.D, self.v_max, self.coeffs.N))
-        _check_demands(self.I, self.coeffs.N)
+        if len(self.I) != self.N:
+            raise ConfigError("need one demand per group")
+        for n, i_n in enumerate(self.I, start=1):
+            if not i_n > 0.0:
+                raise ConfigError(f"group {n} demand must be positive")
 
     @property
     def N(self) -> int:
         return self.coeffs.N
-
-
-def _check_demands(I, N: int) -> None:
-    """TtmProblem's checks on the demands I of N groups."""
-    if len(I) != N:
-        raise ConfigError("need one demand per group")
-    for n, i_n in enumerate(I, start=1):
-        if not i_n > 0.0:
-            raise ConfigError(f"group {n} demand must be positive")
 
 
 def _hover_denom(gamma_b_eff: float, n: int) -> float:
@@ -120,7 +118,10 @@ def _tau_for_demand(I_n: float, gamma_n: float, energy: float,
 
 
 def _ttm_allocation(gamma, a, b, I, floors, denoms: dict):
-    """`solve_ttm` on plain tuples: (tau, zeta)."""
+    """`solve_ttm`'s kernel on plain tuples: (tau, zeta).  `denoms` holds
+    the hover denominators computed so far for these coefficients
+    ({n: full-cost W + 1 of group n, -n: its credit W + 1}) and gains
+    those this solve computes."""
     # backward pass over taus = tau_0..tau_N (no start hover): the credit
     # probe checks that leg n+1, which reads only hovers n and n+1, is
     # still free
@@ -166,22 +167,35 @@ def _ttm_allocation(gamma, a, b, I, floors, denoms: dict):
     return tuple(taus), tuple(zetas)
 
 
-def solve_ttm(problem: TtmProblem, denoms: dict | None = None):
+def solve_ttm(problem: TtmProblem):
     """Minimal-time hover and flight schedule meeting every demand.
 
     Group n < N takes the downstream credit when the next group flies
     better than it hovers, a_{n+1} < b_{n+1}, and the next leg is not
     clamped at the speed cap; otherwise every hover second is priced at
-    full cost.  `denoms`, kept by the caller for these coefficients
-    only, holds the hover denominators computed so far ({n: full-cost
-    W + 1 of group n, -n: its credit W + 1}) and gains those this solve
-    computes.  Returns (TimeAllocation, total_time).
+    full cost.  Returns (TimeAllocation, total_time).
     """
     c = problem.coeffs
     alloc = TimeAllocation(*_ttm_allocation(
-        c.gamma, c.a, c.b, problem.I, problem.floors,
-        {} if denoms is None else denoms))
+        c.gamma, c.a, c.b, problem.I, problem.floors, {}))
     return alloc, alloc.total
+
+
+def _kept_total(gamma, a, b, I, floors, denoms: dict) -> float:
+    """`solve_ttm`'s total time on plain tuples, `denoms` as in
+    `_ttm_allocation`, with TimeAllocation's checks and then its total's
+    errors, building no allocation."""
+    tau, zeta = _ttm_allocation(gamma, a, b, I, floors, denoms)
+    # no time the kernel returns is negative, so one outside [0, inf)
+    # makes the sum inf or nan, or its partials overflow
+    try:
+        total = math.fsum(tau) + math.fsum(zeta)
+    except OverflowError:
+        total = math.nan
+    if not total < math.inf:
+        _check_times(tau, zeta)
+        return math.fsum(tau) + math.fsum(zeta)
+    return total
 
 
 def ttm_diag_row(problem: TtmProblem, pt_db: float,

@@ -41,8 +41,8 @@ from uavwpt.errors import (AccuracyError, NumericDomainError, PlanError,
                            UnsupportedScaleError)
 from uavwpt.geometry import GroupPlan
 from uavwpt.stm import (StmDiagnostics, StmProblem, TimeAllocation,
-                        _close_budget, solve_stm, sum_throughput,
-                        throughput_gradient)
+                        _close_budget, optimality_gap, solve_stm,
+                        sum_throughput, throughput_gradient)
 from uavwpt.ttm import _EXP_LIMIT, TtmProblem, _hover_denom, _tau_for_demand
 
 _MIN_HOVER = 1e-9         # lower bound on the reference's hover times
@@ -170,7 +170,8 @@ def stm_sqp_reference(problem: StmProblem):
     mu_hat = 0.5 * (math.log(Y_last) - 1.0 + 1.0 / Y_last)
     diag = StmDiagnostics(
         mu=mu_hat, objective=sum_throughput(problem.coeffs, alloc),
-        method="sqp", problem=problem, alloc=alloc)
+        method="sqp", budget_residual=abs(alloc.total - problem.T),
+        optimality_gap=optimality_gap(problem, alloc))
     if not converged and kkt_residuals(problem, alloc, mu_hat) > 1e-3:
         raise AccuracyError(
             "numeric throughput solve failed: " + "; ".join(messages[:2]))

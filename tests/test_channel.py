@@ -386,6 +386,20 @@ def test_group_coefficients_guards(a, b, gamma, error, message):
         GroupCoefficients(a=a, b=b, gamma=gamma)
 
 
+def test_rescaled_refuses_gains_of_another_length():
+    # a drawn plan's coefficients rescale to its own gain sums; a gain
+    # tuple one group short or long cannot pair with the kept a and b
+    config = ScenarioConfig()
+    geo = generate_trial(config, trial_rng(config.seed, 0))
+    coeffs = GroupCoefficients.scaled(geo.sums, config.radio)
+    h = geo.sums[2]
+    assert coeffs.rescaled(h, config.radio) == coeffs
+    for gains in (h[:-1], (*h, h[0])):
+        with pytest.raises(PlanError, match="^coefficient sequences "
+                                            "disagree in length$"):
+            coeffs.rescaled(gains, config.radio)
+
+
 def test_params_validation():
     for change in ({"k0": 0.0}, {"eta": 1.5}, {"M": 1}, {"M": 2.5},
                    {"delta": 0.0}, {"k0": math.nan}, {"sigma2": math.inf},

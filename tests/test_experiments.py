@@ -367,21 +367,12 @@ def test_kept_time_solve_checks_times_as_its_constructor(tau, zeta,
             return type(exc), str(exc)
 
     def constructor():
-        experiments._check_times(tau, zeta)
+        TimeAllocation(tau, zeta)
         return math.fsum(tau) + math.fsum(zeta)
 
-    monkeypatch.setattr(experiments, "_ttm_allocation",
-                        lambda *args: (tau, zeta))
+    monkeypatch.setattr(ttm, "_ttm_allocation", lambda *args: (tau, zeta))
     got = outcome(lambda: _kept_plan(len(zeta)).solve(CFG, "ttm"))
     assert got == outcome(constructor)
-
-
-def test_kept_time_solve_checks_demands_as_its_constructor():
-    config = dataclasses.replace(CFG)
-    object.__setattr__(config, "I_nats", 0.0)   # no config can hold it
-    with pytest.raises(ConfigError,
-                       match="^group 1 demand must be positive$"):
-        _kept_plan(3).solve(config, "ttm")
 
 
 @pytest.mark.parametrize("param,values", [("pt_db", (0.0, 4.0, 8.0)),
@@ -580,6 +571,13 @@ def test_a_kept_draw_serves_only_configs_that_draw_it():
 # the fields a trial's draw reads, besides the seed its rng takes
 _DRAW_FIELDS = {"N", "K", "A_m", "D_range_m", "ytilde_range_m", "k0_db",
                 "M", "delta_m"}
+
+
+def test_build_problem_refuses_an_unknown_objective():
+    geo = generate_trial(CFG, trial_rng(CFG.seed, 0))
+    for baseline in (False, True):
+        with pytest.raises(ConfigError, match="^unknown objective 'tpm'$"):
+            build_problem(CFG, geo, "tpm", baseline)
 
 
 def test_build_problem_refuses_a_config_that_draws_another_trial():

@@ -239,7 +239,7 @@ def test_chain_undefined_below_its_domain():
     assert _chain_q(halves, mu) is not None
 
 
-def test_chain_solves_w0_in_place_bit_for_bit():
+def test_chain_levels_are_lambert_w0_bit_for_bit():
     # one level: q_1 = -W0(-exp(-2 mu - 1)) at mu from the branch point
     # band (mu < 0.063, the series seed; below 2.5e-9 the series is the
     # answer) to the underflow of the argument to -0.0 (mu > 372.1)
@@ -264,7 +264,7 @@ def test_chain_solves_w0_in_place_bit_for_bit():
     assert len(kinds) == 5 and min(kinds.values()) >= 100
 
 
-def test_chain_w0_in_place_raises_as_lambert_w0(monkeypatch):
+def test_chain_raises_as_lambert_w0(monkeypatch):
     # a NaN price reaches W0 as a NaN argument
     for solve in (lambda: lambert_w0(math.nan),
                   lambda: _chain_q((1.0,), math.nan)):
@@ -433,12 +433,14 @@ def test_closed_form_chain_evaluations(monkeypatch):
         counts["chain"] += 1
         return _chain_q(*args)
 
+    kernel = stm._stm_allocation
+
     def counted_solve(*args):
         counts["solves"] += 1
-        return stm._stm_allocation(*args[:-1], None)
+        return kernel(*args[:-1], None)
 
     monkeypatch.setattr(stm, "_chain_q", counted_chain)
-    monkeypatch.setattr(experiments, "_stm_allocation", counted_solve)
+    monkeypatch.setattr(stm, "_stm_allocation", counted_solve)
     sweep = SweepSpec(param="pt_db", values=(0.0, 8.0), trials=10,
                       objective="stm")
     run_sweep(ScenarioConfig(), sweep)
@@ -446,7 +448,7 @@ def test_closed_form_chain_evaluations(monkeypatch):
     assert counts["chain"] / counts["solves"] <= 16.0
 
 
-def _memo_trial_problems():
+def _sweep_shaped_problems():
     """Grouped and baseline STM problems of stm-power-shaped (pt_db 0 and
     8) and stm-groups-shaped (N = 6 and 9) trials."""
     base = ScenarioConfig()
@@ -463,13 +465,25 @@ def _memo_trial_problems():
     return problems
 
 
+def _kernel(problem, price):
+    """The throughput kernel on `problem`'s tuples, with the slot `price`."""
+    c = problem.coeffs
+    return stm._stm_allocation(c.gamma, c.a, c.b, problem.floors, problem.T,
+                               problem.slack, price)
+
+
 def test_kept_lead_price_changes_no_bit(monkeypatch):
     # one slot carried through each config's four baselines in a row,
     # then through every plan by turns: a baseline after the first of its
     # config reads the kept state, any other solve searches and refills
-    # the slot, and every solve has the bits of a fresh one
-    problems = _memo_trial_problems()
-    cold = [solve_stm(p) for p in problems]
+    # the slot, and every solve has the bits of a fresh one, which are
+    # solve_stm's
+    problems = _sweep_shaped_problems()
+    cold = [_kernel(p, None) for p in problems]
+    for p, (tau, zeta, mu, method) in zip(problems, cold):
+        alloc, diag = solve_stm(p)
+        assert (alloc.tau, alloc.zeta, diag.mu, diag.method) == (
+            tau, zeta, mu, method)
     order = [*range(1, len(problems), 2), *range(len(problems))]
     price = stm.LeadPrice()
     searches = []
@@ -480,7 +494,7 @@ def test_kept_lead_price_changes_no_bit(monkeypatch):
         return real(*key)
 
     monkeypatch.setattr(stm, "_lead_price", counted)
-    warm = [solve_stm(problems[i], price) for i in order]
+    warm = [_kernel(problems[i], price) for i in order]
     assert len(searches) == len(order) - 12
     assert warm == [cold[i] for i in order]
     assert isinstance(price.state, tuple) and len(price.state) == 3
@@ -502,12 +516,12 @@ def test_lead_price_slot_serves_baselines(monkeypatch):
 
     monkeypatch.setattr(stm, "_chain_q", counted_chain)
     price = stm.LeadPrice()
-    solve_stm(baselines[0], price)
+    _kernel(baselines[0], price)
     assert calls["chain"] > 0
     # the point's price state comes from the slot: no chain at all
     for problem in baselines[1:]:
         calls["chain"] = 0
-        solve_stm(problem, price)
+        _kernel(problem, price)
         assert calls["chain"] == 0
     # a direct call searches afresh
     solve_stm(baselines[1])
@@ -637,7 +651,7 @@ def test_rate_past_the_float_limit_is_finite():
         0.5 * (math.log(1e307) + math.log(1000.0)), rel=1e-15)
 
 
-def test_optimality_gap_computed_on_first_read(monkeypatch):
+def test_no_sweep_computes_the_optimality_gap(monkeypatch):
     calls = []
 
     def counted(*args):
@@ -645,33 +659,34 @@ def test_optimality_gap_computed_on_first_read(monkeypatch):
         return optimality_gap(*args)
 
     solves = []
+    kernel = stm._stm_allocation
 
     def kept(*args):
         solves.append(args)
-        return stm._stm_allocation(*args)
+        return kernel(*args)
 
     monkeypatch.setattr(stm, "optimality_gap", counted)
-    monkeypatch.setattr(experiments, "_stm_allocation", kept)
+    monkeypatch.setattr(stm, "_stm_allocation", kept)
     config = ScenarioConfig()
     experiments.run_trial(config, 0, "stm")
     run_sweep(config, SweepSpec(param="pt_db", values=(0.0, 8.0),
                                 trials=5, objective="stm"))
     # no sweep computes the gap
     assert calls == [] and len(solves) == 2 + 2 * 2 * 5
-    for problem in _memo_trial_problems():
+    # solve_stm fills every field, once, with the bits of a direct read
+    for problem in _sweep_shaped_problems():
         calls.clear()
         alloc, diag = solve_stm(problem)
-        assert calls == []
-        assert "budget_residual" not in diag.__dict__
-        residual = diag.budget_residual
-        assert residual.hex() == abs(alloc.total - problem.T).hex()
-        assert diag.__dict__["budget_residual"] is residual
-        first = diag.optimality_gap
         assert len(calls) == 1
-        assert diag.optimality_gap == first and len(calls) == 1
-        assert first.hex() == optimality_gap(problem, alloc).hex()
-        assert "gap" not in repr(diag) and "problem" not in repr(diag)
-        assert "residual" not in repr(diag)
+        assert (diag.budget_residual.hex()
+                == abs(alloc.total - problem.T).hex())
+        assert (diag.optimality_gap.hex()
+                == optimality_gap(problem, alloc).hex())
+        assert diag.objective.hex() == sum_throughput(
+            problem.coeffs, alloc).hex()
+        # a plain record: its fields and nothing kept besides
+        assert vars(diag).keys() == {"mu", "objective", "method",
+                                     "budget_residual", "optimality_gap"}
     # a solve with no slack has nothing to optimize
     problem = stm_instance(4, N=2)
     tight = StmProblem(coeffs=problem.coeffs, D=problem.D,
@@ -1029,7 +1044,8 @@ def test_diagnostics_refuse_a_negative_price(mu):
     with pytest.raises(NumericDomainError,
                        match="^budget price must be nonnegative$"):
         StmDiagnostics(mu=mu, objective=diag.objective, method=diag.method,
-                       problem=problem, alloc=alloc)
+                       budget_residual=diag.budget_residual,
+                       optimality_gap=diag.optimality_gap)
 
 
 def test_diag_row_matches_header():

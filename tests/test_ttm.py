@@ -176,7 +176,8 @@ def test_failed_hover_denominator_raises_again_and_is_not_kept():
     for I_ in (1.0, 1.0, 30.0):
         problem = TtmProblem(coeffs=coeffs, D=(20.0,), v_max=10.0, I=(I_,))
         with pytest.raises(NumericDomainError) as err:
-            solve_ttm(problem, denoms)
+            ttm._ttm_allocation(coeffs.gamma, coeffs.a, coeffs.b, problem.I,
+                                problem.floors, denoms)
         assert str(err.value) == ("group 1: hover closed form "
                                   "denominator W+1 = 0")
         assert denoms == {}
@@ -378,6 +379,15 @@ def test_problem_validation():
         TtmProblem(coeffs=coeffs, D=(25.0, -1.0), v_max=10.0, I=(1.0, 1.0))
     with pytest.raises(ConfigError):
         TtmProblem(coeffs=coeffs, D=(25.0, 25.0), v_max=10.0, I=(1.0, 0.0))
+
+
+def test_retightened_hover_stays_at_hi_when_it_meets_the_demand():
+    # a demand equal to what the hover hi delivers on the clamped leg's
+    # energy needs no search; a smaller one is met below hi
+    gamma, energy, hi = 3.0, 2.0, 5.0
+    exact = 0.5 * hi * math.log1p(gamma * energy / hi)
+    assert ttm._tau_for_demand(exact, gamma, energy, hi) == hi
+    assert ttm._tau_for_demand(0.9 * exact, gamma, energy, hi) < hi
 
 
 @pytest.mark.parametrize("I, message", [

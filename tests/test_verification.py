@@ -13,8 +13,8 @@ from uavwpt.errors import UnsupportedScaleError
 from uavwpt.experiments import (apply_sweep_value, build_problem,
                                 generate_trial, trial_rng)
 from uavwpt import verification
-from uavwpt.stm import (TimeAllocation, delivered_information, solve_stm,
-                        sum_throughput)
+from uavwpt.stm import (TimeAllocation, delivered_information,
+                        optimality_gap, solve_stm, sum_throughput)
 from uavwpt.ttm import solve_ttm
 from uavwpt.verification import (ORACLE_CSV_HEADER, OracleReport,
                                  concavity_suite, flight_energy_numeric,
@@ -204,7 +204,9 @@ def test_off_optimum_stm_solve_is_caught(monkeypatch):
         alloc, diag = solve_stm(problem)
         bad = hover_moved_to_start(alloc, 0.5 * max(alloc.tau[1:]))
         return bad, dataclasses.replace(
-            diag, objective=sum_throughput(problem.coeffs, bad), alloc=bad)
+            diag, objective=sum_throughput(problem.coeffs, bad),
+            budget_residual=abs(bad.total - problem.T),
+            optimality_gap=optimality_gap(problem, bad))
 
     monkeypatch.setattr(verification, "solve_stm", faulty)
     reports, ok = run_verification(CFG)

@@ -74,7 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="Monte-Carlo parameter sweep")
     _add_common(sweep)
     sweep.add_argument("--workers", type=int, default=1,
-                       help="worker processes for trial execution")
+                       help="worker processes for trial execution; on 2 "
+                       "cores, 2 workers ran the pt_db sweep about 1.05x "
+                       "as fast as 1 at 200 trials per point and 1.79x at "
+                       "1,000 (see README)")
     sweep.add_argument("--param", required=True, choices=tuple(SWEEP_PARAMS))
     sweep.add_argument("--values", required=True,
                        help="comma-separated sweep values, increasing")

@@ -17,15 +17,18 @@ worth to mu gives a backward chain of explicit Lambert W expressions,
     q_N = -W0(-exp(-(2 mu + 1))),
     q_n = -W0(-exp(-(2 r_n + 1))),  r_n = mu - gamma_{n+1} a_{n+1} q_{n+1}/2,
 
-defined where every r_n > 0, with an analytic slope dq_n/dmu.  Each
-level calls numerics.lambert_w0 (`_chain_q`) over the coupling weights
-gamma_n a_n / 2, which each search forms once.  The first-phase
-variable that harvests better ("lead": tau_0 when a_1 > b_1, else
-zeta_1) is worth gamma_1 lead q_1 / 2, which falls as mu rises, so
-one bracketed Newton search (numerics.bracketed_newton) finds the price
-mu+ at which it is worth exactly mu; its gap is provably below -2.9 at
-the bracket's upper end (`_lead_bracket`), which is evaluated only when
-the search's start rule needs it.  A KKT structure test (Boyd &
+defined where every r_n > 0, with analytic derivatives dq_n/dmu and
+d2q_n/dmu2.  Each level calls numerics.lambert_w0 (`_chain_q`) over the
+coupling weights gamma_n a_n / 2, which each search forms once.  The
+first-phase variable that harvests better ("lead": tau_0 when
+a_1 > b_1, else zeta_1) is worth gamma_1 lead q_1 / 2, which falls as
+mu rises, so one bracketed search (numerics.bracketed_newton) in
+t = ln mu, with Halley steps, finds the price mu+ at which it is worth
+exactly mu.  Its bracket (`_lead_bracket`) has closed-form ends: a
+lower end where the gap is >= 0, an upper end where it is below -2.9,
+evaluated only when the search's start rule needs it, and, where the
+lower end lies outside the chain's domain, a tight upper end at which
+the gap is <= 0.  A KKT structure test (Boyd &
 Vandenberghe, ch. 5) then settles the solve:
 
 - free: the mission with tau_0 = 0 and every leg at the cap fits the
@@ -66,8 +69,8 @@ from dataclasses import dataclass, field
 from math import inf
 
 from .channel import GroupCoefficients
-from .errors import (AccuracyError, ConfigError, InfeasiblePlanError,
-                     NumericDomainError)
+from .errors import (AccuracyError, BracketingError, ConfigError,
+                     InfeasiblePlanError, NumericDomainError)
 from .geometry import leg_floors
 from .numerics import bracketed_newton, lambert_w0
 
@@ -184,18 +187,21 @@ def _halves(gamma, a) -> list:
 def _chain_q(halves, mu: float):
     """Backward dual chain at budget price mu over the coupling weights
     halves[n] = gamma_n a_n / 2 (`_halves`): q_n = 1/Y_n for n = N..1
-    and the slopes dq_n/dmu, or None where the chain is undefined (some
-    r_n <= 0, or q_n rounds to 1: no finite hover is worth mu).
+    with the slopes dq_n/dmu and curvatures d2q_n/dmu2, or None where
+    the chain is undefined (some r_n <= 0, or q_n rounds to 1: no
+    finite hover is worth mu).
 
     own(1/q) = r reads q exp(-q) = exp(-(2r + 1)), so
     q = -W0(-exp(-(2r + 1))), and W0's derivative gives
-    dq/dmu = -2q/(1 - q) dr/dmu.  Each level calls
-    `numerics.lambert_w0`, whose errors it raises.
+    dq/dmu = phi dr/dmu with phi = 2w/(1 + w), w = -q, and
+    d2q/dmu2 = phi (d2r/dmu2 - 2 (dr/dmu)^2/(1 + w)^2).  Each level
+    calls `numerics.lambert_w0`, whose errors it raises.
     """
     N = len(halves)
     q = [0.0] * N
     dq = [0.0] * N
-    r, dr = mu, 1.0
+    d2q = [0.0] * N
+    r, dr, d2r = mu, 1.0, 0.0
     for n in range(N - 1, -1, -1):
         if r <= 0.0:
             return None
@@ -203,10 +209,12 @@ def _chain_q(halves, mu: float):
         if w <= -1.0:
             return None
         q[n] = -w
-        dq[n] = 2.0 * w / (1.0 + w) * dr
+        phi = 2.0 * w / (1.0 + w)
+        dq[n] = phi * dr
+        d2q[n] = phi * (d2r - 2.0 * dr * dr / ((1.0 + w) * (1.0 + w)))
         half = halves[n]
-        r, dr = mu - half * q[n], 1.0 - half * dq[n]
-    return q, dq
+        r, dr, d2r = mu - half * q[n], 1.0 - half * dq[n], -half * d2q[n]
+    return q, dq, d2q
 
 
 class LeadPrice:
@@ -221,6 +229,14 @@ def _lead_price(gamma, a, c: float):
     c q_1 with c = gamma_1 lead / 2, is worth mu, and the price state at
     the last price evaluated, or None outside the chain's domain.
 
+    The search runs in t = ln mu on the gap ln(c q_1) - t, whose first
+    and second derivatives come from the chain, so that each Newton step
+    of numerics.bracketed_newton is a Halley step.  It starts at
+    `_lead_bracket`'s lower end; where the chain is defined there, the
+    upper end hi is never evaluated, and where it is not, the search
+    runs up to the tight end instead, or, where the chain is undefined
+    at that end too (no mu+ exists), from it up to hi.
+
     The state is what the free structure reads at that price, tuples
     (q, rho, S): q_n from the chain; rho_n = tau_n/E_n =
     gamma_n q_n/(1 - q_n), group n's hover time per unit of harvested
@@ -231,19 +247,40 @@ def _lead_price(gamma, a, c: float):
     tuples so that no caller can alter a kept one.
     """
     chain = None      # the chain at the last price searched
+    at = gap = None   # that price's log and the lead gap's value there
     halves = _halves(gamma, a)
 
-    def lead_gap(mu):
-        nonlocal chain
-        chain = _chain_q(halves, mu)
-        if chain is None:
-            return math.inf, math.nan
-        q, dq = chain
-        return math.log(c * q[0] / mu), dq[0] / q[0] - 1.0 / mu
+    def lead_gap(t):
+        # the gap at mu = e^t and Halley's denominator in t, kept at
+        # least half the slope d1 < 0 so that no step exceeds twice
+        # Newton's: a Newton step on this pair is a Halley step
+        nonlocal chain, at, gap
+        if t != at:
+            at, mu = t, math.exp(t)
+            chain = _chain_q(halves, mu)
+            if chain is None:
+                gap = math.inf, math.nan
+            else:
+                q, dq, d2q = chain
+                slope = mu * dq[0] / q[0]
+                g, d1 = math.log(c * q[0]) - t, slope - 1.0
+                d2 = slope + mu * mu * d2q[0] / q[0] - slope * slope
+                gap = g, d1 - max(g * d2 / (2.0 * d1), 0.5 * d1)
+        return gap
 
-    lo, hi = _lead_bracket(halves, c)
-    mu = bracketed_newton(lead_gap, lo, hi, tol=_ROOT_TOL,
-                          f_hi_max=_LEAD_GAP_AT_HI)
+    t_lo, t_hi, t_tight = _lead_bracket(halves, c)
+    if lead_gap(t_lo)[0] < math.inf:
+        t = bracketed_newton(lead_gap, t_lo, t_hi, tol=_ROOT_TOL,
+                             f_hi_max=_LEAD_GAP_AT_HI)
+    else:
+        try:
+            t = bracketed_newton(lead_gap, t_lo, t_tight, tol=_ROOT_TOL)
+        except BracketingError:
+            # the chain is undefined at t_tight too: its domain starts
+            # above the tight end and holds no mu+
+            t = bracketed_newton(lead_gap, t_tight, t_hi, tol=_ROOT_TOL,
+                                 f_hi_max=_LEAD_GAP_AT_HI)
+    mu = math.exp(t)
     if chain is None:
         return mu, None
     q = chain[0]
@@ -255,32 +292,52 @@ def _lead_price(gamma, a, c: float):
 
 
 def _lead_bracket(halves, c: float):
-    """The lead search's bracket (lo, hi) on mu: the gap is >= 0 at lo
-    and below _LEAD_GAP_AT_HI = -2.9 at hi, so the search need evaluate
-    hi only when its start rule asks for it.
+    """The lead search's bracket in t = ln mu: (t_lo, t_hi, t_tight).
+    The gap is >= 0 at t_lo, below _LEAD_GAP_AT_HI = -2.9 at t_hi, and
+    <= 0 at t_tight wherever mu+ exists in the chain's domain.
 
-    lo: q_1 is at least group 1's link with nothing downstream, so the
-    gap is >= 0 where that link alone prices the lead at mu, a closed
-    form.
+    lo: q_1 is at least group 1's link with nothing downstream, q(mu),
+    so the gap is >= 0 where c q(mu) = mu (`_alone_price` with h = 0).
+
+    tight: q_2 <= 1 puts r_1 >= mu - h with h = halves[1], so q_1(mu)
+    <= q(mu - h) and the gap is <= 0 above the price at which
+    c q(mu - h) = mu.  That end is used where c >= 1/2 (below, the W0
+    argument may leave W0's domain), its closed form is finite and it falls inside (lo, hi); else t_tight = t_hi.  Both
+    ends are roots of one closed form, ln c + 2h - 1 - W0((2c - 1)
+    e^(2h - 1)), at h = 0 and h = halves[1].
 
     hi: let top be the largest of c and the downstream weights
     halves[1:].  At 1 + top, q_n <= 1 puts every r_n >= 1, so q_1 <=
     -W0(-e^-3) = 0.05247 and, as c < hi, the gap is below
     ln 0.05247 = -2.948.  Past the float limit of exp (1 + top above
-    about 372) the chain reads q = 0 there, and a search would halve
-    its way down; hi is then 1.55 + ln(top)/2.  As q <= e^(-2r), every
-    r_n stays >= R = 1.5 + ln(top)/2 (a weight times e^(-2R) is at most
-    e^-3 < 0.05), so q_1 <= e^-3/top, the gap is below -3 - ln hi, and
-    every q_n in the bracket reads above 0.  That end is valid
-    everywhere, but 1 + top is kept below the float limit so that those
-    searches keep their bits.
+    about 372) the chain reads q = 0 there; hi is then 1.55 + ln(top)/2.
+    As q <= e^(-2r), every r_n stays >= R = 1.5 + ln(top)/2 (a weight
+    times e^(-2R) is at most e^-3 < 0.05), so q_1 <= e^-3/top, the gap
+    is below -3 - ln hi, and every q_n in the bracket reads above 0.
     """
-    lo = c * math.exp(-1.0 - lambert_w0((2.0 * c - 1.0) / math.e))
+    t_lo = _alone_price(c, 0.0)
     top = max([c] + halves[1:])
     hi = 1.0 + top
     if math.exp(-2.0 * hi - 1.0) == 0.0:
         hi = 1.55 + 0.5 * math.log(top)
-    return lo, hi
+    t_hi = math.log(hi)
+    t_tight = t_hi
+    if len(halves) > 1 and c >= 0.5 and halves[1] < 350.0:
+        t = _alone_price(c, halves[1])
+        if t_lo < t < t_hi:
+            t_tight = t
+    return t_lo, t_hi, t_tight
+
+
+def _alone_price(c: float, h: float) -> float:
+    """ln of the price mu at which c q(mu - h) = mu, q(r) the chain level
+    with nothing downstream: ln c + 2h - 1 - W0((2c - 1) e^(2h - 1)),
+    +inf where that argument overflows (h < 350 keeps e^(2h - 1)
+    finite)."""
+    z = (2.0 * c - 1.0) * math.exp(2.0 * h - 1.0)
+    if z == math.inf:
+        return math.inf
+    return math.log(c) + 2.0 * h - 1.0 - lambert_w0(z)
 
 
 def _rho(gamma, q) -> list:
@@ -350,7 +407,7 @@ def _stm_allocation(gamma, a, b, floors, T, slack, price):
         chain = _chain_q(halves, mu)
         if chain is None:
             return math.inf, math.nan
-        q, dq = chain
+        q, dq, _ = chain
         rho = _rho(gamma, q)
         taus = _hovers(rho, a, b, 0.0, floors)
         pinned = mu, taus

@@ -27,10 +27,12 @@ sequential quadratic programming, an oracle that shares no code with
 `solve_ttm`.  flight_need is a leg's TTM flight time, the inverse of the
 rate formula, and ttm_allocation_reference the TTM kernel calling it per
 group, the bitwise reference for `ttm._ttm_allocation`, which computes
-it inline.
+it inline.  lead_price_reference is the lead price mu+ of
+`stm._lead_price` to 50 digits in the standard library's decimal.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.optimize import minimize
@@ -40,6 +42,7 @@ from uavwpt.channel import ChannelParams, GroupCoefficients
 from uavwpt.errors import (AccuracyError, NumericDomainError, PlanError,
                            UnsupportedScaleError)
 from uavwpt.geometry import GroupPlan
+from uavwpt.numerics import lambert_w0
 from uavwpt.stm import (StmDiagnostics, StmProblem, TimeAllocation,
                         _close_budget, optimality_gap, solve_stm,
                         sum_throughput, throughput_gradient)
@@ -552,3 +555,56 @@ def ttm_allocation_reference(gamma, a, b, I, floors, denoms: dict):
         zetas.append(zeta)
         prev = tau_n
     return tuple(taus), tuple(zetas)
+
+
+def _decimal_w0(x):
+    """W0(x) by Newton's method in the current decimal context, from the
+    float W0 as seed (nudged off the branch point, where the slope is 0)."""
+    w = max(Decimal(lambert_w0(float(x))), Decimal("-0.999999"))
+    for _ in range(60):
+        ew = w.exp()
+        step = (w * ew - x) / (ew * (w + 1))
+        w -= step
+        if abs(step) <= Decimal("1e-46"):
+            return w
+    raise AccuracyError(f"decimal W0: no convergence for {x}")
+
+
+def _decimal_lead(halves, c, mu):
+    """c q_1 - mu of the dual chain at mu and its slope in mu, in
+    decimal, or None where the chain is undefined."""
+    r, dr = mu, Decimal(1)
+    for half in reversed(halves):
+        if r <= 0:
+            return None
+        w = _decimal_w0(-(-2 * r - 1).exp())
+        if w <= -1:
+            return None
+        q, dq = -w, 2 * w / (1 + w) * dr
+        r, dr = mu - half * q, 1 - half * dq
+    return c * q - mu, c * dq - 1
+
+
+def lead_price_reference(gamma, a, c: float, mu: float) -> Decimal:
+    """The lead price mu+, where c q_1(mu) = mu on the exact chain over
+    (gamma, a), to 50 digits: Newton's method in decimal from the float
+    root mu.  Raises AccuracyError unless the gap is positive at
+    mu+ (1 - 1e-11) and negative (or the chain undefined) at
+    mu+ (1 + 1e-11)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        halves = [Decimal(0.5) * Decimal(g) * Decimal(an)
+                  for g, an in zip(gamma, a)]
+        c, x = Decimal(c), Decimal(mu)
+        for _ in range(60):
+            gap, slope = _decimal_lead(halves, c, x)
+            step = gap / slope
+            x -= step
+            if abs(step) <= Decimal("1e-45") * x:
+                break
+        below = _decimal_lead(halves, c, x * (1 - Decimal("1e-11")))
+        above = _decimal_lead(halves, c, x * (1 + Decimal("1e-11")))
+        if below is None or not below[0] > 0 or (
+                above is not None and not above[0] < 0):
+            raise AccuracyError(f"no sign change of the lead gap at {x}")
+        return +x

@@ -195,7 +195,7 @@ def test_solve_stm(cfg_path, tmp_path, capsys):
     # the optimality gap is computed when the row is written
     assert (tmp_path / "stm_diag.csv").read_bytes() == (
         b"N,T,v_max,mu,objective,budget_residual,optimality_gap\n"
-        b"2,800,10,0.62278884184,497.436244841,0,7.86002337523e-14\n")
+        b"2,800,10,0.62278884184,497.436244841,0,1.05329500307e-11\n")
 
 
 def test_solve_ttm(cfg_path, tmp_path, capsys):
@@ -413,7 +413,7 @@ def test_verify_passes_and_is_reproducible(cfg_path, tmp_path, capsys):
             == (b / "verification.csv").read_bytes())
     # pinned with glibc's libm on x86-64 Linux under CPython 3.11
     assert hashlib.sha256((a / "verification.csv").read_bytes()).hexdigest() \
-        == "81f78d66fe24e193223653d02e4af3c1b71c0ae405f9a3a99f352009517ee945"
+        == "0c116249ee12227bf7cb19cb3b440dd87fe163d1a8053f3f345c486c12744c5c"
 
 
 def test_outputs_record_versions(cfg_path, tmp_path, capsys):

@@ -738,7 +738,7 @@ def test_baseline_scenario_derivation(monkeypatch):
 # 0.9999999999999999 on 3.11), so no CPython version should move the
 # pin; only 3.11 has been run.
 PINNED_TRIAL_DIGEST = (
-    "26f430b697889c80277ddeed65d82da9795a49d1919341b00a2253189cade97d")
+    "105eb1bc17ecda89646c3d891c565570c3a1a40d5cece7fd8e124839d3b90115")
 
 
 def test_trial_results_pinned_bitwise():

@@ -14,16 +14,14 @@ and the group uplink rate during its hover is
 
 in nats/s/Hz (`stm.delivered_information` evaluates it), where a_n
 and b_n sum the members' a_i and b_i and gamma_n sums their uplink
-gains.  The solvers see a group only through
-these three aggregates.  `leg_average_inverse_sq` is the one formula
-for b_i: `experiments.generate_trial` calls it once per grouped member
-attempt, with a_i computed inline as `point_inverse_sq` computes it,
-and a trial's baseline calls it once per stop when it is first read
-(each a_i is 1/A^2, right overhead); each accepted member's pair is
-range-checked and added, with the member's uplink gains, to its group's
-running sums (a_n, b_n, h_n), and `GroupCoefficients.scaled` forms
-gamma_n = snr * h_n at a radio's transmit power and noise.  Everything
-here is a pure function of immutable inputs.
+gains; the solvers see a group only through these three aggregates.
+`experiments.generate_trial` takes a grouped member's b_i from
+`leg_average_inverse_sq` and its a_i as `point_inverse_sq` computes
+it; a baseline stop, right over its sensor at its leg's end, has
+b = `overhead_leg_average`, a = 1/A^2 and h = the radio's
+`overhead_gain`.  Each b is range-checked, the plan's sums (a_n, b_n,
+h_n) folded, and `GroupCoefficients.scaled` forms gamma_n = snr * h_n.
+Everything here is a pure function of immutable inputs.
 
 Antenna k of M (1-based) sits (k-1)*delta from the hover point along
 +y, perpendicular to the rows; antenna 1 transmits energy and antennas
@@ -35,7 +33,7 @@ power-transfer constants.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import atan2, inf, sqrt
+from math import atan, atan2, inf, sqrt
 
 from .errors import ConfigError, NumericDomainError, PlanError
 from .geometry import Point
@@ -115,6 +113,15 @@ class ChannelParams:
         """energy_scale / sigma2, the SNR scale of every uplink gain."""
         return self.energy_scale / self.sigma2
 
+    @cached_property
+    def overhead_gain(self) -> float:
+        """Left fold over k = 2..M of k0 / (((k-1) delta)^2 + A^2): the
+        summed uplink gain of a sensor right below the UAV."""
+        h = 0.0
+        for off in [k * self.delta for k in range(1, self.M)]:
+            h += self.k0 / (off * off + self.A * self.A)
+        return h
+
 
 def point_inverse_sq(p: Point, w: Point, A: float) -> float:
     """1 / (|p - w|^2 + A^2) for ground points p (UAV) and w (sensor)."""
@@ -144,6 +151,12 @@ def leg_average_inverse_sq(lx: float, ly: float, d: float, wx: float,
         perp_sq = 0.0
     c = sqrt(A2 + perp_sq)
     return (atan2(d - s_w, c) - atan2(-s_w, c)) / (d * c)
+
+
+def overhead_leg_average(d: float, A: float) -> float:
+    """atan(d/A) / (d A): `leg_average_inverse_sq` of a leg of length d
+    that ends right over its sensor, or 1/A^2 for a zero-length leg."""
+    return atan(d / A) / (d * A) if d else 1.0 / (A * A)
 
 
 @dataclass(frozen=True)

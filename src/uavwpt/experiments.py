@@ -13,9 +13,9 @@ standard-uniform blocks, mapped to their ranges the way
 number drawn from it, is the one per-number `uniform` calls would give.
 The pass that draws a trial keeps the grouped plan's legs, group sizes,
 sensors and start point, and adds each member's coefficients, b_i from
-`channel`'s one leg-average formula, to its group's sums as it places
-it; the baseline's legs and sums come from one walk over its stops, with
-the same formula, on first read, and each `GroupPlan` only when read.
+`channel`'s leg average, to its group's sums as it places it; the
+baseline's sums come from its leg lengths alone on first read, and
+each `GroupPlan` only when read.
 No sum depends on the transmit power or the noise, and trial t draws
 the same stream at every sweep point (common random numbers).  So a drawn
 trial takes one path to its values: each plan becomes a `_KeptPlan`
@@ -43,7 +43,8 @@ from math import hypot
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-from .channel import GroupCoefficients, leg_average_inverse_sq
+from .channel import (GroupCoefficients, leg_average_inverse_sq,
+                      overhead_leg_average)
 from .config import ScenarioConfig, _finite
 from .errors import ConfigError, NumericDomainError, UavWptError
 from .geometry import (GroupPlan, group_sizes, leg_floors, singleton_legs,
@@ -106,33 +107,20 @@ class TrialGeometry:
 
     @functools.cached_property
     def baseline(self) -> tuple:
-        """(D, member counts, sums) of the baseline plan, from one walk
-        over its stops: each leg ends over its sensor, so a_i is 1/A^2
-        and b_i the leg average with the leg as the sensor's offset."""
-        params = self.config.baseline_radio
-        A = params.A
-        A2 = A * A
-        a_i = 1.0 / A2
-        bound = a_i * (1.0 + 1e-12)
-        k0 = params.k0
-        offsets = [(k - 1) * params.delta for k in range(2, params.M + 1)]
-        px, py = self.start_point
-        _, stops, D = singleton_legs(self.sensors, self.start_point)
-        b, h = [], []
-        for n, ((x, y), d) in enumerate(zip(stops, D), 1):
-            dx = x - px
-            dy = y - py
-            b_i = leg_average_inverse_sq(dx, dy, d, dx, dy, A2)
-            if not 0.0 < b_i <= bound:
-                raise _coefficient_error(n, a_i, b_i, bound)
-            h_n = 0.0
-            for off in offsets:
-                L = hypot(0.0, y + off - y)     # hovering over the sensor
-                h_n += k0 / (L * L + A2)
-            b.append(b_i)
-            h.append(h_n)
-            px, py = x, y
-        return D, (1,) * len(D), ((a_i,) * len(D), tuple(b), tuple(h))
+        """(D, member counts, sums) of the baseline plan: each leg ends
+        right over its sensor, so each stop's a is 1/A^2, its h the
+        radio's `overhead_gain` and its b, range-checked, the
+        `overhead_leg_average` of its length."""
+        A = self.config.A_m
+        a = 1.0 / (A * A)
+        bound = a * (1.0 + 1e-12)
+        D = singleton_legs(self.sensors, self.start_point)[2]
+        b = tuple([overhead_leg_average(d, A) for d in D])
+        for n, b_n in enumerate(b, 1):
+            if not 0.0 < b_n <= bound:
+                raise _coefficient_error(n, a, b_n, bound)
+        h = self.config.baseline_radio.overhead_gain
+        return D, (1,) * len(D), ((a,) * len(D), b, (h,) * len(D))
 
 
 class _KeptPlan:
@@ -373,11 +361,10 @@ def _coefficient_error(n: int, a_i: float, b_i: float,
 
 
 def _price_fields(config: ScenarioConfig) -> tuple:
-    """The fields a baseline's lead-price search reads: K links, each
-    hovered overhead at altitude A_m with gain k0 to its one receive
-    antenna delta_m away, and the baseline radio's SNR scale."""
-    return (config.K, config.A_m, config.k0_db, config.delta_m,
-            config.baseline_radio.snr)
+    """What a baseline's lead-price search reads: K stops, each with
+    a = 1/A_m^2 and the baseline radio's gamma = snr * overhead_gain."""
+    radio = config.baseline_radio
+    return config.K, config.A_m, radio.snr * radio.overhead_gain
 
 
 def _draw_fields(config: ScenarioConfig) -> tuple:

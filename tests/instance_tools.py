@@ -28,11 +28,14 @@ sequential quadratic programming, an oracle that shares no code with
 rate formula, and ttm_allocation_reference the TTM kernel calling it per
 group, the bitwise reference for `ttm._ttm_allocation`, which computes
 it inline.  lead_price_reference is the lead price mu+ of
-`stm._lead_price` to 50 digits in the standard library's decimal.
+`stm._lead_price` to 50 digits in the standard library's decimal, and
+baseline_sums_reference a baseline's exact sums (a, b, h) from its leg
+lengths, with the arctangent decimal_atan; ulps measures a float's
+distance from such a reference.
 """
 
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 from scipy.optimize import minimize
@@ -608,3 +611,42 @@ def lead_price_reference(gamma, a, c: float, mu: float) -> Decimal:
                 above is not None and not above[0] < 0):
             raise AccuracyError(f"no sign change of the lead gap at {x}")
         return +x
+
+
+def decimal_atan(x: Decimal) -> Decimal:
+    """arctan(x), x >= 0, in the current decimal context: the argument
+    halved by atan x = 2 atan(x / (1 + sqrt(1 + x^2))) until x <= 1/16,
+    then the Taylor series x - x^3/3 + x^5/5 - ... summed until a term
+    falls below 10^-(prec + 2) of the sum."""
+    halvings = 0
+    while x > Decimal("0.0625"):
+        x = x / (1 + (1 + x * x).sqrt())
+        halvings += 1
+    tiny = Decimal(10) ** -(getcontext().prec + 2)
+    x2, term, total, k = x * x, x, x, 1
+    while abs(term) > tiny * total:
+        term *= -x2
+        k += 2
+        total += term / k
+    return total * (1 << halvings)
+
+
+def baseline_sums_reference(D, params: ChannelParams):
+    """The exact sums (a, b, h) of a baseline that hovers right over each
+    sensor at the end of legs D, under radio `params`, to 50 digits:
+    a = 1/A^2 and h = sum over k = 2..M of k0 / (((k-1) delta)^2 + A^2)
+    at every stop, and b_n = atan(d_n/A) / (d_n A), each float input
+    read as the exact number it holds.  A zero-length leg gets 1/A^2."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        k0, delta, A = map(Decimal, (params.k0, params.delta, params.A))
+        a = 1 / (A * A)
+        h = sum(k0 / ((k * delta) ** 2 + A * A) for k in range(1, params.M))
+        b = [decimal_atan(d / A) / (d * A) if d else a
+             for d in map(Decimal, D)]
+        return (a,) * len(D), tuple(b), (h,) * len(D)
+
+
+def ulps(v: float, ref: Decimal) -> float:
+    """|v - ref| in units of the last place of ref rounded to a float."""
+    return float(abs(Decimal(v) - ref) / Decimal(math.ulp(float(ref))))

@@ -9,7 +9,8 @@ import uavwpt.experiments as experiments
 from instance_tools import (coeff_a, coeff_b, group_coefficients,
                             harvested_energy, plan_sums)
 from uavwpt.channel import (ChannelParams, GroupCoefficients,
-                            leg_average_inverse_sq, point_inverse_sq)
+                            leg_average_inverse_sq, overhead_leg_average,
+                            point_inverse_sq)
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import ConfigError, NumericDomainError, PlanError
 from uavwpt.experiments import generate_trial, run_trial, trial_rng
@@ -151,6 +152,21 @@ def test_flight_coefficient_zero_length_leg():
     p0 = (3.0, 1.0)
     assert leg_average_inverse_sq(0.0, 0.0, 0.0, 4.0, 1.0, 100.0) \
         == pytest.approx(point_inverse_sq(p0, (7.0, 2.0), 10.0))
+
+
+def test_overhead_leg_average_ends_over_its_sensor():
+    # the closed form atan(d/A)/(d A) is the leg average of a leg that
+    # ends right over its sensor, against quadrature and against the
+    # general formula with the sensor at the leg's end; a zero-length
+    # leg gives the point value 1/A^2
+    for d in (1e-3, 0.7, 5.0, 24.5, 400.0):
+        p0, p1 = (-d, 0.0), (0.0, 0.0)
+        got = overhead_leg_average(d, 10.0)
+        assert got == pytest.approx(_leg_average(p0, p1, p1, 10.0),
+                                    rel=1e-14)
+        assert got == pytest.approx(_leg_average_oracle(p0, p1, p1, 10.0),
+                                    rel=1e-9)
+    assert overhead_leg_average(0.0, 10.0) == 1.0 / (10.0 * 10.0)
 
 
 def test_flight_coefficient_mirror_parity():
@@ -344,16 +360,14 @@ def test_group_coefficients_range_checks(monkeypatch):
             with pytest.raises(NumericDomainError,
                                match=f"^group 1: {phase} coefficient"):
                 generate_trial(config, trial_rng(config.seed, 0))
-    # a flight fault in the baseline's walk alone: its legs each end over
-    # their sensor, so only there does atan2 read y = d - s_w = 0 to
-    # rounding (a grouped member sits 0.58-1.08 legs behind its hover
-    # point).  The grouped plan draws, and the baseline's first stop is
-    # reported when the baseline is read or solved
+    # a flight fault in the baseline's closed form alone: its legs each
+    # end over their sensor, so only its b reads `atan` (a grouped
+    # member's leg average reads `atan2`).  The grouped plan draws, and
+    # the baseline's first stop is reported when the baseline is read or
+    # solved
     grouped = generate_trial(config, trial_rng(config.seed, 0)).sums
     with monkeypatch.context() as m:
-        m.setattr(channel, "atan2",
-                  lambda y, x: atan2(y, x) + (100.0 if abs(y) < 1e-9
-                                              else 0.0))
+        m.setattr(channel, "atan", lambda x: math.atan(x) + 100.0)
         geo = generate_trial(config, trial_rng(config.seed, 0))
         assert geo.sums == grouped
         with pytest.raises(NumericDomainError,

@@ -413,7 +413,7 @@ def test_verify_passes_and_is_reproducible(cfg_path, tmp_path, capsys):
             == (b / "verification.csv").read_bytes())
     # pinned with glibc's libm on x86-64 Linux under CPython 3.11
     assert hashlib.sha256((a / "verification.csv").read_bytes()).hexdigest() \
-        == "0c116249ee12227bf7cb19cb3b440dd87fe163d1a8053f3f345c486c12744c5c"
+        == "5bcdc16cb8cd7ba4d01bd5a6f4fe22d9df71e4d4b52fbfe0b071c4245be55d5d"
 
 
 def test_outputs_record_versions(cfg_path, tmp_path, capsys):
@@ -437,14 +437,18 @@ def test_outputs_record_versions(cfg_path, tmp_path, capsys):
 
 
 def test_verify_catches_tampering(cfg_path, tmp_path, capsys, monkeypatch):
-    # the leg-average formula the draw calls, 0.9 times too small
+    # both flight formulas the draw calls, a grouped member's leg
+    # average and a baseline stop's closed form, 0.9 times too small:
+    # every flight-energy row fails
     import uavwpt.experiments as experiments
-    real = experiments.leg_average_inverse_sq
-    monkeypatch.setattr(experiments, "leg_average_inverse_sq",
-                        lambda *a: 0.9 * real(*a))
+    for name in ("leg_average_inverse_sq", "overhead_leg_average"):
+        real = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda *a, real=real: 0.9 * real(*a))
     rc = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert rc == 3
+    assert "flight_energy: 0/200 passed" in out
     assert "flight_energy" in err
 
 

@@ -2,8 +2,10 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import math
+import statistics
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,8 +18,9 @@ import uavwpt.experiments as experiments
 import uavwpt.geometry as geometry
 import uavwpt.ttm as ttm
 from conftest import fail_draws
-from instance_tools import (coeff_a, coeff_b, group_coefficients,
-                            harvested_energy, leg_average_inverse_sq)
+from instance_tools import (baseline_sums_reference, coeff_a, coeff_b,
+                            group_coefficients, harvested_energy,
+                            leg_average_inverse_sq, ulps)
 from uavwpt.channel import GroupCoefficients
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import (ConfigError, InfeasiblePlanError,
@@ -149,13 +152,36 @@ def _scalar_trial(config, rng):
     plan = GroupPlan(sensors=sensors, groups=tuple(groups),
                      hover_points=tuple((float(x), ytilde) for x in anchors),
                      D=tuple(D), row_of_group=(1,) * N, start_point=start)
-    baseline_plan = singleton_plan(sensors, start)
     expect = SimpleNamespace(
         plan=plan, coeffs=group_coefficients(plan, config.radio),
-        baseline_plan=baseline_plan,
-        baseline_coeffs=group_coefficients(
-            baseline_plan, config.baseline_radio))
+        baseline_plan=singleton_plan(sensors, start))
     return expect, redraws
+
+
+# A baseline's float sums against their 50-digit reference
+# (`instance_tools.baseline_sums_reference`), as a relative distance in
+# units of u = 2^-53.  Each bound counts the rounding steps of the float
+# formula, to first order in u (plus 1e-6 u for the higher orders):
+# - a = 1/(A*A): the square and the quotient, 2u;
+# - b = atan(d/A)/(d*A): the quotient d/A (u, which the arctangent
+#   passes on with the factor q/((1 + q^2) atan q) <= 1), the arctangent
+#   (at most 1 ulp, 2u), the product and the quotient: 5u;
+# - h: each antenna's term k0/(off*off + A*A) with off = (k-1)*delta
+#   (u, doubled by the square, plus the square's own: 3u; A*A: u; the
+#   sum: u; the quotient: u), 5u, plus u for each of the M - 2
+#   additions of positive terms in the left fold: (M + 3) u.
+U = 2.0 ** -53
+
+
+def _assert_baseline_near_reference(geo, params):
+    """Every stop's a, b and h of `geo.baseline` within its bound of the
+    reference, for the baseline radio `params`; returns the reference."""
+    D, _, sums = geo.baseline
+    ref = baseline_sums_reference(D, params)
+    for got, want, bound in zip(sums, ref, (2.0, 5.0, params.M + 3.0)):
+        for v, r in zip(got, want):
+            assert float(abs(Decimal(v) - r) / r) <= (bound + 1e-6) * U
+    return ref
 
 
 _STREAM_CASES = {
@@ -186,8 +212,7 @@ def test_block_draw_matches_scalar_stream(case, monkeypatch):
         assert geo.baseline_plan == expect.baseline_plan
         # redrawn members leave no trace in the coefficients
         assert build_problem(config, geo, "stm").coeffs == expect.coeffs
-        assert (build_problem(config, geo, "stm", baseline=True).coeffs
-                == expect.baseline_coeffs)
+        _assert_baseline_near_reference(geo, config.baseline_radio)
         # the block draws leave the generator where scalar calls would
         assert (block_rng.bit_generator.state
                 == scalar_rng.bit_generator.state)
@@ -262,12 +287,12 @@ def test_trial_draw_and_coefficient_counts(monkeypatch):
     # guards the lean trial path: a fresh draw makes one block draw and
     # no scalar uniform draw when no member is redrawn, and computes each
     # coefficient once, counted through the math functions the draw
-    # reads (atan2 in `channel`'s one leg-average formula): two atan2
-    # calls per flight coefficient, one per grouped member and one per
-    # baseline member (its hover one is 1/A^2), and one hypot call per
-    # grouped leg and per uplink gain, M - 1 of them per grouped member
-    # and one per baseline member (whose leg lengths the stops give);
-    # none of the baseline's when it is not solved.
+    # reads in `channel`: two atan2 calls per grouped member's leg
+    # average, and one atan call per baseline stop's closed form (its a
+    # and h are the radio's), none when the baseline is not solved; and
+    # one hypot call per grouped leg and per uplink gain, M - 1 of them
+    # per grouped member and none for the baseline (whose leg lengths
+    # the stops give).
     # Every later call at the same trial, under either objective, reads
     # the kept draw and draws nothing, until a call first asks for the
     # baseline the kept draw lacks.
@@ -291,23 +316,23 @@ def test_trial_draw_and_coefficient_counts(monkeypatch):
         return rngs[-1]
 
     monkeypatch.setattr(experiments, "trial_rng", counted_rng)
-    for module, name in ((channel, "atan2"), (experiments, "hypot")):
+    for module, name in ((channel, "atan2"), (channel, "atan"),
+                         (experiments, "hypot")):
         monkeypatch.setattr(module, name, counted(module, name))
-    for include_baseline, flights, gains in ((False, K, (M - 1) * K),
-                                             (True, 2 * K, M * K)):
+    for include_baseline, stops in ((False, 0), (True, K)):
         for t in range(5):
             for repeat, objective in enumerate(("stm", "ttm", "stm", "ttm")):
-                calls.update(atan2=0, hypot=0)
+                calls.update(atan2=0, atan=0, hypot=0)
                 drawn = len(rngs)
                 run_trial(config, t, objective, include_baseline)
                 if repeat == 0:
                     assert len(rngs) == drawn + 1
                     assert rngs[-1].calls == {"random": 1}
-                    assert calls == {"atan2": 2 * flights,
-                                     "hypot": N + gains}
+                    assert calls == {"atan2": 2 * K, "atan": stops,
+                                     "hypot": N + (M - 1) * K}
                 else:
                     assert len(rngs) == drawn
-                    assert calls == {"atan2": 0, "hypot": 0}
+                    assert calls == {"atan2": 0, "atan": 0, "hypot": 0}
     # the kept draws with their baselines serve calls without one
     drawn = len(rngs)
     for t in range(5):
@@ -629,29 +654,30 @@ def test_memo_keeps_the_latest_key_only_up_to_its_cap(monkeypatch):
 
 
 def test_trial_coefficients_match_reference_bitwise():
-    # each trial's coefficients, computed in the pass that draws it, are
-    # the ones the plan alone gives, to the last bit; a baseline gamma
-    # reads (y + off) - y, which need not equal off, so it must come
-    # from the baseline radio's own antenna loop (M = 6 and a 3 m
-    # spacing make the grouped and baseline radios far apart)
+    # each trial's grouped coefficients, computed in the pass that draws
+    # it, are the ones the plan alone gives, to the last bit; its
+    # baseline's sums, every tenth trial, lie within their rounding
+    # bounds of the 50-digit reference, under the baseline radio's own
+    # spacing and altitude (M = 6 and a 3 m spacing make the grouped and
+    # baseline radios far apart)
     for config in (ScenarioConfig(), ScenarioConfig(N=9, K=45),
                    ScenarioConfig(M=6, delta_m=3.0),
                    ScenarioConfig(A_m=20.0, d_max_m=40.0)):
         config = config.validate()
         params = config.radio
-        base_params = config.baseline_radio
         for t in range(1000):
             geo = generate_trial(config, trial_rng(config.seed, t))
             assert (build_problem(config, geo, "stm").coeffs
                     == group_coefficients(geo.plan, params))
-            assert (build_problem(config, geo, "stm", baseline=True).coeffs
-                    == group_coefficients(geo.baseline_plan, base_params))
+            if t % 10 == 0:
+                _assert_baseline_near_reference(geo, config.baseline_radio)
 
 
 def test_trial_draw_matches_reference_bitwise_seed_9():
     # the pass that draws a trial against its per-number reference on a
-    # seed no pin reads: leg lengths, sensors and both plans' sums, each
-    # compared by float.hex
+    # seed no pin reads: leg lengths, sensors, the grouped sums and the
+    # baseline's legs, each compared by float.hex, and every fifth
+    # trial's baseline sums against the 50-digit reference
     def hexes(values):
         return [v.hex() for v in values]
 
@@ -666,16 +692,87 @@ def test_trial_draw_matches_reference_bitwise_seed_9():
             assert hexes(geo.D) == hexes(expect.plan.D)
             assert ([hexes(w) for w in geo.sensors]
                     == [hexes(w) for w in expect.plan.sensors])
-            D, counts, sums = geo.baseline
+            D, counts, _ = geo.baseline
             assert hexes(D) == hexes(expect.baseline_plan.D)
             assert counts == (1,) * config.K
-            for got, radio, want in (
-                    (geo.sums, params, expect.coeffs),
-                    (sums, base_params, expect.baseline_coeffs)):
-                got = GroupCoefficients.scaled(got, radio)
-                for name in ("a", "b", "gamma"):
-                    assert (hexes(getattr(got, name))
-                            == hexes(getattr(want, name)))
+            got = GroupCoefficients.scaled(geo.sums, params)
+            for name in ("a", "b", "gamma"):
+                assert (hexes(getattr(got, name))
+                        == hexes(getattr(expect.coeffs, name)))
+            if t % 5 == 0:
+                _assert_baseline_near_reference(geo, base_params)
+
+
+def test_baseline_sums_meet_the_50_digit_reference():
+    # every baseline stop's a, b and h lie within their rounding bounds
+    # (above) of the 50-digit reference, on the N = 4 and N = 9
+    # baselines at seeds 1 and 9 and under the M = 6, delta = 3 m radio,
+    # whose own h, a fold over five receive antennas, is held too.  And
+    # each b is no farther from the reference than the general leg
+    # average (`instance_tools.leg_average_inverse_sq`, with the sensor
+    # at the leg's end) gives for the same stop, beyond MARGIN ulps: the
+    # closed form's own last steps, its arctangent (1 ulp) and its
+    # product and quotient (half an ulp each), may land it that far from
+    # a general value that rounded well by chance.  Over each config's
+    # stops, neither the mean nor the largest distance may exceed the
+    # general formula's.
+    MARGIN = 2.0
+    for config in (ScenarioConfig(), ScenarioConfig(N=9, K=45),
+                   ScenarioConfig(seed=9), ScenarioConfig(seed=9, N=9, K=45),
+                   ScenarioConfig(M=6, delta_m=3.0)):
+        params = config.baseline_radio
+        for radio in (config.radio, params):
+            h = baseline_sums_reference((1.0,), radio)[2][0]
+            assert (float(abs(Decimal(radio.overhead_gain) - h) / h)
+                    <= (radio.M + 3.0 + 1e-6) * U)
+        closed, general = [], []
+        for t in range(25):
+            geo = generate_trial(config, trial_rng(config.seed, t))
+            ref = _assert_baseline_near_reference(geo, params)[1]
+            plan = geo.baseline_plan
+            for n, (r, b_n) in enumerate(zip(ref, geo.baseline[2][1]), 1):
+                closed.append(ulps(b_n, r))
+                general.append(ulps(coeff_b(plan, params, n,
+                                            plan.groups[n - 1][0]), r))
+                assert closed[-1] <= general[-1] + MARGIN
+        assert max(closed) <= max(general)
+        assert statistics.fmean(closed) <= statistics.fmean(general)
+
+
+def test_baseline_hover_terms_are_once_per_radio():
+    # within one radio, every baseline stop of every trial carries the
+    # same a = 1/A^2 and h, to the bit, and h is the radio's own left
+    # fold over its receive antennas, written out here; a trial kept
+    # across a pt_db sweep carries every point's radio's a and h
+    for config in (ScenarioConfig(), ScenarioConfig(N=9, K=45),
+                   ScenarioConfig(M=6, delta_m=3.0),
+                   ScenarioConfig(A_m=20.0, d_max_m=40.0, delta_m=0.7)):
+        for radio in (config.radio, config.baseline_radio):
+            h = 0.0
+            for k in range(2, radio.M + 1):
+                off = (k - 1) * radio.delta
+                h += radio.k0 / (off * off + radio.A * radio.A)
+            assert radio.overhead_gain.hex() == h.hex()
+        radio = config.baseline_radio
+        want = ({(1.0 / (radio.A * radio.A)).hex()},
+                {radio.overhead_gain.hex()})
+        seen = (set(), set())
+        for t in range(20):
+            _, _, (a, _, h) = generate_trial(
+                config, trial_rng(config.seed, t)).baseline
+            seen[0].update(v.hex() for v in a)
+            seen[1].update(v.hex() for v in h)
+        assert seen == want
+        points = [apply_sweep_value(config, "pt_db", p) for p in (0.0, 8.0)]
+        for point in points:
+            for t in range(5):
+                run_trial(point, t, "stm")
+        for point in points:
+            radio = point.baseline_radio
+            for t in range(5):
+                a, _, h = experiments._DRAWS.trials[t][1].sums
+                assert {v.hex() for v in a} == want[0]
+                assert {v.hex() for v in h} == {radio.overhead_gain.hex()}
 
 
 def test_sweep_rejects_fewer_than_one_worker(monkeypatch):
@@ -738,7 +835,7 @@ def test_baseline_scenario_derivation(monkeypatch):
 # 0.9999999999999999 on 3.11), so no CPython version should move the
 # pin; only 3.11 has been run.
 PINNED_TRIAL_DIGEST = (
-    "105eb1bc17ecda89646c3d891c565570c3a1a40d5cece7fd8e124839d3b90115")
+    "6beee3bec4557d47289874b10dbc8469288bdcdd7334ee83918843b4cedb88c9")
 
 
 def test_trial_results_pinned_bitwise():

@@ -174,7 +174,7 @@ def test_pinned_search_grows_its_bracket(monkeypatch):
 # (K = 45), where 3 grouped and 22 baseline solves are pinned.  Pinned
 # with glibc's libm on x86-64 Linux under CPython 3.11.
 PINNED_STM_ALLOCATION_DIGEST = (
-    "07c93eacf23e9a106cd6355904bf70ab63b61be123a688c3b7dc2a185855e9b8")
+    "933320076681f8fb2d4a703721515a0c1176157d4941ed940c2a348feab181c2")
 
 
 def test_stm_allocations_pinned_bitwise():
@@ -555,8 +555,9 @@ def _baseline_searches(monkeypatch):
 
 
 def test_price_states_survive_a_seed_change(monkeypatch):
-    # a baseline's price search reads K, A_m, k0, delta_m and its SNR
-    # scale, not the draw: two stm-power-shaped sweeps at two master seeds in one
+    # a baseline's price search reads K, A_m and its gamma (the SNR scale
+    # times the radio's overhead gain), not the draw: two stm-power-shaped
+    # sweeps at two master seeds in one
     # process search once per point in the first and never in the second
     searches = _baseline_searches(monkeypatch)
     sweep = SweepSpec(param="pt_db", values=(0.0, 2.0, 4.0, 6.0, 8.0),

@@ -305,7 +305,7 @@ def test_clamped_leg_count_low_power():
 # 1242 times.  Pinned with glibc's libm on x86-64 Linux under
 # CPython 3.11.
 PINNED_ALLOCATION_DIGEST = (
-    "f6643d7875a1b09869922c49cf3e15d139a0321e919e28012d5128bd2f844299")
+    "254f20ced6e5e3adeabdf222fe53ae4ceb50d54f21359bcfd8c4e574644495ee")
 
 
 def test_solve_allocations_pinned_bitwise():

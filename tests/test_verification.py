@@ -173,23 +173,29 @@ def test_full_suite_passes_and_is_deterministic():
 
 
 def test_fault_injection_is_caught(monkeypatch):
-    # a flight coefficient 0.9 times too small, from the one leg-average
-    # formula that the draw calls, reaches the sums the solvers read.
-    # The certificate and the TTM grid oracle read those same sums, so
-    # only the flight-energy oracle, which checks them against
-    # quadrature, can see the fault
+    # flight coefficients 0.9 times too small, from both formulas the
+    # draw calls (a grouped member's leg average and a baseline stop's
+    # closed form), reach the sums the solvers read.  The certificate
+    # and the TTM grid oracle read those same sums, so only the
+    # flight-energy oracle, which checks them against quadrature, can
+    # see the fault
     import uavwpt.experiments as experiments
     geo, params = _one_trial()
     clean = group_coefficients(geo.plan, params)
     assert geo.sums[1] == clean.b
-    real = experiments.leg_average_inverse_sq
+    clean_baseline = geo.baseline[2][1]
     with monkeypatch.context() as m:
-        m.setattr(experiments, "leg_average_inverse_sq",
-                  lambda *a: 0.9 * real(*a))
+        for name in ("leg_average_inverse_sq", "overhead_leg_average"):
+            real = getattr(experiments, name)
+            m.setattr(experiments, name,
+                      lambda *a, real=real: 0.9 * real(*a))
         faulty = _one_trial()[0]
         reports, ok = run_verification(CFG)
+        faulty_baseline = faulty.baseline[2][1]
     assert faulty.sums[1] == pytest.approx(
         tuple(0.9 * b for b in clean.b), rel=1e-12)
+    assert faulty_baseline == pytest.approx(
+        tuple(0.9 * b for b in clean_baseline), rel=1e-15)
     assert not ok
     bad = [r for r in reports if not r.passed]
     # every flight-energy row fails: grouped groups and baseline stops

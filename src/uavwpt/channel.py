@@ -118,7 +118,8 @@ class ChannelParams:
         """Left fold over k = 2..M of k0 / (((k-1) delta)^2 + A^2): the
         summed uplink gain of a sensor right below the UAV."""
         h = 0.0
-        for off in [k * self.delta for k in range(1, self.M)]:
+        for k in range(1, self.M):
+            off = k * self.delta
             h += self.k0 / (off * off + self.A * self.A)
         return h
 

@@ -108,9 +108,8 @@ class TrialGeometry:
     @functools.cached_property
     def baseline(self) -> tuple:
         """(D, member counts, sums) of the baseline plan: each leg ends
-        right over its sensor, so each stop's a is 1/A^2, its h the
-        radio's `overhead_gain` and its b, range-checked, the
-        `overhead_leg_average` of its length."""
+        right over its sensor, so every stop has a = 1/A^2, h = the
+        radio's `overhead_gain` and b = `overhead_leg_average` of d."""
         A = self.config.A_m
         a = 1.0 / (A * A)
         bound = a * (1.0 + 1e-12)

@@ -13,8 +13,10 @@ hover_moved_to_start makes a feasible, off-optimum allocation.
 group_information writes out one group's delivered information
 tau_n R_n, the bitwise reference for `stm.delivered_information`.
 group_coefficients rebuilds a plan's aggregates from the plan alone,
-the bitwise reference for the coefficients a trial is drawn with, and
-plan_sums the range checks and left folds it adds them with.
+the bitwise reference for the coefficients a trial is drawn with,
+plan_sums the range checks and left folds it adds them with, and
+baseline_coefficients the same reference for a baseline, from its leg
+lengths.
 leg_average_inverse_sq is the flight coefficient written from a leg's
 end points, a copy of `channel`'s one formula (which takes what the draw
 holds) kept apart so that it ties every drawn b_i to a separately
@@ -509,6 +511,27 @@ def group_coefficients(plan: GroupPlan,
     a, b, h = plan_sums(plan, params, a_i, b_i)
     snr = params.energy_scale / params.sigma2
     return GroupCoefficients(a=a, b=b, gamma=tuple([snr * h_n for h_n in h]))
+
+
+def baseline_coefficients(plan: GroupPlan,
+                          params: ChannelParams) -> GroupCoefficients:
+    """A singleton plan's coefficients when each leg ends right over its
+    sensor, from its leg lengths alone: at every stop a = 1/A^2 and
+    gamma = snr * h, with h the left fold over receive antennas k = 2..M
+    of k0 / (((k-1) delta)^2 + A^2), and b_n = atan(d_n/A) / (d_n A)
+    (1/A^2 for a zero-length leg).  The float operations and their order
+    are those of the trial's baseline, so the two agree bit for bit."""
+    A = params.A
+    h = 0.0
+    for k in range(2, params.M + 1):
+        off = (k - 1) * params.delta
+        h += params.k0 / (off * off + A * A)
+    b = tuple([math.atan(d / A) / (d * A) if d else 1.0 / (A * A)
+               for d in plan.D])
+    snr = params.energy_scale / params.sigma2
+    K = len(b)
+    return GroupCoefficients(a=(1.0 / (A * A),) * K, b=b,
+                             gamma=(snr * h,) * K)
 
 
 def flight_need(I_n: float, g: float, a: float, b: float,

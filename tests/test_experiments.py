@@ -18,9 +18,9 @@ import uavwpt.experiments as experiments
 import uavwpt.geometry as geometry
 import uavwpt.ttm as ttm
 from conftest import fail_draws
-from instance_tools import (baseline_sums_reference, coeff_a, coeff_b,
-                            group_coefficients, harvested_energy,
-                            leg_average_inverse_sq, ulps)
+from instance_tools import (baseline_coefficients, baseline_sums_reference,
+                            coeff_a, coeff_b, group_coefficients,
+                            harvested_energy, leg_average_inverse_sq, ulps)
 from uavwpt.channel import GroupCoefficients
 from uavwpt.config import ScenarioConfig
 from uavwpt.errors import (ConfigError, InfeasiblePlanError,
@@ -152,9 +152,12 @@ def _scalar_trial(config, rng):
     plan = GroupPlan(sensors=sensors, groups=tuple(groups),
                      hover_points=tuple((float(x), ytilde) for x in anchors),
                      D=tuple(D), row_of_group=(1,) * N, start_point=start)
+    baseline_plan = singleton_plan(sensors, start)
     expect = SimpleNamespace(
         plan=plan, coeffs=group_coefficients(plan, config.radio),
-        baseline_plan=singleton_plan(sensors, start))
+        baseline_plan=baseline_plan,
+        baseline_coeffs=baseline_coefficients(
+            baseline_plan, config.baseline_radio))
     return expect, redraws
 
 
@@ -212,6 +215,8 @@ def test_block_draw_matches_scalar_stream(case, monkeypatch):
         assert geo.baseline_plan == expect.baseline_plan
         # redrawn members leave no trace in the coefficients
         assert build_problem(config, geo, "stm").coeffs == expect.coeffs
+        assert (build_problem(config, geo, "stm", baseline=True).coeffs
+                == expect.baseline_coeffs)
         _assert_baseline_near_reference(geo, config.baseline_radio)
         # the block draws leave the generator where scalar calls would
         assert (block_rng.bit_generator.state
@@ -461,11 +466,14 @@ def test_run_trial_agrees_with_build_problem(objective, monkeypatch):
 @pytest.mark.parametrize("field,values", [
     ("v_max_mps", (8.0, 10.0, 14.0, 10.0)),
     ("I_nats", (1.0, 10.0, 30.0)),
-    ("T_s", (1000.0, 700.0))])
+    ("T_s", (1000.0, 700.0)),
+    ("pt_db", (0.0, 8.0, 4.0))])
 def test_kept_state_matches_fresh_problems(field, values):
     # a kept plan re-derives its floors only when v_max changes and keeps
     # its coefficients and hover denominators at one SNR: each solve must
-    # be the one build_problem gives at that point, to the bit
+    # be the one build_problem gives at that point, to the bit, and the
+    # kept coefficients that point's, so a kept baseline carries each
+    # point's radio's a = 1/A^2 and gamma at every stop
     base = ScenarioConfig()
     geos = [generate_trial(base, trial_rng(base.seed, t)) for t in range(8)]
     for objective in ("stm", "ttm"):
@@ -477,10 +485,14 @@ def test_kept_state_matches_fresh_problems(field, values):
                          for baseline in (False, True)]
                 assert (_bits(run_trial(pc, t, objective))
                         == tuple(map(_solve_bits, fresh)))
-                for kept, problem in zip(experiments._DRAWS.trials[t],
-                                         fresh):
+                want = (group_coefficients(geo.plan, pc.radio),
+                        baseline_coefficients(geo.baseline_plan,
+                                              pc.baseline_radio))
+                for kept, problem, coeffs in zip(
+                        experiments._DRAWS.trials[t], fresh, want):
                     assert kept.floors == problem.floors == leg_floors(
                         problem.D, pc.v_max_mps, problem.N)
+                    assert kept.coeffs == problem.coeffs == coeffs
 
 
 def _count_builds(monkeypatch, *classes):
@@ -654,30 +666,33 @@ def test_memo_keeps_the_latest_key_only_up_to_its_cap(monkeypatch):
 
 
 def test_trial_coefficients_match_reference_bitwise():
-    # each trial's grouped coefficients, computed in the pass that draws
-    # it, are the ones the plan alone gives, to the last bit; its
-    # baseline's sums, every tenth trial, lie within their rounding
-    # bounds of the 50-digit reference, under the baseline radio's own
-    # spacing and altitude (M = 6 and a 3 m spacing make the grouped and
-    # baseline radios far apart)
+    # each trial's coefficients, computed in the pass that draws it, are
+    # the ones the plan alone gives, to the last bit, the baseline's
+    # under the baseline radio's own spacing and altitude (M = 6 and a
+    # 3 m spacing make the grouped and baseline radios far apart); every
+    # tenth trial's baseline sums also lie within their rounding bounds
+    # of the 50-digit reference
     for config in (ScenarioConfig(), ScenarioConfig(N=9, K=45),
                    ScenarioConfig(M=6, delta_m=3.0),
                    ScenarioConfig(A_m=20.0, d_max_m=40.0)):
         config = config.validate()
         params = config.radio
+        base_params = config.baseline_radio
         for t in range(1000):
             geo = generate_trial(config, trial_rng(config.seed, t))
             assert (build_problem(config, geo, "stm").coeffs
                     == group_coefficients(geo.plan, params))
+            assert (build_problem(config, geo, "stm", baseline=True).coeffs
+                    == baseline_coefficients(geo.baseline_plan, base_params))
             if t % 10 == 0:
-                _assert_baseline_near_reference(geo, config.baseline_radio)
+                _assert_baseline_near_reference(geo, base_params)
 
 
 def test_trial_draw_matches_reference_bitwise_seed_9():
     # the pass that draws a trial against its per-number reference on a
-    # seed no pin reads: leg lengths, sensors, the grouped sums and the
-    # baseline's legs, each compared by float.hex, and every fifth
-    # trial's baseline sums against the 50-digit reference
+    # seed no pin reads: leg lengths, sensors and both plans' sums, each
+    # compared by float.hex, and every fifth trial's baseline sums
+    # against the 50-digit reference
     def hexes(values):
         return [v.hex() for v in values]
 
@@ -692,13 +707,16 @@ def test_trial_draw_matches_reference_bitwise_seed_9():
             assert hexes(geo.D) == hexes(expect.plan.D)
             assert ([hexes(w) for w in geo.sensors]
                     == [hexes(w) for w in expect.plan.sensors])
-            D, counts, _ = geo.baseline
+            D, counts, sums = geo.baseline
             assert hexes(D) == hexes(expect.baseline_plan.D)
             assert counts == (1,) * config.K
-            got = GroupCoefficients.scaled(geo.sums, params)
-            for name in ("a", "b", "gamma"):
-                assert (hexes(getattr(got, name))
-                        == hexes(getattr(expect.coeffs, name)))
+            for got, radio, want in (
+                    (geo.sums, params, expect.coeffs),
+                    (sums, base_params, expect.baseline_coeffs)):
+                got = GroupCoefficients.scaled(got, radio)
+                for name in ("a", "b", "gamma"):
+                    assert (hexes(getattr(got, name))
+                            == hexes(getattr(want, name)))
             if t % 5 == 0:
                 _assert_baseline_near_reference(geo, base_params)
 
@@ -737,42 +755,6 @@ def test_baseline_sums_meet_the_50_digit_reference():
                 assert closed[-1] <= general[-1] + MARGIN
         assert max(closed) <= max(general)
         assert statistics.fmean(closed) <= statistics.fmean(general)
-
-
-def test_baseline_hover_terms_are_once_per_radio():
-    # within one radio, every baseline stop of every trial carries the
-    # same a = 1/A^2 and h, to the bit, and h is the radio's own left
-    # fold over its receive antennas, written out here; a trial kept
-    # across a pt_db sweep carries every point's radio's a and h
-    for config in (ScenarioConfig(), ScenarioConfig(N=9, K=45),
-                   ScenarioConfig(M=6, delta_m=3.0),
-                   ScenarioConfig(A_m=20.0, d_max_m=40.0, delta_m=0.7)):
-        for radio in (config.radio, config.baseline_radio):
-            h = 0.0
-            for k in range(2, radio.M + 1):
-                off = (k - 1) * radio.delta
-                h += radio.k0 / (off * off + radio.A * radio.A)
-            assert radio.overhead_gain.hex() == h.hex()
-        radio = config.baseline_radio
-        want = ({(1.0 / (radio.A * radio.A)).hex()},
-                {radio.overhead_gain.hex()})
-        seen = (set(), set())
-        for t in range(20):
-            _, _, (a, _, h) = generate_trial(
-                config, trial_rng(config.seed, t)).baseline
-            seen[0].update(v.hex() for v in a)
-            seen[1].update(v.hex() for v in h)
-        assert seen == want
-        points = [apply_sweep_value(config, "pt_db", p) for p in (0.0, 8.0)]
-        for point in points:
-            for t in range(5):
-                run_trial(point, t, "stm")
-        for point in points:
-            radio = point.baseline_radio
-            for t in range(5):
-                a, _, h = experiments._DRAWS.trials[t][1].sums
-                assert {v.hex() for v in a} == want[0]
-                assert {v.hex() for v in h} == {radio.overhead_gain.hex()}
 
 
 def test_sweep_rejects_fewer_than_one_worker(monkeypatch):

@@ -78,6 +78,7 @@ def lambert_w0(x: float) -> float:
 
 
 def bracketed_newton(fdf, lo: float, hi: float, tol: float,
+                     f_lo: float | None = None,
                      f_hi_max: float | None = None) -> float:
     """Root of f on [lo, hi] by Newton steps kept inside a sign-change
     bracket.
@@ -95,6 +96,9 @@ def bracketed_newton(fdf, lo: float, hi: float, tol: float,
     was called at, so a caller can keep what fdf computed there.
     Raises BracketingError when f(lo) and f(hi) do not differ in sign.
 
+    f_lo, when given, is the proven sign of f(lo) as +inf or -inf: lo is
+    not evaluated, and the first step is taken from hi.
+
     f_hi_max, when given, is a proven upper bound on f(hi).  Where
     0 < f(lo) < -f_hi_max, f(hi) is below zero and larger in size than
     f(lo), so the sign check passes and the first step is taken from lo
@@ -102,7 +106,7 @@ def bracketed_newton(fdf, lo: float, hi: float, tol: float,
     """
     if not hi > lo:
         raise ValueError("bracketed_newton: need hi > lo")
-    flo, dlo = fdf(lo)
+    flo, dlo = fdf(lo) if f_lo is None else (f_lo, math.nan)
     if abs(flo) <= tol:
         return lo
     if f_hi_max is not None and 0.0 < flo < -f_hi_max:

@@ -25,11 +25,11 @@ a_1 > b_1, else zeta_1) is worth gamma_1 lead q_1 / 2, which falls as
 mu rises, so one bracketed search (numerics.bracketed_newton) in
 t = ln mu, with Halley steps, finds the price mu+ at which it is worth
 exactly mu.  Its bracket (`_lead_bracket`) has closed-form ends: a
-lower end where the gap is >= 0, an upper end where it is below -2.9,
-evaluated only when the search's start rule needs it, and, where the
-lower end lies outside the chain's domain, a tight upper end at which
-the gap is <= 0.  A KKT structure test (Boyd &
-Vandenberghe, ch. 5) then settles the solve:
+lower end where the gap is >= 0, an upper end where it is below -2.9
+and a tight one where it is <= 0 if mu+ lies in the chain's domain.
+The search starts at a closed-form estimate of mu+ between the lower
+and tight ends and evaluates no end whose sign is proven.  A KKT
+structure test (Boyd & Vandenberghe, ch. 5) then settles the solve:
 
 - free: the mission with tau_0 = 0 and every leg at the cap fits the
   budget at mu+, and the lead variable closes the budget linearly;
@@ -231,11 +231,15 @@ def _lead_price(gamma, a, c: float):
 
     The search runs in t = ln mu on the gap ln(c q_1) - t, whose first
     and second derivatives come from the chain, so that each Newton step
-    of numerics.bracketed_newton is a Halley step.  It starts at
-    `_lead_bracket`'s lower end; where the chain is defined there, the
-    upper end hi is never evaluated, and where it is not, the search
-    runs up to the tight end instead, or, where the chain is undefined
-    at that end too (no mu+ exists), from it up to hi.
+    of numerics.bracketed_newton is a Halley step.  Where the tight end
+    of `_lead_bracket` is used, it starts inside (t_lo, t_tight) at
+    `_alone_price(c, halves[1] mu_lo/c)`, mu_lo = e^t_lo: group 2's lone
+    link reads q = mu_lo/c there as group 1's does, which prices its
+    charge on r_1; else at t_lo.  No end whose sign is proven is
+    evaluated: from a gap below 0 the search runs down to t_lo, from one
+    in (0, 2.9) up to hi, and from outside the chain's domain up to the
+    tight end, or, where the chain is undefined at that end too (no mu+
+    exists), from it up to hi.
 
     The state is what the free structure reads at that price, tuples
     (q, rho, S): q_n from the chain; rho_n = tau_n/E_n =
@@ -269,12 +273,18 @@ def _lead_price(gamma, a, c: float):
         return gap
 
     t_lo, t_hi, t_tight = _lead_bracket(halves, c)
-    if lead_gap(t_lo)[0] < math.inf:
-        t = bracketed_newton(lead_gap, t_lo, t_hi, tol=_ROOT_TOL,
+    t = (_alone_price(c, halves[1] * math.exp(t_lo) / c)
+         if t_tight < t_hi else t_lo)
+    if not t_lo < t < t_tight:
+        t = t_lo
+    if t > t_lo and lead_gap(t)[0] < 0.0:
+        t = bracketed_newton(lead_gap, t_lo, t, tol=_ROOT_TOL, f_lo=math.inf)
+    elif lead_gap(t)[0] < math.inf:
+        t = bracketed_newton(lead_gap, t, t_hi, tol=_ROOT_TOL,
                              f_hi_max=_LEAD_GAP_AT_HI)
     else:
         try:
-            t = bracketed_newton(lead_gap, t_lo, t_tight, tol=_ROOT_TOL)
+            t = bracketed_newton(lead_gap, t, t_tight, tol=_ROOT_TOL)
         except BracketingError:
             # the chain is undefined at t_tight too: its domain starts
             # above the tight end and holds no mu+

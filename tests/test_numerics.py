@@ -292,6 +292,47 @@ def test_bounded_upper_end_on_adjacent_floats_returns_lo():
     assert seen == [lo]
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_known_lower_end_is_not_evaluated(sign):
+    # f = +-ln(3/x) on [0.5, 4]: |f(lo)| = 1.79 > |f(hi)| = 0.29, so a
+    # search that evaluates lo steps first from hi; given only lo's sign,
+    # the search takes the same steps without evaluating lo
+    def search(**known):
+        seen = []
+
+        def fdf(x):
+            seen.append(x)
+            return sign * math.log(3.0 / x), -sign / x
+
+        return bracketed_newton(fdf, 0.5, 4.0, tol=1e-12, **known), seen
+
+    root, seen = search()
+    known, seen_known = search(f_lo=sign * math.inf)
+    assert seen[:2] == [0.5, 4.0] and len(seen) > 3
+    assert seen_known == seen[1:]
+    assert known.hex() == root.hex() == seen_known[-1].hex()
+
+
+def test_known_lower_end_returns_the_last_point_evaluated():
+    # lo is never evaluated, so never returned: on adjacent floats, or
+    # with f(hi) within tol, the search returns hi
+    seen = []
+
+    def line(x):
+        seen.append(x)
+        return 1.2 - x, -1.0
+
+    for lo, hi in ((math.nextafter(1.25, 0.0), 1.25), (1.0, 1.2)):
+        seen.clear()
+        assert bracketed_newton(line, lo, hi, tol=1e-12, f_lo=math.inf) == hi
+        assert seen == [hi]
+    # the given sign is checked against f(hi)'s like an evaluated one
+    seen.clear()
+    with pytest.raises(BracketingError):
+        bracketed_newton(line, 0.0, 1.0, tol=1e-12, f_lo=math.inf)
+    assert seen == [1.0]
+
+
 def test_bisect_no_root_raises():
     with pytest.raises(BracketingError):
         bracketed_newton(_with_slope(lambda x: x * x + 1.0,
